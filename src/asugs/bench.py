@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from asugs.data import Dataset, heldout_loglik, sample_mixture
-from asugs.engine import EngineConfig, book_from_summaries, run
+from asugs.engine import EngineConfig, run
 from asugs.mixture import GaussianMixture
 
 VARIANTS = ("ASUGS", "ASUGS-PM", "SUGS", "SUGS-PM")
@@ -119,8 +119,7 @@ def _one_trial(args) -> TrialResult:
         k_cp = [int(ks[min(c, len(ks)) - 1]) for c in checkpoints]
         total = per = None
         if test_ds is not None:
-            book = book_from_summaries(trace.clusters, trace.n)
-            total, per = heldout_loglik(book, test_ds)
+            total, per = heldout_loglik(trace.final_book, test_ds)
         return TrialResult(
             variant=variant, trial=trial, seed=seed, final_k=trace.k,
             heldout_total=total, heldout_per_sample=per, runtime_s=dt,

@@ -23,11 +23,12 @@ from asugs.engine import (
     Checkpoint,
     ClusterBook,
     ConcentrationState,
+    ConfigError,
     EngineConfig,
     RunTrace,
-    StepRecord,
-    merge,
-    prune,
+    merge,  # merge, prune and step are unused here but stay attributes of
+    prune,  # this module: perfbench/tracer.py wraps them here too
+    run,
     step,
 )
 from asugs.mixture import GaussianMixture
@@ -61,6 +62,11 @@ def mixture_predictive(book: ClusterBook, y: np.ndarray) -> float:
     return float(np.exp(log_mixture_predictive_rows(book, y)[0]))
 
 
+def _log_likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:
+    y = np.asarray(y, dtype=float).reshape(-1)
+    return prior_predictive(prior, y) - log_mixture_predictive_rows(book, y)[0]
+
+
 def likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:
     """Fresh-cluster predictive over the fitted mixture predictive.
 
@@ -70,10 +76,8 @@ def likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> fl
     ratio can exceed the float range deep in the fitted tails; such
     points return inf.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    logdiff = prior_predictive(prior, y) - log_mixture_predictive_rows(book, y)[0]
     try:
-        return math.exp(logdiff)
+        return math.exp(_log_likelihood_ratio(book, prior, y))
     except OverflowError:
         return math.inf
 
@@ -89,14 +93,23 @@ def innovation_probability(
     vector on the same state.  Evaluated as a sigmoid in log domain so
     extreme ratios saturate cleanly at 0 or 1.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    log_l = prior_predictive(prior, y) - log_mixture_predictive_rows(book, y)[0]
-    t = math.log(book.total_count / conc.alpha()) - log_l
+    t = math.log(book.total_count / conc.alpha()) - _log_likelihood_ratio(book, prior, y)
     if t > 700.0:
         return 0.0
     if t < -700.0:
         return 1.0
     return 1.0 / (1.0 + math.exp(t))
+
+
+def _tensor_grid(los, his, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor grid over the box [los, his], ``points`` per axis: one point
+    per row, first axis slowest, and each point's quadrature weight."""
+    axes = [np.linspace(lo, hi, points) for lo, hi in zip(los, his)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    weights = np.ones(1)
+    for ax in axes:
+        weights = np.multiply.outer(weights, np.gradient(ax)).ravel()
+    return grid, weights
 
 
 @dataclass
@@ -130,14 +143,7 @@ def l2_distance_to_truth(
         mus = np.vstack([truth.means] + [cl.post.mu for cl in book.clusters])
         los = mus.min(axis=0) - pad_stds * max_sd
         his = mus.max(axis=0) + pad_stds * max_sd
-        axes = [np.linspace(los[i], his[i], grid_points) for i in range(d)]
-        if d == 1:
-            grid = axes[0][:, None]
-            weights = np.gradient(axes[0])
-        else:
-            xx, yy = np.meshgrid(*axes, indexing="ij")
-            grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
-            weights = np.outer(np.gradient(axes[0]), np.gradient(axes[1])).ravel()
+        grid, weights = _tensor_grid(los, his, grid_points)
         diff = np.exp(log_mixture_predictive_rows(book, grid)) - truth.pdf(grid)
         return float(np.sqrt(np.sum(diff * diff * weights)))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -231,22 +237,12 @@ def gaussian_limit_deviation(
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
-    d = post.dim
-    if d > 2:
+    if post.dim > 2:
         raise ValueError("grid evaluation supports d <= 2")
     sd = math.sqrt(np.linalg.eigvalsh(cov).max())
-    axes = [np.linspace(mean[i] - pad_stds * sd, mean[i] + pad_stds * sd, n_grid)
-            for i in range(d)]
-    if d == 1:
-        grid = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    grid, _ = _tensor_grid(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
     pred = np.exp(log_predictive_density_rows(post, grid))
-    L = np.linalg.cholesky(cov)
-    z = np.linalg.solve(L, (grid - mean).T)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    gauss = np.exp(-0.5 * (d * math.log(2 * math.pi) + logdet + np.sum(z * z, axis=0)))
+    gauss = GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
     return float(np.max(np.abs(pred - gauss)))
 
 
@@ -291,35 +287,27 @@ def run_with_diagnostics(
     kl_seed: int = 0,
     l2_grid: int = 200,
 ) -> RunTrace:
-    """Drive a run, recording diagnostics at periodic checkpoints.
+    """``run`` plus diagnostics recorded at periodic checkpoints.
 
-    At each checkpoint step the likelihood ratio is evaluated on the
-    incoming observation before the state updates (the per-step ratio a
-    converging run keeps bounded), and the post-maintenance state is
-    summarized; truth-relative metrics are included when a generating
-    mixture is supplied.  KL estimates share one random-number seed
-    across checkpoints so their trend over n is not drowned by
-    resampling noise.
+    The run is ``run`` with an ``on_step`` callback: same labels,
+    maintenance and errors.  After every ``checkpoint_every``-th step
+    (>= 1, else ConfigError) and its maintenance, a checkpoint summarizes
+    the state, with the likelihood ratio of that step's observation
+    against the state before the step (the per-step ratio a converging
+    run keeps bounded; None at step 1) and, given a generating mixture,
+    truth-relative metrics.  KL estimates share one seed across
+    checkpoints so their trend over n is not drowned by resampling noise.
     """
+    if checkpoint_every < 1:
+        raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
     stream = np.atleast_2d(np.asarray(stream, dtype=float))
     config = config.resolve(stream.shape[1])
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    book = ClusterBook()
-    conc = ConcentrationState(k=0, lam=config.lam, n=0)
-    records: list[StepRecord] = []
     checkpoints: list[Checkpoint] = []
-    maintain = config.prune_eps > 0.0 or config.merge_eps > 0.0
     pending_lr: float | None = None
-    for i, y in enumerate(stream, start=1):
-        at_checkpoint = i % checkpoint_every == 0
-        if at_checkpoint and book.k > 0:
-            pending_lr = likelihood_ratio(book, config.prior, y)
-        records.append(step(book, conc, y, config, rng))
-        if maintain and i % config.maintenance_period == 0:
-            prune(book, conc, config.prune_eps)
-            merge(book, conc, config.merge_eps)
-            records[-1].k_after = book.k
-        if at_checkpoint:
+
+    def on_step(i: int, book: ClusterBook, conc: ConcentrationState) -> None:
+        nonlocal pending_lr
+        if i % checkpoint_every == 0:
             cp = Checkpoint(
                 n=book.n, k=book.k, alpha=conc.alpha(), likelihood_ratio=pending_lr
             )
@@ -329,15 +317,10 @@ def run_with_diagnostics(
                 kl = kl_divergence_estimate(truth, book, n_mc=kl_mc, seed=kl_seed)
                 cp.kl_estimate, cp.kl_stderr = kl.value, kl.stderr
             checkpoints.append(cp)
-            pending_lr = None
-    if maintain and book.n % config.maintenance_period != 0:
-        prune(book, conc, config.prune_eps)
-        merge(book, conc, config.merge_eps)
-        records[-1].k_after = book.k
-    from asugs.engine import summarize
+        if (i + 1) % checkpoint_every == 0 and i < len(stream):
+            # the state here is the one step i + 1 scores stream[i] against
+            pending_lr = likelihood_ratio(book, config.prior, stream[i])
 
-    return RunTrace(
-        config=config, records=records, clusters=summarize(book),
-        n=book.n, k=book.k, checkpoints=checkpoints,
-        final_book=book, final_conc=conc,
-    )
+    trace = run(stream, config, on_step=on_step)
+    trace.checkpoints = checkpoints
+    return trace

@@ -15,6 +15,7 @@ runs share nothing and may execute concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -428,30 +429,34 @@ def summarize(book: ClusterBook) -> list[ClusterSummary]:
 
 
 def book_from_summaries(summaries: list[ClusterSummary], n: int) -> ClusterBook:
-    """Rebuild a cluster book (without distance history) from snapshots."""
+    """Rebuild a cluster book from snapshots; pair histories start at zero."""
     book = ClusterBook(n=n)
-    for i, s in enumerate(summaries):
-        book.clusters.append(
-            Cluster(
-                post=NiwPosterior(mu=np.asarray(s.mu, dtype=float),
-                                  c=s.c, delta=s.delta,
-                                  sigma=np.asarray(s.sigma, dtype=float)),
-                m=s.m, w=s.w, cid=i + 1,
-            )
+    for s in summaries:
+        cl = book._new_cluster(
+            NiwPosterior(mu=np.asarray(s.mu, dtype=float), c=s.c, delta=s.delta,
+                         sigma=np.asarray(s.sigma, dtype=float)),
+            s.w,
         )
-    book.next_cid = len(summaries) + 1
+        cl.m = s.m
     return book
 
 
 def run(
     stream: np.ndarray,
     config: EngineConfig,
+    on_step: Callable[[int, ClusterBook, ConcentrationState], None] | None = None,
 ) -> RunTrace:
     """Drive the full loop over a stream of observations.
 
     Maintenance (prune, then merge) runs every ``maintenance_period``
     steps and once more at stream end if the last step was not already a
-    maintenance step.
+    maintenance step.  An empty stream raises ``ValueError``; a failing
+    step raises ``RuntimeError`` naming its 1-based index.
+
+    ``on_step(i, book, conc)``, if given, is called after step i
+    (1-based) and any maintenance at that step, and before the
+    end-of-stream maintenance: it sees the state the next observation
+    will be scored against.  It must not modify that state.
     """
     stream = np.atleast_2d(np.asarray(stream, dtype=float))
     if stream.shape[0] == 0:
@@ -462,20 +467,24 @@ def run(
     book = ClusterBook()
     conc = ConcentrationState(k=0, lam=config.lam, n=0)
     records: list[StepRecord] = []
-    maintain = config.prune_eps > 0.0 or config.merge_eps > 0.0
+
+    def maintain() -> None:
+        prune(book, conc, config.prune_eps)
+        merge(book, conc, config.merge_eps)
+        records[-1].k_after = book.k
+
+    maintenance = config.prune_eps > 0.0 or config.merge_eps > 0.0
     for i, y in enumerate(stream, start=1):
         try:
             records.append(step(book, conc, y, config, rng))
         except Exception as exc:
             raise RuntimeError(f"step {i} failed: {exc}") from exc
-        if maintain and i % config.maintenance_period == 0:
-            prune(book, conc, config.prune_eps)
-            merge(book, conc, config.merge_eps)
-            records[-1].k_after = book.k
-    if maintain and book.n % config.maintenance_period != 0:
-        prune(book, conc, config.prune_eps)
-        merge(book, conc, config.merge_eps)
-        records[-1].k_after = book.k
+        if maintenance and i % config.maintenance_period == 0:
+            maintain()
+        if on_step is not None:
+            on_step(i, book, conc)
+    if maintenance and book.n % config.maintenance_period != 0:
+        maintain()
     return RunTrace(
         config=config, records=records, clusters=summarize(book),
         n=book.n, k=book.k, final_book=book, final_conc=conc,

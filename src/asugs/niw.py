@@ -138,6 +138,21 @@ def log_gamma_ratio(a: float, d: int) -> float:
     return float(gammaln(a + 0.5) - gammaln(lo))
 
 
+def _student_t_log_density(post: NiwPosterior, L: np.ndarray, quad):
+    """The Student-t log density of ``log_predictive_density`` from the
+    Cholesky factor L of sigma and the quadratic form Q (float or array)."""
+    d = post.dim
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    scale = post.r / (2.0 * post.delta)
+    return (
+        -0.5 * d * np.log(np.pi)
+        + 0.5 * d * np.log(scale)
+        + log_gamma_ratio(post.delta, d)
+        - 0.5 * logdet
+        - (post.delta + 0.5) * np.log1p(scale * quad)
+    )
+
+
 def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
     """Log density of a new observation under the cluster's posterior.
 
@@ -161,16 +176,7 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
         raise ValueError(f"observation has dim {y.shape[0]}, state has dim {d}")
     L = cholesky(post.sigma)
     z = np.linalg.solve(L, y - post.mu)
-    quad = float(z @ z)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    scale = post.r / (2.0 * post.delta)
-    return (
-        -0.5 * d * np.log(np.pi)
-        + 0.5 * d * np.log(scale)
-        + log_gamma_ratio(post.delta, d)
-        - 0.5 * logdet
-        - (post.delta + 0.5) * np.log1p(scale * quad)
-    )
+    return _student_t_log_density(post, L, float(z @ z))
 
 
 def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarray:
@@ -180,19 +186,9 @@ def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarra
     held-out evaluations.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    d = post.dim
     L = cholesky(post.sigma)
     z = np.linalg.solve(L, (ys - post.mu).T)
-    quad = np.sum(z * z, axis=0)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    scale = post.r / (2.0 * post.delta)
-    return (
-        -0.5 * d * np.log(np.pi)
-        + 0.5 * d * np.log(scale)
-        + log_gamma_ratio(post.delta, d)
-        - 0.5 * logdet
-        - (post.delta + 0.5) * np.log1p(scale * quad)
-    )
+    return _student_t_log_density(post, L, np.sum(z * z, axis=0))
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:

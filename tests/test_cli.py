@@ -190,3 +190,10 @@ class TestDiagnose:
         trace = read_trace(diag)
         assert len(trace.checkpoints) == 2
         assert trace.checkpoints[-1].kl_estimate is not None
+
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_nonpositive_checkpoint_interval_is_config_error(self, dataset_dir, every, capsys):
+        code = main(["diagnose", "--train", str(dataset_dir / "train.csv"),
+                     "--checkpoint-every", every])
+        assert code == EXIT_CONFIG
+        assert "checkpoint_every" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from asugs.engine import (
     Cluster,
     ClusterBook,
     ConcentrationState,
+    ConfigError,
     EngineConfig,
     RunTrace,
     StepRecord,
@@ -341,6 +342,12 @@ class TestRunWithDiagnostics:
         l2s = [cp.l2_distance for cp in trace.checkpoints]
         later = l2s[1:]
         assert sum(v < l2s[0] for v in later) > len(later) / 2
+
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_nonpositive_checkpoint_interval_rejected(self, every):
+        ys = np.zeros((10, 2))
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            run_with_diagnostics(ys, EngineConfig(seed=0), checkpoint_every=every)
 
 
 class TestSlopeWithStderr:

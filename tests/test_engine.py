@@ -19,6 +19,7 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     adapt_alpha,
+    book_from_summaries,
     merge,
     predictive_prior_weights,
     prune,
@@ -26,6 +27,7 @@ from asugs.engine import (
     run,
     step,
 )
+from asugs.diagnostics import run_with_diagnostics
 from asugs.niw import NiwPosterior, PriorConfig
 
 
@@ -326,13 +328,48 @@ class TestRun:
         assert votes > 10
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            run(np.empty((0, 2)), EngineConfig(seed=0))
+        for runner in (run, run_with_diagnostics):
+            with pytest.raises(ValueError):
+                runner(np.empty((0, 2)), EngineConfig(seed=0))
 
     def test_step_errors_cite_index(self):
         ys = np.array([[0.0, 0.0], [np.nan, 0.0]])
-        with pytest.raises(RuntimeError, match="step 2"):
-            run(ys, EngineConfig(seed=0))
+        for runner in (run, run_with_diagnostics):
+            with pytest.raises(RuntimeError, match="step 2"):
+                runner(ys, EngineConfig(seed=0))
+
+    def test_diagnostics_do_not_change_the_run(self):
+        rng = np.random.default_rng(11)
+        ys = np.concatenate([rng.normal(size=(150, 2)) * 0.3,
+                             rng.normal(size=(150, 2)) * 0.3 + 3.0])[rng.permutation(300)]
+        cfg = EngineConfig(seed=4, prior=PriorConfig.from_scale(2, 0.09), maintenance_period=20)
+        plain = run(ys, cfg)
+        diag = run_with_diagnostics(ys, cfg, truth=None, checkpoint_every=7)
+        assert len(diag.checkpoints) == 300 // 7
+        assert [r.label for r in diag.records] == [r.label for r in plain.records]
+        for a, b in zip(diag.records, plain.records):
+            assert np.array_equal(a.q, b.q)
+        assert np.array_equal(diag.k_series(), plain.k_series())
+        assert (diag.n, diag.k) == (plain.n, plain.k)
+        for a, b in zip(diag.clusters, plain.clusters):
+            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+            assert (a.c, a.delta, a.m, a.w) == (b.c, b.delta, b.m, b.w)
+
+    def test_on_step_sees_every_step_before_final_maintenance(self):
+        rng = np.random.default_rng(12)
+        ys = np.vstack([rng.normal(size=(44, 2)) * 0.3, [[100.0, 100.0]]])
+        cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.09),
+                           prune_eps=0.45, maintenance_period=20)
+        seen = []
+        trace = run(ys, cfg, on_step=lambda i, book, conc: seen.append((i, book.n, book.k, conc.k)))
+        assert [s[0] for s in seen] == list(range(1, 46))
+        assert all(i == n and k == ck for i, n, k, ck in seen)
+        # maintenance at step i has run when on_step(i) is called ...
+        assert all(seen[i - 1][2] == trace.records[i - 1].k_after for i in (20, 40))
+        # ... and the end-of-stream sweep runs after the last call: the
+        # far outlier opened a cluster at step 45 that only it prunes
+        assert seen[-1][2] == trace.k + 1
+
 
     def test_alpha_positive_and_state_consistent(self):
         rng = np.random.default_rng(8)
@@ -343,6 +380,25 @@ class TestRun:
         assert trace.k == len(trace.clusters)
         assert trace.final_conc.alpha() > 0
 
+
+class TestBookFromSummaries:
+    def test_rebuilt_book_steps_and_merges(self):
+        rng = np.random.default_rng(5)
+        ys = np.concatenate([rng.normal(size=(60, 2)) * 0.3, rng.normal(size=(60, 2)) * 0.3 + 4.0])
+        cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.09)).resolve(2)
+        trace = run(ys, cfg)
+        book = book_from_summaries(trace.clusters, trace.n)
+        assert [cl.cid for cl in book.clusters] == list(range(1, book.k + 1))
+        assert [cl.m for cl in book.clusters] == [s.m for s in trace.clusters]
+        assert [cl.w for cl in book.clusters] == [s.w for s in trace.clusters]
+        assert len(book.dist_acc) == book.k * (book.k - 1) // 2
+        conc = ConcentrationState(k=book.k, lam=cfg.lam, n=book.n)
+        step(book, conc, ys[0], cfg, np.random.default_rng(0))
+        assert book.n == trace.n + 1
+        for key in book.dist_acc:
+            book.dist_acc[key] = 0.0
+            book.coact_acc[key] = float(book.n)
+        assert merge(book, conc, 0.05)
 
 class TestEngineConfig:
     def test_selection_defaults(self):
