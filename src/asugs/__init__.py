@@ -3,7 +3,6 @@ number of components, plus diagnostics and a benchmark harness."""
 
 from asugs.engine import (
     ClusterBook,
-    ConcentrationState,
     EngineConfig,
     RunTrace,
     StepRecord,
@@ -21,7 +20,6 @@ from asugs.niw import (
 
 __all__ = [
     "ClusterBook",
-    "ConcentrationState",
     "EngineConfig",
     "GaussianMixture",
     "NiwPosterior",

@@ -110,17 +110,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _require_dim(path, dim: int, train_dim: int) -> None:
+    if dim != train_dim:
+        raise DataError(f"{path}: dim {dim} does not match --train dim {train_dim}")
+
+
 def cmd_fit(args) -> int:
     train = read_csv(args.train)
+    test = read_csv(args.test) if args.test else None
+    if test is not None:
+        _require_dim(args.test, test.dim, train.dim)
     cfg = _build_config(args, train.dim)
     trace = run(train.rows, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace(out, trace)
-    alpha = trace.final_conc.alpha() if trace.final_conc.n >= 1 else float("nan")
+    alpha = trace.final_book.alpha(cfg.lam)
     print(f"n={trace.n} final_k={trace.k} alpha_n={alpha:.4f} trace={out}")
-    if args.test:
-        test = read_csv(args.test)
+    if test is not None:
         total, per = heldout_loglik(trace.final_book, test)
         print(f"heldout total={total:.4f} per_sample={per:.6f} ({test.n} rows)")
     return EXIT_OK
@@ -196,6 +203,7 @@ def cmd_diagnose(args) -> int:
     truth = None
     if args.truth:
         truth = read_truth(args.truth)
+        _require_dim(args.truth, truth.dim, train.dim)
     else:
         print("warning: no --truth given; truth-relative metrics disabled",
               file=sys.stderr)

@@ -87,6 +87,10 @@ def heldout_loglik(book, test: Dataset) -> tuple[float, float]:
 
     if test.n == 0:
         raise ValueError("test set is empty")
+    if book.k and test.dim != book.clusters[0].post.dim:
+        raise DataError(
+            f"test set has dim {test.dim}, fitted clusters have dim {book.clusters[0].post.dim}"
+        )
     logs = log_mixture_predictive_rows(book, test.rows)
     total = float(logs.sum())
     return total, total / test.n
@@ -142,13 +146,27 @@ def write_truth(path, mix: GaussianMixture, generator_args: dict | None = None) 
 
 
 def read_truth(path) -> GaussianMixture:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return GaussianMixture(
-        weights=np.array(payload["weights"]),
-        means=np.array(payload["means"]),
-        covariances=np.array(payload["covariances"]),
-    )
+    """Load a mixture written by ``write_truth``; a malformed file raises
+    DataError naming the path and the problem."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not a JSON document: {exc}") from exc
+    fields = ("weights", "means", "covariances")
+    if not isinstance(payload, dict) or any(f not in payload for f in fields):
+        raise DataError(f"{path}: expected a JSON object with fields {', '.join(fields)}")
+    try:
+        mix = GaussianMixture(*(np.array(payload[f], dtype=float) for f in fields))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    k, d = mix.means.shape
+    if mix.weights.shape != (k,) or mix.covariances.shape != (k, d, d):
+        raise DataError(
+            f"{path}: weights {mix.weights.shape}, means {mix.means.shape} and "
+            f"covariances {mix.covariances.shape} do not describe one mixture"
+        )
+    return mix
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from scipy.special import logsumexp
 from asugs.engine import (
     Checkpoint,
     ClusterBook,
-    ConcentrationState,
     ConfigError,
     EngineConfig,
     RunTrace,
+    as_stream,
     merge,  # merge, prune and step are unused here but stay attributes of
     prune,  # this module: perfbench/tracer.py wraps them here too
     run,
@@ -83,7 +83,7 @@ def likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> fl
 
 
 def innovation_probability(
-    book: ClusterBook, conc: ConcentrationState, prior: PriorConfig, y: np.ndarray
+    book: ClusterBook, alpha: float, prior: PriorConfig, y: np.ndarray
 ) -> float:
     """Probability that the next observation opens a new cluster.
 
@@ -93,7 +93,7 @@ def innovation_probability(
     vector on the same state.  Evaluated as a sigmoid in log domain so
     extreme ratios saturate cleanly at 0 or 1.
     """
-    t = math.log(book.total_count / conc.alpha()) - _log_likelihood_ratio(book, prior, y)
+    t = math.log(book.total_count / alpha) - _log_likelihood_ratio(book, prior, y)
     if t > 700.0:
         return 0.0
     if t < -700.0:
@@ -300,16 +300,16 @@ def run_with_diagnostics(
     """
     if checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
-    stream = np.atleast_2d(np.asarray(stream, dtype=float))
+    stream = as_stream(stream)
     config = config.resolve(stream.shape[1])
     checkpoints: list[Checkpoint] = []
     pending_lr: float | None = None
 
-    def on_step(i: int, book: ClusterBook, conc: ConcentrationState) -> None:
+    def on_step(i: int, book: ClusterBook) -> None:
         nonlocal pending_lr
         if i % checkpoint_every == 0:
             cp = Checkpoint(
-                n=book.n, k=book.k, alpha=conc.alpha(), likelihood_ratio=pending_lr
+                n=book.n, k=book.k, alpha=book.alpha(config.lam), likelihood_ratio=pending_lr
             )
             if truth is not None:
                 l2 = l2_distance_to_truth(book, truth, grid_points=l2_grid)

@@ -8,8 +8,12 @@ maintenance removes clusters whose running posterior weight has become
 negligible and fuses clusters whose responsibility histories track each
 other.
 
-A single run is strictly sequential and owns all of its state; distinct
-runs share nothing and may execute concurrently.
+A run's whole state is one ``ClusterBook``: the live clusters in birth
+order, the observation count n (from which, with k, the adaptive
+concentration follows) and two K x K arrays of pairwise responsibility
+histories indexed by position in that order.  A single run is strictly
+sequential and owns its book; distinct runs share nothing and may
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -34,26 +38,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ConcentrationState:
-    """Scalar state behind the adaptive concentration parameter.
-
-    k    current number of live clusters
-    lam  rate parameter of the exponential prior on the concentration
-    n    observations processed so far
-    """
-
-    k: int
-    lam: float
-    n: int
-
-    def alpha(self) -> float:
-        """k / (lam + log n); requires n >= 1."""
-        if self.n < 1:
-            raise ValueError("alpha undefined before the first observation")
-        return self.k / (self.lam + math.log(self.n))
-
-
-@dataclass
 class Cluster:
     """One live mixture component: posterior state plus assignment stats.
 
@@ -70,20 +54,21 @@ class Cluster:
 
 @dataclass
 class ClusterBook:
-    """Ordered collection of live clusters plus pairwise history distances.
+    """Live clusters in birth order plus their pairwise history sums.
 
-    For each live pair (keyed by (cid1, cid2), cid1 < cid2) two running
-    sums are kept since the pair began tracking: dist_acc accumulates
-    |q_cid1 - q_cid2| and coact_acc accumulates q_cid1 + q_cid2.  The
-    first, time-averaged, is the merge distance; the second measures how
-    much responsibility mass the pair has actually received, i.e. how
-    much evidence the distance rests on.
+    For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
+    ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
+    began tracking; entries on and below the diagonal are never read.
+    The first, time-averaged, is the merge distance; the second measures
+    how much responsibility mass the pair has actually received, i.e.
+    how much evidence the distance rests on.  ``add`` and ``keep`` are
+    the only places where the cluster list and the arrays change length.
     """
 
     clusters: list[Cluster] = field(default_factory=list)
     n: int = 0
-    dist_acc: dict[tuple[int, int], float] = field(default_factory=dict)
-    coact_acc: dict[tuple[int, int], float] = field(default_factory=dict)
+    dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     next_cid: int = 1
 
     @property
@@ -101,26 +86,25 @@ class ClusterBook:
     def weights(self) -> np.ndarray:
         return np.array([c.w for c in self.clusters], dtype=float)
 
-    def _pair_key(self, cid_a: int, cid_b: int) -> tuple[int, int]:
-        return (cid_a, cid_b) if cid_a < cid_b else (cid_b, cid_a)
+    def alpha(self, lam: float) -> float:
+        """Adaptive concentration k / (lam + log n); requires n >= 1."""
+        if self.n < 1:
+            raise ValueError("alpha undefined before the first observation")
+        return self.k / (lam + math.log(self.n))
 
-    def _reset_pair(self, cid_a: int, cid_b: int) -> None:
-        key = self._pair_key(cid_a, cid_b)
-        self.dist_acc[key] = 0.0
-        self.coact_acc[key] = 0.0
-
-    def _new_cluster(self, post: NiwPosterior, q_birth: float) -> Cluster:
-        cl = Cluster(post=post, m=1, w=q_birth, cid=self.next_cid)
+    def add(self, post: NiwPosterior, m: int, w: float) -> None:
+        """Append a cluster with a fresh cid; its pair histories start at zero."""
+        self.clusters.append(Cluster(post=post, m=m, w=w, cid=self.next_cid))
         self.next_cid += 1
-        for other in self.clusters:
-            self._reset_pair(other.cid, cl.cid)
-        self.clusters.append(cl)
-        return cl
+        self.dist = np.pad(self.dist, ((0, 1), (0, 1)))
+        self.coact = np.pad(self.coact, ((0, 1), (0, 1)))
 
-    def _drop_pairs(self, cid: int) -> None:
-        for key in [k for k in self.dist_acc if cid in k]:
-            del self.dist_acc[key]
-            del self.coact_acc[key]
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the clusters where mask is False, with their rows and columns."""
+        mask = np.asarray(mask, dtype=bool)
+        self.clusters = [cl for cl, kept in zip(self.clusters, mask) if kept]
+        self.dist = self.dist[mask][:, mask]
+        self.coact = self.coact[mask][:, mask]
 
 
 @dataclass
@@ -184,11 +168,6 @@ class StepRecord:
     innovation: bool
 
 
-def adapt_alpha(state: ConcentrationState) -> float:
-    """Concentration used for the next selection: k / (lam + log n)."""
-    return state.alpha()
-
-
 def predictive_prior_weights(book: ClusterBook, alpha: float) -> np.ndarray:
     """Label prior over existing clusters plus one innovation slot.
 
@@ -222,28 +201,23 @@ def responsibilities(
 
 
 def step(
-    book: ClusterBook,
-    conc: ConcentrationState,
-    y: np.ndarray,
-    config: EngineConfig,
-    rng: np.random.Generator,
+    book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator
 ) -> StepRecord:
-    """Process one observation, updating book and conc in place."""
+    """Process one observation, updating the book in place."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains a non-finite value")
     if book.k == 0:
         # First observation deterministically opens cluster 1.
         post = posterior_update(NiwPosterior.from_prior(config.prior), y)
-        book._new_cluster(post, 1.0)
+        book.add(post, 1, 1.0)
         book.n = 1
-        conc.k, conc.n = 1, 1
         return StepRecord(
             index=1, label=1, q=np.array([1.0]), alpha_used=0.0, k_after=1,
             innovation=True,
         )
 
-    alpha = config.fixed_alpha if config.fixed_alpha is not None else adapt_alpha(conc)
+    alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
     q = responsibilities(book, y, alpha, config.prior)
     if config.selection == "argmax":
         label = int(np.argmax(q)) + 1  # ties resolve to the lowest index
@@ -255,7 +229,7 @@ def step(
     k_old = book.k
     if innovation:
         post = posterior_update(NiwPosterior.from_prior(config.prior), y)
-        book._new_cluster(post, 0.0)
+        book.add(post, 1, 0.0)
         q_live = q
     else:
         cl = book.clusters[label - 1]
@@ -264,22 +238,17 @@ def step(
         q_live = q[:k_old]  # the unused innovation slot's mass is dropped
     for h, cl in enumerate(book.clusters):
         cl.w += float(q_live[h])
-        for g in range(h + 1, book.k):
-            key = book._pair_key(cl.cid, book.clusters[g].cid)
-            qh, qg = float(q_live[h]), float(q_live[g])
-            book.dist_acc[key] += abs(qh - qg)
-            book.coact_acc[key] += qh + qg
+    book.dist += np.abs(np.subtract.outer(q_live, q_live))
+    book.coact += np.add.outer(q_live, q_live)
 
     book.n += 1
-    conc.n = book.n
-    conc.k = book.k
     return StepRecord(
         index=book.n, label=label, q=q, alpha_used=float(alpha),
         k_after=book.k, innovation=innovation,
     )
 
 
-def prune(book: ClusterBook, conc: ConcentrationState, eps_r: float) -> list[int]:
+def prune(book: ClusterBook, eps_r: float) -> list[int]:
     """Remove clusters whose relative running weight fell below eps_r.
 
     Thresholds are evaluated against the pre-sweep normalization, all
@@ -294,14 +263,12 @@ def prune(book: ClusterBook, conc: ConcentrationState, eps_r: float) -> list[int
     if total <= 0.0:
         return []
     rel = w / total
-    keep = rel >= eps_r
-    if not keep.any():
-        keep[int(np.argmax(rel))] = True
-    removed = [cl.cid for cl, k in zip(book.clusters, keep) if not k]
-    book.clusters = [cl for cl, k in zip(book.clusters, keep) if k]
-    for cid in removed:
-        book._drop_pairs(cid)
-    conc.k = book.k
+    kept = rel >= eps_r
+    if not kept.any():
+        kept[int(np.argmax(rel))] = True
+    removed = [cl.cid for cl, k in zip(book.clusters, kept) if not k]
+    if removed:
+        book.keep(kept)
     return removed
 
 
@@ -309,10 +276,10 @@ MERGE_MIN_COACTIVITY = 1.0  # one observation's worth of shared mass
 MERGE_EVIDENCE_RATIO = 0.65  # diff sum must stay well below the shared mass
 
 
-def merge(book: ClusterBook, conc: ConcentrationState, eps_d: float) -> list[tuple[int, int]]:
+def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
     """Fuse cluster pairs whose time-averaged responsibility distance is small.
 
-    Pairs with d_q = dist_acc/n below eps_d merge greedily in ascending
+    Pairs with d_q = dist/n below eps_d merge greedily in ascending
     d_q; each cluster participates in at most one merge per sweep.  A
     small d_q alone cannot distinguish duplicated clusters from clusters
     that were merely inactive, so a pair is only mergeable once it has
@@ -325,23 +292,18 @@ def merge(book: ClusterBook, conc: ConcentrationState, eps_d: float) -> list[tup
     """
     if book.k <= 1 or eps_d <= 0.0 or book.n == 0:
         return []
-    candidates = []
-    for i in range(book.k):
-        for j in range(i + 1, book.k):
-            key = book._pair_key(book.clusters[i].cid, book.clusters[j].cid)
-            d_q = book.dist_acc[key] / book.n
-            coact = book.coact_acc[key]
-            if (
-                d_q < eps_d
-                and coact >= MERGE_MIN_COACTIVITY
-                and book.dist_acc[key] < MERGE_EVIDENCE_RATIO * coact
-            ):
-                candidates.append((d_q, i, j))
-    candidates.sort()
+    d_q = book.dist / book.n
+    ok = (d_q < eps_d) & (book.coact >= MERGE_MIN_COACTIVITY) & (
+        book.dist < MERGE_EVIDENCE_RATIO * book.coact
+    )
+    iu, ju = np.nonzero(ok)
+    candidates = sorted(
+        (float(d_q[i, j]), i, j) for i, j in zip(iu.tolist(), ju.tolist()) if i < j
+    )
 
     merged_positions: set[int] = set()
     events: list[tuple[int, int]] = []
-    absorbed: list[int] = []
+    kept = np.ones(book.k, dtype=bool)
     for _, i, j in candidates:
         if i in merged_positions or j in merged_positions:
             continue
@@ -357,21 +319,13 @@ def merge(book: ClusterBook, conc: ConcentrationState, eps_d: float) -> list[tup
         a_cl.w += b_cl.w
         merged_positions.update((i, j))
         events.append((a_cl.cid, b_cl.cid))
-        absorbed.append(b_cl.cid)
+        for pairs in (book.dist, book.coact):
+            pairs[i, :] = 0.0
+            pairs[:, i] = 0.0
+        kept[j] = False
 
     if events:
-        absorbed_set = set(absorbed)
-        survivors = {s for s, _ in events}
-        book.clusters = [cl for cl in book.clusters if cl.cid not in absorbed_set]
-        for cid in absorbed:
-            book._drop_pairs(cid)
-        for cl in book.clusters:
-            if cl.cid not in survivors:
-                continue
-            for other in book.clusters:
-                if other.cid != cl.cid:
-                    book._reset_pair(cl.cid, other.cid)
-        conc.k = book.k
+        book.keep(kept)
     return events
 
 
@@ -412,7 +366,6 @@ class RunTrace:
     k: int
     checkpoints: list[Checkpoint] = field(default_factory=list)
     final_book: "ClusterBook | None" = field(default=None, repr=False, compare=False)
-    final_conc: "ConcentrationState | None" = field(default=None, repr=False, compare=False)
 
     def k_series(self) -> np.ndarray:
         return np.array([r.k_after for r in self.records], dtype=int)
@@ -432,60 +385,71 @@ def book_from_summaries(summaries: list[ClusterSummary], n: int) -> ClusterBook:
     """Rebuild a cluster book from snapshots; pair histories start at zero."""
     book = ClusterBook(n=n)
     for s in summaries:
-        cl = book._new_cluster(
+        book.add(
             NiwPosterior(mu=np.asarray(s.mu, dtype=float), c=s.c, delta=s.delta,
                          sigma=np.asarray(s.sigma, dtype=float)),
-            s.w,
+            s.m, s.w,
         )
-        cl.m = s.m
     return book
+
+
+def as_stream(stream) -> np.ndarray:
+    """The observations as an n x d float array, n >= 1 and d >= 1.
+
+    A 1-D array is one observation.  A stream without rows, without
+    coordinates or with more than two axes raises ``ValueError``.
+    """
+    given = np.asarray(stream, dtype=float)
+    stream = np.atleast_2d(given)
+    if stream.ndim != 2 or stream.shape[1] == 0:
+        raise ValueError(f"stream must be rows of at least one coordinate, got shape {given.shape}")
+    if stream.shape[0] == 0:
+        raise ValueError("stream must contain at least one observation")
+    return stream
 
 
 def run(
     stream: np.ndarray,
     config: EngineConfig,
-    on_step: Callable[[int, ClusterBook, ConcentrationState], None] | None = None,
+    on_step: Callable[[int, ClusterBook], None] | None = None,
 ) -> RunTrace:
     """Drive the full loop over a stream of observations.
 
     Maintenance (prune, then merge) runs every ``maintenance_period``
     steps and once more at stream end if the last step was not already a
-    maintenance step.  An empty stream raises ``ValueError``; a failing
+    maintenance step.  A stream that ``as_stream`` rejects (empty, no
+    coordinates, more than two axes) raises ``ValueError``; a failing
     step raises ``RuntimeError`` naming its 1-based index.
 
-    ``on_step(i, book, conc)``, if given, is called after step i
-    (1-based) and any maintenance at that step, and before the
-    end-of-stream maintenance: it sees the state the next observation
-    will be scored against.  It must not modify that state.
+    ``on_step(i, book)``, if given, is called after step i (1-based) and
+    any maintenance at that step, and before the end-of-stream
+    maintenance: it sees the state the next observation will be scored
+    against.  It must not modify that state.
     """
-    stream = np.atleast_2d(np.asarray(stream, dtype=float))
-    if stream.shape[0] == 0:
-        raise ValueError("stream must contain at least one observation")
-    d = stream.shape[1]
-    config = config.resolve(d)
+    stream = as_stream(stream)
+    config = config.resolve(stream.shape[1])
     rng = np.random.Generator(np.random.PCG64(config.seed))
     book = ClusterBook()
-    conc = ConcentrationState(k=0, lam=config.lam, n=0)
     records: list[StepRecord] = []
 
     def maintain() -> None:
-        prune(book, conc, config.prune_eps)
-        merge(book, conc, config.merge_eps)
+        prune(book, config.prune_eps)
+        merge(book, config.merge_eps)
         records[-1].k_after = book.k
 
     maintenance = config.prune_eps > 0.0 or config.merge_eps > 0.0
     for i, y in enumerate(stream, start=1):
         try:
-            records.append(step(book, conc, y, config, rng))
+            records.append(step(book, y, config, rng))
         except Exception as exc:
             raise RuntimeError(f"step {i} failed: {exc}") from exc
         if maintenance and i % config.maintenance_period == 0:
             maintain()
         if on_step is not None:
-            on_step(i, book, conc)
+            on_step(i, book)
     if maintenance and book.n % config.maintenance_period != 0:
         maintain()
     return RunTrace(
         config=config, records=records, clusters=summarize(book),
-        n=book.n, k=book.k, final_book=book, final_conc=conc,
+        n=book.n, k=book.k, final_book=book,
     )

@@ -94,6 +94,16 @@ class TestFit:
         p.write_text("1.0,2.0\n3.0\n")
         assert main(["fit", "--train", str(p)]) == EXIT_DATA
 
+    def test_test_set_dimension_mismatch_is_data_error(self, dataset_dir, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["fit", "--train", str(dataset_dir / "train.csv"),
+                     "--test", str(wide), "--out", str(trace_path)])
+        assert code == EXIT_DATA
+        assert "dim 3" in capsys.readouterr().err
+        assert not trace_path.exists()
+
     def test_bad_config_is_config_error(self, dataset_dir, tmp_path):
         assert main(["fit", "--train", str(dataset_dir / "train.csv"),
                      "--lambda", "-1.0"]) == EXIT_CONFIG
@@ -190,6 +200,24 @@ class TestDiagnose:
         trace = read_trace(diag)
         assert len(trace.checkpoints) == 2
         assert trace.checkpoints[-1].kl_estimate is not None
+
+    @pytest.mark.parametrize(
+        "truth_text",
+        [
+            "",
+            '{"weights": [1.0]}',
+            # a valid mixture in d = 3 against two-column training data
+            '{"weights": [1.0], "means": [[0.0, 0.0, 0.0]], '
+            '"covariances": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]}',
+        ],
+    )
+    def test_malformed_truth_is_data_error(self, dataset_dir, tmp_path, truth_text, capsys):
+        truth = tmp_path / "truth.json"
+        truth.write_text(truth_text)
+        code = main(["diagnose", "--train", str(dataset_dir / "train.csv"),
+                     "--truth", str(truth), "--checkpoint-every", "250"])
+        assert code == EXIT_DATA
+        assert str(truth) in capsys.readouterr().err
 
     @pytest.mark.parametrize("every", ["0", "-5"])
     def test_nonpositive_checkpoint_interval_is_config_error(self, dataset_dir, every, capsys):

@@ -18,7 +18,7 @@ from asugs.data import (
     write_trace,
     write_truth,
 )
-from asugs.engine import Cluster, ClusterBook, EngineConfig, book_from_summaries, run
+from asugs.engine import ClusterBook, EngineConfig, book_from_summaries, run
 from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density
 
 
@@ -90,8 +90,7 @@ class TestHeldoutLoglik:
     def _single_cluster_book(self):
         post = NiwPosterior(np.array([0.5]), 8.0, 5.0, np.array([[0.3]]))
         book = ClusterBook(n=4)
-        book.clusters.append(Cluster(post=post, m=4, w=4.0, cid=1))
-        book.next_cid = 2
+        book.add(post, 4, 4.0)
         return book, post
 
     def test_repeated_point_doubles(self):
@@ -121,6 +120,11 @@ class TestHeldoutLoglik:
         book, _ = self._single_cluster_book()
         with pytest.raises(ValueError):
             heldout_loglik(book, Dataset(rows=np.empty((0, 1))))
+
+    def test_dimension_mismatch_names_both_dims(self):
+        book, _ = self._single_cluster_book()
+        with pytest.raises(DataError, match="dim 2.*dim 1"):
+            heldout_loglik(book, Dataset(rows=np.zeros((3, 2))))
 
 
 class TestReadCsv:
@@ -173,6 +177,26 @@ class TestTruthFile:
         np.testing.assert_array_equal(back.weights, mix.weights)
         np.testing.assert_array_equal(back.means, mix.means)
         np.testing.assert_array_equal(back.covariances, mix.covariances)
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("", "not a JSON document"),
+            ("[1.0]", "expected a JSON object"),
+            ('{"weights": [1.0]}', "fields weights, means, covariances"),
+            ('{"weights": [0.5], "means": [[0.0]], "covariances": [[[1.0]]]}', "sum to 1"),
+            ('{"weights": [1.0], "means": [[0.0]], "covariances": [[[-1.0]]]}', "definite"),
+            ('{"weights": [1.0], "means": [["a"]], "covariances": [[[1.0]]]}', "could not convert"),
+            ('{"weights": [0.5, 0.5], "means": [[0.0, 0.0]], "covariances": [[[1.0]]]}',
+             "do not describe one mixture"),
+        ],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, text, problem):
+        p = tmp_path / "truth.json"
+        p.write_text(text)
+        with pytest.raises(DataError, match=problem) as info:
+            read_truth(p)
+        assert str(p) in str(info.value)
 
 
 class TestTracePersistence:

@@ -24,9 +24,7 @@ from asugs.diagnostics import (
     slope_with_stderr,
 )
 from asugs.engine import (
-    Cluster,
     ClusterBook,
-    ConcentrationState,
     ConfigError,
     EngineConfig,
     RunTrace,
@@ -40,11 +38,7 @@ from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density, posteri
 def make_book(posts, ms, n):
     book = ClusterBook(n=n)
     for post, m in zip(posts, ms):
-        cl = Cluster(post=post, m=m, w=float(m), cid=book.next_cid)
-        book.next_cid += 1
-        for other in book.clusters:
-            book._reset_pair(other.cid, cl.cid)
-        book.clusters.append(cl)
+        book.add(post, m, float(m))
     return book
 
 
@@ -115,16 +109,14 @@ class TestInnovationProbability:
         prior = PriorConfig.default(1)
         book = make_book([NiwPosterior.from_prior(prior)], [10], n=10)
         # the ratio is exactly 1 here, so alpha = M gives the balance point
-        conc = ConcentrationState(k=24, lam=2.4 - math.log(10), n=10)
-        assert conc.alpha() == pytest.approx(10.0, rel=1e-12)
-        tau = innovation_probability(book, conc, prior, np.array([0.7]))
+        alpha = 10.0
+        tau = innovation_probability(book, alpha, prior, np.array([0.7]))
         assert tau == pytest.approx(0.5, abs=1e-12)
 
     def test_alpha_to_zero_limit(self):
         prior = PriorConfig.default(1)
         book = make_book([NiwPosterior.from_prior(prior)], [10], n=10)
-        conc = ConcentrationState(k=1, lam=1e9, n=10)
-        assert innovation_probability(book, conc, prior, np.zeros(1)) < 1e-8
+        assert innovation_probability(book, book.alpha(1e9), prior, np.zeros(1)) < 1e-8
 
     def test_matches_engine_responsibilities(self):
         """Cross-module identity on random states, tight tolerance."""
@@ -139,11 +131,10 @@ class TestInnovationProbability:
                                           rng.uniform(1.5, 9), a @ a.T + np.eye(2)))
                 ms.append(int(rng.integers(1, 40)))
             book = make_book(posts, ms, n=sum(ms))
-            conc = ConcentrationState(k=k, lam=rng.uniform(0.2, 3.0),
-                                      n=max(sum(ms), 1))
+            alpha = book.alpha(rng.uniform(0.2, 3.0))
             y = rng.normal(size=2) * 3
-            tau = innovation_probability(book, conc, prior, y)
-            q = responsibilities(book, y, conc.alpha(), prior)
+            tau = innovation_probability(book, alpha, prior, y)
+            q = responsibilities(book, y, alpha, prior)
             assert tau == pytest.approx(q[-1], abs=1e-12)
 
 

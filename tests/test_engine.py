@@ -10,15 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from asugs.engine import (
-    Cluster,
     ClusterBook,
-    ConcentrationState,
     ConfigError,
     EngineConfig,
-    adapt_alpha,
     book_from_summaries,
     merge,
     predictive_prior_weights,
@@ -27,6 +26,7 @@ from asugs.engine import (
     run,
     step,
 )
+from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import run_with_diagnostics
 from asugs.niw import NiwPosterior, PriorConfig
 
@@ -34,12 +34,12 @@ from asugs.niw import NiwPosterior, PriorConfig
 def make_book(posts, ms, ws, n):
     book = ClusterBook(n=n)
     for post, m, w in zip(posts, ms, ws):
-        cl = Cluster(post=post, m=m, w=w, cid=book.next_cid)
-        book.next_cid += 1
-        for other in book.clusters:
-            book._reset_pair(other.cid, cl.cid)
-        book.clusters.append(cl)
+        book.add(post, m, w)
     return book
+
+
+def k_cluster_book(k, n):
+    return make_book([None] * k, [1] * k, [1.0] * k, n=n)
 
 
 def ref_log_density_1d(mu, c, delta, sigma, y):
@@ -136,51 +136,50 @@ class TestResponsibilities:
 
 class TestAdaptAlpha:
     def test_log_one_is_zero(self):
-        assert adapt_alpha(ConcentrationState(k=1, lam=1.0, n=1)) == 1.0
+        assert k_cluster_book(1, n=1).alpha(1.0) == 1.0
 
     def test_arithmetic(self):
-        got = adapt_alpha(ConcentrationState(k=16, lam=1.0, n=500))
+        got = k_cluster_book(16, n=500).alpha(1.0)
         assert got == pytest.approx(16.0 / (1.0 + math.log(500)), rel=1e-14)
         assert got == pytest.approx(2.21771, abs=1e-4)
 
     def test_linear_in_k(self):
-        a1 = adapt_alpha(ConcentrationState(k=4, lam=0.7, n=100))
-        a2 = adapt_alpha(ConcentrationState(k=8, lam=0.7, n=100))
+        a1 = k_cluster_book(4, n=100).alpha(0.7)
+        a2 = k_cluster_book(8, n=100).alpha(0.7)
         assert a2 == pytest.approx(2.0 * a1, rel=1e-14)
 
     def test_undefined_before_first_observation(self):
         with pytest.raises(ValueError):
-            ConcentrationState(k=1, lam=1.0, n=0).alpha()
+            k_cluster_book(1, n=0).alpha(1.0)
 
 
 class TestStep:
     def setup_method(self):
-        self.config = EngineConfig(seed=0, prior=PriorConfig.default(2)).resolve(2)
+        self.config = EngineConfig(lam=1.0, seed=0, prior=PriorConfig.default(2)).resolve(2)
         self.rng = np.random.Generator(np.random.PCG64(0))
 
     def test_first_observation_opens_cluster_one(self):
-        book, conc = ClusterBook(), ConcentrationState(0, 1.0, 0)
-        rec = step(book, conc, np.array([0.4, -0.1]), self.config, self.rng)
+        book = ClusterBook()
+        rec = step(book, np.array([0.4, -0.1]), self.config, self.rng)
         assert (rec.label, rec.k_after, rec.innovation) == (1, 1, True)
         assert rec.q.tolist() == [1.0]
         assert book.clusters[0].m == 1 and book.clusters[0].w == 1.0
-        assert conc.k == 1 and conc.n == 1
+        assert book.k == 1 and book.n == 1
 
     def test_dominant_cluster_wins_argmax(self):
-        config = EngineConfig(seed=0, selection="argmax",
+        config = EngineConfig(lam=1.0, seed=0, selection="argmax",
                               prior=PriorConfig.default(2)).resolve(2)
         y = np.array([1.0, 1.0])
         post = NiwPosterior(y.copy(), 100.0, 50.0, 0.01 * np.eye(2))
         book = make_book([post], [100], [100.0], n=100)
-        conc = ConcentrationState(1, 1.0, 100)
-        rec = step(book, conc, y, config, self.rng)
+        rec = step(book, y, config, self.rng)
         assert rec.label == 1 and not rec.innovation
 
     def test_counts_partition_observations(self):
         rng = np.random.default_rng(2)
-        book, conc = ClusterBook(), ConcentrationState(0, 1.0, 0)
+        book = ClusterBook()
         for i in range(200):
-            rec = step(book, conc, rng.normal(size=2) * 2, self.config, self.rng)
+            rec = step(book, rng.normal(size=2) * 2, self.config, self.rng)
             assert sum(c.m for c in book.clusters) == book.n == i + 1
             assert rec.q.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(rec.q >= 0)
@@ -203,33 +202,29 @@ class TestPrune:
 
     def test_uniform_weights_untouched(self):
         book = self._two_cluster_book(5.0, 5.0)
-        conc = ConcentrationState(2, 1.0, 10)
-        assert prune(book, conc, 0.3) == []
+        assert prune(book, 0.3) == []
         assert book.k == 2
 
     def test_small_relative_weight_removed(self):
         book = self._two_cluster_book(0.98 * 10, 0.02 * 10)
-        conc = ConcentrationState(2, 1.0, 10)
-        removed = prune(book, conc, 0.05)
-        assert len(removed) == 1 and book.k == 1 and conc.k == 1
+        removed = prune(book, 0.05)
+        assert len(removed) == 1 and book.k == 1
         assert book.clusters[0].w == pytest.approx(9.8)
 
     def test_zero_threshold_is_noop(self):
         book = self._two_cluster_book(9.99, 0.01)
-        assert prune(book, ConcentrationState(2, 1.0, 10), 0.0) == []
+        assert prune(book, 0.0) == []
 
     def test_never_removes_last_cluster(self):
         posts = [NiwPosterior(np.zeros(1), 2.0, 2.0, np.eye(1)) for _ in range(3)]
         book = make_book(posts, [1, 1, 1], [1.0, 1.0, 1.0], n=3)
-        conc = ConcentrationState(3, 1.0, 3)
-        prune(book, conc, 0.99)  # every relative weight is below threshold
+        prune(book, 0.99)  # every relative weight is below threshold
         assert book.k == 1
 
     def test_pairs_dropped_with_cluster(self):
         book = self._two_cluster_book(9.8, 0.2)
-        conc = ConcentrationState(2, 1.0, 10)
-        prune(book, conc, 0.05)
-        assert book.dist_acc == {} and book.coact_acc == {}
+        prune(book, 0.05)
+        assert book.dist.shape == book.coact.shape == (1, 1)
 
 
 class TestMerge:
@@ -242,20 +237,18 @@ class TestMerge:
 
     def test_identical_histories_merge(self):
         book = self._book([0.0, 0.05], [4.0, 4.0], [5, 5], [5.0, 5.0], n=10)
-        key = (1, 2)
-        book.dist_acc[key] = 0.0  # identical responsibilities throughout
-        book.coact_acc[key] = 10.0
-        conc = ConcentrationState(2, 1.0, 10)
-        events = merge(book, conc, 1e-6)
-        assert events == [(1, 2)] and book.k == 1 and conc.k == 1
+        book.dist[0, 1] = 0.0  # identical responsibilities throughout
+        book.coact[0, 1] = 10.0
+        events = merge(book, 1e-6)
+        assert events == [(1, 2)] and book.k == 1
 
     def test_equal_counts_average_location(self):
         book = self._book([-1.0, 1.0], [4.0, 4.0], [5, 5], [5.0, 5.0], n=10)
-        book.dist_acc[(1, 2)] = 0.0
-        book.coact_acc[(1, 2)] = 10.0
+        book.dist[0, 1] = 0.0
+        book.coact[0, 1] = 10.0
         sig_a = book.clusters[0].post.sigma.copy()
         sig_b = book.clusters[1].post.sigma.copy()
-        merge(book, ConcentrationState(2, 1.0, 10), 0.5)
+        merge(book, 0.5)
         survivor = book.clusters[0]
         assert survivor.post.mu[0] == pytest.approx(0.0, abs=1e-15)
         assert survivor.post.c == pytest.approx(8.0)
@@ -268,47 +261,142 @@ class TestMerge:
         book = self._book([0.0, 0.1, 0.2], [4.0, 4.0, 4.0], [5, 5, 5],
                           [5.0, 5.0, 5.0], n=100)
         acc = {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 30.0}  # /n gives the distances
-        for key, val in acc.items():
-            book.dist_acc[key] = val
-            book.coact_acc[key] = 60.0
-        conc = ConcentrationState(3, 1.0, 100)
-        events = merge(book, conc, 0.05)
+        for (a, b), val in acc.items():
+            book.dist[a - 1, b - 1] = val
+            book.coact[a - 1, b - 1] = 60.0
+        events = merge(book, 0.05)
         assert events == [(1, 2)]
-        assert book.k == 2 and conc.k == 2
+        assert book.k == 2
 
     def test_quiet_pair_not_merged(self):
         """Near-zero distance without co-activity is not evidence."""
         book = self._book([0.0, 5.0], [4.0, 4.0], [5, 5], [5.0, 5.0], n=1000)
-        book.dist_acc[(1, 2)] = 0.1
-        book.coact_acc[(1, 2)] = 0.2  # both clusters mostly inactive
-        events = merge(book, ConcentrationState(2, 1.0, 1000), 0.05)
+        book.dist[0, 1] = 0.1
+        book.coact[0, 1] = 0.2  # both clusters mostly inactive
+        events = merge(book, 0.05)
         assert events == []
 
     def test_active_disagreeing_pair_not_merged(self):
         """Distance close to the co-activity marks distinct clusters."""
         book = self._book([0.0, 5.0], [4.0, 4.0], [5, 5], [5.0, 5.0], n=10)
-        book.dist_acc[(1, 2)] = 0.4
-        book.coact_acc[(1, 2)] = 0.45
-        events = merge(book, ConcentrationState(2, 1.0, 10), 0.05)
+        book.dist[0, 1] = 0.4
+        book.coact[0, 1] = 0.45
+        events = merge(book, 0.05)
         assert events == []
 
     def test_zero_threshold_is_noop(self):
         book = self._book([0.0, 0.1], [4.0, 4.0], [5, 5], [5.0, 5.0], n=10)
-        book.dist_acc[(1, 2)] = 0.0
-        book.coact_acc[(1, 2)] = 10.0
-        assert merge(book, ConcentrationState(2, 1.0, 10), 0.0) == []
+        book.dist[0, 1] = 0.0
+        book.coact[0, 1] = 10.0
+        assert merge(book, 0.0) == []
 
     def test_survivor_distance_tracking_restarts(self):
         book = self._book([0.0, 0.05, 3.0], [4.0, 4.0, 4.0], [5, 5, 5],
                           [5.0, 5.0, 5.0], n=10)
-        book.dist_acc[(1, 2)] = 0.0
-        book.coact_acc[(1, 2)] = 10.0
-        book.dist_acc[(1, 3)] = 4.0
-        book.coact_acc[(1, 3)] = 9.0
-        book.dist_acc[(2, 3)] = 4.0
-        book.coact_acc[(2, 3)] = 9.0
-        merge(book, ConcentrationState(3, 1.0, 10), 0.05)
-        assert book.dist_acc[(1, 3)] == 0.0 and book.coact_acc[(1, 3)] == 0.0
+        book.dist[0, 1] = 0.0
+        book.coact[0, 1] = 10.0
+        book.dist[0, 2] = 4.0
+        book.coact[0, 2] = 9.0
+        book.dist[1, 2] = 4.0
+        book.coact[1, 2] = 9.0
+        merge(book, 0.05)
+        assert [cl.cid for cl in book.clusters] == [1, 3]
+        assert book.dist[0, 1] == 0.0 and book.coact[0, 1] == 0.0
+
+
+class TestPairHistories:
+    def test_arrays_match_cid_keyed_reference(self):
+        """The positional pair arrays against pair sums keyed by cid.
+
+        The reference keeps its own live-cid list and dicts keyed by
+        (cid_a, cid_b), cid_a < cid_b, and updates them only from each
+        step's responsibilities and the events prune and merge return,
+        with one scalar addition per pair and step.
+        """
+        ys = sample_mixture(generate_grid_mixture(4, 0.025), 400, seed=0).rows
+        cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025)).resolve(2)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        book = ClusterBook()
+        cids: list[int] = []
+        dist: dict[tuple[int, int], float] = {}
+        coact: dict[tuple[int, int], float] = {}
+
+        def drop(cid):
+            cids.remove(cid)
+            for key in [key for key in dist if cid in key]:
+                del dist[key], coact[key]
+
+        def check():
+            assert [cl.cid for cl in book.clusters] == cids
+            assert len(dist) == len(cids) * (len(cids) - 1) // 2
+            for i, j in zip(*np.triu_indices(len(cids), 1)):
+                key = (cids[i], cids[j])
+                assert book.dist[i, j] == dist[key] and book.coact[i, j] == coact[key]
+
+        born = pruned = merged = 0
+        for i, y in enumerate(ys, start=1):
+            rec = step(book, y, cfg, rng)
+            if rec.innovation:
+                born += 1
+                new = born  # cids are never reused
+                for cid in cids:
+                    dist[(cid, new)] = coact[(cid, new)] = 0.0
+                cids.append(new)
+            q = [float(v) for v in rec.q[:len(cids)]]
+            for h in range(len(cids)):
+                for g in range(h + 1, len(cids)):
+                    dist[(cids[h], cids[g])] += abs(q[h] - q[g])
+                    coact[(cids[h], cids[g])] += q[h] + q[g]
+            check()
+            if i % cfg.maintenance_period:
+                continue
+            for cid in prune(book, cfg.prune_eps):
+                drop(cid)
+                pruned += 1
+            check()
+            for survivor, absorbed in merge(book, cfg.merge_eps):
+                drop(absorbed)
+                for cid in cids:
+                    if cid != survivor:
+                        key = (min(cid, survivor), max(cid, survivor))
+                        dist[key] = coact[key] = 0.0
+                merged += 1
+            check()
+        assert pruned > 0 and merged > 0
+
+
+class TestBookInvariants:
+    # Overlapping clusters under the broad default prior: about half of
+    # the examples merge at least once.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        centers=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=60),
+        seed=st.integers(0, 2**16),
+        prune_eps=st.floats(0.0, 0.2),
+        merge_eps=st.floats(0.0, 0.5),
+        period=st.integers(1, 10),
+    )
+    def test_random_streams_keep_book_invariants(
+        self, centers, picks, seed, prune_eps, merge_eps, period
+    ):
+        noise = np.random.default_rng(seed).normal(scale=0.3, size=(len(picks), 2))
+        ys = np.array([centers[p % len(centers)] for p in picks]) + noise
+        cfg = EngineConfig(seed=seed, prune_eps=prune_eps, merge_eps=merge_eps,
+                           maintenance_period=period)
+
+        def check(_, book):
+            cids = [cl.cid for cl in book.clusters]
+            assert book.dist.shape == book.coact.shape == (book.k, book.k)
+            assert all(a < b for a, b in zip(cids, cids[1:]))
+            assert book.next_cid > max(cids)
+            assert book.total_count <= book.n
+            for cl in book.clusters:
+                np.linalg.cholesky(cl.post.sigma)
+
+        trace = run(ys, cfg, on_step=check)
+        check(None, trace.final_book)
 
 
 class TestRun:
@@ -328,9 +416,13 @@ class TestRun:
         assert votes > 10
 
     def test_empty_stream_rejected(self):
+        # no rows, a 1-D array without coordinates, rows without
+        # coordinates, and an array with more than two axes
+        streams = (np.empty((0, 2)), np.empty(0), np.empty((3, 0)), np.zeros((3, 2, 2)))
         for runner in (run, run_with_diagnostics):
-            with pytest.raises(ValueError):
-                runner(np.empty((0, 2)), EngineConfig(seed=0))
+            for stream in streams:
+                with pytest.raises(ValueError):
+                    runner(stream, EngineConfig(seed=0))
 
     def test_step_errors_cite_index(self):
         ys = np.array([[0.0, 0.0], [np.nan, 0.0]])
@@ -361,9 +453,9 @@ class TestRun:
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.09),
                            prune_eps=0.45, maintenance_period=20)
         seen = []
-        trace = run(ys, cfg, on_step=lambda i, book, conc: seen.append((i, book.n, book.k, conc.k)))
+        trace = run(ys, cfg, on_step=lambda i, book: seen.append((i, book.n, book.k)))
         assert [s[0] for s in seen] == list(range(1, 46))
-        assert all(i == n and k == ck for i, n, k, ck in seen)
+        assert all(i == n for i, n, _ in seen)
         # maintenance at step i has run when on_step(i) is called ...
         assert all(seen[i - 1][2] == trace.records[i - 1].k_after for i in (20, 40))
         # ... and the end-of-stream sweep runs after the last call: the
@@ -378,7 +470,7 @@ class TestRun:
         for rec in trace.records[1:]:
             assert rec.alpha_used > 0
         assert trace.k == len(trace.clusters)
-        assert trace.final_conc.alpha() > 0
+        assert trace.final_book.alpha(trace.config.lam) > 0
 
 
 class TestBookFromSummaries:
@@ -391,14 +483,12 @@ class TestBookFromSummaries:
         assert [cl.cid for cl in book.clusters] == list(range(1, book.k + 1))
         assert [cl.m for cl in book.clusters] == [s.m for s in trace.clusters]
         assert [cl.w for cl in book.clusters] == [s.w for s in trace.clusters]
-        assert len(book.dist_acc) == book.k * (book.k - 1) // 2
-        conc = ConcentrationState(k=book.k, lam=cfg.lam, n=book.n)
-        step(book, conc, ys[0], cfg, np.random.default_rng(0))
+        assert book.dist.shape == book.coact.shape == (book.k, book.k)
+        step(book, ys[0], cfg, np.random.default_rng(0))
         assert book.n == trace.n + 1
-        for key in book.dist_acc:
-            book.dist_acc[key] = 0.0
-            book.coact_acc[key] = float(book.n)
-        assert merge(book, conc, 0.05)
+        book.dist[:] = 0.0
+        book.coact[:] = float(book.n)
+        assert merge(book, 0.05)
 
 class TestEngineConfig:
     def test_selection_defaults(self):
