@@ -1,8 +1,10 @@
 """Command-line driver: dataset generation, single fits, variant
 comparisons and diagnostics emission.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 at least
-one comparison trial failed.  Every output file embeds the fully
+Exit codes: 0 success, 2 configuration error (an output that exists
+without --force included), 3 data error (malformed or mismatched input,
+or a path that cannot be read or written), 4 at least one comparison
+trial failed.  Every output file embeds the fully
 resolved configuration, so a run is reproducible from its outputs.
 """
 
@@ -139,6 +141,11 @@ def cmd_compare(args) -> int:
     truth = read_truth(args.truth) if args.truth else None
     if train is None and truth is None:
         raise ConfigError("compare needs --train or --truth")
+    if train is not None:
+        if test is not None:
+            _require_dim(args.test, test.dim, train.dim)
+        if truth is not None:
+            _require_dim(args.truth, truth.dim, train.dim)
     d = train.dim if train is not None else truth.dim
     cfg = _build_config(args, d)
     report = compare_variants(
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileExistsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # FileExistsError is caught above
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -87,10 +87,8 @@ def heldout_loglik(book, test: Dataset) -> tuple[float, float]:
 
     if test.n == 0:
         raise ValueError("test set is empty")
-    if book.k and test.dim != book.clusters[0].post.dim:
-        raise DataError(
-            f"test set has dim {test.dim}, fitted clusters have dim {book.clusters[0].post.dim}"
-        )
+    if book.k and test.dim != book.mu.shape[1]:
+        raise DataError(f"test set has dim {test.dim}, fitted clusters have dim {book.mu.shape[1]}")
     logs = log_mixture_predictive_rows(book, test.rows)
     total = float(logs.sum())
     return total, total / test.n

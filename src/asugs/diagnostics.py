@@ -37,6 +37,7 @@ from asugs.niw import (
     PriorConfig,
     log_predictive_density_rows,
     prior_predictive,
+    student_t_log_density,
 )
 
 
@@ -52,8 +53,11 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     total = book.total_count
     logs = np.empty((book.k, ys.shape[0]))
-    for h, cl in enumerate(book.clusters):
-        logs[h] = math.log(cl.m / total) + log_predictive_density_rows(cl.post, ys)
+    for h in range(book.k):  # one cluster at a time keeps temporaries O(rows x d)
+        z = (ys - book.mu[h]) @ book.inv_chol[h].T
+        logs[h] = math.log(book.m[h] / total) + student_t_log_density(
+            book.log_norm[h], book.c[h], book.delta[h], z
+        )
     return logsumexp(logs, axis=0)
 
 
@@ -140,7 +144,7 @@ def l2_distance_to_truth(
         max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
         # the grid must cover the fitted clusters too, or their mass is
         # invisible to the quadrature
-        mus = np.vstack([truth.means] + [cl.post.mu for cl in book.clusters])
+        mus = np.vstack([truth.means, book.mu])
         los = mus.min(axis=0) - pad_stds * max_sd
         his = mus.max(axis=0) + pad_stds * max_sd
         grid, weights = _tensor_grid(los, his, grid_points)

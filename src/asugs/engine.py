@@ -27,9 +27,11 @@ import numpy as np
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
-    log_predictive_density,
-    posterior_update,
+    log_predictive_density,  # unused here but stays an attribute of this
+    posterior_update,  # module: perfbench/tracer.py wraps it here
     prior_predictive,
+    student_t_factors,
+    student_t_log_density,
 )
 
 
@@ -37,24 +39,20 @@ class ConfigError(ValueError):
     """Invalid engine configuration; message names the offending field."""
 
 
-@dataclass
-class Cluster:
-    """One live mixture component: posterior state plus assignment stats.
-
-    m is the hard assignment count, w the running sum of this cluster's
-    responsibilities over all steps since its birth.  cid is a stable
-    identity that survives removals of other clusters.
-    """
-
-    post: NiwPosterior
-    m: int
-    w: float
-    cid: int
+_CLUSTER_FIELDS = ("mu", "sigma", "c", "delta", "m", "w", "cid", "inv_chol", "log_norm")
 
 
 @dataclass
 class ClusterBook:
-    """Live clusters in birth order plus their pairwise history sums.
+    """Live clusters in birth order as one struct of arrays.
+
+    Position h along axis 0 of each per-cluster array is one cluster: its
+    normal-Wishart state ``mu`` (K x d), ``sigma`` (K x d x d), ``c`` and
+    ``delta``; its hard assignment count ``m``; ``w``, its summed
+    responsibilities since birth; its stable id ``cid``; and its cached
+    predictive factors ``inv_chol`` and ``log_norm`` (see
+    ``niw.student_t_factors``), refreshed by ``write``, the only setter
+    of a cluster's state.
 
     For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
     ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
@@ -62,29 +60,31 @@ class ClusterBook:
     The first, time-averaged, is the merge distance; the second measures
     how much responsibility mass the pair has actually received, i.e.
     how much evidence the distance rests on.  ``add`` and ``keep`` are
-    the only places where the cluster list and the arrays change length.
+    the only places where the arrays change length.
     """
 
-    clusters: list[Cluster] = field(default_factory=list)
     n: int = 0
+    mu: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    sigma: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
+    c: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    cid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    inv_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
+    log_norm: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     next_cid: int = 1
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return len(self.cid)
 
     @property
     def total_count(self) -> int:
         """Sum of per-cluster counts; equals n until pruning drops some."""
-        return sum(c.m for c in self.clusters)
-
-    def counts(self) -> np.ndarray:
-        return np.array([c.m for c in self.clusters], dtype=float)
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.w for c in self.clusters], dtype=float)
+        return int(self.m.sum())
 
     def alpha(self, lam: float) -> float:
         """Adaptive concentration k / (lam + log n); requires n >= 1."""
@@ -92,17 +92,38 @@ class ClusterBook:
             raise ValueError("alpha undefined before the first observation")
         return self.k / (lam + math.log(self.n))
 
+    def posterior(self, h: int) -> NiwPosterior:
+        """A copy of cluster h's normal-Wishart state."""
+        return NiwPosterior(
+            mu=self.mu[h].copy(), c=float(self.c[h]), delta=float(self.delta[h]),
+            sigma=self.sigma[h].copy(),
+        )
+
+    def write(self, h: int, post: NiwPosterior) -> None:
+        """Set cluster h's state and refactor its cached predictive factors;
+        raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
+        self.inv_chol[h], self.log_norm[h] = student_t_factors(post.c, post.delta, post.sigma)
+        self.mu[h], self.sigma[h] = post.mu, post.sigma
+        self.c[h], self.delta[h] = post.c, post.delta
+
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with a fresh cid; its pair histories start at zero."""
-        self.clusters.append(Cluster(post=post, m=m, w=w, cid=self.next_cid))
+        d, h = post.dim, self.k
+        for name in _CLUSTER_FIELDS:
+            tail = {"mu": (d,), "sigma": (d, d), "inv_chol": (d, d)}.get(name, ())
+            arr = getattr(self, name).reshape(h, *tail)
+            setattr(self, name, np.concatenate([arr, np.zeros((1, *tail), arr.dtype)]))
+        self.m[h], self.w[h], self.cid[h] = m, w, self.next_cid
         self.next_cid += 1
         self.dist = np.pad(self.dist, ((0, 1), (0, 1)))
         self.coact = np.pad(self.coact, ((0, 1), (0, 1)))
+        self.write(h, post)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the clusters where mask is False, with their rows and columns."""
         mask = np.asarray(mask, dtype=bool)
-        self.clusters = [cl for cl, kept in zip(self.clusters, mask) if kept]
+        for name in _CLUSTER_FIELDS:
+            setattr(self, name, getattr(self, name)[mask])
         self.dist = self.dist[mask][:, mask]
         self.coact = self.coact[mask][:, mask]
 
@@ -177,7 +198,7 @@ def predictive_prior_weights(book: ClusterBook, alpha: float) -> np.ndarray:
     """
     if book.k == 0:
         return np.array([1.0])
-    raw = np.append(book.counts(), alpha) / (book.n + alpha)
+    raw = np.append(book.m, alpha) / (book.n + alpha)
     return raw / raw.sum()
 
 
@@ -187,13 +208,14 @@ def responsibilities(
     """Posterior probability of each label (existing clusters, then new).
 
     Computed in log domain and normalized by max-subtraction; the common
-    1/(n + alpha) factor of the label prior cancels and is omitted.
+    1/(n + alpha) factor of the label prior cancels and is omitted.  One
+    batched evaluation from the cached factors scores every cluster.
     """
     if book.k == 0:
         return np.array([1.0])
     logq = np.empty(book.k + 1)
-    for h, cl in enumerate(book.clusters):
-        logq[h] = math.log(cl.m) + log_predictive_density(cl.post, y)
+    z = (book.inv_chol @ (y - book.mu)[:, :, None])[:, :, 0]
+    logq[:-1] = np.log(book.m) + student_t_log_density(book.log_norm, book.c, book.delta, z)
     logq[-1] = math.log(alpha) + prior_predictive(prior, y)
     logq -= logq.max()
     q = np.exp(logq)
@@ -232,12 +254,10 @@ def step(
         book.add(post, 1, 0.0)
         q_live = q
     else:
-        cl = book.clusters[label - 1]
-        cl.post = posterior_update(cl.post, y)
-        cl.m += 1
+        book.write(label - 1, posterior_update(book.posterior(label - 1), y))
+        book.m[label - 1] += 1
         q_live = q[:k_old]  # the unused innovation slot's mass is dropped
-    for h, cl in enumerate(book.clusters):
-        cl.w += float(q_live[h])
+    book.w += q_live
     book.dist += np.abs(np.subtract.outer(q_live, q_live))
     book.coact += np.add.outer(q_live, q_live)
 
@@ -258,15 +278,14 @@ def prune(book: ClusterBook, eps_r: float) -> list[int]:
     """
     if book.k <= 1 or eps_r <= 0.0:
         return []
-    w = book.weights()
-    total = w.sum()
+    total = book.w.sum()
     if total <= 0.0:
         return []
-    rel = w / total
+    rel = book.w / total
     kept = rel >= eps_r
     if not kept.any():
         kept[int(np.argmax(rel))] = True
-    removed = [cl.cid for cl, k in zip(book.clusters, kept) if not k]
+    removed = book.cid[~kept].tolist()
     if removed:
         book.keep(kept)
     return removed
@@ -307,18 +326,18 @@ def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
     for _, i, j in candidates:
         if i in merged_positions or j in merged_positions:
             continue
-        a_cl, b_cl = book.clusters[i], book.clusters[j]
-        a = a_cl.post.c / (a_cl.post.c + b_cl.post.c)
-        a_cl.post = NiwPosterior(
-            mu=a * a_cl.post.mu + (1.0 - a) * b_cl.post.mu,
-            c=a_cl.post.c + b_cl.post.c,
-            delta=a_cl.post.delta + b_cl.post.delta,
-            sigma=a * a_cl.post.sigma + (1.0 - a) * b_cl.post.sigma,
-        )
-        a_cl.m += b_cl.m
-        a_cl.w += b_cl.w
+        a_post, b_post = book.posterior(i), book.posterior(j)
+        a = a_post.c / (a_post.c + b_post.c)
+        book.write(i, NiwPosterior(
+            mu=a * a_post.mu + (1.0 - a) * b_post.mu,
+            c=a_post.c + b_post.c,
+            delta=a_post.delta + b_post.delta,
+            sigma=a * a_post.sigma + (1.0 - a) * b_post.sigma,
+        ))
+        book.m[i] += book.m[j]
+        book.w[i] += book.w[j]
         merged_positions.update((i, j))
-        events.append((a_cl.cid, b_cl.cid))
+        events.append((int(book.cid[i]), int(book.cid[j])))
         for pairs in (book.dist, book.coact):
             pairs[i, :] = 0.0
             pairs[:, i] = 0.0
@@ -374,10 +393,10 @@ class RunTrace:
 def summarize(book: ClusterBook) -> list[ClusterSummary]:
     return [
         ClusterSummary(
-            mu=cl.post.mu.copy(), sigma=cl.post.sigma.copy(),
-            c=cl.post.c, delta=cl.post.delta, m=cl.m, w=cl.w,
+            mu=book.mu[h].copy(), sigma=book.sigma[h].copy(), c=float(book.c[h]),
+            delta=float(book.delta[h]), m=int(book.m[h]), w=float(book.w[h]),
         )
-        for cl in book.clusters
+        for h in range(book.k)
     ]
 
 

@@ -11,7 +11,7 @@ exponent grows linearly with the number of absorbed observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import cholesky
@@ -30,6 +30,9 @@ class PriorConfig:
     c0: float = 1.0
     delta0: float | None = None  # default (d+2)/2, mildest proper choice
     sigma0: np.ndarray | None = None  # default identity
+    # predictive factors of a brand-new cluster (``student_t_factors``)
+    inv_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(-1)
@@ -45,13 +48,14 @@ class PriorConfig:
             raise ValueError(f"sigma0 must be {d}x{d}, got {self.sigma0.shape}")
         if not np.allclose(self.sigma0, self.sigma0.T):
             raise ValueError("sigma0 must be symmetric")
-        cholesky(self.sigma0)  # raises LinAlgError if not positive definite
         if self.c0 <= 0:
             raise ValueError("c0 must be positive")
         if 2.0 * self.delta0 <= d - 1:
             raise ValueError(
                 f"2*delta0 must exceed d-1 = {d - 1}, got {2.0 * self.delta0}"
             )
+        # raises LinAlgError if sigma0 is not positive definite
+        self.inv_chol, self.log_norm = student_t_factors(self.c0, self.delta0, self.sigma0)
 
     @property
     def dim(self) -> int:
@@ -118,9 +122,6 @@ class NiwPosterior:
             sigma=prior.sigma0.copy(),
         )
 
-    def copy(self) -> "NiwPosterior":
-        return NiwPosterior(self.mu.copy(), self.c, self.delta, self.sigma.copy())
-
 
 def log_gamma_ratio(a: float, d: int) -> float:
     """log of Gamma(a + 1/2) / Gamma(a + (1-d)/2).
@@ -138,19 +139,36 @@ def log_gamma_ratio(a: float, d: int) -> float:
     return float(gammaln(a + 0.5) - gammaln(lo))
 
 
-def _student_t_log_density(post: NiwPosterior, L: np.ndarray, quad):
-    """The Student-t log density of ``log_predictive_density`` from the
-    Cholesky factor L of sigma and the quadratic form Q (float or array)."""
-    d = post.dim
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    scale = post.r / (2.0 * post.delta)
-    return (
+def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """The factors of ``log_predictive_density`` that depend on the state
+    alone: the inverse of sigma's lower Cholesky factor, and the constant
+    (every term but the one in the quadratic form).
+
+    Raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite.
+    """
+    L = cholesky(sigma)
+    d = L.shape[0]
+    log_norm = (
         -0.5 * d * np.log(np.pi)
-        + 0.5 * d * np.log(scale)
-        + log_gamma_ratio(post.delta, d)
-        - 0.5 * logdet
-        - (post.delta + 0.5) * np.log1p(scale * quad)
+        + 0.5 * d * np.log(c / (1.0 + c) / (2.0 * delta))
+        + log_gamma_ratio(delta, d)
+        - float(np.log(np.diag(L)).sum())  # (1/2) log det sigma
     )
+    return np.linalg.inv(L), float(log_norm)
+
+
+def student_t_log_density(log_norm, c, delta, z):
+    """The Student-t log density from its factors and the whitened residuals
+    z = inv_chol (y - mu) along the last axis; all arguments broadcast."""
+    quad = (z * z).sum(axis=-1)
+    return log_norm - (delta + 0.5) * np.log1p(c / (1.0 + c) / (2.0 * delta) * quad)
+
+
+def _observation(y, d: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape[0] != d:
+        raise ValueError(f"observation has dim {y.shape[0]}, state has dim {d}")
+    return y
 
 
 def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
@@ -170,13 +188,7 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
     Raises ``numpy.linalg.LinAlgError`` if sigma has lost positive
     definiteness; recovery is the caller's decision.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    d = post.dim
-    if y.shape[0] != d:
-        raise ValueError(f"observation has dim {y.shape[0]}, state has dim {d}")
-    L = cholesky(post.sigma)
-    z = np.linalg.solve(L, y - post.mu)
-    return _student_t_log_density(post, L, float(z @ z))
+    return float(log_predictive_density_rows(post, _observation(y, post.dim))[0])
 
 
 def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarray:
@@ -186,14 +198,14 @@ def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarra
     held-out evaluations.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    L = cholesky(post.sigma)
-    z = np.linalg.solve(L, (ys - post.mu).T)
-    return _student_t_log_density(post, L, np.sum(z * z, axis=0))
+    inv_chol, log_norm = student_t_factors(post.c, post.delta, post.sigma)
+    return student_t_log_density(log_norm, post.c, post.delta, (ys - post.mu) @ inv_chol.T)
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
-    """Log predictive density of a brand-new cluster, i.e. under the prior."""
-    return log_predictive_density(NiwPosterior.from_prior(prior), y)
+    """Log predictive density of a brand-new cluster, from the prior's factors."""
+    z = prior.inv_chol @ (_observation(y, prior.dim) - prior.mu0)
+    return float(student_t_log_density(prior.log_norm, prior.c0, prior.delta0, z))
 
 
 def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
@@ -204,9 +216,7 @@ def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
     with a positive semidefinite matrix scaled to stay positive definite;
     the explicit symmetrization only guards against floating-point drift.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != post.dim:
-        raise ValueError(f"observation has dim {y.shape[0]}, state has dim {post.dim}")
+    y = _observation(y, post.dim)
     c, delta = post.c, post.delta
     resid = y - post.mu
     mu_new = (y + c * post.mu) / (1.0 + c)

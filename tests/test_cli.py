@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line driver and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asugs
 from asugs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from asugs.data import read_csv, read_trace, read_truth
 
@@ -89,6 +94,10 @@ class TestFit:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--train", str(tmp_path / "nope.csv")]) == EXIT_DATA
 
+    def test_directory_as_train_is_data_error(self, dataset_dir, capsys):
+        assert main(["fit", "--train", str(dataset_dir)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1.0,2.0\n3.0\n")
@@ -159,6 +168,28 @@ class TestCompare:
                      "--prior-var", "0.025", "--out", str(out)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("flag", ["--test", "--truth"])
+    def test_input_dimension_mismatch_is_data_error(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, flag
+    ):
+        import asugs.cli as cli_mod
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran despite mismatched inputs")
+
+        monkeypatch.setattr(cli_mod, "compare_variants", no_trials)
+        if flag == "--test":
+            other = tmp_path / "wide.csv"
+            other.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        else:
+            other = tmp_path / "line.json"
+            other.write_text(json.dumps(
+                {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]]]}))
+        code = main(["compare", "--train", str(dataset_dir / "train.csv"), flag, str(other),
+                     "--trials", "1", "--out", str(tmp_path / "bench")])
+        assert code == EXIT_DATA
+        assert "does not match --train dim 2" in capsys.readouterr().err
+
     def test_trial_failure_exit_code(self, dataset_dir, tmp_path, monkeypatch):
         from asugs.bench import BenchReport, TrialResult
         import asugs.cli as cli_mod
@@ -225,3 +256,13 @@ class TestDiagnose:
                      "--checkpoint-every", every])
         assert code == EXIT_CONFIG
         assert "checkpoint_every" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_from_source_tree():
+    src = Path(asugs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "asugs", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: asugs" in done.stdout

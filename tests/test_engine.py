@@ -28,7 +28,13 @@ from asugs.engine import (
 )
 from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import run_with_diagnostics
-from asugs.niw import NiwPosterior, PriorConfig
+from asugs.niw import (
+    NiwPosterior,
+    PriorConfig,
+    log_predictive_density,
+    prior_predictive,
+    student_t_factors,
+)
 
 
 def make_book(posts, ms, ws, n):
@@ -38,8 +44,13 @@ def make_book(posts, ms, ws, n):
     return book
 
 
+def unit_post():
+    """A valid one-dimensional state, for tests that read only counts."""
+    return NiwPosterior(np.zeros(1), 1.0, 1.0, np.eye(1))
+
+
 def k_cluster_book(k, n):
-    return make_book([None] * k, [1] * k, [1.0] * k, n=n)
+    return make_book([unit_post() for _ in range(k)], [1] * k, [1.0] * k, n=n)
 
 
 def ref_log_density_1d(mu, c, delta, sigma, y):
@@ -62,11 +73,11 @@ class TestPredictivePriorWeights:
         assert predictive_prior_weights(ClusterBook(), 3.7).tolist() == [1.0]
 
     def test_single_cluster_unit_alpha(self):
-        book = make_book([None], [1], [1.0], n=1)
+        book = make_book([unit_post()], [1], [1.0], n=1)
         np.testing.assert_allclose(predictive_prior_weights(book, 1.0), [0.5, 0.5])
 
     def test_two_clusters(self):
-        book = make_book([None, None], [3, 1], [3.0, 1.0], n=4)
+        book = make_book([unit_post(), unit_post()], [3, 1], [3.0, 1.0], n=4)
         np.testing.assert_allclose(
             predictive_prior_weights(book, 0.5),
             [3 / 4.5, 1 / 4.5, 0.5 / 4.5],
@@ -75,7 +86,7 @@ class TestPredictivePriorWeights:
 
     def test_sums_to_one_after_pruning(self):
         # counts no longer covering n: weights renormalize over survivors
-        book = make_book([None, None], [3, 2], [3.0, 2.0], n=10)
+        book = make_book([unit_post(), unit_post()], [3, 2], [3.0, 2.0], n=10)
         w = predictive_prior_weights(book, 1.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(w, [0.5, 2 / 6, 1 / 6], rtol=1e-12)
@@ -114,6 +125,31 @@ class TestResponsibilities:
         expected = np.array(raw) / sum(raw)
         got = responsibilities(book, np.array([y]), alpha, prior)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_per_cluster_loop(self, d):
+        """The batched evaluation against one ``log_predictive_density``
+        call per cluster plus ``prior_predictive`` for the new slot."""
+        rng = np.random.default_rng(100 + d)
+        prior = PriorConfig.from_scale(d, 0.5, pseudo_obs=2.0 * d + 4.0)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            posts, ms = [], []
+            for _ in range(k):
+                a = rng.normal(size=(d, d))
+                posts.append(NiwPosterior(rng.normal(size=d) * 2, rng.uniform(0.1, 50),
+                                          rng.uniform(d / 2.0, 40), a @ a.T + 0.1 * np.eye(d)))
+                ms.append(int(rng.integers(1, 100)))
+            book = make_book(posts, ms, [float(m) for m in ms], n=sum(ms) + 3)
+            y, alpha = rng.normal(size=d) * 2, rng.uniform(0.1, 5.0)
+            logq = np.array(
+                [math.log(m) + log_predictive_density(post, y) for post, m in zip(posts, ms)]
+                + [math.log(alpha) + prior_predictive(prior, y)]
+            )
+            expected = np.exp(logq - logq.max())
+            expected /= expected.sum()
+            got = responsibilities(book, y, alpha, prior)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_random_states_normalized(self):
         rng = np.random.default_rng(9)
@@ -163,7 +199,7 @@ class TestStep:
         rec = step(book, np.array([0.4, -0.1]), self.config, self.rng)
         assert (rec.label, rec.k_after, rec.innovation) == (1, 1, True)
         assert rec.q.tolist() == [1.0]
-        assert book.clusters[0].m == 1 and book.clusters[0].w == 1.0
+        assert book.m[0] == 1 and book.w[0] == 1.0
         assert book.k == 1 and book.n == 1
 
     def test_dominant_cluster_wins_argmax(self):
@@ -180,10 +216,10 @@ class TestStep:
         book = ClusterBook()
         for i in range(200):
             rec = step(book, rng.normal(size=2) * 2, self.config, self.rng)
-            assert sum(c.m for c in book.clusters) == book.n == i + 1
+            assert book.m.sum() == book.n == i + 1
             assert rec.q.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(rec.q >= 0)
-            assert sum(c.w for c in book.clusters) <= book.n + 1e-9
+            assert book.w.sum() <= book.n + 1e-9
 
     def test_label_sequence_deterministic(self):
         rng = np.random.default_rng(4)
@@ -209,7 +245,7 @@ class TestPrune:
         book = self._two_cluster_book(0.98 * 10, 0.02 * 10)
         removed = prune(book, 0.05)
         assert len(removed) == 1 and book.k == 1
-        assert book.clusters[0].w == pytest.approx(9.8)
+        assert book.w[0] == pytest.approx(9.8)
 
     def test_zero_threshold_is_noop(self):
         book = self._two_cluster_book(9.99, 0.01)
@@ -246,15 +282,14 @@ class TestMerge:
         book = self._book([-1.0, 1.0], [4.0, 4.0], [5, 5], [5.0, 5.0], n=10)
         book.dist[0, 1] = 0.0
         book.coact[0, 1] = 10.0
-        sig_a = book.clusters[0].post.sigma.copy()
-        sig_b = book.clusters[1].post.sigma.copy()
+        sig_a = book.sigma[0].copy()
+        sig_b = book.sigma[1].copy()
         merge(book, 0.5)
-        survivor = book.clusters[0]
-        assert survivor.post.mu[0] == pytest.approx(0.0, abs=1e-15)
-        assert survivor.post.c == pytest.approx(8.0)
-        assert survivor.post.delta == pytest.approx(4.5)  # 2.0 + 2.5
-        assert survivor.m == 10 and survivor.w == pytest.approx(10.0)
-        np.testing.assert_allclose(survivor.post.sigma, 0.5 * sig_a + 0.5 * sig_b)
+        assert book.mu[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert book.c[0] == pytest.approx(8.0)
+        assert book.delta[0] == pytest.approx(4.5)  # 2.0 + 2.5
+        assert book.m[0] == 10 and book.w[0] == pytest.approx(10.0)
+        np.testing.assert_allclose(book.sigma[0], 0.5 * sig_a + 0.5 * sig_b)
 
     def test_greedy_closest_pair_only(self):
         """Three clusters, distances [0.01, 0.02, 0.30]: one merge."""
@@ -300,7 +335,7 @@ class TestMerge:
         book.dist[1, 2] = 4.0
         book.coact[1, 2] = 9.0
         merge(book, 0.05)
-        assert [cl.cid for cl in book.clusters] == [1, 3]
+        assert book.cid.tolist() == [1, 3]
         assert book.dist[0, 1] == 0.0 and book.coact[0, 1] == 0.0
 
 
@@ -327,7 +362,7 @@ class TestPairHistories:
                 del dist[key], coact[key]
 
         def check():
-            assert [cl.cid for cl in book.clusters] == cids
+            assert book.cid.tolist() == cids
             assert len(dist) == len(cids) * (len(cids) - 1) // 2
             for i, j in zip(*np.triu_indices(len(cids), 1)):
                 key = (cids[i], cids[j])
@@ -365,6 +400,35 @@ class TestPairHistories:
         assert pruned > 0 and merged > 0
 
 
+def assert_cache_fresh(book):
+    """Every per-cluster array has k entries, and each cluster's cached
+    predictive factors equal a fresh computation from its state."""
+    for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "inv_chol", "log_norm"):
+        assert len(getattr(book, name)) == book.k, name
+    for h in range(book.k):
+        inv_chol, log_norm = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
+        np.testing.assert_allclose(book.inv_chol[h], inv_chol, rtol=1e-12, atol=0)
+        assert book.log_norm[h] == pytest.approx(log_norm, rel=1e-12)
+
+
+class TestCachedFactors:
+    def test_unfactorable_state_fails_in_the_step_that_made_it(self, monkeypatch):
+        import asugs.engine as engine_mod
+
+        real, calls = engine_mod.posterior_update, []
+
+        def indefinite_at_third_call(post, y):
+            calls.append(y)
+            out = real(post, y)
+            if len(calls) == 3:
+                out.sigma = -out.sigma
+            return out
+
+        monkeypatch.setattr(engine_mod, "posterior_update", indefinite_at_third_call)
+        with pytest.raises(RuntimeError, match="step 3 failed"):
+            run(np.zeros((3, 2)), EngineConfig(seed=0))
+
+
 class TestBookInvariants:
     # Overlapping clusters under the broad default prior: about half of
     # the examples merge at least once.
@@ -387,16 +451,29 @@ class TestBookInvariants:
                            maintenance_period=period)
 
         def check(_, book):
-            cids = [cl.cid for cl in book.clusters]
+            cids = book.cid.tolist()
             assert book.dist.shape == book.coact.shape == (book.k, book.k)
             assert all(a < b for a, b in zip(cids, cids[1:]))
             assert book.next_cid > max(cids)
             assert book.total_count <= book.n
-            for cl in book.clusters:
-                np.linalg.cholesky(cl.post.sigma)
+            assert_cache_fresh(book)
 
         trace = run(ys, cfg, on_step=check)
         check(None, trace.final_book)
+
+        # run's loop unrolled, so the book is checked after every step,
+        # prune and merge, not only after a step's maintenance
+        cfg = cfg.resolve(2)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        book = ClusterBook()
+        for i, y in enumerate(ys, start=1):
+            step(book, y, cfg, rng)
+            check(i, book)
+            if i % period == 0:
+                prune(book, cfg.prune_eps)
+                check(i, book)
+                merge(book, cfg.merge_eps)
+                check(i, book)
 
 
 class TestRun:
@@ -480,9 +557,9 @@ class TestBookFromSummaries:
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.09)).resolve(2)
         trace = run(ys, cfg)
         book = book_from_summaries(trace.clusters, trace.n)
-        assert [cl.cid for cl in book.clusters] == list(range(1, book.k + 1))
-        assert [cl.m for cl in book.clusters] == [s.m for s in trace.clusters]
-        assert [cl.w for cl in book.clusters] == [s.w for s in trace.clusters]
+        assert book.cid.tolist() == list(range(1, book.k + 1))
+        assert book.m.tolist() == [s.m for s in trace.clusters]
+        assert book.w.tolist() == [s.w for s in trace.clusters]
         assert book.dist.shape == book.coact.shape == (book.k, book.k)
         step(book, ys[0], cfg, np.random.default_rng(0))
         assert book.n == trace.n + 1

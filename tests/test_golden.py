@@ -2,8 +2,10 @@
 (n, k) pairs of a few seeded runs, pinned as digests.
 
 The digests were captured from the engine before its driving loop was
-folded into one (see CHANGES.md for the commit) and gate later
-refactors of the engine's internals: a change that alters any label of
+folded into one; the d = 32 and d = 1 cases were added, and captured,
+before the cluster book became a struct of arrays with cached factors
+(see CHANGES.md for the commits).  They gate later refactors of the
+engine's internals: a change that alters any label of
 these runs fails here.  Only integers are digested, so last-bit
 floating-point differences between BLAS builds do not reach the
 digests unless they flip a label.
@@ -48,11 +50,20 @@ def sugs_argmax_grid(seed: int) -> dict[str, list]:
     return run_series(run(rows, cfg))
 
 
-def wide_no_maintenance(seed: int) -> dict[str, list]:
-    rows = sample_mixture(wide_mixture(), 600, seed=seed).rows
-    cfg = EngineConfig(seed=seed, prior=PriorConfig.from_scale(8, 1.0, 64),
+def wide_no_maintenance(seed: int, d: int = 8, n: int = 600) -> dict[str, list]:
+    rows = sample_mixture(wide_mixture(d), n, seed=seed).rows
+    cfg = EngineConfig(seed=seed, prior=PriorConfig.from_scale(d, 1.0, 64),
                        prune_eps=0.0, merge_eps=0.0)
     return run_series(run(rows, cfg))
+
+
+def line_asugs_pm(seed: int) -> dict[str, list]:
+    line = GaussianMixture(
+        weights=np.array([0.5, 0.3, 0.2]), means=np.array([[-2.0], [0.0], [3.0]]),
+        covariances=np.array([[[0.2]], [[0.1]], [[0.3]]]),
+    )
+    rows = sample_mixture(line, 1000, seed=seed).rows
+    return run_series(run(rows, EngineConfig(seed=seed, prior=PriorConfig.from_scale(1, 0.2))))
 
 
 def diagnostics_checkpoints(seed: int) -> dict[str, list]:
@@ -69,6 +80,8 @@ CASES = {
     "asugs-pm-grid-s2": lambda: asugs_pm_grid(2),
     "sugs-argmax-grid-s3": lambda: sugs_argmax_grid(3),
     "wide-d8-no-maintenance-s4": lambda: wide_no_maintenance(4),
+    "wide-d32-no-maintenance-s6": lambda: wide_no_maintenance(6, d=32, n=400),
+    "line-d1-asugs-pm-s7": lambda: line_asugs_pm(7),
     "diagnostics-checkpoints-s5": lambda: diagnostics_checkpoints(5),
 }
 
@@ -81,6 +94,8 @@ GOLDEN = {
     },
     "sugs-argmax-grid-s3": {"labels": "0b82bf8c3915e4fc", "k": "27ca00ec5832b242"},
     "wide-d8-no-maintenance-s4": {"labels": "f0d4b2ce32da73d3", "k": "4ded8724194a33c6"},
+    "wide-d32-no-maintenance-s6": {"labels": "dea1f61326a26922", "k": "ffd36b821a4bb9ed"},
+    "line-d1-asugs-pm-s7": {"labels": "f8c77dc6561dd8fd", "k": "bcc7cfd235eeff3a"},
 }
 
 
