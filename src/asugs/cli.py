@@ -136,6 +136,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.test and not args.train:
+        raise ConfigError("--test needs --train (with --truth alone, trials draw their test rows)")
     train = read_csv(args.train) if args.train else None
     test = read_csv(args.test) if args.test else None
     truth = read_truth(args.truth) if args.truth else None

@@ -54,9 +54,9 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     total = book.total_count
     logs = np.empty((book.k, ys.shape[0]))
     for h in range(book.k):  # one cluster at a time keeps temporaries O(rows x d)
-        z = (ys - book.mu[h]) @ book.inv_chol[h].T
+        e = ys - book.mu[h]
         logs[h] = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.c[h], book.delta[h], z
+            book.log_norm[h], book.c[h], book.delta[h], ((e @ book.prec[h]) * e).sum(axis=-1)
         )
     return logsumexp(logs, axis=0)
 

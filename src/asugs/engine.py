@@ -32,6 +32,8 @@ from asugs.niw import (
     prior_predictive,
     student_t_factors,
     student_t_log_density,
+    student_t_log_norm,
+    update_coefficients,
 )
 
 
@@ -39,7 +41,8 @@ class ConfigError(ValueError):
     """Invalid engine configuration; message names the offending field."""
 
 
-_CLUSTER_FIELDS = ("mu", "sigma", "c", "delta", "m", "w", "cid", "inv_chol", "log_norm")
+_CLUSTER_FIELDS = ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm")
+REFRESH_MAX_T = 100.0  # largest t that ``ClusterBook.absorb`` refreshes in closed form
 
 
 @dataclass
@@ -50,9 +53,9 @@ class ClusterBook:
     normal-Wishart state ``mu`` (K x d), ``sigma`` (K x d x d), ``c`` and
     ``delta``; its hard assignment count ``m``; ``w``, its summed
     responsibilities since birth; its stable id ``cid``; and its cached
-    predictive factors ``inv_chol`` and ``log_norm`` (see
-    ``niw.student_t_factors``), refreshed by ``write``, the only setter
-    of a cluster's state.
+    predictive factors ``prec`` (sigma^-1), ``logdet`` and ``log_norm``:
+    ``write`` sets a cluster's state and factorises it afresh, ``absorb``
+    updates it by one observation and refreshes the factors in O(d^2).
 
     For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
     ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
@@ -71,7 +74,8 @@ class ClusterBook:
     m: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     w: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    inv_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
+    prec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
+    logdet: np.ndarray = field(default_factory=lambda: np.zeros(0))
     log_norm: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
@@ -99,18 +103,39 @@ class ClusterBook:
             sigma=self.sigma[h].copy(),
         )
 
-    def write(self, h: int, post: NiwPosterior) -> None:
-        """Set cluster h's state and refactor its cached predictive factors;
-        raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
-        self.inv_chol[h], self.log_norm[h] = student_t_factors(post.c, post.delta, post.sigma)
+    def write(self, h: int, post: NiwPosterior, factors: tuple | None = None) -> None:
+        """Set cluster h's state and cached factors, by default a fresh factorisation."""
+        factors = factors or student_t_factors(post.c, post.delta, post.sigma)
+        self.prec[h], self.logdet[h], self.log_norm[h] = factors
         self.mu[h], self.sigma[h] = post.mu, post.sigma
         self.c[h], self.delta[h] = post.c, post.delta
+
+    def absorb(self, h: int, y: np.ndarray) -> None:
+        """Update cluster h by y (``posterior_update``).  As sigma' = a sigma
+        + b r r^T, r = y - mu, with s = b/a and t = s r^T P r, Sherman-Morrison
+        gives P' = (P - s/(1+t) (P r)(P r)^T) / a and the determinant lemma
+        logdet' = d log a + logdet + log1p(t).  The subtraction loses about
+        (1+t) ulps, so if t is not finite, negative (P is no longer positive
+        definite) or above REFRESH_MAX_T, ``write`` factorises sigma' instead."""
+        old = self.posterior(h)
+        r = y - old.mu
+        a, b = update_coefficients(old.c, old.delta)
+        post = posterior_update(old, y)
+        p_r = self.prec[h] @ r
+        t = b / a * float(r @ p_r)
+        if not 0.0 <= t <= REFRESH_MAX_T:
+            return self.write(h, post)
+        prec = self.prec[h]  # a view: refreshed in place
+        prec -= ((b / a / (1.0 + t)) * p_r)[:, None] * p_r
+        prec /= a
+        logdet = len(r) * math.log(a) + self.logdet[h] + math.log1p(t)
+        self.write(h, post, (prec, logdet, student_t_log_norm(post.c, post.delta, len(r), logdet)))
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with a fresh cid; its pair histories start at zero."""
         d, h = post.dim, self.k
         for name in _CLUSTER_FIELDS:
-            tail = {"mu": (d,), "sigma": (d, d), "inv_chol": (d, d)}.get(name, ())
+            tail = {"mu": (d,), "sigma": (d, d), "prec": (d, d)}.get(name, ())
             arr = getattr(self, name).reshape(h, *tail)
             setattr(self, name, np.concatenate([arr, np.zeros((1, *tail), arr.dtype)]))
         self.m[h], self.w[h], self.cid[h] = m, w, self.next_cid
@@ -209,13 +234,14 @@ def responsibilities(
 
     Computed in log domain and normalized by max-subtraction; the common
     1/(n + alpha) factor of the label prior cancels and is omitted.  One
-    batched evaluation from the cached factors scores every cluster.
+    batched quadratic form over the cached precisions scores every cluster.
     """
     if book.k == 0:
         return np.array([1.0])
     logq = np.empty(book.k + 1)
-    z = (book.inv_chol @ (y - book.mu)[:, :, None])[:, :, 0]
-    logq[:-1] = np.log(book.m) + student_t_log_density(book.log_norm, book.c, book.delta, z)
+    e = y - book.mu
+    quad = (e[:, None, :] @ book.prec @ e[:, :, None])[:, 0, 0]
+    logq[:-1] = np.log(book.m) + student_t_log_density(book.log_norm, book.c, book.delta, quad)
     logq[-1] = math.log(alpha) + prior_predictive(prior, y)
     logq -= logq.max()
     q = np.exp(logq)
@@ -254,7 +280,7 @@ def step(
         book.add(post, 1, 0.0)
         q_live = q
     else:
-        book.write(label - 1, posterior_update(book.posterior(label - 1), y))
+        book.absorb(label - 1, y)
         book.m[label - 1] += 1
         q_live = q[:k_old]  # the unused innovation slot's mass is dropped
     book.w += q_live

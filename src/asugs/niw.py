@@ -31,7 +31,8 @@ class PriorConfig:
     delta0: float | None = None  # default (d+2)/2, mildest proper choice
     sigma0: np.ndarray | None = None  # default identity
     # predictive factors of a brand-new cluster (``student_t_factors``)
-    inv_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    prec: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet: float = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,7 +56,7 @@ class PriorConfig:
                 f"2*delta0 must exceed d-1 = {d - 1}, got {2.0 * self.delta0}"
             )
         # raises LinAlgError if sigma0 is not positive definite
-        self.inv_chol, self.log_norm = student_t_factors(self.c0, self.delta0, self.sigma0)
+        self.prec, self.logdet, self.log_norm = student_t_factors(self.c0, self.delta0, self.sigma0)
 
     @property
     def dim(self) -> int:
@@ -139,28 +140,25 @@ def log_gamma_ratio(a: float, d: int) -> float:
     return float(gammaln(a + 0.5) - gammaln(lo))
 
 
-def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+def student_t_log_norm(c: float, delta: float, d: int, logdet: float) -> float:
+    """The constant of ``log_predictive_density``, given logdet = log det sigma."""
+    return float(-0.5 * d * np.log(np.pi) + 0.5 * d * np.log(c / (1.0 + c) / (2.0 * delta))
+                 + log_gamma_ratio(delta, d) - 0.5 * logdet)
+
+
+def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The factors of ``log_predictive_density`` that depend on the state
-    alone: the inverse of sigma's lower Cholesky factor, and the constant
-    (every term but the one in the quadratic form).
-
-    Raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite.
-    """
+    alone, from one Cholesky factorisation: sigma^-1, log det sigma and the
+    constant.  Raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
     L = cholesky(sigma)
-    d = L.shape[0]
-    log_norm = (
-        -0.5 * d * np.log(np.pi)
-        + 0.5 * d * np.log(c / (1.0 + c) / (2.0 * delta))
-        + log_gamma_ratio(delta, d)
-        - float(np.log(np.diag(L)).sum())  # (1/2) log det sigma
-    )
-    return np.linalg.inv(L), float(log_norm)
+    inv_l = np.linalg.inv(L)
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    return inv_l.T @ inv_l, logdet, student_t_log_norm(c, delta, L.shape[0], logdet)
 
 
-def student_t_log_density(log_norm, c, delta, z):
-    """The Student-t log density from its factors and the whitened residuals
-    z = inv_chol (y - mu) along the last axis; all arguments broadcast."""
-    quad = (z * z).sum(axis=-1)
+def student_t_log_density(log_norm, c, delta, quad):
+    """The Student-t log density from its constant and the quadratic form
+    (y - mu)^T sigma^-1 (y - mu); all arguments broadcast."""
     return log_norm - (delta + 0.5) * np.log1p(c / (1.0 + c) / (2.0 * delta) * quad)
 
 
@@ -197,15 +195,15 @@ def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarra
     One factorization of sigma serves all rows; used for grid and
     held-out evaluations.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    inv_chol, log_norm = student_t_factors(post.c, post.delta, post.sigma)
-    return student_t_log_density(log_norm, post.c, post.delta, (ys - post.mu) @ inv_chol.T)
+    prec, _, log_norm = student_t_factors(post.c, post.delta, post.sigma)
+    e = np.atleast_2d(np.asarray(ys, dtype=float)) - post.mu
+    return student_t_log_density(log_norm, post.c, post.delta, ((e @ prec) * e).sum(axis=-1))
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
     """Log predictive density of a brand-new cluster, from the prior's factors."""
-    z = prior.inv_chol @ (_observation(y, prior.dim) - prior.mu0)
-    return float(student_t_log_density(prior.log_norm, prior.c0, prior.delta0, z))
+    e = _observation(y, prior.dim) - prior.mu0
+    return float(student_t_log_density(prior.log_norm, prior.c0, prior.delta0, e @ prior.prec @ e))
 
 
 def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
@@ -220,8 +218,12 @@ def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
     c, delta = post.c, post.delta
     resid = y - post.mu
     mu_new = (y + c * post.mu) / (1.0 + c)
-    sigma_new = (2.0 * delta / (1.0 + 2.0 * delta)) * post.sigma + (
-        1.0 / (1.0 + 2.0 * delta)
-    ) * (c / (1.0 + c)) * np.outer(resid, resid)
+    a, b = update_coefficients(c, delta)
+    sigma_new = a * post.sigma + b * np.outer(resid, resid)
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
     return NiwPosterior(mu=mu_new, c=c + 1.0, delta=delta + 0.5, sigma=sigma_new)
+
+
+def update_coefficients(c: float, delta: float) -> tuple[float, float]:
+    """a and b of the conjugate update sigma' = a sigma + b r r^T, r = y - mu."""
+    return 2.0 * delta / (1.0 + 2.0 * delta), (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))

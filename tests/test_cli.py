@@ -122,6 +122,14 @@ class TestCompare:
     def test_requires_train_or_truth(self):
         assert main(["compare", "--trials", "1"]) == EXIT_CONFIG
 
+    def test_test_without_train_is_config_error(self, dataset_dir, tmp_path, capsys):
+        code = main(["compare", "--truth", str(dataset_dir / "truth.json"),
+                     "--test", str(dataset_dir / "test.csv"), "--trials", "1",
+                     "--n-train", "100", "--n-test", "50", "--out", str(tmp_path / "bench")])
+        assert code == EXIT_CONFIG
+        assert "--test" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
     def test_single_trial_aggregates_match_row(self, dataset_dir, tmp_path):
         out = tmp_path / "bench"
         code = main(["compare", "--truth", str(dataset_dir / "truth.json"),

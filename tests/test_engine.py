@@ -27,11 +27,12 @@ from asugs.engine import (
     step,
 )
 from asugs.data import generate_grid_mixture, sample_mixture
-from asugs.diagnostics import run_with_diagnostics
+from asugs.diagnostics import log_mixture_predictive_rows, run_with_diagnostics
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
     log_predictive_density,
+    posterior_update,
     prior_predictive,
     student_t_factors,
 )
@@ -126,10 +127,9 @@ class TestResponsibilities:
         got = responsibilities(book, np.array([y]), alpha, prior)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 2, 8])
-    def test_matches_per_cluster_loop(self, d):
-        """The batched evaluation against one ``log_predictive_density``
-        call per cluster plus ``prior_predictive`` for the new slot."""
+    @staticmethod
+    def random_books(d):
+        """Books of random states, each with an observation and an alpha."""
         rng = np.random.default_rng(100 + d)
         prior = PriorConfig.from_scale(d, 0.5, pseudo_obs=2.0 * d + 4.0)
         for _ in range(30):
@@ -141,9 +141,42 @@ class TestResponsibilities:
                                           rng.uniform(d / 2.0, 40), a @ a.T + 0.1 * np.eye(d)))
                 ms.append(int(rng.integers(1, 100)))
             book = make_book(posts, ms, [float(m) for m in ms], n=sum(ms) + 3)
-            y, alpha = rng.normal(size=d) * 2, rng.uniform(0.1, 5.0)
+            yield book, prior, rng.normal(size=d) * 2, rng.uniform(0.1, 5.0)
+
+    @staticmethod
+    def stepped_books(d):
+        """Four clusters opened at centres about three units apart, then
+        advanced by ``step`` over 400 observations without maintenance and
+        taken every 50 steps: the cached factors of the clusters that absorb
+        the stream come from many rank-one refreshes, and as the clusters
+        overlap, no score saturates at 0 or 1."""
+        rng = np.random.default_rng(200 + d)
+        means = rng.normal(scale=3.0 / math.sqrt(2.0 * d), size=(4, d))
+        ys = means[rng.integers(4, size=400)] + rng.normal(size=(400, d))
+        cfg = EngineConfig(seed=d, prior=PriorConfig.from_scale(d, 1.0, 2.0 * d + 4.0),
+                           prune_eps=0.0, merge_eps=0.0).resolve(d)
+        book, step_rng = ClusterBook(n=4), np.random.default_rng(d)
+        for mean in means:
+            book.add(posterior_update(NiwPosterior.from_prior(cfg.prior), mean), 1, 1.0)
+        for i, y in enumerate(ys, start=1):
+            step(book, y, cfg, step_rng)
+            if i % 50 == 0:
+                for y_new in means[rng.integers(4, size=5)] + rng.normal(size=(5, d)):
+                    yield book, cfg.prior, y_new, book.alpha(cfg.lam)
+        assert book.m.max() > 100
+
+    @pytest.mark.parametrize("books, d", [
+        *[pytest.param("random_books", d, id=str(d)) for d in (1, 2, 8)],
+        *[pytest.param("stepped_books", d, id=f"stepped-{d}") for d in (2, 8, 64)],
+    ])
+    def test_matches_per_cluster_loop(self, books, d):
+        """The batched evaluation against one ``log_predictive_density``
+        call per cluster, each factorising the cluster's state afresh, plus
+        ``prior_predictive`` for the new slot."""
+        for book, prior, y, alpha in getattr(self, books)(d):
             logq = np.array(
-                [math.log(m) + log_predictive_density(post, y) for post, m in zip(posts, ms)]
+                [math.log(book.m[h]) + log_predictive_density(book.posterior(h), y)
+                 for h in range(book.k)]
                 + [math.log(alpha) + prior_predictive(prior, y)]
             )
             expected = np.exp(logq - logq.max())
@@ -403,16 +436,20 @@ class TestPairHistories:
 def assert_cache_fresh(book):
     """Every per-cluster array has k entries, and each cluster's cached
     predictive factors equal a fresh computation from its state."""
-    for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "inv_chol", "log_norm"):
+    for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm"):
         assert len(getattr(book, name)) == book.k, name
     for h in range(book.k):
-        inv_chol, log_norm = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
-        np.testing.assert_allclose(book.inv_chol[h], inv_chol, rtol=1e-12, atol=0)
+        prec, logdet, log_norm = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
+        np.testing.assert_allclose(book.prec[h], prec, rtol=1e-12, atol=0)
+        assert book.logdet[h] == pytest.approx(logdet, rel=1e-12)
         assert book.log_norm[h] == pytest.approx(log_norm, rel=1e-12)
 
 
 class TestCachedFactors:
     def test_unfactorable_state_fails_in_the_step_that_made_it(self, monkeypatch):
+        """Step 3's update yields an indefinite sigma, and the cached
+        precision that the rank-one refresh reads is not finite, so the
+        refresh falls back to ``write``, whose factorisation fails."""
         import asugs.engine as engine_mod
 
         real, calls = engine_mod.posterior_update, []
@@ -424,9 +461,36 @@ class TestCachedFactors:
                 out.sigma = -out.sigma
             return out
 
+        def spoil_precision(i, book):
+            if i == 2:
+                book.prec[:] = np.nan
+
         monkeypatch.setattr(engine_mod, "posterior_update", indefinite_at_third_call)
         with pytest.raises(RuntimeError, match="step 3 failed"):
-            run(np.zeros((3, 2)), EngineConfig(seed=0))
+            run(np.zeros((3, 2)), EngineConfig(seed=0), on_step=spoil_precision)
+
+    def test_huge_t_update_refactorises(self, monkeypatch):
+        """An observation far outside the cluster's spread puts t far above
+        REFRESH_MAX_T: ``absorb`` takes ``write``'s full factorisation and
+        leaves exactly a fresh cache.  A nearby one takes the refresh."""
+        import asugs.engine as engine_mod
+
+        real, calls = engine_mod.student_t_factors, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        book = make_book([NiwPosterior(np.zeros(2), 1.0, 2.0, np.eye(2))], [1], [1.0], n=1)
+        monkeypatch.setattr(engine_mod, "student_t_factors", counted)
+        book.absorb(0, np.array([0.3, -0.2]))
+        assert calls == []
+        assert_cache_fresh(book)
+        book.absorb(0, np.array([1e4, -3e4]))
+        assert len(calls) == 1
+        prec, logdet, log_norm = real(book.c[0], book.delta[0], book.sigma[0])
+        np.testing.assert_array_equal(book.prec[0], prec)
+        assert (book.logdet[0], book.log_norm[0]) == (logdet, log_norm)
 
 
 class TestBookInvariants:
@@ -474,6 +538,72 @@ class TestBookInvariants:
                 check(i, book)
                 merge(book, cfg.merge_eps)
                 check(i, book)
+
+
+def mixture_mass(book, center, scale, nodes=100):
+    """The fitted mixture predictive integrated over R^d, d <= 2, by
+    Gauss-Legendre quadrature in u per axis, with y = center + scale tan(u)."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = u * np.pi / 2.0, w * np.pi / 2.0
+    axis, jac = scale * np.tan(u), w * scale / np.cos(u) ** 2
+    if book.mu.shape[1] == 1:
+        pts, weights = axis[:, None], jac
+    else:
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        weights = np.multiply.outer(jac, jac).ravel()
+    return float(weights @ np.exp(log_mixture_predictive_rows(book, center + pts)))
+
+
+class TestCacheAcrossScales:
+    """The rank-one refresh and its fallback on data from 1e-8 to 1e8,
+    under a prior of the data's scale (clusters form and merge) and under
+    the default unit prior (updates far above and below its scale)."""
+
+    @staticmethod
+    def stream(d, centers, picks, seed, exponent, matched):
+        scale = 10.0 ** exponent
+        noise = np.random.default_rng(seed).normal(scale=0.3, size=(len(picks), d))
+        ys = (np.array([centers[p % len(centers)][:d] for p in picks]) + noise) * scale
+        prior = PriorConfig.from_scale(d, (0.3 * scale) ** 2, 4.0) if matched else None
+        cfg = EngineConfig(seed=seed, prior=prior, merge_eps=0.5, maintenance_period=5)
+        return ys, scale, cfg.resolve(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        centers=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=60),
+        seed=st.integers(0, 2**16),
+        exponent=st.integers(-8, 8),
+        matched=st.booleans(),
+    )
+    def test_cache_fresh_under_updates_and_merges(
+        self, d, centers, picks, seed, exponent, matched
+    ):
+        """After every step, prune and merge every sigma factorises and the
+        cached precision, logdet and constant equal a fresh factorisation."""
+        ys, _, cfg = self.stream(d, centers, picks, seed, exponent, matched)
+        book, rng = ClusterBook(), np.random.Generator(np.random.PCG64(cfg.seed))
+        for i, y in enumerate(ys, start=1):
+            step(book, y, cfg, rng)
+            assert_cache_fresh(book)
+            if i % cfg.maintenance_period == 0:
+                prune(book, cfg.prune_eps)
+                merge(book, cfg.merge_eps)
+                assert_cache_fresh(book)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        centers=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=60),
+        seed=st.integers(0, 2**16),
+        exponent=st.integers(-8, 8),
+    )
+    def test_mixture_predictive_integrates_to_one(self, d, centers, picks, seed, exponent):
+        ys, scale, cfg = self.stream(d, centers, picks, seed, exponent, matched=True)
+        book = run(ys, cfg).final_book
+        assert mixture_mass(book, ys.mean(axis=0), scale) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRun:
