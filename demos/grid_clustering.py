@@ -32,16 +32,14 @@ print("class count along the stream:")
 for c in checkpoints:
     print(f"  after {c:4d} points: k = {ks[c - 1]}")
 
+book = trace.final_book
 print("\nfitted clusters (count, location, per-axis standard deviations):")
-for cl in sorted(trace.clusters, key=lambda c: -c.m):
-    sds = np.sqrt(np.diag(cl.sigma))
-    print(f"  m={cl.m:3d}  mu=({cl.mu[0]:+.2f}, {cl.mu[1]:+.2f})"
+for h in np.argsort(-book.m, kind="stable"):
+    sds = np.sqrt(np.diag(book.sigma[h]))
+    print(f"  m={book.m[h]:3d}  mu=({book.mu[h, 0]:+.2f}, {book.mu[h, 1]:+.2f})"
           f"  sd=({sds[0]:.3f}, {sds[1]:.3f})")
 
-matched = sum(
-    min(np.linalg.norm(np.array([c.mu for c in trace.clusters]) - tm, axis=1)) < 0.3
-    for tm in truth.means
-)
+matched = sum(min(np.linalg.norm(book.mu - tm, axis=1)) < 0.3 for tm in truth.means)
 print(f"\ntrue components with a fitted cluster within 0.3: {matched}/16")
 
 try:
@@ -53,8 +51,7 @@ try:
     fig, ax = plt.subplots(figsize=(6, 6))
     ax.scatter(train.rows[:, 0], train.rows[:, 1], s=8, c="lightgray",
                label="stream")
-    mus = np.array([c.mu for c in trace.clusters])
-    ax.scatter(mus[:, 0], mus[:, 1], s=120, marker="x", c="crimson",
+    ax.scatter(book.mu[:, 0], book.mu[:, 1], s=120, marker="x", c="crimson",
                label="fitted cluster locations")
     ax.scatter(truth.means[:, 0], truth.means[:, 1], s=60, marker="o",
                facecolors="none", edgecolors="navy", label="true means")

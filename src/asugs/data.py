@@ -10,20 +10,21 @@ lossless and byte-identical for identical runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from asugs.engine import (
     Checkpoint,
-    ClusterSummary,
+    ClusterBook,
     EngineConfig,
     RunTrace,
     StepRecord,
 )
 from asugs.mixture import GaussianMixture
-from asugs.niw import PriorConfig
+from asugs.niw import NiwPosterior, PriorConfig
 
 
 class DataError(ValueError):
@@ -170,110 +171,60 @@ def read_truth(path) -> GaussianMixture:
 # ---------------------------------------------------------------------------
 # trace persistence
 
-def _config_to_dict(config: EngineConfig) -> dict:
-    prior = config.prior
-    return {
-        "lam": config.lam,
-        "selection": config.selection,
-        "fixed_alpha": config.fixed_alpha,
-        "prune_eps": config.prune_eps,
-        "merge_eps": config.merge_eps,
-        "maintenance_period": config.maintenance_period,
-        "seed": config.seed,
-        "prior": None
-        if prior is None
-        else {
-            "mu0": [float(v) for v in prior.mu0],
-            "c0": prior.c0,
-            "delta0": prior.delta0,
-            "sigma0": [[float(v) for v in row] for row in prior.sigma0],
-        },
-    }
-
-
-def _config_from_dict(payload: dict) -> EngineConfig:
-    prior = payload.get("prior")
-    return EngineConfig(
-        lam=payload["lam"],
-        selection=payload["selection"],
-        fixed_alpha=payload["fixed_alpha"],
-        prune_eps=payload["prune_eps"],
-        merge_eps=payload["merge_eps"],
-        maintenance_period=payload["maintenance_period"],
-        seed=payload["seed"],
-        prior=None
-        if prior is None
-        else PriorConfig(
-            mu0=np.array(prior["mu0"]),
-            c0=prior["c0"],
-            delta0=prior["delta0"],
-            sigma0=np.array(prior["sigma0"]),
-        ),
-    )
+# The keys of each record kind besides "kind"; writer and reader share them.
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
+_PRIOR_KEYS = ("mu0", "c0", "delta0", "sigma0")
+_STEP_KEYS = ("i", "label", "q", "alpha", "k", "innovation")  # StepRecord's fields, in order
+_CLUSTER_KEYS = ("mu", "sigma", "c", "delta", "m", "w")
+_RECORD_KEYS = {
+    "config": frozenset(_CONFIG_KEYS),
+    "step": frozenset(_STEP_KEYS),
+    "checkpoint": frozenset(f.name for f in dataclasses.fields(Checkpoint)),
+    "cluster": frozenset(_CLUSTER_KEYS),
+    "final": frozenset(("n", "k")),
+}
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # numpy arrays and scalars other than float64 serialise through tolist()
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.tolist())
+
+
+def _has_keys(rec, keys: frozenset) -> None:
+    if not isinstance(rec, dict) or rec.keys() != keys:
+        got = sorted(rec) if isinstance(rec, dict) else f"a JSON {type(rec).__name__}"
+        raise ValueError(f"expected keys {sorted(keys)}, got {got}")
+
+
+def _config_to_dict(config: EngineConfig) -> dict:
+    """The fields of a config record, as JSON values."""
+    rec = {key: getattr(config, key) for key in _CONFIG_KEYS}
+    if config.prior is not None:
+        rec["prior"] = {key: np.asarray(getattr(config.prior, key)).tolist() for key in _PRIOR_KEYS}
+    return rec
 
 
 def write_trace(path, trace: RunTrace) -> None:
+    book = trace.final_book
     with open(path, "w") as fh:
         fh.write(_dumps({"kind": "config", **_config_to_dict(trace.config)}) + "\n")
         for r in trace.records:
-            fh.write(
-                _dumps(
-                    {
-                        "kind": "step",
-                        "i": r.index,
-                        "label": r.label,
-                        "q": [float(v) for v in r.q],
-                        "alpha": r.alpha_used,
-                        "k": r.k_after,
-                        "innovation": r.innovation,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_dumps({"kind": "step", **dict(zip(_STEP_KEYS, vars(r).values()))}) + "\n")
         for cp in trace.checkpoints:
-            fh.write(
-                _dumps(
-                    {
-                        "kind": "checkpoint",
-                        "n": cp.n,
-                        "k": cp.k,
-                        "alpha": cp.alpha,
-                        "likelihood_ratio": cp.likelihood_ratio,
-                        "l2_distance": cp.l2_distance,
-                        "kl_estimate": cp.kl_estimate,
-                        "kl_stderr": cp.kl_stderr,
-                    }
-                )
-                + "\n"
-            )
-        for cl in trace.clusters:
-            fh.write(
-                _dumps(
-                    {
-                        "kind": "cluster",
-                        "mu": [float(v) for v in cl.mu],
-                        "sigma": [[float(v) for v in row] for row in cl.sigma],
-                        "c": cl.c,
-                        "delta": cl.delta,
-                        "m": cl.m,
-                        "w": cl.w,
-                    }
-                )
-                + "\n"
-            )
-        fh.write(_dumps({"kind": "final", "n": trace.n, "k": trace.k}) + "\n")
+            fh.write(_dumps({"kind": "checkpoint", **asdict(cp)}) + "\n")
+        for values in zip(*(getattr(book, key) for key in _CLUSTER_KEYS)):
+            fh.write(_dumps({"kind": "cluster", **dict(zip(_CLUSTER_KEYS, values))}) + "\n")
+        fh.write(_dumps({"kind": "final", "n": book.n, "k": book.k}) + "\n")
 
 
 def read_trace(path) -> RunTrace:
-    config = None
+    """Load a trace written by ``write_trace``.  Its final book is rebuilt
+    with ``ClusterBook.add``, so cids run 1..k and pair histories start at
+    zero.  A malformed trace raises DataError naming the path and the row."""
+    config = final = None
     records: list[StepRecord] = []
     checkpoints: list[Checkpoint] = []
-    clusters: list[ClusterSummary] = []
-    n = k = 0
+    book = ClusterBook()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -283,50 +234,39 @@ def read_trace(path) -> RunTrace:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            kind = rec.get("kind")
-            if kind == "config":
-                config = _config_from_dict(rec)
-            elif kind == "step":
-                records.append(
-                    StepRecord(
-                        index=rec["i"],
-                        label=rec["label"],
-                        q=np.array(rec["q"]),
-                        alpha_used=rec["alpha"],
-                        k_after=rec["k"],
-                        innovation=rec["innovation"],
-                    )
-                )
-            elif kind == "checkpoint":
-                checkpoints.append(
-                    Checkpoint(
-                        n=rec["n"],
-                        k=rec["k"],
-                        alpha=rec["alpha"],
-                        likelihood_ratio=rec["likelihood_ratio"],
-                        l2_distance=rec["l2_distance"],
-                        kl_estimate=rec["kl_estimate"],
-                        kl_stderr=rec["kl_stderr"],
-                    )
-                )
-            elif kind == "cluster":
-                clusters.append(
-                    ClusterSummary(
-                        mu=np.array(rec["mu"]),
-                        sigma=np.array(rec["sigma"]),
-                        c=rec["c"],
-                        delta=rec["delta"],
-                        m=rec["m"],
-                        w=rec["w"],
-                    )
-                )
-            elif kind == "final":
-                n, k = rec["n"], rec["k"]
-            else:
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}: row {lineno}: expected a JSON object")
+            kind = rec.pop("kind", None)
+            if not isinstance(kind, str) or kind not in _RECORD_KEYS:
                 raise DataError(f"{path}: row {lineno}: unknown record kind {kind!r}")
+            try:
+                _has_keys(rec, _RECORD_KEYS[kind])
+                if kind == "config":
+                    if rec["prior"] is not None:
+                        _has_keys(rec["prior"], frozenset(_PRIOR_KEYS))
+                        rec["prior"] = PriorConfig(**rec["prior"])
+                    config = EngineConfig(**rec)
+                elif kind == "step":
+                    r = StepRecord(*map(rec.get, _STEP_KEYS))
+                    r.q = np.array(r.q)
+                    records.append(r)
+                elif kind == "checkpoint":
+                    checkpoints.append(Checkpoint(**rec))
+                elif kind == "cluster":
+                    post = NiwPosterior(rec["mu"], rec["c"], rec["delta"], rec["sigma"])
+                    book.add(post, rec["m"], rec["w"])  # LinAlgError if sigma does not factorise
+                else:
+                    final, final_row = rec, lineno
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: row {lineno}: {kind} record: {exc}") from exc
     if config is None:
         raise DataError(f"{path}: missing config record")
-    return RunTrace(
-        config=config, records=records, clusters=clusters, n=n, k=k,
-        checkpoints=checkpoints,
-    )
+    if final is None:
+        raise DataError(f"{path}: no final record after row {lineno}")
+    if final["k"] != book.k:
+        raise DataError(
+            f"{path}: row {final_row}: final record has k = {final['k']}, "
+            f"but the trace has {book.k} cluster records"
+        )
+    book.n = final["n"]
+    return RunTrace(config=config, records=records, final_book=book, checkpoints=checkpoints)

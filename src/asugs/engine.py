@@ -256,22 +256,15 @@ def step(
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains a non-finite value")
     if book.k == 0:
-        # First observation deterministically opens cluster 1.
-        post = posterior_update(NiwPosterior.from_prior(config.prior), y)
-        book.add(post, 1, 1.0)
-        book.n = 1
-        return StepRecord(
-            index=1, label=1, q=np.array([1.0]), alpha_used=0.0, k_after=1,
-            innovation=True,
-        )
-
-    alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
-    q = responsibilities(book, y, alpha, config.prior)
-    if config.selection == "argmax":
-        label = int(np.argmax(q)) + 1  # ties resolve to the lowest index
+        alpha, q, label = 0.0, np.array([1.0]), 1  # the first observation opens cluster 1
     else:
-        label = int(np.searchsorted(np.cumsum(q), rng.random(), side="right")) + 1
-        label = min(label, book.k + 1)  # cumsum may fall short of 1 by an ulp
+        alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
+        q = responsibilities(book, y, alpha, config.prior)
+        if config.selection == "argmax":
+            label = int(np.argmax(q)) + 1  # ties resolve to the lowest index
+        else:
+            label = int(np.searchsorted(np.cumsum(q), rng.random(), side="right")) + 1
+            label = min(label, book.k + 1)  # cumsum may fall short of 1 by an ulp
 
     innovation = label == book.k + 1
     k_old = book.k
@@ -375,18 +368,6 @@ def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
 
 
 @dataclass
-class ClusterSummary:
-    """Snapshot of one cluster as persisted in a run trace."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    c: float
-    delta: float
-    m: int
-    w: float
-
-
-@dataclass
 class Checkpoint:
     """Diagnostics sampled at one point of a run (post-maintenance)."""
 
@@ -402,40 +383,23 @@ class Checkpoint:
 @dataclass
 class RunTrace:
     """Everything a finished run persists: config echo, per-step records,
-    optional diagnostics checkpoints, and the final cluster snapshots."""
+    the final cluster book and optional diagnostics checkpoints."""
 
     config: EngineConfig
     records: list[StepRecord]
-    clusters: list[ClusterSummary]
-    n: int
-    k: int
+    final_book: ClusterBook = field(repr=False, compare=False)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    final_book: "ClusterBook | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.final_book.n
+
+    @property
+    def k(self) -> int:
+        return self.final_book.k
 
     def k_series(self) -> np.ndarray:
         return np.array([r.k_after for r in self.records], dtype=int)
-
-
-def summarize(book: ClusterBook) -> list[ClusterSummary]:
-    return [
-        ClusterSummary(
-            mu=book.mu[h].copy(), sigma=book.sigma[h].copy(), c=float(book.c[h]),
-            delta=float(book.delta[h]), m=int(book.m[h]), w=float(book.w[h]),
-        )
-        for h in range(book.k)
-    ]
-
-
-def book_from_summaries(summaries: list[ClusterSummary], n: int) -> ClusterBook:
-    """Rebuild a cluster book from snapshots; pair histories start at zero."""
-    book = ClusterBook(n=n)
-    for s in summaries:
-        book.add(
-            NiwPosterior(mu=np.asarray(s.mu, dtype=float), c=s.c, delta=s.delta,
-                         sigma=np.asarray(s.sigma, dtype=float)),
-            s.m, s.w,
-        )
-    return book
 
 
 def as_stream(stream) -> np.ndarray:
@@ -494,7 +458,4 @@ def run(
             on_step(i, book)
     if maintenance and book.n % config.maintenance_period != 0:
         maintain()
-    return RunTrace(
-        config=config, records=records, clusters=summarize(book),
-        n=book.n, k=book.k, final_book=book,
-    )
+    return RunTrace(config=config, records=records, final_book=book)

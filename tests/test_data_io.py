@@ -1,5 +1,6 @@
 """Tests for dataset generation, CSV ingestion and trace persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,22 @@ from asugs.data import (
     write_trace,
     write_truth,
 )
-from asugs.engine import ClusterBook, EngineConfig, book_from_summaries, run
+from asugs.diagnostics import run_with_diagnostics
+from asugs.engine import ClusterBook, EngineConfig, run
 from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density
+
+
+def without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+def replace_first(kind, edit):
+    """A trace edit that replaces the first record of a kind by edit(record);
+    it returns the edited records and the 1-based row of the change."""
+    def apply(lines):
+        row = next(i for i, rec in enumerate(lines) if rec["kind"] == kind)
+        return lines[:row] + [edit(lines[row])] + lines[row + 1:], row + 1
+    return apply
 
 
 class TestGenerateGridMixture:
@@ -218,11 +233,9 @@ class TestTracePersistence:
                 b.index, b.label, b.k_after, b.innovation)
             assert a.alpha_used == b.alpha_used
             np.testing.assert_array_equal(a.q, b.q)
-        assert len(back.clusters) == len(trace.clusters)
-        for a, b in zip(trace.clusters, back.clusters):
-            np.testing.assert_array_equal(a.mu, b.mu)
-            np.testing.assert_array_equal(a.sigma, b.sigma)
-            assert (a.c, a.delta, a.m, a.w) == (b.c, b.delta, b.m, b.w)
+        for name in ("mu", "sigma", "c", "delta", "m", "w"):
+            np.testing.assert_array_equal(getattr(back.final_book, name),
+                                          getattr(trace.final_book, name))
         cfg_a, cfg_b = trace.config, back.config
         assert (cfg_a.lam, cfg_a.selection, cfg_a.fixed_alpha, cfg_a.seed) == (
             cfg_b.lam, cfg_b.selection, cfg_b.fixed_alpha, cfg_b.seed)
@@ -238,12 +251,33 @@ class TestTracePersistence:
         trace = self._run_trace(300)
         p = tmp_path / "trace.jsonl"
         write_trace(p, trace)
-        back = read_trace(p)
-        book = book_from_summaries(back.clusters, back.n)
+        book = read_trace(p).final_book
         test = Dataset(rows=np.array([[0.3, -0.4], [1.2, 1.4]]))
         a, _ = heldout_loglik(trace.final_book, test)
         b, _ = heldout_loglik(book, test)
         assert a == pytest.approx(b, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["diagnostics", "argmax", "d8"])
+    def test_write_of_read_is_byte_identical(self, tmp_path, kind):
+        mix = generate_grid_mixture(4, 0.025)
+        rows = sample_mixture(mix, 300, seed=4).rows
+        prior = PriorConfig.from_scale(2, 0.025)
+        if kind == "diagnostics":
+            trace = run_with_diagnostics(rows, EngineConfig(seed=4, prior=prior), truth=mix,
+                                         checkpoint_every=100, kl_mc=200, l2_grid=40)
+            assert all(cp.kl_estimate is not None for cp in trace.checkpoints)
+        elif kind == "argmax":
+            trace = run(rows, EngineConfig(seed=4, fixed_alpha=1.0, prior=prior))
+        else:
+            rng = np.random.default_rng(4)
+            centres = rng.normal(size=(3, 8)) * 5
+            wide = centres[rng.integers(0, 3, 300)] + rng.normal(size=(300, 8))
+            trace = run(wide, EngineConfig(seed=4, prune_eps=0.0, merge_eps=0.0,
+                                           prior=PriorConfig.from_scale(8, 1.0, 16)))
+        p, again = tmp_path / "trace.jsonl", tmp_path / "again.jsonl"
+        write_trace(p, trace)
+        write_trace(again, read_trace(p))
+        assert again.read_bytes() == p.read_bytes()
 
     def test_missing_config_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -256,3 +290,39 @@ class TestTracePersistence:
         p.write_text('{"kind":"mystery"}\n')
         with pytest.raises(DataError, match="row 1"):
             read_trace(p)
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            pytest.param(lambda lines: (lines[:150], None), "no final record", id="cut"),
+            pytest.param(lambda lines: (lines[:-3] + lines[-2:], len(lines) - 1),
+                         "final record has k = ", id="cluster-dropped"),
+            pytest.param(replace_first("step", lambda rec: without(rec, "q")),
+                         "step record: expected keys", id="step-without-q"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "extra": 1}),
+                         "step record: expected keys", id="step-with-unknown-key"),
+            pytest.param(lambda lines: (lines[:1] + [[1.0]] + lines[1:], 2),
+                         "expected a JSON object", id="json-array"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "kind": ["step"]}),
+                         "unknown record kind", id="kind-not-a-string"),
+            pytest.param(
+                replace_first("config", lambda rec: {**rec, "prior": {**rec["prior"], "c0": -1.0}}),
+                "c0 must be positive", id="prior-refused"),
+            pytest.param(
+                replace_first("config", lambda rec: {**rec, "prior": without(rec["prior"], "c0")}),
+                "config record: expected keys", id="prior-without-c0"),
+            pytest.param(
+                replace_first("cluster", lambda rec: {**rec, "sigma": [[1.0, 2.0], [2.0, 1.0]]}),
+                "cluster record: .*not positive definite", id="sigma-not-definite"),
+        ],
+    )
+    def test_malformed_trace_is_data_error(self, tmp_path, edit, problem):
+        src = tmp_path / "trace.jsonl"
+        write_trace(src, self._run_trace(300))
+        lines, row = edit([json.loads(line) for line in src.read_text().splitlines()])
+        p = tmp_path / "bad.jsonl"
+        p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        with pytest.raises(DataError, match=problem) as info:
+            read_trace(p)
+        assert str(p) in str(info.value)
+        assert row is None or f"row {row}:" in str(info.value)

@@ -283,8 +283,7 @@ def synthetic_trace(k_series):
                    k_after=int(k), innovation=False)
         for i, k in enumerate(k_series)
     ]
-    return RunTrace(config=EngineConfig(), records=records, clusters=[],
-                    n=len(records), k=int(k_series[-1]))
+    return RunTrace(config=EngineConfig(), records=records, final_book=ClusterBook(n=len(records)))
 
 
 class TestGrowthExponent:

@@ -18,7 +18,6 @@ from asugs.engine import (
     ClusterBook,
     ConfigError,
     EngineConfig,
-    book_from_summaries,
     merge,
     predictive_prior_weights,
     prune,
@@ -26,7 +25,7 @@ from asugs.engine import (
     run,
     step,
 )
-from asugs.data import generate_grid_mixture, sample_mixture
+from asugs.data import generate_grid_mixture, read_trace, sample_mixture, write_trace
 from asugs.diagnostics import log_mixture_predictive_rows, run_with_diagnostics
 from asugs.niw import (
     NiwPosterior,
@@ -229,9 +228,11 @@ class TestStep:
 
     def test_first_observation_opens_cluster_one(self):
         book = ClusterBook()
+        rng_state = self.rng.bit_generator.state
         rec = step(book, np.array([0.4, -0.1]), self.config, self.rng)
-        assert (rec.label, rec.k_after, rec.innovation) == (1, 1, True)
+        assert (rec.label, rec.k_after, rec.innovation, rec.alpha_used) == (1, 1, True, 0.0)
         assert rec.q.tolist() == [1.0]
+        assert self.rng.bit_generator.state == rng_state  # no selection, no draw
         assert book.m[0] == 1 and book.w[0] == 1.0
         assert book.k == 1 and book.n == 1
 
@@ -650,9 +651,8 @@ class TestRun:
             assert np.array_equal(a.q, b.q)
         assert np.array_equal(diag.k_series(), plain.k_series())
         assert (diag.n, diag.k) == (plain.n, plain.k)
-        for a, b in zip(diag.clusters, plain.clusters):
-            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
-            assert (a.c, a.delta, a.m, a.w) == (b.c, b.delta, b.m, b.w)
+        for name in ("mu", "sigma", "c", "delta", "m", "w"):
+            assert np.array_equal(getattr(diag.final_book, name), getattr(plain.final_book, name))
 
     def test_on_step_sees_every_step_before_final_maintenance(self):
         rng = np.random.default_rng(12)
@@ -676,21 +676,24 @@ class TestRun:
         trace = run(ys, EngineConfig(seed=1))
         for rec in trace.records[1:]:
             assert rec.alpha_used > 0
-        assert trace.k == len(trace.clusters)
+        for name in ("mu", "sigma", "c", "delta", "m", "w"):
+            assert len(getattr(trace.final_book, name)) == trace.k
         assert trace.final_book.alpha(trace.config.lam) > 0
 
 
-class TestBookFromSummaries:
-    def test_rebuilt_book_steps_and_merges(self):
+class TestReadBook:
+    def test_rebuilt_book_steps_and_merges(self, tmp_path):
         rng = np.random.default_rng(5)
         ys = np.concatenate([rng.normal(size=(60, 2)) * 0.3, rng.normal(size=(60, 2)) * 0.3 + 4.0])
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.09)).resolve(2)
         trace = run(ys, cfg)
-        book = book_from_summaries(trace.clusters, trace.n)
+        write_trace(tmp_path / "trace.jsonl", trace)
+        book = read_trace(tmp_path / "trace.jsonl").final_book
         assert book.cid.tolist() == list(range(1, book.k + 1))
-        assert book.m.tolist() == [s.m for s in trace.clusters]
-        assert book.w.tolist() == [s.w for s in trace.clusters]
+        assert book.m.tolist() == trace.final_book.m.tolist()
+        assert book.w.tolist() == trace.final_book.w.tolist()
         assert book.dist.shape == book.coact.shape == (book.k, book.k)
+        assert not book.dist.any() and not book.coact.any()
         step(book, ys[0], cfg, np.random.default_rng(0))
         assert book.n == trace.n + 1
         book.dist[:] = 0.0
