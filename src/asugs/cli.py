@@ -3,9 +3,10 @@ comparisons and diagnostics emission.
 
 Exit codes: 0 success, 2 configuration error (an output that exists
 without --force included), 3 data error (malformed or mismatched input,
-or a path that cannot be read or written), 4 at least one comparison
-trial failed.  Every output file embeds the fully
-resolved configuration, so a run is reproducible from its outputs.
+a path that cannot be read or written, or a row at which the engine's
+step fails), 4 at least one comparison trial failed.  Every output file
+embeds the fully resolved configuration, so a run is reproducible from
+its outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from asugs.diagnostics import (
     run_with_diagnostics,
     slope_with_stderr,
 )
-from asugs.engine import ConfigError, EngineConfig, run
+from asugs.engine import ConfigError, EngineConfig, StepError, run
 from asugs.niw import PriorConfig
 
 EXIT_OK = 0
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DataError, OSError) as exc:  # FileExistsError is caught above
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except StepError as exc:
+        print(f"data error: row {exc.step}: {exc.__cause__}", file=sys.stderr)
         return EXIT_DATA
 
 

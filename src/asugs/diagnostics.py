@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from asugs.engine import (
     Checkpoint,
@@ -31,7 +30,7 @@ from asugs.engine import (
     run,
     step,
 )
-from asugs.mixture import GaussianMixture
+from asugs.mixture import GaussianMixture, log_sum_exp
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
@@ -56,9 +55,9 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     for h in range(book.k):  # one cluster at a time keeps temporaries O(rows x d)
         e = ys - book.mu[h]
         logs[h] = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.c[h], book.delta[h], ((e @ book.prec[h]) * e).sum(axis=-1)
+            book.log_norm[h], book.c[h], book.delta[h], np.einsum("ij,ij->i", e @ book.prec[h], e)
         )
-    return logsumexp(logs, axis=0)
+    return log_sum_exp(logs)
 
 
 def mixture_predictive(book: ClusterBook, y: np.ndarray) -> float:

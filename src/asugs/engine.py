@@ -41,6 +41,15 @@ class ConfigError(ValueError):
     """Invalid engine configuration; message names the offending field."""
 
 
+class StepError(RuntimeError):
+    """A step of ``run`` failed; ``step`` is its 1-based index, which is
+    the 1-based row of the stream, and the cause is chained."""
+
+    def __init__(self, step: int, cause: Exception):
+        super().__init__(f"step {step} failed: {cause}")
+        self.step = step
+
+
 _CLUSTER_FIELDS = ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm")
 REFRESH_MAX_T = 100.0  # largest t that ``ClusterBook.absorb`` refreshes in closed form
 
@@ -428,7 +437,7 @@ def run(
     steps and once more at stream end if the last step was not already a
     maintenance step.  A stream that ``as_stream`` rejects (empty, no
     coordinates, more than two axes) raises ``ValueError``; a failing
-    step raises ``RuntimeError`` naming its 1-based index.
+    step raises ``StepError`` (a ``RuntimeError``) naming its 1-based index.
 
     ``on_step(i, book)``, if given, is called after step i (1-based) and
     any maintenance at that step, and before the end-of-stream
@@ -451,7 +460,7 @@ def run(
         try:
             records.append(step(book, y, config, rng))
         except Exception as exc:
-            raise RuntimeError(f"step {i} failed: {exc}") from exc
+            raise StepError(i, exc) from exc
         if maintenance and i % config.maintenance_period == 0:
             maintain()
         if on_step is not None:

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import cholesky
+
+
+def log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """log sum_h exp(logs[h, j]) for each column j of a K x N array.
+
+    Shifted by the column maximum; a column whose maximum is not finite
+    is shifted by 0, so a column of -inf terms gives -inf, not nan.
+    """
+    top = logs.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(logs - top).sum(axis=0))
 
 
 @dataclass
@@ -15,11 +27,17 @@ class GaussianMixture:
     weights      simplex vector, length K
     means        K x d
     covariances  K x d x d, each symmetric positive definite
+
+    Each component's Cholesky factor, precision and log determinant are
+    computed once at construction, so a mixture is treated as immutable.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+    chols: np.ndarray = field(init=False, repr=False, compare=False)
+    precs: np.ndarray = field(init=False, repr=False, compare=False)
+    logdets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -32,7 +50,11 @@ class GaussianMixture:
         for cov in self.covariances:
             if not np.allclose(cov, cov.T):
                 raise ValueError("covariances must be symmetric")
-            cholesky(cov)
+        # raises LinAlgError if a covariance is not positive definite
+        self.chols = cholesky(self.covariances)
+        inv_l = np.linalg.inv(self.chols)
+        self.precs = np.swapaxes(inv_l, -1, -2) @ inv_l
+        self.logdets = 2.0 * np.log(np.diagonal(self.chols, axis1=-2, axis2=-1)).sum(axis=-1)
 
     @property
     def n_components(self) -> int:
@@ -48,24 +70,26 @@ class GaussianMixture:
         d = self.dim
         comps = np.empty((self.n_components, ys.shape[0]))
         for h in range(self.n_components):
-            L = cholesky(self.covariances[h])
-            z = np.linalg.solve(L, (ys - self.means[h]).T)
-            logdet = 2.0 * np.log(np.diag(L)).sum()
-            comps[h] = (
-                np.log(self.weights[h])
-                - 0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
+            e = ys - self.means[h]
+            comps[h] = np.log(self.weights[h]) - 0.5 * (
+                d * np.log(2.0 * np.pi) + self.logdets[h]
+                + np.einsum("ij,ij->i", e @ self.precs[h], e)
             )
-        top = comps.max(axis=0)
-        return top + np.log(np.exp(comps - top).sum(axis=0))
+        return log_sum_exp(comps)
 
     def pdf(self, ys: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(ys))
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n labeled points: component by weight, then a Gaussian draw."""
+        """Draw n labeled points: component by weight, then a Gaussian draw.
+
+        The same rows as drawing each point's normal vector in turn: the
+        generator yields the n x d draws in row order either way.
+        """
         labels = rng.choice(self.n_components, size=n, p=self.weights)
-        out = np.empty((n, self.dim))
-        chols = [cholesky(cov) for cov in self.covariances]
-        for i, h in enumerate(labels):
-            out[i] = self.means[h] + chols[h] @ rng.standard_normal(self.dim)
+        z = rng.standard_normal((n, self.dim))
+        out = self.means[labels]
+        for h in range(self.n_components):  # one component at a time keeps temporaries O(n x d)
+            sel = labels == h
+            out[sel] += (self.chols[h] @ z[sel][:, :, None])[:, :, 0]
         return out, labels

@@ -266,6 +266,22 @@ class TestDiagnose:
         assert "checkpoint_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_failing_step_is_data_error_naming_the_row(tmp_path, command, capsys):
+    """Rows offset by 1e9 make the first update's sigma numerically rank
+    one under the default prior, so step 1 fails: the CLI names row 1 in
+    one line and exits 3, with no traceback and no output file."""
+    train = tmp_path / "offset.csv"
+    np.savetxt(train, np.random.default_rng(7).standard_normal((50, 2)) + 1e9,
+               fmt="%.17g", delimiter=",")
+    out = tmp_path / "t.jsonl"
+    assert main([command, "--train", str(train), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "data error: row 1: Matrix is not positive definite"
+    assert not any("Traceback" in line for line in err)
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_from_source_tree():
     src = Path(asugs.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
