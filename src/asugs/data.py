@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def read_csv(path) -> Dataset:
                 values = [float(c) for c in cells]
             except ValueError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise DataError(f"{path}: row {lineno} contains a non-finite value")
             rows.append(values)
     if not rows:

@@ -282,11 +282,44 @@ def test_failing_step_is_data_error_naming_the_row(tmp_path, command, capsys):
     assert not out.exists()
 
 
-def test_module_entry_point_runs_from_source_tree():
+def source_tree_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(asugs.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "asugs", "--help"], env=env,
+
+
+def test_module_entry_point_runs_from_source_tree():
+    done = subprocess.run([sys.executable, "-m", "asugs", "--help"], env=source_tree_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: asugs" in done.stdout
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now raises
+import asugs, asugs.bench, asugs.cli, asugs.data, asugs.diagnostics
+from asugs.cli import main
+data, out = sys.argv[1] + "/data", sys.argv[1]
+codes = [
+    main(["generate", "--out", data, "--n-train", "120", "--n-test", "60"]),
+    main(["fit", "--train", data + "/train.csv", "--test", data + "/test.csv",
+          "--prior-var", "0.025", "--out", out + "/trace.jsonl"]),
+    main(["diagnose", "--train", data + "/train.csv", "--truth", data + "/truth.json",
+          "--prior-var", "0.025", "--checkpoint-every", "60", "--out", out + "/diag.jsonl"]),
+]
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The installed package needs numpy only: generate, fit and diagnose
+    run in an interpreter where importing scipy fails, and load no scipy
+    module.  (The tests themselves use scipy as an oracle.)"""
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                          env=source_tree_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 3, "scipy": []}

@@ -162,7 +162,7 @@ class TestReadCsv:
         with pytest.raises(DataError, match="row 2"):
             read_csv(p)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity", "+inf"])
     def test_non_finite_rejected(self, bad, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(f"1.0,2.0\n{bad},1.0\n")

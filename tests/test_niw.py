@@ -64,6 +64,28 @@ class TestLogGammaRatio:
     def test_large_argument_no_overflow(self):
         assert np.isfinite(log_gamma_ratio(1e6, 50))
 
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_even_d_recurrence_up_to_1e6(self, d):
+        """For even d, Gamma(a + 1/2) / Gamma(lo) with lo = a + (1-d)/2 is
+        the finite product lo (lo + 1) ... (lo + d/2 - 1); ``math.fsum``
+        adds its d/2 logs without further rounding.  a runs from 1e-9 above
+        the domain boundary to 1e6.  The ratio is a difference of two
+        log-gammas that cancel, so the tolerance is absolute,
+        64 eps max(1, |lgamma(a + 1/2)|): both ``math.lgamma`` and scipy's
+        ``gammaln`` stay within 16 eps of that scale."""
+        lo0 = (d - 1) / 2.0
+        a_values = np.concatenate([
+            lo0 + np.logspace(-9, 0, 28),        # near the boundary
+            np.logspace(math.log10(lo0 + 1.0), 6.0, 40),
+            1e6 - np.logspace(-4, 4, 17),        # near 1e6
+        ])
+        for a in a_values:
+            a = float(a)
+            lo = a + (1.0 - d) / 2.0  # the same rounding as log_gamma_ratio
+            exact = math.fsum(math.log(lo + i) for i in range(d // 2))
+            tol = 64 * np.finfo(float).eps * max(1.0, abs(math.lgamma(a + 0.5)))
+            assert abs(log_gamma_ratio(a, d) - exact) <= tol, (a, d)
+
 
 def nw_predictive_quadrature_1d(c, delta, sigma, mu, y):
     """Full double integral of normal x normal x Wishart over (mean, precision).
