@@ -30,7 +30,7 @@ from asugs.engine import (
     run,
     step,
 )
-from asugs.mixture import GaussianMixture, log_sum_exp
+from asugs.mixture import GaussianMixture, gaussian_log_density, log_sum_exp
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
@@ -104,15 +104,39 @@ def innovation_probability(
     return 1.0 / (1.0 + math.exp(t))
 
 
+def _grid_axes(los, his, points: int) -> list[np.ndarray]:
+    """The ``points`` coordinates along each axis of the box [los, his]."""
+    return [np.linspace(lo, hi, points) for lo, hi in zip(los, his)]
+
+
+def _grid_weights(axes) -> np.ndarray:
+    """Quadrature weight of each tensor-grid point, in grid shape."""
+    weights = np.ones(())
+    for ax in axes:
+        weights = np.multiply.outer(weights, np.gradient(ax))
+    return weights
+
+
+def _grid_quad(axes, mu: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """(y - mu)^T prec (y - mu) at every tensor-grid point, in grid shape:
+    sum_a P_aa u_a^2 + sum_{a<b} 2 P_ab u_a u_b over the per-axis offsets
+    u_a, with no row array of points."""
+    d = len(axes)
+    us = [(ax - mu[a]).reshape((-1,) + (1,) * (d - 1 - a)) for a, ax in enumerate(axes)]
+    quad = np.zeros((len(axes[0]),) * d)
+    for a in range(d):
+        quad += prec[a, a] * us[a] ** 2
+        for b in range(a + 1, d):
+            quad += (2.0 * prec[a, b]) * us[a] * us[b]
+    return quad
+
+
 def _tensor_grid(los, his, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor grid over the box [los, his], ``points`` per axis: one point
     per row, first axis slowest, and each point's quadrature weight."""
-    axes = [np.linspace(lo, hi, points) for lo, hi in zip(los, his)]
+    axes = _grid_axes(los, his, points)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    weights = np.ones(1)
-    for ax in axes:
-        weights = np.multiply.outer(weights, np.gradient(ax)).ravel()
-    return grid, weights
+    return grid, _grid_weights(axes).ravel()
 
 
 @dataclass
@@ -137,26 +161,56 @@ def l2_distance_to_truth(
     by ``pad_stds`` max standard deviations, ``grid_points`` per axis);
     self-normalized Monte Carlo with draws from the truth otherwise,
     returning the estimate with a standard error.
+
+    The grid evaluation is separable: each component's quadratic form is
+    built from per-axis offsets in grid shape, and the components'
+    densities, fitted minus truth, are summed into one grid array in the
+    linear domain, so memory is O(grid) whatever the number of clusters.
     """
+    if book.k == 0:
+        raise ValueError("L2 distance undefined for an empty book")
     d = truth.dim
-    if d <= 2:
-        max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
-        # the grid must cover the fitted clusters too, or their mass is
-        # invisible to the quadrature
-        mus = np.vstack([truth.means, book.mu])
-        los = mus.min(axis=0) - pad_stds * max_sd
-        his = mus.max(axis=0) + pad_stds * max_sd
-        grid, weights = _tensor_grid(los, his, grid_points)
-        diff = np.exp(log_mixture_predictive_rows(book, grid)) - truth.pdf(grid)
-        return float(np.sqrt(np.sum(diff * diff * weights)))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ys, _ = truth.sample(n_mc, rng)
-    pt = truth.pdf(ys)
+    if d > 2:
+        return _l2_from_draws(book, *_truth_draws(truth, n_mc, seed))
+    max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
+    # the grid must cover the fitted clusters too, or their mass is
+    # invisible to the quadrature
+    mus = np.vstack([truth.means, book.mu])
+    axes = _grid_axes(mus.min(axis=0) - pad_stds * max_sd, mus.max(axis=0) + pad_stds * max_sd,
+                      grid_points)
+    diff = np.zeros((grid_points,) * d)
+    total = book.total_count
+    for h in range(book.k):
+        log_dens = math.log(book.m[h] / total) + student_t_log_density(
+            book.log_norm[h], book.c[h], book.delta[h], _grid_quad(axes, book.mu[h], book.prec[h]))
+        diff += np.exp(log_dens, out=log_dens)
+    for h in range(truth.n_components):
+        log_dens = math.log(truth.weights[h]) + gaussian_log_density(
+            d, truth.logdets[h], _grid_quad(axes, truth.means[h], truth.precs[h]))
+        diff -= np.exp(log_dens, out=log_dens)
+    return float(np.sqrt(np.sum(diff * diff * _grid_weights(axes))))
+
+
+def _truth_draws(truth: GaussianMixture, n_mc: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_mc`` draws from the truth under ``seed`` and their truth log density."""
+    ys, _ = truth.sample(n_mc, np.random.Generator(np.random.PCG64(seed)))
+    return ys, truth.logpdf(ys)
+
+
+def _l2_from_draws(book: ClusterBook, ys: np.ndarray, log_truth: np.ndarray) -> McEstimate:
+    pt = np.exp(log_truth)
     vals = (np.exp(log_mixture_predictive_rows(book, ys)) - pt) ** 2 / pt
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_mc))
+    se = float(vals.std(ddof=1) / math.sqrt(len(ys)))
     return McEstimate(value=math.sqrt(max(est, 0.0)),
                       stderr=se / (2.0 * math.sqrt(max(est, 1e-300))))
+
+
+def _kl_from_draws(book: ClusterBook, ys: np.ndarray, log_truth: np.ndarray) -> McEstimate:
+    vals = log_truth - log_mixture_predictive_rows(book, ys)
+    return McEstimate(
+        value=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(len(ys)))
+    )
 
 
 def kl_divergence_estimate(
@@ -167,12 +221,7 @@ def kl_divergence_estimate(
     Draws from the truth; may come out slightly negative within its
     error when the two densities nearly coincide.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ys, _ = truth.sample(n_mc, rng)
-    vals = truth.logpdf(ys) - log_mixture_predictive_rows(book, ys)
-    return McEstimate(
-        value=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(n_mc))
-    )
+    return _kl_from_draws(book, *_truth_draws(truth, n_mc, seed))
 
 
 def harmonic_log_product_ratio(alpha: float, n: int) -> float:
@@ -299,14 +348,27 @@ def run_with_diagnostics(
     against the state before the step (the per-step ratio a converging
     run keeps bounded; None at step 1) and, given a generating mixture,
     truth-relative metrics.  KL estimates share one seed across
-    checkpoints so their trend over n is not drowned by resampling noise.
+    checkpoints so their trend over n is not drowned by resampling noise;
+    the truth draws of the KL and Monte Carlo L2 estimates, and their
+    truth densities, are taken once per run, so a checkpoint only scores
+    the book.  ``kl_mc`` and ``l2_grid`` must be at least 2 (else
+    ConfigError, before any step runs).
     """
     if checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
+    if kl_mc < 2:
+        raise ConfigError(f"kl_mc must be at least 2, got {kl_mc}")
+    if l2_grid < 2:
+        raise ConfigError(f"l2_grid must be at least 2, got {l2_grid}")
     stream = as_stream(stream)
     config = config.resolve(stream.shape[1])
     checkpoints: list[Checkpoint] = []
     pending_lr: float | None = None
+    kl_draws = l2_draws = None
+    if truth is not None:
+        kl_draws = _truth_draws(truth, kl_mc, kl_seed)
+        if truth.dim > 2:  # the draws of l2_distance_to_truth's default n_mc and seed
+            l2_draws = _truth_draws(truth, 20000, 0)
 
     def on_step(i: int, book: ClusterBook) -> None:
         nonlocal pending_lr
@@ -315,9 +377,11 @@ def run_with_diagnostics(
                 n=book.n, k=book.k, alpha=book.alpha(config.lam), likelihood_ratio=pending_lr
             )
             if truth is not None:
-                l2 = l2_distance_to_truth(book, truth, grid_points=l2_grid)
-                cp.l2_distance = l2 if isinstance(l2, float) else l2.value
-                kl = kl_divergence_estimate(truth, book, n_mc=kl_mc, seed=kl_seed)
+                if l2_draws is None:
+                    cp.l2_distance = l2_distance_to_truth(book, truth, grid_points=l2_grid)
+                else:
+                    cp.l2_distance = _l2_from_draws(book, *l2_draws).value
+                kl = _kl_from_draws(book, *kl_draws)
                 cp.kl_estimate, cp.kl_stderr = kl.value, kl.stderr
             checkpoints.append(cp)
         if (i + 1) % checkpoint_every == 0 and i < len(stream):

@@ -20,6 +20,13 @@ def log_sum_exp(logs: np.ndarray) -> np.ndarray:
         return top + np.log(np.exp(logs - top).sum(axis=0))
 
 
+def gaussian_log_density(d: int, logdet, quad):
+    """The Gaussian log density in dimension d from the log determinant of
+    its covariance and the quadratic form (y - mu)^T cov^-1 (y - mu); the
+    last two broadcast."""
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+
+
 @dataclass
 class GaussianMixture:
     """Finite Gaussian mixture with full covariances.
@@ -71,9 +78,8 @@ class GaussianMixture:
         comps = np.empty((self.n_components, ys.shape[0]))
         for h in range(self.n_components):
             e = ys - self.means[h]
-            comps[h] = np.log(self.weights[h]) - 0.5 * (
-                d * np.log(2.0 * np.pi) + self.logdets[h]
-                + np.einsum("ij,ij->i", e @ self.precs[h], e)
+            comps[h] = np.log(self.weights[h]) + gaussian_log_density(
+                d, self.logdets[h], np.einsum("ij,ij->i", e @ self.precs[h], e)
             )
         return log_sum_exp(comps)
 

@@ -3,14 +3,19 @@ ratio, innovation probability, divergences and the standalone numeric
 growth checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import asugs.diagnostics as diagnostics_mod
 from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import (
     McEstimate,
+    _tensor_grid,
     gaussian_limit_deviation,
     growth_exponent,
     harmonic_log_product_ratio,
@@ -18,6 +23,7 @@ from asugs.diagnostics import (
     kl_divergence_estimate,
     l2_distance_to_truth,
     likelihood_ratio,
+    log_mixture_predictive_rows,
     loglog_product_bound,
     mixture_predictive,
     run_with_diagnostics,
@@ -30,6 +36,7 @@ from asugs.engine import (
     RunTrace,
     StepRecord,
     responsibilities,
+    run,
 )
 from asugs.mixture import GaussianMixture
 from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density, posterior_update
@@ -138,7 +145,65 @@ class TestInnovationProbability:
             assert tau == pytest.approx(q[-1], abs=1e-12)
 
 
+def row_quadrature_l2(book, truth, grid_points, pad_stds=6.0):
+    """The L2 quadrature on the rows of the tensor grid, both mixtures
+    summed over components by log-sum-exp: the reference for the
+    separable grid path."""
+    max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
+    mus = np.vstack([truth.means, book.mu])
+    grid, weights = _tensor_grid(mus.min(axis=0) - pad_stds * max_sd,
+                                 mus.max(axis=0) + pad_stds * max_sd, grid_points)
+    diff = np.exp(log_mixture_predictive_rows(book, grid)) - truth.pdf(grid)
+    return math.sqrt(np.sum(diff * diff * weights))
+
+
+def random_full_cov(g, d, scale):
+    a = g.normal(size=(d, d))
+    return scale * scale * (a @ a.T / d + 0.3 * np.eye(d))
+
+
 class TestL2Distance:
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([1, 2]), k_book=st.integers(1, 4), k_truth=st.integers(1, 4),
+           log_scale=st.floats(-3.0, 3.0), grid_points=st.integers(20, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grid_path_matches_row_quadrature(self, d, k_book, k_truth, log_scale,
+                                              grid_points, seed):
+        g = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        truth = GaussianMixture(g.dirichlet(np.ones(k_truth)),
+                                3.0 * scale * g.normal(size=(k_truth, d)),
+                                np.array([random_full_cov(g, d, scale) for _ in range(k_truth)]))
+        posts = [NiwPosterior(3.0 * scale * g.normal(size=d), g.uniform(1.0, 50.0),
+                              (d + 2.0) / 2.0 + g.uniform(0.0, 50.0), random_full_cov(g, d, scale))
+                 for _ in range(k_book)]
+        ms = g.integers(1, 50, size=k_book)
+        book = make_book(posts, ms, n=int(ms.sum()))
+        assert l2_distance_to_truth(book, truth, grid_points=grid_points) == pytest.approx(
+            row_quadrature_l2(book, truth, grid_points), rel=1e-12)
+
+    def test_disjoint_supports_match_row_quadrature(self):
+        truth = GaussianMixture(np.array([1.0]), np.array([[40.0]]),
+                                np.array([[[1.0]]]))
+        book = make_book([near_gaussian_post(-40.0, 1.0)], [1000], n=1000)
+        got = l2_distance_to_truth(book, truth, grid_points=1200, pad_stds=8.0)
+        assert got == pytest.approx(row_quadrature_l2(book, truth, 1200, pad_stds=8.0), rel=1e-12)
+
+    def test_grid_memory_is_o_grid(self):
+        """One call on a 16-cluster book at 200 x 200 points peaks well
+        below a single K x N array (16 x 40 000 floats = 5.1 MB)."""
+        truth = generate_grid_mixture(4, 0.025, 1.0)
+        posts = [NiwPosterior(mu, 100.0, 50.0, 0.025 * np.eye(2)) for mu in truth.means]
+        book = make_book(posts, [100] * 16, n=1600)
+        l2_distance_to_truth(book, truth, grid_points=200)
+        tracemalloc.start()
+        try:
+            l2_distance_to_truth(book, truth, grid_points=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_matched_fit_is_close(self):
         truth = GaussianMixture(np.array([1.0]), np.array([[0.0]]),
                                 np.array([[[1.0]]]))
@@ -338,6 +403,48 @@ class TestRunWithDiagnostics:
         ys = np.zeros((10, 2))
         with pytest.raises(ConfigError, match="checkpoint_every"):
             run_with_diagnostics(ys, EngineConfig(seed=0), checkpoint_every=every)
+
+    @pytest.mark.parametrize("name, value", [("kl_mc", 1), ("kl_mc", 0), ("l2_grid", 1),
+                                             ("l2_grid", 0)])
+    def test_bad_diagnostics_arguments_rejected_before_any_step(self, monkeypatch, name, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a step ran before the arguments were checked")
+
+        monkeypatch.setattr(diagnostics_mod, "run", no_run)
+        truth = generate_grid_mixture(2, 0.025, 1.0)
+        ys = sample_mixture(truth, 10, seed=0).rows
+        with pytest.raises(ConfigError, match=name):
+            run_with_diagnostics(ys, EngineConfig(seed=0), truth=truth, checkpoint_every=1,
+                                 **{name: value})
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_draws_keep_standalone_values(self, d):
+        """Checkpoint L2 and KL equal the standalone estimators on the same book."""
+        if d == 2:
+            truth = generate_grid_mixture(2, 0.025, 1.0)
+            prior = PriorConfig.from_scale(2, 0.025)
+        else:
+            g = np.random.default_rng(7)
+            truth = GaussianMixture(np.ones(3) / 3.0, 4.0 * g.normal(size=(3, 3)),
+                                    np.array([random_full_cov(g, 3, 1.0) for _ in range(3)]))
+            prior = PriorConfig.from_scale(3, 1.0, 16)
+        rows = sample_mixture(truth, 300, seed=2).rows
+        cfg = EngineConfig(seed=2, prior=prior)
+        every, kl_mc, kl_seed, l2_grid = 100, 700, 4, 60
+        trace = run_with_diagnostics(rows, cfg, truth=truth, checkpoint_every=every,
+                                     kl_mc=kl_mc, kl_seed=kl_seed, l2_grid=l2_grid)
+        want = []
+
+        def oracle(i, book):
+            if i % every == 0:
+                l2 = l2_distance_to_truth(book, truth, grid_points=l2_grid)
+                kl = kl_divergence_estimate(truth, book, n_mc=kl_mc, seed=kl_seed)
+                want.append((l2 if d == 2 else l2.value, kl.value, kl.stderr))
+
+        run(rows, cfg, on_step=oracle)
+        assert len(want) == len(trace.checkpoints) == 3
+        for cp, (l2, kl, kl_se) in zip(trace.checkpoints, want):
+            assert (cp.l2_distance, cp.kl_estimate, cp.kl_stderr) == (l2, kl, kl_se)
 
 
 class TestSlopeWithStderr:
