@@ -5,8 +5,8 @@ mixture, its ratio against the fresh-cluster predictive, innovation
 probability, and distances to a known generating mixture.  Standalone
 numeric checks cover the growth identities behind the adaptive
 concentration design: the harmonic log-product ratio, the iterated-log
-product bound, the Gaussian limit of the predictive density, and the
-empirical class-count growth exponent.
+product bound, the Gaussian limit of the predictive density, and a
+least-squares slope with its standard error for trends over n.
 
 All functions are pure; snapshots can be evaluated concurrently.
 """
@@ -60,11 +60,6 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     return log_sum_exp(logs)
 
 
-def mixture_predictive(book: ClusterBook, y: np.ndarray) -> float:
-    """Fitted predictive density at a single point (linear domain)."""
-    return float(np.exp(log_mixture_predictive_rows(book, y)[0]))
-
-
 def _log_likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     return prior_predictive(prior, y) - log_mixture_predictive_rows(book, y)[0]
@@ -102,6 +97,13 @@ def innovation_probability(
     if t < -700.0:
         return 1.0
     return 1.0 / (1.0 + math.exp(t))
+
+
+def _at_least_two(**sizes: int) -> None:
+    """Raise ``ConfigError`` (a ``ValueError``) naming the first size below 2."""
+    for name, value in sizes.items():
+        if value < 2:
+            raise ConfigError(f"{name} must be at least 2, got {value}")
 
 
 def _grid_axes(los, his, points: int) -> list[np.ndarray]:
@@ -160,7 +162,8 @@ def l2_distance_to_truth(
     Tensor-grid quadrature for d <= 2 (extent: truth mean range padded
     by ``pad_stds`` max standard deviations, ``grid_points`` per axis);
     self-normalized Monte Carlo with draws from the truth otherwise,
-    returning the estimate with a standard error.
+    returning the estimate with a standard error.  The size in use,
+    ``grid_points`` or ``n_mc``, must be at least 2.
 
     The grid evaluation is separable: each component's quadratic form is
     built from per-axis offsets in grid shape, and the components'
@@ -171,7 +174,9 @@ def l2_distance_to_truth(
         raise ValueError("L2 distance undefined for an empty book")
     d = truth.dim
     if d > 2:
+        _at_least_two(n_mc=n_mc)
         return _l2_from_draws(book, *_truth_draws(truth, n_mc, seed))
+    _at_least_two(grid_points=grid_points)
     max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
     # the grid must cover the fitted clusters too, or their mass is
     # invisible to the quadrature
@@ -219,8 +224,10 @@ def kl_divergence_estimate(
     """Monte Carlo KL(truth || fitted predictive) with standard error.
 
     Draws from the truth; may come out slightly negative within its
-    error when the two densities nearly coincide.
+    error when the two densities nearly coincide.  ``n_mc`` must be at
+    least 2.
     """
+    _at_least_two(n_mc=n_mc)
     return _kl_from_draws(book, *_truth_draws(truth, n_mc, seed))
 
 
@@ -298,31 +305,16 @@ def gaussian_limit_deviation(
     return float(np.max(np.abs(pred - gauss)))
 
 
-def growth_exponent(trace: RunTrace) -> float:
-    """Least-squares slope of log k_n against log log n, trailing half.
-
-    An empirical estimate of the exponent in k_n ~ log(n)^p; zero for a
-    constant class count.
-    """
-    ks = trace.k_series()
-    n = len(ks)
-    if n < 100:
-        raise ValueError("trace too short for a growth fit")
-    idx = np.arange(n // 2, n)
-    x = np.log(np.log(idx + 2.0))
-    y = np.log(ks[idx].astype(float))
-    if np.allclose(y, y[0]):
-        return 0.0
-    x_c = x - x.mean()
-    return float(np.dot(x_c, y - y.mean()) / np.dot(x_c, x_c))
-
-
 def slope_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and its standard error."""
+    """Least-squares slope and its standard error, both exactly 0 for a constant y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_c = x - x.mean()
     sxx = np.dot(x_c, x_c)
+    if not sxx > 0.0:
+        raise ValueError("slope undefined: x does not vary")
+    if np.all(y == y[0]):
+        return 0.0, 0.0
     slope = float(np.dot(x_c, y - y.mean()) / sxx)
     resid = y - y.mean() - slope * x_c
     dof = max(len(x) - 2, 1)
@@ -356,10 +348,7 @@ def run_with_diagnostics(
     """
     if checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
-    if kl_mc < 2:
-        raise ConfigError(f"kl_mc must be at least 2, got {kl_mc}")
-    if l2_grid < 2:
-        raise ConfigError(f"l2_grid must be at least 2, got {l2_grid}")
+    _at_least_two(kl_mc=kl_mc, l2_grid=l2_grid)
     stream = as_stream(stream)
     config = config.resolve(stream.shape[1])
     checkpoints: list[Checkpoint] = []

@@ -27,13 +27,14 @@ import numpy as np
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
-    log_predictive_density,  # unused here but stays an attribute of this
-    posterior_update,  # module: perfbench/tracer.py wraps it here
+    _observation,
+    conjugate_update,
+    log_predictive_density,  # unused here but stay attributes of this
+    posterior_update,  # module: perfbench/tracer.py wraps them here
     prior_predictive,
     student_t_factors,
     student_t_log_density,
     student_t_log_norm,
-    update_coefficients,
 )
 
 
@@ -63,8 +64,8 @@ class ClusterBook:
     ``delta``; its hard assignment count ``m``; ``w``, its summed
     responsibilities since birth; its stable id ``cid``; and its cached
     predictive factors ``prec`` (sigma^-1), ``logdet`` and ``log_norm``:
-    ``write`` sets a cluster's state and factorises it afresh, ``absorb``
-    updates it by one observation and refreshes the factors in O(d^2).
+    ``factorise`` computes them afresh from the state, ``absorb`` updates
+    the state by one observation and refreshes them in O(d^2).
 
     For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
     ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
@@ -105,43 +106,35 @@ class ClusterBook:
             raise ValueError("alpha undefined before the first observation")
         return self.k / (lam + math.log(self.n))
 
-    def posterior(self, h: int) -> NiwPosterior:
-        """A copy of cluster h's normal-Wishart state."""
-        return NiwPosterior(
-            mu=self.mu[h].copy(), c=float(self.c[h]), delta=float(self.delta[h]),
-            sigma=self.sigma[h].copy(),
-        )
-
-    def write(self, h: int, post: NiwPosterior, factors: tuple | None = None) -> None:
-        """Set cluster h's state and cached factors, by default a fresh factorisation."""
-        factors = factors or student_t_factors(post.c, post.delta, post.sigma)
-        self.prec[h], self.logdet[h], self.log_norm[h] = factors
-        self.mu[h], self.sigma[h] = post.mu, post.sigma
-        self.c[h], self.delta[h] = post.c, post.delta
+    def factorise(self, h: int) -> None:
+        """Compute cluster h's cached factors afresh from its state.  Raises
+        ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
+        self.prec[h], self.logdet[h], self.log_norm[h] = student_t_factors(
+            self.c[h], self.delta[h], self.sigma[h])
 
     def absorb(self, h: int, y: np.ndarray) -> None:
-        """Update cluster h by y (``posterior_update``).  As sigma' = a sigma
-        + b r r^T, r = y - mu, with s = b/a and t = s r^T P r, Sherman-Morrison
-        gives P' = (P - s/(1+t) (P r)(P r)^T) / a and the determinant lemma
-        logdet' = d log a + logdet + log1p(t).  The subtraction loses about
-        (1+t) ulps, so if t is not finite, negative (P is no longer positive
-        definite) or above REFRESH_MAX_T, ``write`` factorises sigma' instead."""
-        old = self.posterior(h)
-        r = y - old.mu
-        a, b = update_coefficients(old.c, old.delta)
-        post = posterior_update(old, y)
+        """Update cluster h by y in place (``conjugate_update``).  As sigma' = a
+        sigma + b r r^T, r = y - mu, with s = b/a and t = s r^T P r, Sherman-
+        Morrison gives P' = (P - s/(1+t) (P r)(P r)^T) / a and the determinant
+        lemma logdet' = d log a + logdet + log1p(t).  The subtraction loses
+        about (1+t) ulps, so if t is not finite, negative (P is no longer
+        positive definite) or above REFRESH_MAX_T, ``factorise`` runs instead."""
+        c, delta = float(self.c[h]), float(self.delta[h])
+        r, a, b = conjugate_update(self.mu[h], c, delta, self.sigma[h], y)
+        self.c[h], self.delta[h] = c, delta = c + 1.0, delta + 0.5
         p_r = self.prec[h] @ r
         t = b / a * float(r @ p_r)
         if not 0.0 <= t <= REFRESH_MAX_T:
-            return self.write(h, post)
+            return self.factorise(h)
         prec = self.prec[h]  # a view: refreshed in place
         prec -= ((b / a / (1.0 + t)) * p_r)[:, None] * p_r
         prec /= a
         logdet = len(r) * math.log(a) + self.logdet[h] + math.log1p(t)
-        self.write(h, post, (prec, logdet, student_t_log_norm(post.c, post.delta, len(r), logdet)))
+        self.logdet[h], self.log_norm[h] = logdet, student_t_log_norm(c, delta, len(r), logdet)
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
-        """Append a cluster with a fresh cid; its pair histories start at zero."""
+        """Append a cluster with post's state and a fresh cid, and factorise
+        it; its pair histories start at zero."""
         d, h = post.dim, self.k
         for name in _CLUSTER_FIELDS:
             tail = {"mu": (d,), "sigma": (d, d), "prec": (d, d)}.get(name, ())
@@ -151,7 +144,9 @@ class ClusterBook:
         self.next_cid += 1
         self.dist = np.pad(self.dist, ((0, 1), (0, 1)))
         self.coact = np.pad(self.coact, ((0, 1), (0, 1)))
-        self.write(h, post)
+        self.mu[h], self.sigma[h] = post.mu, post.sigma
+        self.c[h], self.delta[h] = post.c, post.delta
+        self.factorise(h)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the clusters where mask is False, with their rows and columns."""
@@ -223,28 +218,16 @@ class StepRecord:
     innovation: bool
 
 
-def predictive_prior_weights(book: ClusterBook, alpha: float) -> np.ndarray:
-    """Label prior over existing clusters plus one innovation slot.
-
-    Existing entries are m(h)/(n + alpha) and the last entry is
-    alpha/(n + alpha); the vector is renormalized so it still sums to 1
-    after pruning has dropped some counts (n itself is never reduced).
-    """
-    if book.k == 0:
-        return np.array([1.0])
-    raw = np.append(book.m, alpha) / (book.n + alpha)
-    return raw / raw.sum()
-
-
 def responsibilities(
     book: ClusterBook, y: np.ndarray, alpha: float, prior: PriorConfig
 ) -> np.ndarray:
     """Posterior probability of each label (existing clusters, then new).
 
-    Computed in log domain and normalized by max-subtraction; the common
-    1/(n + alpha) factor of the label prior cancels and is omitted.  One
-    batched quadratic form over the cached precisions scores every cluster.
-    """
+    Label prior m(h)/(n + alpha), and alpha/(n + alpha) for a new cluster,
+    in log domain and normalized by max-subtraction: the common 1/(n + alpha)
+    cancels and is omitted, and q sums to 1 also after pruning has dropped
+    counts.  One batched quadratic form over the cached precisions scores
+    every cluster."""
     if book.k == 0:
         return np.array([1.0])
     logq = np.empty(book.k + 1)
@@ -261,7 +244,7 @@ def step(
     book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator
 ) -> StepRecord:
     """Process one observation, updating the book in place."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _observation(y, config.prior.dim)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains a non-finite value")
     if book.k == 0:
@@ -276,15 +259,11 @@ def step(
             label = min(label, book.k + 1)  # cumsum may fall short of 1 by an ulp
 
     innovation = label == book.k + 1
-    k_old = book.k
-    if innovation:
-        post = posterior_update(NiwPosterior.from_prior(config.prior), y)
-        book.add(post, 1, 0.0)
-        q_live = q
-    else:
-        book.absorb(label - 1, y)
-        book.m[label - 1] += 1
-        q_live = q[:k_old]  # the unused innovation slot's mass is dropped
+    if innovation:  # a new cluster is the prior absorbing its first observation
+        book.add(NiwPosterior.from_prior(config.prior), 0, 0.0)
+    book.absorb(label - 1, y)
+    book.m[label - 1] += 1
+    q_live = q[:book.k]  # an unused innovation slot's mass is dropped
     book.w += q_live
     book.dist += np.abs(np.subtract.outer(q_live, q_live))
     book.coact += np.add.outer(q_live, q_live)
@@ -354,21 +333,16 @@ def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
     for _, i, j in candidates:
         if i in merged_positions or j in merged_positions:
             continue
-        a_post, b_post = book.posterior(i), book.posterior(j)
-        a = a_post.c / (a_post.c + b_post.c)
-        book.write(i, NiwPosterior(
-            mu=a * a_post.mu + (1.0 - a) * b_post.mu,
-            c=a_post.c + b_post.c,
-            delta=a_post.delta + b_post.delta,
-            sigma=a * a_post.sigma + (1.0 - a) * b_post.sigma,
-        ))
-        book.m[i] += book.m[j]
-        book.w[i] += book.w[j]
+        a = book.c[i] / (book.c[i] + book.c[j])
+        for arr in (book.mu, book.sigma):
+            arr[i] = a * arr[i] + (1.0 - a) * arr[j]
+        for arr in (book.c, book.delta, book.m, book.w):
+            arr[i] += arr[j]
+        book.factorise(i)
         merged_positions.update((i, j))
         events.append((int(book.cid[i]), int(book.cid[j])))
         for pairs in (book.dist, book.coact):
-            pairs[i, :] = 0.0
-            pairs[:, i] = 0.0
+            pairs[i, :] = pairs[:, i] = 0.0
         kept[j] = False
 
     if events:

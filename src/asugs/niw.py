@@ -204,24 +204,26 @@ def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
     return float(student_t_log_density(prior.log_norm, prior.c0, prior.delta0, e @ prior.prec @ e))
 
 
+def conjugate_update(mu: np.ndarray, c: float, delta: float, sigma: np.ndarray, y: np.ndarray):
+    """Absorb y into (mu, c, delta, sigma): ``mu`` and ``sigma`` in place, c + 1
+    and delta + 1/2 left to the caller.  Returns r = y - mu (pre-update mu) and
+    the a, b of sigma' = a sigma + b r r^T, a convex combination of positive
+    definite sigma and a semidefinite term; symmetrizing only undoes rounding."""
+    r = y - mu
+    a = 2.0 * delta / (1.0 + 2.0 * delta)
+    b = (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
+    mu[:] = (y + c * mu) / (1.0 + c)
+    sigma *= a
+    sigma += b * np.outer(r, r)
+    sigma += sigma.T
+    sigma *= 0.5
+    return r, a, b
+
+
 def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
-    """Absorb one observation and return the new hyperparameter state.
-
-    The rank-one covariance term uses the pre-update mean.  Starting from a
-    positive definite sigma, the update is a convex combination of sigma
-    with a positive semidefinite matrix scaled to stay positive definite;
-    the explicit symmetrization only guards against floating-point drift.
-    """
+    """Absorb one observation and return the new hyperparameter state
+    (``conjugate_update`` on a copy)."""
     y = _observation(y, post.dim)
-    c, delta = post.c, post.delta
-    resid = y - post.mu
-    mu_new = (y + c * post.mu) / (1.0 + c)
-    a, b = update_coefficients(c, delta)
-    sigma_new = a * post.sigma + b * np.outer(resid, resid)
-    sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    return NiwPosterior(mu=mu_new, c=c + 1.0, delta=delta + 0.5, sigma=sigma_new)
-
-
-def update_coefficients(c: float, delta: float) -> tuple[float, float]:
-    """a and b of the conjugate update sigma' = a sigma + b r r^T, r = y - mu."""
-    return 2.0 * delta / (1.0 + 2.0 * delta), (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
+    mu, sigma = post.mu.copy(), post.sigma.copy()
+    conjugate_update(mu, post.c, post.delta, sigma, y)
+    return NiwPosterior(mu=mu, c=post.c + 1.0, delta=post.delta + 0.5, sigma=sigma)

@@ -4,6 +4,7 @@ growth checks."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from asugs.diagnostics import (
     McEstimate,
     _tensor_grid,
     gaussian_limit_deviation,
-    growth_exponent,
     harmonic_log_product_ratio,
     innovation_probability,
     kl_divergence_estimate,
@@ -25,7 +25,6 @@ from asugs.diagnostics import (
     likelihood_ratio,
     log_mixture_predictive_rows,
     loglog_product_bound,
-    mixture_predictive,
     run_with_diagnostics,
     slope_with_stderr,
 )
@@ -54,6 +53,11 @@ def near_gaussian_post(mu, var, d=1):
     big = 1e8
     return NiwPosterior(mu=np.atleast_1d(np.asarray(mu, dtype=float)),
                         c=big, delta=big / 2.0, sigma=var * np.eye(d))
+
+
+def mixture_predictive(book, y):
+    """The fitted predictive density at one point, linear domain."""
+    return math.exp(log_mixture_predictive_rows(book, y)[0])
 
 
 class TestMixturePredictive:
@@ -87,7 +91,7 @@ class TestMixturePredictive:
 
     def test_empty_book_rejected(self):
         with pytest.raises(ValueError):
-            mixture_predictive(ClusterBook(), np.zeros(1))
+            log_mixture_predictive_rows(ClusterBook(), np.zeros(1))
 
 
 class TestLikelihoodRatio:
@@ -230,6 +234,47 @@ class TestL2Distance:
         assert est.value < 5 * max(est.stderr, 1e-6) + 1e-3
 
 
+class TestEstimatorSizes:
+    """A size below 2 leaves no spread to estimate an error from, or no
+    grid step: rejected by name before any draw, with no numpy warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def case(d):
+        truth = GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None, :, :])
+        return truth, make_book([near_gaussian_post(np.zeros(d), 1.0, d=d)], [10], n=10)
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_kl_needs_two_draws(self, monkeypatch, n_mc):
+        monkeypatch.setattr(GaussianMixture, "sample", None)  # any draw fails
+        truth, book = self.case(1)
+        with pytest.raises(ValueError, match=f"n_mc must be at least 2, got {n_mc}"):
+            kl_divergence_estimate(truth, book, n_mc=n_mc)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_l2_grid_needs_two_points(self, d):
+        truth, book = self.case(d)
+        with pytest.raises(ValueError, match="grid_points must be at least 2, got 1"):
+            l2_distance_to_truth(book, truth, grid_points=1)
+
+    def test_l2_monte_carlo_needs_two_draws(self, monkeypatch):
+        monkeypatch.setattr(GaussianMixture, "sample", None)
+        truth, book = self.case(3)
+        with pytest.raises(ValueError, match="n_mc must be at least 2, got 1"):
+            l2_distance_to_truth(book, truth, n_mc=1)
+
+    def test_two_draws_suffice(self):
+        truth, book = self.case(3)
+        for est in (kl_divergence_estimate(truth, book, n_mc=2),
+                    l2_distance_to_truth(book, truth, n_mc=2)):
+            assert math.isfinite(est.value) and math.isfinite(est.stderr)
+
+
 class TestKlDivergence:
     def test_identical_densities_near_zero(self):
         truth = GaussianMixture(np.array([1.0]), np.array([[0.0]]),
@@ -351,6 +396,14 @@ def synthetic_trace(k_series):
     return RunTrace(config=EngineConfig(), records=records, final_book=ClusterBook(n=len(records)))
 
 
+def growth_exponent(trace):
+    """The exponent p of k_n ~ log(n)^p: the ``slope_with_stderr`` slope of
+    log k_n against log log n over the trailing half of the run."""
+    ks = trace.k_series()
+    idx = np.arange(len(ks) // 2, len(ks))
+    return slope_with_stderr(np.log(np.log(idx + 2.0)), np.log(ks[idx].astype(float)))[0]
+
+
 class TestGrowthExponent:
     def test_constant_series_is_zero(self):
         assert growth_exponent(synthetic_trace(np.full(1000, 7))) == 0.0
@@ -368,8 +421,9 @@ class TestGrowthExponent:
         assert growth_exponent(synthetic_trace(ks)) == pytest.approx(2.0, abs=0.2)
 
     def test_short_trace_rejected(self):
+        # one step leaves a single point, through which no slope is defined
         with pytest.raises(ValueError):
-            growth_exponent(synthetic_trace(np.ones(50)))
+            growth_exponent(synthetic_trace(np.ones(1)))
 
 
 class TestRunWithDiagnostics:

@@ -18,8 +18,8 @@ from asugs.engine import (
     ClusterBook,
     ConfigError,
     EngineConfig,
+    REFRESH_MAX_T,
     merge,
-    predictive_prior_weights,
     prune,
     responsibilities,
     run,
@@ -69,25 +69,33 @@ def ref_log_density_1d(mu, c, delta, sigma, y):
 
 
 class TestPredictivePriorWeights:
+    """The label prior m(h)/(n + alpha), alpha/(n + alpha) as
+    ``responsibilities`` applies it: every cluster holds the prior's own
+    state, so all predictive densities are equal at any y and cancel."""
+
+    PRIOR = PriorConfig(mu0=np.zeros(1), c0=1.0, delta0=1.0, sigma0=np.eye(1))
+
+    def weights(self, ms, n, alpha):
+        book = make_book([NiwPosterior.from_prior(self.PRIOR) for _ in ms], ms,
+                         [float(m) for m in ms], n=n)
+        return responsibilities(book, np.array([0.37]), alpha, self.PRIOR)
+
     def test_empty_book_certain_innovation(self):
-        assert predictive_prior_weights(ClusterBook(), 3.7).tolist() == [1.0]
+        assert responsibilities(ClusterBook(), np.zeros(1), 3.7, self.PRIOR).tolist() == [1.0]
 
     def test_single_cluster_unit_alpha(self):
-        book = make_book([unit_post()], [1], [1.0], n=1)
-        np.testing.assert_allclose(predictive_prior_weights(book, 1.0), [0.5, 0.5])
+        np.testing.assert_allclose(self.weights([1], 1, 1.0), [0.5, 0.5])
 
     def test_two_clusters(self):
-        book = make_book([unit_post(), unit_post()], [3, 1], [3.0, 1.0], n=4)
         np.testing.assert_allclose(
-            predictive_prior_weights(book, 0.5),
+            self.weights([3, 1], 4, 0.5),
             [3 / 4.5, 1 / 4.5, 0.5 / 4.5],
             rtol=1e-12,
         )
 
     def test_sums_to_one_after_pruning(self):
         # counts no longer covering n: weights renormalize over survivors
-        book = make_book([unit_post(), unit_post()], [3, 2], [3.0, 2.0], n=10)
-        w = predictive_prior_weights(book, 1.0)
+        w = self.weights([3, 2], 10, 1.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(w, [0.5, 2 / 6, 1 / 6], rtol=1e-12)
 
@@ -174,7 +182,8 @@ class TestResponsibilities:
         ``prior_predictive`` for the new slot."""
         for book, prior, y, alpha in getattr(self, books)(d):
             logq = np.array(
-                [math.log(book.m[h]) + log_predictive_density(book.posterior(h), y)
+                [math.log(book.m[h]) + log_predictive_density(
+                    NiwPosterior(book.mu[h], book.c[h], book.delta[h], book.sigma[h]), y)
                  for h in range(book.k)]
                 + [math.log(alpha) + prior_predictive(prior, y)]
             )
@@ -263,6 +272,38 @@ class TestStep:
             trace = run(ys, EngineConfig(seed=77, prior=PriorConfig.default(2)))
             labels.append([r.label for r in trace.records])
         assert labels[0] == labels[1]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_observation_of_wrong_dimension_rejected(self, k, dim):
+        book = ClusterBook()
+        for _ in range(k):
+            step(book, np.array([0.4, -0.1]), self.config, self.rng)
+        with pytest.raises(ValueError, match=f"observation has dim {dim}, state has dim 2"):
+            step(book, np.ones(dim), self.config, self.rng)
+        assert (book.k, book.n) == (k, k)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_new_cluster_is_the_prior_absorbing_its_first_observation(self, d, scale):
+        """A cluster opened by ``step`` against ``posterior_update`` of the
+        prior's state.  The far observations give t above REFRESH_MAX_T, so
+        that absorb refactorises; the near ones take the rank-one refresh."""
+        prior = PriorConfig.from_scale(d, scale**2, pseudo_obs=2.0 * d + 4.0)
+        config = EngineConfig(seed=0, prior=prior).resolve(d)
+        rng = np.random.default_rng(d)
+        for far in (False, True):
+            y = scale * rng.normal(size=d) * (1e3 if far else 1.0)
+            book = ClusterBook()
+            step(book, y, config, np.random.default_rng(0))
+            want = posterior_update(NiwPosterior.from_prior(prior), y)
+            np.testing.assert_array_equal(book.mu[0], want.mu)
+            np.testing.assert_array_equal(book.sigma[0], want.sigma)
+            assert (book.c[0], book.delta[0]) == (want.c, want.delta)
+            e = y - prior.mu0
+            t = prior.c0 / (1.0 + prior.c0) / (2.0 * prior.delta0) * float(e @ prior.prec @ e)
+            assert (t > REFRESH_MAX_T) == far
+            assert_cache_fresh(book)
 
 
 class TestPrune:
@@ -468,29 +509,29 @@ class TestCachedFactors:
     def test_unfactorable_state_fails_in_the_step_that_made_it(self, monkeypatch):
         """Step 3's update yields an indefinite sigma, and the cached
         precision that the rank-one refresh reads is not finite, so the
-        refresh falls back to ``write``, whose factorisation fails."""
+        refresh falls back to ``factorise``, which fails."""
         import asugs.engine as engine_mod
 
-        real, calls = engine_mod.posterior_update, []
+        real, calls = engine_mod.conjugate_update, []
 
-        def indefinite_at_third_call(post, y):
+        def indefinite_at_third_call(mu, c, delta, sigma, y):
             calls.append(y)
-            out = real(post, y)
+            out = real(mu, c, delta, sigma, y)
             if len(calls) == 3:
-                out.sigma = -out.sigma
+                sigma *= -1.0
             return out
 
         def spoil_precision(i, book):
             if i == 2:
                 book.prec[:] = np.nan
 
-        monkeypatch.setattr(engine_mod, "posterior_update", indefinite_at_third_call)
+        monkeypatch.setattr(engine_mod, "conjugate_update", indefinite_at_third_call)
         with pytest.raises(RuntimeError, match="step 3 failed"):
             run(np.zeros((3, 2)), EngineConfig(seed=0), on_step=spoil_precision)
 
     def test_huge_t_update_refactorises(self, monkeypatch):
         """An observation far outside the cluster's spread puts t far above
-        REFRESH_MAX_T: ``absorb`` takes ``write``'s full factorisation and
+        REFRESH_MAX_T: ``absorb`` takes ``factorise``'s full factorisation and
         leaves exactly a fresh cache.  A nearby one takes the refresh."""
         import asugs.engine as engine_mod
 
