@@ -70,12 +70,21 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
                    help="location-shrinkage count used with --prior-var")
 
 
+_PRIOR_FLAGS = {"sigma0": "--prior-var", "delta0": "--prior-strength", "c0": "--prior-c0"}
+
+
 def _build_config(args, d: int) -> EngineConfig:
     prior = None
     if args.prior_var is not None:
-        prior = PriorConfig.from_scale(
-            d, args.prior_var, pseudo_obs=args.prior_strength, c0=args.prior_c0
-        )
+        try:
+            prior = PriorConfig.from_scale(
+                d, args.prior_var, pseudo_obs=args.prior_strength, c0=args.prior_c0
+            )
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            # the prior's messages name its field; an indefinite sigma0 fails
+            # in the factorisation, whose message names none
+            field = next((f for f in _PRIOR_FLAGS if f in str(exc)), "sigma0")
+            raise ConfigError(f"{_PRIOR_FLAGS[field]}: {exc}") from exc
     cfg = EngineConfig(
         lam=args.lam,
         selection=args.selection,

@@ -55,7 +55,7 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     for h in range(book.k):  # one cluster at a time keeps temporaries O(rows x d)
         e = ys - book.mu[h]
         logs[h] = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.c[h], book.delta[h], np.einsum("ij,ij->i", e @ book.prec[h], e)
+            book.log_norm[h], book.coef[h], book.expo[h], np.einsum("ij,ij->i", e @ book.prec[h], e)
         )
     return log_sum_exp(logs)
 
@@ -186,8 +186,9 @@ def l2_distance_to_truth(
     diff = np.zeros((grid_points,) * d)
     total = book.total_count
     for h in range(book.k):
+        quad = _grid_quad(axes, book.mu[h], book.prec[h])
         log_dens = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.c[h], book.delta[h], _grid_quad(axes, book.mu[h], book.prec[h]))
+            book.log_norm[h], book.coef[h], book.expo[h], quad)
         diff += np.exp(log_dens, out=log_dens)
     for h in range(truth.n_components):
         log_dens = math.log(truth.weights[h]) + gaussian_log_density(

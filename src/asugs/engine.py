@@ -35,6 +35,7 @@ from asugs.niw import (
     student_t_factors,
     student_t_log_density,
     student_t_log_norm,
+    student_t_shape,
 )
 
 
@@ -51,7 +52,9 @@ class StepError(RuntimeError):
         self.step = step
 
 
-_CLUSTER_FIELDS = ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm")
+_CLUSTER_FIELDS = (
+    "mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm", "coef", "expo",
+)
 REFRESH_MAX_T = 100.0  # largest t that ``ClusterBook.absorb`` refreshes in closed form
 
 
@@ -63,9 +66,13 @@ class ClusterBook:
     normal-Wishart state ``mu`` (K x d), ``sigma`` (K x d x d), ``c`` and
     ``delta``; its hard assignment count ``m``; ``w``, its summed
     responsibilities since birth; its stable id ``cid``; and its cached
-    predictive factors ``prec`` (sigma^-1), ``logdet`` and ``log_norm``:
-    ``factorise`` computes them afresh from the state, ``absorb`` updates
-    the state by one observation and refreshes them in O(d^2).
+    predictive factors ``prec`` (sigma^-1), ``logdet`` and ``log_norm``,
+    with the Student-t shape ``coef`` and ``expo`` (``student_t_shape`` of
+    c and delta): ``factorise`` computes them afresh from the state,
+    ``absorb`` updates the state by one observation and refreshes them in
+    O(d^2).  Each sigma is exactly symmetric: it enters through the prior or
+    a ``NiwPosterior``, which symmetrise it, and the update and the merge
+    keep it so.
 
     For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
     ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
@@ -87,6 +94,8 @@ class ClusterBook:
     prec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
     logdet: np.ndarray = field(default_factory=lambda: np.zeros(0))
     log_norm: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    expo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     next_cid: int = 1
@@ -111,6 +120,7 @@ class ClusterBook:
         ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
         self.prec[h], self.logdet[h], self.log_norm[h] = student_t_factors(
             self.c[h], self.delta[h], self.sigma[h])
+        self.coef[h], self.expo[h] = student_t_shape(self.c[h], self.delta[h])
 
     def absorb(self, h: int, y: np.ndarray) -> None:
         """Update cluster h by y in place (``conjugate_update``).  As sigma' = a
@@ -131,6 +141,7 @@ class ClusterBook:
         prec /= a
         logdet = len(r) * math.log(a) + self.logdet[h] + math.log1p(t)
         self.logdet[h], self.log_norm[h] = logdet, student_t_log_norm(c, delta, len(r), logdet)
+        self.coef[h], self.expo[h] = student_t_shape(c, delta)
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with post's state and a fresh cid, and factorise
@@ -155,6 +166,10 @@ class ClusterBook:
             setattr(self, name, getattr(self, name)[mask])
         self.dist = self.dist[mask][:, mask]
         self.coact = self.coact[mask][:, mask]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -182,20 +197,24 @@ class EngineConfig:
         cfg = replace(self, selection=sel)
         if cfg.prior is None:
             cfg = replace(cfg, prior=PriorConfig.default(d))
-        if cfg.lam <= 0:
-            raise ConfigError(f"lam must be positive, got {cfg.lam}")
+        if not (math.isfinite(cfg.lam) and cfg.lam > 0):
+            raise ConfigError(f"lam must be positive and finite, got {cfg.lam}")
         if cfg.selection not in ("sample", "argmax"):
             raise ConfigError(f"selection must be 'sample' or 'argmax', got {cfg.selection!r}")
-        if cfg.fixed_alpha is not None and cfg.fixed_alpha <= 0:
-            raise ConfigError(f"fixed_alpha must be positive, got {cfg.fixed_alpha}")
+        if cfg.fixed_alpha is not None and not (
+            math.isfinite(cfg.fixed_alpha) and cfg.fixed_alpha > 0
+        ):
+            raise ConfigError(f"fixed_alpha must be positive and finite, got {cfg.fixed_alpha}")
         if not 0.0 <= cfg.prune_eps < 1.0:
             raise ConfigError(f"prune_eps must be in [0, 1), got {cfg.prune_eps}")
-        if cfg.merge_eps < 0:
-            raise ConfigError(f"merge_eps must be nonnegative, got {cfg.merge_eps}")
-        if cfg.maintenance_period < 1:
+        if not (math.isfinite(cfg.merge_eps) and cfg.merge_eps >= 0):
+            raise ConfigError(f"merge_eps must be nonnegative and finite, got {cfg.merge_eps}")
+        if not (_is_int(cfg.maintenance_period) and cfg.maintenance_period >= 1):
             raise ConfigError(
-                f"maintenance_period must be a positive integer, got {cfg.maintenance_period}"
+                f"maintenance_period must be a positive integer, got {cfg.maintenance_period!r}"
             )
+        if not (_is_int(cfg.seed) and cfg.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
         if cfg.prior.dim != d:
             raise ConfigError(f"prior has dim {cfg.prior.dim}, data has dim {d}")
         return cfg
@@ -228,42 +247,46 @@ def responsibilities(
     cancels and is omitted, and q sums to 1 also after pruning has dropped
     counts.  One batched quadratic form over the cached precisions scores
     every cluster."""
-    if book.k == 0:
+    k = book.k
+    if k == 0:
         return np.array([1.0])
-    logq = np.empty(book.k + 1)
+    logq = np.empty(k + 1)
     e = y - book.mu
     quad = (e[:, None, :] @ book.prec @ e[:, :, None])[:, 0, 0]
-    logq[:-1] = np.log(book.m) + student_t_log_density(book.log_norm, book.c, book.delta, quad)
-    logq[-1] = math.log(alpha) + prior_predictive(prior, y)
+    logq[:k] = np.log(book.m) + student_t_log_density(book.log_norm, book.coef, book.expo, quad)
+    logq[k] = math.log(alpha) + prior_predictive(prior, y)
     logq -= logq.max()
     q = np.exp(logq)
-    return q / q.sum()
+    q /= q.sum()
+    return q
 
 
 def step(
     book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator
 ) -> StepRecord:
-    """Process one observation, updating the book in place."""
+    """Process one observation, updating the book in place.  y must be
+    finite: ``run`` checks the whole stream (``as_stream``) before its
+    first step, so the step does not check again."""
     y = _observation(y, config.prior.dim)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains a non-finite value")
-    if book.k == 0:
+    k = book.k
+    if k == 0:
         alpha, q, label = 0.0, np.array([1.0]), 1  # the first observation opens cluster 1
     else:
         alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
         q = responsibilities(book, y, alpha, config.prior)
         if config.selection == "argmax":
-            label = int(np.argmax(q)) + 1  # ties resolve to the lowest index
+            label = int(q.argmax()) + 1  # ties resolve to the lowest index
         else:
-            label = int(np.searchsorted(np.cumsum(q), rng.random(), side="right")) + 1
-            label = min(label, book.k + 1)  # cumsum may fall short of 1 by an ulp
+            label = int(q.cumsum().searchsorted(rng.random(), side="right")) + 1
+            label = min(label, k + 1)  # cumsum may fall short of 1 by an ulp
 
-    innovation = label == book.k + 1
+    innovation = label == k + 1
     if innovation:  # a new cluster is the prior absorbing its first observation
         book.add(NiwPosterior.from_prior(config.prior), 0, 0.0)
+        k += 1
     book.absorb(label - 1, y)
     book.m[label - 1] += 1
-    q_live = q[:book.k]  # an unused innovation slot's mass is dropped
+    q_live = q[:k]  # an unused innovation slot's mass is dropped
     book.w += q_live
     book.dist += np.abs(np.subtract.outer(q_live, q_live))
     book.coact += np.add.outer(q_live, q_live)
@@ -271,7 +294,7 @@ def step(
     book.n += 1
     return StepRecord(
         index=book.n, label=label, q=q, alpha_used=float(alpha),
-        k_after=book.k, innovation=innovation,
+        k_after=k, innovation=innovation,
     )
 
 
@@ -389,7 +412,9 @@ def as_stream(stream) -> np.ndarray:
     """The observations as an n x d float array, n >= 1 and d >= 1.
 
     A 1-D array is one observation.  A stream without rows, without
-    coordinates or with more than two axes raises ``ValueError``.
+    coordinates or with more than two axes raises ``ValueError``.  A row
+    with a non-finite value raises the ``StepError`` its step would: the
+    first such row i gives ``StepError(i, ValueError(...))``.
     """
     given = np.asarray(stream, dtype=float)
     stream = np.atleast_2d(given)
@@ -397,6 +422,10 @@ def as_stream(stream) -> np.ndarray:
         raise ValueError(f"stream must be rows of at least one coordinate, got shape {given.shape}")
     if stream.shape[0] == 0:
         raise ValueError("stream must contain at least one observation")
+    finite = np.isfinite(stream).all(axis=1)
+    if not finite.all():
+        cause = ValueError("observation contains a non-finite value")
+        raise StepError(int(finite.argmin()) + 1, cause) from cause
     return stream
 
 
@@ -412,11 +441,14 @@ def run(
     maintenance step.  A stream that ``as_stream`` rejects (empty, no
     coordinates, more than two axes) raises ``ValueError``; a failing
     step raises ``StepError`` (a ``RuntimeError``) naming its 1-based index.
+    A non-finite row raises its ``StepError`` before the first step.
 
     ``on_step(i, book)``, if given, is called after step i (1-based) and
     any maintenance at that step, and before the end-of-stream
     maintenance: it sees the state the next observation will be scored
-    against.  It must not modify that state.
+    against.  It must not modify that state.  As non-finite rows are
+    rejected up front, ``on_step`` never sees a stream that will fail on
+    one.
     """
     stream = as_stream(stream)
     config = config.resolve(stream.shape[1])

@@ -23,17 +23,22 @@ class PriorConfig:
     """Hyperparameters assigned to every newly created cluster.
 
     ``2*delta0 > d - 1`` is required for the Wishart to be proper (and for
-    the predictive density to be normalizable).
+    the predictive density to be normalizable).  Each field must be finite;
+    an invalid one raises ``ValueError`` naming it, before any
+    factorisation (an indefinite sigma0 raises ``LinAlgError``).
     """
 
     mu0: np.ndarray
     c0: float = 1.0
     delta0: float | None = None  # default (d+2)/2, mildest proper choice
     sigma0: np.ndarray | None = None  # default identity
-    # predictive factors of a brand-new cluster (``student_t_factors``)
+    # predictive factors of a brand-new cluster (``student_t_factors``,
+    # ``student_t_shape``)
     prec: np.ndarray = field(init=False, repr=False, compare=False)
     logdet: float = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
+    coef: float = field(init=False, repr=False, compare=False)
+    expo: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(-1)
@@ -45,10 +50,14 @@ class PriorConfig:
         if self.sigma0 is None:
             self.sigma0 = np.eye(d)
         self.sigma0 = np.asarray(self.sigma0, dtype=float)
+        for name in ("mu0", "c0", "delta0", "sigma0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.sigma0.shape != (d, d):
             raise ValueError(f"sigma0 must be {d}x{d}, got {self.sigma0.shape}")
         if not np.allclose(self.sigma0, self.sigma0.T):
             raise ValueError("sigma0 must be symmetric")
+        self.sigma0 = 0.5 * (self.sigma0 + self.sigma0.T)  # exactly symmetric from here on
         if self.c0 <= 0:
             raise ValueError("c0 must be positive")
         if 2.0 * self.delta0 <= d - 1:
@@ -57,6 +66,7 @@ class PriorConfig:
             )
         # raises LinAlgError if sigma0 is not positive definite
         self.prec, self.logdet, self.log_norm = student_t_factors(self.c0, self.delta0, self.sigma0)
+        self.coef, self.expo = student_t_shape(self.c0, self.delta0)
 
     @property
     def dim(self) -> int:
@@ -81,9 +91,8 @@ class PriorConfig:
         cluster scale; a vague prior (identity sigma0 on unit-scale data
         with tight clusters) makes early clusters absorb their neighbors.
         """
-        return cls(
-            mu0=np.zeros(d), c0=c0, delta0=pseudo_obs / 2.0, sigma0=var * np.eye(d)
-        )
+        return cls(mu0=np.zeros(d), c0=c0, delta0=pseudo_obs / 2.0,
+                   sigma0=np.diag(np.full(d, float(var))))
 
 
 @dataclass
@@ -93,7 +102,8 @@ class NiwPosterior:
     mu     location of the posterior mean (length d)
     c      precision-scaling count, grows by 1 per absorbed observation
     delta  half the Wishart degrees of freedom, grows by 1/2 per observation
-    sigma  d x d covariance estimate (symmetric positive definite)
+    sigma  d x d covariance estimate (symmetric positive definite; stored
+           as 0.5 (sigma + sigma^T), so exactly symmetric)
     """
 
     mu: np.ndarray
@@ -103,7 +113,8 @@ class NiwPosterior:
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.asarray(self.sigma, dtype=float)
+        self.sigma = 0.5 * (sigma + sigma.T)
 
     @property
     def dim(self) -> int:
@@ -120,7 +131,7 @@ class NiwPosterior:
             mu=prior.mu0.copy(),
             c=prior.c0,
             delta=prior.delta0,
-            sigma=prior.sigma0.copy(),
+            sigma=prior.sigma0,  # __post_init__ stores a new array
         )
 
 
@@ -138,10 +149,16 @@ def log_gamma_ratio(a: float, d: int) -> float:
     return math.lgamma(a + 0.5) - math.lgamma(lo)
 
 
+def student_t_shape(c: float, delta: float) -> tuple[float, float]:
+    """The scale r / (2 delta), r = c/(1+c), and the exponent delta + 1/2 of
+    ``log_predictive_density``; elementwise on arrays of c and delta."""
+    return c / (1.0 + c) / (2.0 * delta), delta + 0.5
+
+
 def student_t_log_norm(c: float, delta: float, d: int, logdet: float) -> float:
     """The constant of ``log_predictive_density``, given logdet = log det sigma."""
-    return float(-0.5 * d * np.log(np.pi) + 0.5 * d * np.log(c / (1.0 + c) / (2.0 * delta))
-                 + log_gamma_ratio(delta, d) - 0.5 * logdet)
+    return (-0.5 * d * math.log(math.pi) + 0.5 * d * math.log(student_t_shape(c, delta)[0])
+            + log_gamma_ratio(delta, d) - 0.5 * logdet)
 
 
 def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -154,10 +171,11 @@ def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.nda
     return inv_l.T @ inv_l, logdet, student_t_log_norm(c, delta, L.shape[0], logdet)
 
 
-def student_t_log_density(log_norm, c, delta, quad):
-    """The Student-t log density from its constant and the quadratic form
+def student_t_log_density(log_norm, coef, expo, quad):
+    """The Student-t log density from its constant, its shape (``coef``,
+    ``expo`` = ``student_t_shape``) and the quadratic form
     (y - mu)^T sigma^-1 (y - mu); all arguments broadcast."""
-    return log_norm - (delta + 0.5) * np.log1p(c / (1.0 + c) / (2.0 * delta) * quad)
+    return log_norm - expo * np.log1p(coef * quad)
 
 
 def _observation(y, d: int) -> np.ndarray:
@@ -195,28 +213,28 @@ def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarra
     """
     prec, _, log_norm = student_t_factors(post.c, post.delta, post.sigma)
     e = np.atleast_2d(np.asarray(ys, dtype=float)) - post.mu
-    return student_t_log_density(log_norm, post.c, post.delta, ((e @ prec) * e).sum(axis=-1))
+    return student_t_log_density(log_norm, *student_t_shape(post.c, post.delta),
+                                 ((e @ prec) * e).sum(axis=-1))
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
     """Log predictive density of a brand-new cluster, from the prior's factors."""
     e = _observation(y, prior.dim) - prior.mu0
-    return float(student_t_log_density(prior.log_norm, prior.c0, prior.delta0, e @ prior.prec @ e))
+    return float(student_t_log_density(prior.log_norm, prior.coef, prior.expo, e @ prior.prec @ e))
 
 
 def conjugate_update(mu: np.ndarray, c: float, delta: float, sigma: np.ndarray, y: np.ndarray):
     """Absorb y into (mu, c, delta, sigma): ``mu`` and ``sigma`` in place, c + 1
     and delta + 1/2 left to the caller.  Returns r = y - mu (pre-update mu) and
     the a, b of sigma' = a sigma + b r r^T, a convex combination of positive
-    definite sigma and a semidefinite term; symmetrizing only undoes rounding."""
+    definite sigma and a semidefinite term.  An exactly symmetric sigma stays
+    so: entry (i, j) gets a sigma_ij + b (r_i r_j), and IEEE products commute."""
     r = y - mu
     a = 2.0 * delta / (1.0 + 2.0 * delta)
     b = (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
     mu[:] = (y + c * mu) / (1.0 + c)
     sigma *= a
-    sigma += b * np.outer(r, r)
-    sigma += sigma.T
-    sigma *= 0.5
+    sigma += b * (r[:, None] * r)
     return r, a, b
 
 

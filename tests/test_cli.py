@@ -117,6 +117,29 @@ class TestFit:
         assert main(["fit", "--train", str(dataset_dir / "train.csv"),
                      "--lambda", "-1.0"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--lambda", "nan"], "lam"),
+        (["--lambda", "inf"], "lam"),
+        (["--fixed-alpha", "nan"], "fixed_alpha"),
+        (["--merge-eps", "nan"], "merge_eps"),
+        (["--seed", "-1"], "seed"),
+        (["--prior-var", "-1"], "--prior-var"),
+        (["--prior-var", "nan"], "--prior-var"),
+        (["--prior-var", "inf"], "--prior-var"),
+        (["--prior-var", "0.025", "--prior-strength", "0"], "--prior-strength"),
+        (["--prior-var", "0.025", "--prior-c0", "0"], "--prior-c0"),
+        (["--prior-var", "0.025", "--prior-c0", "inf"], "--prior-c0"),
+    ])
+    def test_invalid_value_is_config_error_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                     flags, named):
+        out = tmp_path / "t.jsonl"
+        code = main(["fit", "--train", str(dataset_dir / "train.csv"), "--out", str(out),
+                     *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0]
+        assert not out.exists()
+
 
 class TestCompare:
     def test_requires_train_or_truth(self):

@@ -19,6 +19,7 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     REFRESH_MAX_T,
+    StepError,
     merge,
     prune,
     responsibilities,
@@ -34,6 +35,7 @@ from asugs.niw import (
     posterior_update,
     prior_predictive,
     student_t_factors,
+    student_t_shape,
 )
 
 
@@ -492,17 +494,25 @@ def assert_cache_fresh(book):
     constant within tol relative or d * tol absolute.  A fixed entrywise
     1e-12 is below this floor: at cond(sigma) = 2.9e4 (the pinned example
     of ``test_cache_fresh_under_updates_and_merges``) a fresh
-    factorisation is itself 1.1e-12 from a 50-digit inverse.
+    factorisation is itself 1.1e-12 from a 50-digit inverse.  The cached
+    Student-t shape is exact: it is ``student_t_shape`` of c and delta.
     """
-    for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm"):
+    for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm",
+                 "coef", "expo"):
         assert len(getattr(book, name)) == book.k, name
     for h in range(book.k):
+        assert (book.coef[h], book.expo[h]) == student_t_shape(book.c[h], book.delta[h])
         d = book.sigma[h].shape[0]
         prec, logdet, log_norm = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
         tol = max(1e-12, 2 * d * (d + 1) * np.linalg.cond(book.sigma[h]) * np.finfo(float).eps)
         np.testing.assert_allclose(book.prec[h], prec, rtol=0, atol=tol * np.linalg.norm(prec, 2))
         assert book.logdet[h] == pytest.approx(logdet, rel=tol, abs=d * tol)
         assert book.log_norm[h] == pytest.approx(log_norm, rel=tol, abs=d * tol)
+
+
+def assert_sigma_symmetric(book):
+    """Every cluster's sigma equals its transpose bit for bit."""
+    assert np.array_equal(book.sigma, book.sigma.transpose(0, 2, 1))
 
 
 class TestCachedFactors:
@@ -581,6 +591,7 @@ class TestBookInvariants:
             assert book.next_cid > max(cids)
             assert book.total_count <= book.n
             assert_cache_fresh(book)
+            assert_sigma_symmetric(book)
 
         trace = run(ys, cfg, on_step=check)
         check(None, trace.final_book)
@@ -641,17 +652,34 @@ class TestCacheAcrossScales:
     def test_cache_fresh_under_updates_and_merges(
         self, d, centers, picks, seed, exponent, matched
     ):
-        """After every step, prune and merge every sigma factorises and the
-        cached precision, logdet and constant equal a fresh factorisation."""
+        """After every step, prune and merge every sigma factorises and is
+        exactly symmetric, and the cached precision, logdet and constant
+        equal a fresh factorisation."""
         ys, _, cfg = self.stream(d, centers, picks, seed, exponent, matched)
         book, rng = ClusterBook(), np.random.Generator(np.random.PCG64(cfg.seed))
         for i, y in enumerate(ys, start=1):
             step(book, y, cfg, rng)
             assert_cache_fresh(book)
+            assert_sigma_symmetric(book)
             if i % cfg.maintenance_period == 0:
                 prune(book, cfg.prune_eps)
+                assert_sigma_symmetric(book)
                 merge(book, cfg.merge_eps)
                 assert_cache_fresh(book)
+                assert_sigma_symmetric(book)
+
+    def test_nearly_symmetric_prior_gives_exactly_symmetric_book(self):
+        """A sigma0 that is symmetric only within allclose enters the book
+        symmetrised, and updates and merges keep it exactly so."""
+        sigma0 = np.array([[1.0, 0.3], [0.3 + 1e-12, 1.0]])
+        prior = PriorConfig(mu0=np.zeros(2), sigma0=sigma0)
+        assert np.array_equal(prior.sigma0, prior.sigma0.T)
+        ys = np.random.default_rng(6).normal(size=(200, 2))
+        cfg = EngineConfig(seed=6, prior=prior, merge_eps=0.5, maintenance_period=5)
+        book = run(ys, cfg, on_step=lambda i, b: assert_sigma_symmetric(b)).final_book
+        assert_sigma_symmetric(book)
+        post = NiwPosterior(np.zeros(2), 1.0, 2.0, sigma0)
+        assert np.array_equal(post.sigma, post.sigma.T)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -697,6 +725,33 @@ class TestRun:
         for runner in (run, run_with_diagnostics):
             with pytest.raises(RuntimeError, match="step 2"):
                 runner(ys, EngineConfig(seed=0))
+
+    def test_non_finite_row_fails_before_the_first_step(self, monkeypatch):
+        """Row 5 is not finite: both runners raise step 5's StepError before
+        step 1, so ``on_step`` is never called."""
+        import asugs.diagnostics as diagnostics_mod
+
+        seen, real_run = [], diagnostics_mod.run
+
+        def spied_run(stream, config, on_step=None):
+            def spy(i, book):
+                seen.append(i)
+                on_step(i, book)
+            return real_run(stream, config, on_step=spy)
+
+        monkeypatch.setattr(diagnostics_mod, "run", spied_run)
+        runners = (lambda ys, cfg: run(ys, cfg, on_step=lambda i, book: seen.append(i)),
+                   lambda ys, cfg: run_with_diagnostics(ys, cfg, checkpoint_every=1))
+        for bad in (np.nan, np.inf):
+            ys = np.random.default_rng(3).normal(size=(8, 2))
+            ys[4, 1] = bad
+            for runner in runners:
+                with pytest.raises(StepError, match="step 5 failed") as info:
+                    runner(ys, EngineConfig(seed=0))
+                assert info.value.step == 5
+                assert isinstance(info.value.__cause__, ValueError)
+                assert "non-finite" in str(info.value.__cause__)
+        assert seen == []
 
     def test_diagnostics_do_not_change_the_run(self):
         rng = np.random.default_rng(11)
@@ -774,6 +829,15 @@ class TestEngineConfig:
             (dict(merge_eps=-0.1), "merge_eps"),
             (dict(maintenance_period=0), "maintenance_period"),
             (dict(selection="greedy"), "selection"),
+            (dict(lam=math.nan), "lam"),
+            (dict(lam=math.inf), "lam"),
+            (dict(fixed_alpha=math.nan), "fixed_alpha"),
+            (dict(fixed_alpha=math.inf), "fixed_alpha"),
+            (dict(merge_eps=math.nan), "merge_eps"),
+            (dict(merge_eps=math.inf), "merge_eps"),
+            (dict(maintenance_period=2.5), "maintenance_period"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=1.5), "seed"),
         ],
     )
     def test_validation_names_field(self, kwargs, field):

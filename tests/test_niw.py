@@ -21,6 +21,7 @@ from asugs.niw import (
     log_predictive_density_rows,
     posterior_update,
     prior_predictive,
+    student_t_shape,
 )
 
 
@@ -263,6 +264,19 @@ class TestPosteriorUpdate:
             assert 0.0 < post.r < 1.0
 
 
+class TestStudentTShape:
+    def test_hand_values_and_broadcast(self):
+        # r = c/(1+c) = 1/2 over 2 delta = 2, and delta + 1/2
+        assert student_t_shape(1.0, 1.0) == (0.25, 1.5)
+        coef, expo = student_t_shape(np.array([1.0, 3.0]), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(coef, [0.25, 0.75 / 4.0])
+        np.testing.assert_array_equal(expo, [1.5, 2.5])
+
+    def test_prior_caches_its_shape(self):
+        prior = PriorConfig(mu0=np.zeros(2), c0=0.5, delta0=3.0)
+        assert (prior.coef, prior.expo) == student_t_shape(0.5, 3.0)
+
+
 class TestPriorPredictive:
     def test_equals_density_of_fresh_state(self):
         prior = PriorConfig.default(2)
@@ -298,6 +312,31 @@ class TestPriorConfigValidation:
     def test_rejects_asymmetric_sigma0(self):
         with pytest.raises(ValueError, match="symmetric"):
             PriorConfig(mu0=np.zeros(2), sigma0=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", np.array([0.0, np.nan])), ("mu0", np.array([np.inf, 0.0])),
+        ("c0", np.nan), ("c0", np.inf), ("delta0", np.nan), ("delta0", np.inf),
+        ("sigma0", np.array([[1.0, 0.0], [0.0, np.inf]])),
+        ("sigma0", np.array([[1.0, np.nan], [np.nan, 1.0]])),
+    ])
+    def test_rejects_non_finite_field_before_factorising(self, monkeypatch, field, value):
+        import asugs.niw as niw_mod
+
+        def no_factorisation(*args):
+            raise AssertionError("factorised before the fields were checked")
+
+        monkeypatch.setattr(niw_mod, "student_t_factors", no_factorisation)
+        kwargs = {"mu0": np.zeros(2), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PriorConfig(**kwargs)
+
+    def test_nearly_symmetric_sigma0_is_stored_symmetric(self):
+        sigma0 = np.array([[2.0, 0.3], [0.3 + 1e-12, 1.0]])
+        prior = PriorConfig(mu0=np.zeros(2), sigma0=sigma0)
+        assert np.array_equal(prior.sigma0, prior.sigma0.T)
+        assert prior.sigma0[0, 1] == 0.5 * (0.3 + (0.3 + 1e-12))
+        exact = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert np.array_equal(PriorConfig(mu0=np.zeros(2), sigma0=exact).sigma0, exact)
 
     def test_rejects_indefinite_sigma0(self):
         with pytest.raises(np.linalg.LinAlgError):
