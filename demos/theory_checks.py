@@ -24,7 +24,7 @@ from asugs.diagnostics import (
     slope_with_stderr,
 )
 from asugs.engine import EngineConfig
-from asugs.niw import NiwPosterior, PriorConfig, posterior_update
+from asugs.niw import PriorConfig, posterior_update
 
 print("1. harmonic log-product ratio  (sum log(1 + a/j)) / (a log n)")
 for alpha in (0.5, 1.0, 2.0):
@@ -44,7 +44,7 @@ mean, var = np.array([0.3, -0.2]), 0.025
 chol = math.sqrt(var) * np.eye(2)
 peak = 1.0 / (2 * math.pi * var)
 rng = np.random.default_rng(0)
-post = NiwPosterior.from_prior(PriorConfig.default(2))
+post = PriorConfig.default(2).state
 drawn = 0
 for n in (100, 1000, 10_000):
     while drawn < n:

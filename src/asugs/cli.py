@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -104,6 +105,13 @@ def _require_new(path: Path, force: bool) -> None:
 
 
 def cmd_generate(args) -> int:
+    sizes = {"--side": args.side, "--sigma2": args.sigma2, "--spacing": args.spacing,
+             "--n-train": args.n_train, "--n-test": args.n_test}
+    for flag, value in sizes.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "train.csv", out / "test.csv", out / "truth.json"]

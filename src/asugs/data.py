@@ -25,7 +25,7 @@ from asugs.engine import (
     StepRecord,
 )
 from asugs.mixture import GaussianMixture
-from asugs.niw import NiwPosterior, PriorConfig
+from asugs.niw import NiwPosterior, PriorConfig, check_state
 
 
 class DataError(ValueError):
@@ -221,7 +221,10 @@ def write_trace(path, trace: RunTrace) -> None:
 def read_trace(path) -> RunTrace:
     """Load a trace written by ``write_trace``.  Its final book is rebuilt
     with ``ClusterBook.add``, so cids run 1..k and pair histories start at
-    zero.  A malformed trace raises DataError naming the path and the row."""
+    zero.  A cluster record's state passes ``check_state`` as the prior's
+    does, its m is a nonnegative integer and its w finite and nonnegative.
+    A malformed trace raises DataError naming the path, the row and, for
+    an invalid value, its key."""
     config = final = None
     records: list[StepRecord] = []
     checkpoints: list[Checkpoint] = []
@@ -254,8 +257,13 @@ def read_trace(path) -> RunTrace:
                 elif kind == "checkpoint":
                     checkpoints.append(Checkpoint(**rec))
                 elif kind == "cluster":
-                    post = NiwPosterior(rec["mu"], rec["c"], rec["delta"], rec["sigma"])
-                    book.add(post, rec["m"], rec["w"])  # LinAlgError if sigma does not factorise
+                    m, w = rec["m"], rec["w"]
+                    if not (type(m) is int and m >= 0):
+                        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+                    if not (type(w) in (int, float) and math.isfinite(w) and w >= 0):
+                        raise ValueError(f"w must be finite and nonnegative, got {w!r}")
+                    post = NiwPosterior(*check_state(rec["mu"], rec["c"], rec["delta"], rec["sigma"]))
+                    book.add(post, m, w)  # LinAlgError if sigma does not factorise
                 else:
                     final, final_row = rec, lineno
             except (TypeError, ValueError) as exc:

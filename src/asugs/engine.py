@@ -66,13 +66,13 @@ class ClusterBook:
     normal-Wishart state ``mu`` (K x d), ``sigma`` (K x d x d), ``c`` and
     ``delta``; its hard assignment count ``m``; ``w``, its summed
     responsibilities since birth; its stable id ``cid``; and its cached
-    predictive factors ``prec`` (sigma^-1), ``logdet`` and ``log_norm``,
-    with the Student-t shape ``coef`` and ``expo`` (``student_t_shape`` of
-    c and delta): ``factorise`` computes them afresh from the state,
-    ``absorb`` updates the state by one observation and refreshes them in
-    O(d^2).  Each sigma is exactly symmetric: it enters through the prior or
-    a ``NiwPosterior``, which symmetrise it, and the update and the merge
-    keep it so.
+    predictive factors ``prec`` (sigma^-1), ``logdet``, ``log_norm``,
+    ``coef`` and ``expo`` (``student_t_factors``): ``add`` copies them with
+    the state it is given, ``factorise`` computes them afresh from the
+    state, ``absorb`` updates the state by one observation and refreshes
+    them in O(d^2).  Each sigma is exactly symmetric: it enters through a
+    ``NiwPosterior`` (the prior's own state included), which symmetrises
+    it, and the update and the merge keep it so.
 
     For positions i < j, ``dist[i, j]`` accumulates |q_i - q_j| and
     ``coact[i, j]`` accumulates q_i + q_j over the steps since the pair
@@ -118,9 +118,8 @@ class ClusterBook:
     def factorise(self, h: int) -> None:
         """Compute cluster h's cached factors afresh from its state.  Raises
         ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
-        self.prec[h], self.logdet[h], self.log_norm[h] = student_t_factors(
-            self.c[h], self.delta[h], self.sigma[h])
-        self.coef[h], self.expo[h] = student_t_shape(self.c[h], self.delta[h])
+        (self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h],
+         self.expo[h]) = student_t_factors(self.c[h], self.delta[h], self.sigma[h])
 
     def absorb(self, h: int, y: np.ndarray) -> None:
         """Update cluster h by y in place (``conjugate_update``).  As sigma' = a
@@ -144,8 +143,8 @@ class ClusterBook:
         self.coef[h], self.expo[h] = student_t_shape(c, delta)
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
-        """Append a cluster with post's state and a fresh cid, and factorise
-        it; its pair histories start at zero."""
+        """Append a cluster with a copy of post's state and ``factors`` and a
+        fresh cid; its pair histories start at zero."""
         d, h = post.dim, self.k
         for name in _CLUSTER_FIELDS:
             tail = {"mu": (d,), "sigma": (d, d), "prec": (d, d)}.get(name, ())
@@ -157,7 +156,7 @@ class ClusterBook:
         self.coact = np.pad(self.coact, ((0, 1), (0, 1)))
         self.mu[h], self.sigma[h] = post.mu, post.sigma
         self.c[h], self.delta[h] = post.c, post.delta
-        self.factorise(h)
+        self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h], self.expo[h] = post.factors
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the clusters where mask is False, with their rows and columns."""
@@ -282,7 +281,7 @@ def step(
 
     innovation = label == k + 1
     if innovation:  # a new cluster is the prior absorbing its first observation
-        book.add(NiwPosterior.from_prior(config.prior), 0, 0.0)
+        book.add(config.prior.state, 0, 0.0)
         k += 1
     book.absorb(label - 1, y)
     book.m[label - 1] += 1

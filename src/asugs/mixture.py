@@ -35,6 +35,9 @@ class GaussianMixture:
     means        K x d
     covariances  K x d x d, each symmetric positive definite
 
+    All three must be finite; an invalid field raises ``ValueError``
+    naming it (an indefinite covariance raises ``LinAlgError``).
+
     Each component's Cholesky factor, precision and log determinant are
     computed once at construction, so a mixture is treated as immutable.
     """
@@ -52,6 +55,9 @@ class GaussianMixture:
         self.covariances = np.asarray(self.covariances, dtype=float)
         if self.covariances.ndim == 2:
             self.covariances = self.covariances[None, :, :]
+        for name in ("weights", "means", "covariances"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         for cov in self.covariances:

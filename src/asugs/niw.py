@@ -13,60 +13,63 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import cholesky
+
+
+def check_state(mu, c, delta, sigma, names=("mu", "c", "delta", "sigma")):
+    """(mu, c, delta, sigma) as arrays and floats, each checked: finite, sigma
+    d x d and symmetric within ``allclose`` (returned exactly symmetric),
+    c > 0 and 2*delta > d - 1, the last for the Wishart to be proper and the
+    predictive density normalizable.  A failed check raises ``ValueError``
+    naming the field as ``names`` gives it; positive definiteness is left to
+    the factorisation."""
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    c, delta, sigma = float(c), float(delta), np.asarray(sigma, dtype=float)
+    _, n_c, n_delta, n_sigma = names
+    d = mu.shape[0]
+    for name, value in zip(names, (mu, c, delta, sigma)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    if sigma.shape != (d, d):
+        raise ValueError(f"{n_sigma} must be {d}x{d}, got {sigma.shape}")
+    if not np.allclose(sigma, sigma.T):
+        raise ValueError(f"{n_sigma} must be symmetric")
+    if c <= 0:
+        raise ValueError(f"{n_c} must be positive")
+    if 2.0 * delta <= d - 1:
+        raise ValueError(f"2*{n_delta} must exceed d-1 = {d - 1}, got {2.0 * delta}")
+    return mu, c, delta, 0.5 * (sigma + sigma.T)
 
 
 @dataclass
 class PriorConfig:
     """Hyperparameters assigned to every newly created cluster.
 
-    ``2*delta0 > d - 1`` is required for the Wishart to be proper (and for
-    the predictive density to be normalizable).  Each field must be finite;
-    an invalid one raises ``ValueError`` naming it, before any
-    factorisation (an indefinite sigma0 raises ``LinAlgError``).
+    Each field is checked by ``check_state``: an invalid one raises
+    ``ValueError`` naming it, before any factorisation.  ``state`` is the
+    prior as a ``NiwPosterior``, whose factors are read here, so an
+    indefinite sigma0 raises ``LinAlgError``; a new cluster copies it.
     """
 
     mu0: np.ndarray
     c0: float = 1.0
     delta0: float | None = None  # default (d+2)/2, mildest proper choice
     sigma0: np.ndarray | None = None  # default identity
-    # predictive factors of a brand-new cluster (``student_t_factors``,
-    # ``student_t_shape``)
-    prec: np.ndarray = field(init=False, repr=False, compare=False)
-    logdet: float = field(init=False, repr=False, compare=False)
-    log_norm: float = field(init=False, repr=False, compare=False)
-    coef: float = field(init=False, repr=False, compare=False)
-    expo: float = field(init=False, repr=False, compare=False)
+    state: NiwPosterior = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mu0 = np.asarray(self.mu0, dtype=float).reshape(-1)
-        d = self.mu0.shape[0]
-        if self.delta0 is None:
-            self.delta0 = (d + 2.0) / 2.0
-        self.c0 = float(self.c0)
-        self.delta0 = float(self.delta0)
-        if self.sigma0 is None:
-            self.sigma0 = np.eye(d)
-        self.sigma0 = np.asarray(self.sigma0, dtype=float)
-        for name in ("mu0", "c0", "delta0", "sigma0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if self.sigma0.shape != (d, d):
-            raise ValueError(f"sigma0 must be {d}x{d}, got {self.sigma0.shape}")
-        if not np.allclose(self.sigma0, self.sigma0.T):
-            raise ValueError("sigma0 must be symmetric")
-        self.sigma0 = 0.5 * (self.sigma0 + self.sigma0.T)  # exactly symmetric from here on
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        if 2.0 * self.delta0 <= d - 1:
-            raise ValueError(
-                f"2*delta0 must exceed d-1 = {d - 1}, got {2.0 * self.delta0}"
-            )
-        # raises LinAlgError if sigma0 is not positive definite
-        self.prec, self.logdet, self.log_norm = student_t_factors(self.c0, self.delta0, self.sigma0)
-        self.coef, self.expo = student_t_shape(self.c0, self.delta0)
+        d = np.asarray(self.mu0).size
+        self.mu0, self.c0, self.delta0, self.sigma0 = check_state(
+            self.mu0, self.c0,
+            (d + 2.0) / 2.0 if self.delta0 is None else self.delta0,
+            np.eye(d) if self.sigma0 is None else self.sigma0,
+            names=("mu0", "c0", "delta0", "sigma0"),
+        )
+        self.state = NiwPosterior(self.mu0, self.c0, self.delta0, self.sigma0)
+        self.state.factors  # raises LinAlgError if sigma0 is not positive definite
 
     @property
     def dim(self) -> int:
@@ -97,13 +100,17 @@ class PriorConfig:
 
 @dataclass
 class NiwPosterior:
-    """Per-cluster normal-Wishart hyperparameter state.
+    """One normal-Wishart hyperparameter state.
 
     mu     location of the posterior mean (length d)
     c      precision-scaling count, grows by 1 per absorbed observation
     delta  half the Wishart degrees of freedom, grows by 1/2 per observation
     sigma  d x d covariance estimate (symmetric positive definite; stored
            as 0.5 (sigma + sigma^T), so exactly symmetric)
+
+    ``factors`` (``student_t_factors``) are computed on first use and kept:
+    a state is treated as immutable once they are read, as ``PriorConfig``
+    and ``GaussianMixture`` are.
     """
 
     mu: np.ndarray
@@ -125,14 +132,11 @@ class NiwPosterior:
         """Shrinkage factor c/(1+c), always in (0, 1)."""
         return self.c / (1.0 + self.c)
 
-    @classmethod
-    def from_prior(cls, prior: PriorConfig) -> "NiwPosterior":
-        return cls(
-            mu=prior.mu0.copy(),
-            c=prior.c0,
-            delta=prior.delta0,
-            sigma=prior.sigma0,  # __post_init__ stores a new array
-        )
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, float, float, float, float]:
+        """(prec, logdet, log_norm, coef, expo) of ``student_t_factors``.
+        Raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
+        return student_t_factors(self.c, self.delta, self.sigma)
 
 
 def log_gamma_ratio(a: float, d: int) -> float:
@@ -161,14 +165,17 @@ def student_t_log_norm(c: float, delta: float, d: int, logdet: float) -> float:
             + log_gamma_ratio(delta, d) - 0.5 * logdet)
 
 
-def student_t_factors(c: float, delta: float, sigma: np.ndarray) -> tuple[np.ndarray, float, float]:
+def student_t_factors(c: float, delta: float, sigma: np.ndarray
+                      ) -> tuple[np.ndarray, float, float, float, float]:
     """The factors of ``log_predictive_density`` that depend on the state
-    alone, from one Cholesky factorisation: sigma^-1, log det sigma and the
-    constant.  Raises ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
+    alone, from one Cholesky factorisation: sigma^-1, log det sigma, the
+    constant and the shape ``coef``, ``expo`` (``student_t_shape``).  Raises
+    ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
     L = cholesky(sigma)
     inv_l = np.linalg.inv(L)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return inv_l.T @ inv_l, logdet, student_t_log_norm(c, delta, L.shape[0], logdet)
+    return (inv_l.T @ inv_l, logdet, student_t_log_norm(c, delta, L.shape[0], logdet),
+            *student_t_shape(c, delta))
 
 
 def student_t_log_density(log_norm, coef, expo, quad):
@@ -202,25 +209,22 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
     Raises ``numpy.linalg.LinAlgError`` if sigma has lost positive
     definiteness; recovery is the caller's decision.
     """
-    return float(log_predictive_density_rows(post, _observation(y, post.dim))[0])
+    prec, _, log_norm, coef, expo = post.factors
+    e = _observation(y, post.dim) - post.mu
+    return float(student_t_log_density(log_norm, coef, expo, e @ prec @ e))
 
 
 def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarray:
-    """Vectorized ``log_predictive_density`` over the rows of ``ys``.
-
-    One factorization of sigma serves all rows; used for grid and
-    held-out evaluations.
-    """
-    prec, _, log_norm = student_t_factors(post.c, post.delta, post.sigma)
+    """Vectorized ``log_predictive_density`` over the rows of ``ys``, from
+    the state's cached factors; used for grid and held-out evaluations."""
+    prec, _, log_norm, coef, expo = post.factors
     e = np.atleast_2d(np.asarray(ys, dtype=float)) - post.mu
-    return student_t_log_density(log_norm, *student_t_shape(post.c, post.delta),
-                                 ((e @ prec) * e).sum(axis=-1))
+    return student_t_log_density(log_norm, coef, expo, ((e @ prec) * e).sum(axis=-1))
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
-    """Log predictive density of a brand-new cluster, from the prior's factors."""
-    e = _observation(y, prior.dim) - prior.mu0
-    return float(student_t_log_density(prior.log_norm, prior.coef, prior.expo, e @ prior.prec @ e))
+    """Log predictive density of a brand-new cluster: that of the prior's state."""
+    return log_predictive_density(prior.state, y)
 
 
 def conjugate_update(mu: np.ndarray, c: float, delta: float, sigma: np.ndarray, y: np.ndarray):

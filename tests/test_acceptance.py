@@ -99,7 +99,7 @@ def test_criterion_3_recursive_batch_equivalence():
     prior = PriorConfig(mu0=np.array([0.4, -0.2]), c0=1.7, delta0=2.2,
                         sigma0=np.array([[1.2, 0.3], [0.3, 0.8]]))
     ys = rng.normal(size=(1000, 2)) * 1.5
-    post = NiwPosterior.from_prior(prior)
+    post = prior.state
     for y in ys:
         post = posterior_update(post, y)
     mu_batch = (prior.c0 * prior.mu0 + ys.sum(axis=0)) / (prior.c0 + len(ys))
@@ -214,7 +214,7 @@ def test_criterion_7_asymptotic_normality():
     mono_hits, small_hits, final_devs = 0, 0, []
     for seed in range(TRIALS):
         rng = np.random.default_rng(seed)
-        post = NiwPosterior.from_prior(PriorConfig.default(2))
+        post = PriorConfig.default(2).state
         devs, drawn = [], 0
         for n in (100, 1000, 10_000):
             while drawn < n:

@@ -40,6 +40,17 @@ class TestGenerate:
         for name in ("train.csv", "test.csv", "truth.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-train", "0"), ("--n-test", "0"), ("--side", "0"), ("--side", "-2"),
+        ("--sigma2", "0"), ("--sigma2", "nan"), ("--sigma2", "inf"),
+        ("--spacing", "nan"), ("--spacing", "0"), ("--seed", "-1"),
+    ])
+    def test_invalid_flag_is_config_error_before_writing(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "data"
+        assert main(["generate", "--out", str(out), flag, value]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cluster_smoke(self, tmp_path):
         out = tmp_path / "one"
         assert main(["generate", "--out", str(out), "--side", "1",
@@ -271,6 +282,11 @@ class TestDiagnose:
             # a valid mixture in d = 3 against two-column training data
             '{"weights": [1.0], "means": [[0.0, 0.0, 0.0]], '
             '"covariances": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]}',
+            # non-finite fields: a NaN mean, NaN weights, a NaN covariance
+            '{"weights": [1.0], "means": [[NaN, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}',
+            '{"weights": [NaN, NaN], "means": [[0.0, 0.0], [1.0, 1.0]], '
+            '"covariances": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}',
+            '{"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, NaN], [NaN, 1.0]]]}',
         ],
     )
     def test_malformed_truth_is_data_error(self, dataset_dir, tmp_path, truth_text, capsys):

@@ -314,6 +314,24 @@ class TestTracePersistence:
             pytest.param(
                 replace_first("cluster", lambda rec: {**rec, "sigma": [[1.0, 2.0], [2.0, 1.0]]}),
                 "cluster record: .*not positive definite", id="sigma-not-definite"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "c": math.nan}),
+                         "cluster record: c must be finite", id="c-nan"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "mu": [math.nan, 0.0]}),
+                         "cluster record: mu must be finite", id="mu-nan"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "c": -2.0}),
+                         "cluster record: c must be positive", id="c-negative"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "delta": -3.0}),
+                         r"cluster record: 2\*delta must exceed d-1", id="delta-negative"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "sigma": [[1.0, 0.0]]}),
+                         "cluster record: sigma must be 2x2", id="sigma-not-square"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "m": -5}),
+                         "cluster record: m must be a nonnegative integer", id="m-negative"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "m": 2.5}),
+                         "cluster record: m must be a nonnegative integer", id="m-fraction"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "w": math.inf}),
+                         "cluster record: w must be finite and nonnegative", id="w-inf"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "w": -1.0}),
+                         "cluster record: w must be finite and nonnegative", id="w-negative"),
         ],
     )
     def test_malformed_trace_is_data_error(self, tmp_path, edit, problem):

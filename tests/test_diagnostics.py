@@ -97,7 +97,7 @@ class TestMixturePredictive:
 class TestLikelihoodRatio:
     def test_prior_state_gives_unit_ratio(self):
         prior = PriorConfig.default(1)
-        book = make_book([NiwPosterior.from_prior(prior)], [1], n=1)
+        book = make_book([prior.state], [1], n=1)
         for y in (-3.0, 0.0, 1.7):
             assert likelihood_ratio(book, prior, np.array([y])) == pytest.approx(
                 1.0, rel=1e-12
@@ -118,7 +118,7 @@ class TestInnovationProbability:
     def test_balance_point(self):
         """When ratio times alpha equals the assigned count, tau = 1/2."""
         prior = PriorConfig.default(1)
-        book = make_book([NiwPosterior.from_prior(prior)], [10], n=10)
+        book = make_book([prior.state], [10], n=10)
         # the ratio is exactly 1 here, so alpha = M gives the balance point
         alpha = 10.0
         tau = innovation_probability(book, alpha, prior, np.array([0.7]))
@@ -126,7 +126,7 @@ class TestInnovationProbability:
 
     def test_alpha_to_zero_limit(self):
         prior = PriorConfig.default(1)
-        book = make_book([NiwPosterior.from_prior(prior)], [10], n=10)
+        book = make_book([prior.state], [10], n=10)
         assert innovation_probability(book, book.alpha(1e9), prior, np.zeros(1)) < 1e-8
 
     def test_matches_engine_responsibilities(self):
@@ -375,7 +375,7 @@ class TestGaussianLimitDeviation:
         hits = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            post = NiwPosterior.from_prior(PriorConfig.default(2))
+            post = PriorConfig.default(2).state
             devs, drawn = [], 0
             for n in (100, 1000, 10_000):
                 while drawn < n:

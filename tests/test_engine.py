@@ -78,7 +78,7 @@ class TestPredictivePriorWeights:
     PRIOR = PriorConfig(mu0=np.zeros(1), c0=1.0, delta0=1.0, sigma0=np.eye(1))
 
     def weights(self, ms, n, alpha):
-        book = make_book([NiwPosterior.from_prior(self.PRIOR) for _ in ms], ms,
+        book = make_book([self.PRIOR.state for _ in ms], ms,
                          [float(m) for m in ms], n=n)
         return responsibilities(book, np.array([0.37]), alpha, self.PRIOR)
 
@@ -166,7 +166,7 @@ class TestResponsibilities:
                            prune_eps=0.0, merge_eps=0.0).resolve(d)
         book, step_rng = ClusterBook(n=4), np.random.default_rng(d)
         for mean in means:
-            book.add(posterior_update(NiwPosterior.from_prior(cfg.prior), mean), 1, 1.0)
+            book.add(posterior_update(cfg.prior.state, mean), 1, 1.0)
         for i, y in enumerate(ys, start=1):
             step(book, y, cfg, step_rng)
             if i % 50 == 0:
@@ -298,12 +298,13 @@ class TestStep:
             y = scale * rng.normal(size=d) * (1e3 if far else 1.0)
             book = ClusterBook()
             step(book, y, config, np.random.default_rng(0))
-            want = posterior_update(NiwPosterior.from_prior(prior), y)
+            want = posterior_update(prior.state, y)
             np.testing.assert_array_equal(book.mu[0], want.mu)
             np.testing.assert_array_equal(book.sigma[0], want.sigma)
             assert (book.c[0], book.delta[0]) == (want.c, want.delta)
             e = y - prior.mu0
-            t = prior.c0 / (1.0 + prior.c0) / (2.0 * prior.delta0) * float(e @ prior.prec @ e)
+            prec = prior.state.factors[0]
+            t = prior.c0 / (1.0 + prior.c0) / (2.0 * prior.delta0) * float(e @ prec @ e)
             assert (t > REFRESH_MAX_T) == far
             assert_cache_fresh(book)
 
@@ -503,7 +504,7 @@ def assert_cache_fresh(book):
     for h in range(book.k):
         assert (book.coef[h], book.expo[h]) == student_t_shape(book.c[h], book.delta[h])
         d = book.sigma[h].shape[0]
-        prec, logdet, log_norm = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
+        prec, logdet, log_norm, _, _ = student_t_factors(book.c[h], book.delta[h], book.sigma[h])
         tol = max(1e-12, 2 * d * (d + 1) * np.linalg.cond(book.sigma[h]) * np.finfo(float).eps)
         np.testing.assert_allclose(book.prec[h], prec, rtol=0, atol=tol * np.linalg.norm(prec, 2))
         assert book.logdet[h] == pytest.approx(logdet, rel=tol, abs=d * tol)
@@ -558,9 +559,32 @@ class TestCachedFactors:
         assert_cache_fresh(book)
         book.absorb(0, np.array([1e4, -3e4]))
         assert len(calls) == 1
-        prec, logdet, log_norm = real(book.c[0], book.delta[0], book.sigma[0])
+        prec, logdet, log_norm, _, _ = real(book.c[0], book.delta[0], book.sigma[0])
         np.testing.assert_array_equal(book.prec[0], prec)
         assert (book.logdet[0], book.log_norm[0]) == (logdet, log_norm)
+
+    def test_births_copy_the_prior_factors(self, monkeypatch):
+        """A new cluster copies the prior's state with its factors, and every
+        later update takes the rank-one refresh: with prune and merge off,
+        a run of well-scaled data factorises nothing, however many
+        clusters it opens."""
+        import asugs.engine as engine_mod
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return student_t_factors(*args)
+
+        mix = generate_grid_mixture(3, 0.025)
+        rows = sample_mixture(mix, 400, seed=2).rows
+        config = EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.025),
+                              prune_eps=0.0, merge_eps=0.0)
+        monkeypatch.setattr(engine_mod, "student_t_factors", counted)
+        trace = run(rows, config)
+        assert sum(r.innovation for r in trace.records) >= 9
+        assert calls == []
+        assert_cache_fresh(trace.final_book)
 
 
 class TestBookInvariants:

@@ -75,6 +75,18 @@ class TestLogpdf:
         with pytest.raises(LinAlgError):
             GaussianMixture(np.array([0.5, 0.5]), np.zeros((2, 2)), covs)
 
+    @pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected_naming_it(self, field, bad):
+        """A NaN weight would pass the simplex check and a NaN covariance
+        the symmetry check, so finiteness is checked first."""
+        parts = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+                 "covariances": np.array([np.eye(2), np.eye(2)])}
+        parts[field] = parts[field].copy()
+        parts[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GaussianMixture(**parts)
+
 
 # the quadratic form of these rows overflows to inf, so every term is -inf
 OVERFLOW_ROWS = np.array([[1e160, 0.0], [1e300, 1e300]])

@@ -214,7 +214,7 @@ class TestPosteriorUpdate:
         rng = np.random.default_rng(42)
         prior = PriorConfig(mu0=np.array([0.5, -1.0]), c0=2.0, delta0=3.0,
                             sigma0=np.eye(2))
-        post = NiwPosterior.from_prior(prior)
+        post = prior.state
         ys = rng.normal(size=(200, 2)) * 2.0 + 1.0
         for y in ys:
             post = posterior_update(post, y)
@@ -230,7 +230,7 @@ class TestPosteriorUpdate:
         """
         rng = np.random.default_rng(5)
         prior = PriorConfig(mu0=np.zeros(2), c0=1.5, delta0=2.5, sigma0=np.eye(2))
-        post = NiwPosterior.from_prior(prior)
+        post = prior.state
         ys = rng.normal(size=(300, 2))
         acc = 2.0 * prior.delta0 * prior.sigma0.copy()
         mu_run = prior.mu0.copy()
@@ -248,7 +248,7 @@ class TestPosteriorUpdate:
     def test_sigma_stays_positive_definite(self):
         """Smallest eigenvalue stays positive over many random updates."""
         rng = np.random.default_rng(123)
-        post = NiwPosterior.from_prior(PriorConfig.default(2))
+        post = PriorConfig.default(2).state
         for _ in range(100_000):
             post = posterior_update(post, rng.normal(size=2) * 5.0)
         assert np.linalg.eigvalsh(post.sigma).min() > 0
@@ -256,7 +256,7 @@ class TestPosteriorUpdate:
 
     def test_monotone_counts(self):
         prior = PriorConfig.default(2)
-        post = NiwPosterior.from_prior(prior)
+        post = prior.state
         rng = np.random.default_rng(1)
         for _ in range(50):
             post = posterior_update(post, rng.normal(size=2))
@@ -274,16 +274,14 @@ class TestStudentTShape:
 
     def test_prior_caches_its_shape(self):
         prior = PriorConfig(mu0=np.zeros(2), c0=0.5, delta0=3.0)
-        assert (prior.coef, prior.expo) == student_t_shape(0.5, 3.0)
+        assert prior.state.factors[3:] == student_t_shape(0.5, 3.0)
 
 
 class TestPriorPredictive:
     def test_equals_density_of_fresh_state(self):
         prior = PriorConfig.default(2)
         y = np.array([0.3, -0.7])
-        assert prior_predictive(prior, y) == log_predictive_density(
-            NiwPosterior.from_prior(prior), y
-        )
+        assert prior_predictive(prior, y) == log_predictive_density(prior.state, y)
 
     def test_symmetric_prior(self):
         prior = PriorConfig(mu0=np.zeros(1), c0=1.0, delta0=1.5,
@@ -298,6 +296,36 @@ class TestPriorPredictive:
         wide = PriorConfig(mu0=np.zeros(1), sigma0=np.array([[50.0]]))
         y = np.zeros(1)
         assert prior_predictive(wide, y) < prior_predictive(narrow, y)
+
+
+class TestCachedFactors:
+    def test_rows_factorise_a_state_once(self, monkeypatch):
+        import asugs.niw as niw_mod
+
+        real, calls = niw_mod.student_t_factors, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(niw_mod, "student_t_factors", counted)
+        post = NiwPosterior(mu=np.array([0.5, -1.0]), c=3.0, delta=4.0,
+                            sigma=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        ys = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]])
+        first = log_predictive_density_rows(post, ys)
+        np.testing.assert_array_equal(log_predictive_density_rows(post, ys), first)
+        assert len(calls) == 1
+        prec, *rest = real(post.c, post.delta, post.sigma)
+        np.testing.assert_array_equal(post.factors[0], prec)
+        assert post.factors[1:] == tuple(rest)
+
+    def test_prior_state_is_its_hyperparameters(self):
+        prior = PriorConfig(mu0=np.array([0.5, -1.0]), c0=0.5, delta0=3.0,
+                            sigma0=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        state = prior.state
+        np.testing.assert_array_equal(state.mu, prior.mu0)
+        np.testing.assert_array_equal(state.sigma, prior.sigma0)
+        assert (state.c, state.delta) == (prior.c0, prior.delta0)
 
 
 class TestPriorConfigValidation:
