@@ -186,6 +186,35 @@ _RECORD_KEYS = {
 }
 
 
+# Each scalar's JSON type, checked with type(): a JSON true is a bool, not an int.
+_NUMBER = (int, float)
+_STEP_TYPES = {"i": (int,), "label": (int,), "alpha": _NUMBER, "k": (int,), "innovation": (bool,)}
+_PRIOR_TYPES = {"c0": _NUMBER, "delta0": _NUMBER}
+_STATE_TYPES = {"c": _NUMBER, "delta": _NUMBER}
+_FINAL_TYPES = {"n": (int,), "k": (int,)}
+
+
+def _typed(rec: dict, types: dict) -> None:
+    """Raise ``ValueError`` naming the first key of ``types`` whose value has
+    another JSON type."""
+    for key, allowed in types.items():
+        if type(rec[key]) not in allowed:
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"{key} must be {names}, got {rec[key]!r}")
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """A JSON list of numbers, or of such lists, as a float array; anything
+    else raises ``ValueError`` naming key."""
+    try:
+        arr = np.array(value) if type(value) is list else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "fi":
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
 def _dumps(obj: dict) -> str:
     # numpy arrays and scalars other than float64 serialise through tolist()
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.tolist())
@@ -221,10 +250,12 @@ def write_trace(path, trace: RunTrace) -> None:
 def read_trace(path) -> RunTrace:
     """Load a trace written by ``write_trace``.  Its final book is rebuilt
     with ``ClusterBook.add``, so cids run 1..k and pair histories start at
-    zero.  A cluster record's state passes ``check_state`` as the prior's
-    does, its m is a nonnegative integer and its w finite and nonnegative.
-    A malformed trace raises DataError naming the path, the row and, for
-    an invalid value, its key."""
+    zero.  Every value has the JSON type the writer gives it: an integer, a
+    number, true/false or a list of numbers (no strings for numbers, no
+    true for 1).  A cluster record's state passes ``check_state`` as the
+    prior's does, its m is a nonnegative integer and its w finite and
+    nonnegative.  A malformed trace raises DataError naming the path, the
+    row and, for an invalid value, its key."""
     config = final = None
     records: list[StepRecord] = []
     checkpoints: list[Checkpoint] = []
@@ -247,24 +278,37 @@ def read_trace(path) -> RunTrace:
                 _has_keys(rec, _RECORD_KEYS[kind])
                 if kind == "config":
                     if rec["prior"] is not None:
-                        _has_keys(rec["prior"], frozenset(_PRIOR_KEYS))
-                        rec["prior"] = PriorConfig(**rec["prior"])
+                        prior = rec["prior"]
+                        _has_keys(prior, frozenset(_PRIOR_KEYS))
+                        _typed(prior, _PRIOR_TYPES)
+                        prior["mu0"], prior["sigma0"] = (
+                            _numbers(prior[key], key) for key in ("mu0", "sigma0"))
+                        rec["prior"] = PriorConfig(**prior)
                     config = EngineConfig(**rec)
                 elif kind == "step":
-                    r = StepRecord(*map(rec.get, _STEP_KEYS))
-                    r.q = np.array(r.q)
-                    records.append(r)
+                    _typed(rec, _STEP_TYPES)
+                    q = _numbers(rec["q"], "q")
+                    if q.ndim != 1:
+                        raise ValueError(f"q must be a list of numbers, got {rec['q']!r}")
+                    rec["q"] = q
+                    records.append(StepRecord(*map(rec.get, _STEP_KEYS)))
                 elif kind == "checkpoint":
                     checkpoints.append(Checkpoint(**rec))
                 elif kind == "cluster":
                     m, w = rec["m"], rec["w"]
                     if not (type(m) is int and m >= 0):
                         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-                    if not (type(w) in (int, float) and math.isfinite(w) and w >= 0):
+                    if not (type(w) in _NUMBER and math.isfinite(w) and w >= 0):
                         raise ValueError(f"w must be finite and nonnegative, got {w!r}")
-                    post = NiwPosterior(*check_state(rec["mu"], rec["c"], rec["delta"], rec["sigma"]))
+                    _typed(rec, _STATE_TYPES)
+                    post = NiwPosterior(*check_state(
+                        _numbers(rec["mu"], "mu"), rec["c"], rec["delta"],
+                        _numbers(rec["sigma"], "sigma")))
                     book.add(post, m, w)  # LinAlgError if sigma does not factorise
                 else:
+                    _typed(rec, _FINAL_TYPES)
+                    if rec["n"] < 0:
+                        raise ValueError(f"n must be nonnegative, got {rec['n']}")
                     final, final_row = rec, lineno
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: row {lineno}: {kind} record: {exc}") from exc

@@ -29,8 +29,8 @@ from asugs.niw import (
     PriorConfig,
     _observation,
     conjugate_update,
-    log_predictive_density,  # unused here but stay attributes of this
-    posterior_update,  # module: perfbench/tracer.py wraps them here
+    log_predictive_density,  # these three are unused here but stay attributes
+    posterior_update,  # of this module: perfbench/tracer.py wraps them here
     prior_predictive,
     student_t_factors,
     student_t_log_density,
@@ -53,7 +53,7 @@ class StepError(RuntimeError):
 
 
 _CLUSTER_FIELDS = (
-    "mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm", "coef", "expo",
+    "mu", "sigma", "c", "delta", "m", "_w", "cid", "prec", "logdet", "log_norm", "coef", "expo",
 )
 REFRESH_MAX_T = 100.0  # largest t that ``ClusterBook.absorb`` refreshes in closed form
 
@@ -81,6 +81,13 @@ class ClusterBook:
     how much responsibility mass the pair has actually received, i.e.
     how much evidence the distance rests on.  ``add`` and ``keep`` are
     the only places where the arrays change length.
+
+    ``w``, ``dist`` and ``coact`` are folded on read: a step ``push``es its
+    responsibilities q of the live clusters onto ``window``, and ``fold``
+    adds the window's terms in step order, so every read sees the sums of
+    adding once per step, bit for bit.  The window is folded before ``add``
+    and ``keep`` change k (so it holds one k) and whenever it reaches the
+    period ``push`` is given.
     """
 
     n: int = 0
@@ -89,16 +96,32 @@ class ClusterBook:
     c: np.ndarray = field(default_factory=lambda: np.zeros(0))
     delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _w: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     prec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
     logdet: np.ndarray = field(default_factory=lambda: np.zeros(0))
     log_norm: np.ndarray = field(default_factory=lambda: np.zeros(0))
     coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
     expo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    _dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    _coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     next_cid: int = 1
+    window: list[np.ndarray] = field(default_factory=list, repr=False)
+
+    @property
+    def w(self) -> np.ndarray:
+        self.fold()
+        return self._w
+
+    @property
+    def dist(self) -> np.ndarray:
+        self.fold()
+        return self._dist
+
+    @property
+    def coact(self) -> np.ndarray:
+        self.fold()
+        return self._coact
 
     @property
     def k(self) -> int:
@@ -120,6 +143,24 @@ class ClusterBook:
         ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
         (self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h],
          self.expo[h]) = student_t_factors(self.c[h], self.delta[h], self.sigma[h])
+
+    def push(self, q: np.ndarray, period: int) -> None:
+        """Queue one step's responsibilities of the k live clusters, folding
+        once the window holds ``period`` steps."""
+        self.window.append(q)
+        if len(self.window) >= period:
+            self.fold()
+
+    def fold(self) -> None:
+        """Add the window's terms q, |q_i - q_j| and q_i + q_j into w, dist
+        and coact, one step after another, and empty it."""
+        if not self.window:
+            return
+        q = np.array(self.window)
+        self.window = []
+        self._w = _sum_in_order(self._w, q)
+        self._dist = _sum_in_order(self._dist, np.abs(q[:, :, None] - q[:, None, :]))
+        self._coact = _sum_in_order(self._coact, q[:, :, None] + q[:, None, :])
 
     def absorb(self, h: int, y: np.ndarray) -> None:
         """Update cluster h by y in place (``conjugate_update``).  As sigma' = a
@@ -145,26 +186,38 @@ class ClusterBook:
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with a copy of post's state and ``factors`` and a
         fresh cid; its pair histories start at zero."""
+        self.fold()
         d, h = post.dim, self.k
         for name in _CLUSTER_FIELDS:
             tail = {"mu": (d,), "sigma": (d, d), "prec": (d, d)}.get(name, ())
             arr = getattr(self, name).reshape(h, *tail)
             setattr(self, name, np.concatenate([arr, np.zeros((1, *tail), arr.dtype)]))
-        self.m[h], self.w[h], self.cid[h] = m, w, self.next_cid
+        self.m[h], self._w[h], self.cid[h] = m, w, self.next_cid
         self.next_cid += 1
-        self.dist = np.pad(self.dist, ((0, 1), (0, 1)))
-        self.coact = np.pad(self.coact, ((0, 1), (0, 1)))
+        self._dist = np.pad(self._dist, ((0, 1), (0, 1)))
+        self._coact = np.pad(self._coact, ((0, 1), (0, 1)))
         self.mu[h], self.sigma[h] = post.mu, post.sigma
         self.c[h], self.delta[h] = post.c, post.delta
         self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h], self.expo[h] = post.factors
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the clusters where mask is False, with their rows and columns."""
+        self.fold()
         mask = np.asarray(mask, dtype=bool)
         for name in _CLUSTER_FIELDS:
             setattr(self, name, getattr(self, name)[mask])
-        self.dist = self.dist[mask][:, mask]
-        self.coact = self.coact[mask][:, mask]
+        self._dist = self._dist[mask][:, mask]
+        self._coact = self._coact[mask][:, mask]
+
+
+def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0] + terms[1] + ..., added in that order.  ``np.add.reduce``
+    over axis 0 adds whole rows in turn, but a column of scalars (k = 1) it
+    sums pairwise, so there the running ``accumulate`` gives the sum."""
+    stack = np.concatenate([total[None], terms])
+    if total.size > 1:
+        return np.add.reduce(stack, axis=0)
+    return np.add.accumulate(stack, axis=0)[-1]
 
 
 def _is_int(value) -> bool:
@@ -236,8 +289,20 @@ class StepRecord:
     innovation: bool
 
 
+def _quad_forms(e: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """e^T prec e for each row of e (... x d), against the matching or a
+    shared prec (d x d): the batched matmul sandwich."""
+    return (e[..., None, :] @ prec @ e[..., :, None])[..., 0, 0]
+
+
+def _prior_scores(prior: PriorConfig, rows: np.ndarray) -> np.ndarray:
+    """``prior_predictive`` of each row, bit for bit, in one batched pass."""
+    prec, _, log_norm, coef, expo = prior.state.factors
+    return student_t_log_density(log_norm, coef, expo, _quad_forms(rows - prior.state.mu, prec))
+
+
 def responsibilities(
-    book: ClusterBook, y: np.ndarray, alpha: float, prior: PriorConfig
+    book: ClusterBook, y: np.ndarray, alpha: float, log_new: float
 ) -> np.ndarray:
     """Posterior probability of each label (existing clusters, then new).
 
@@ -245,15 +310,15 @@ def responsibilities(
     in log domain and normalized by max-subtraction: the common 1/(n + alpha)
     cancels and is omitted, and q sums to 1 also after pruning has dropped
     counts.  One batched quadratic form over the cached precisions scores
-    every cluster."""
+    every cluster; ``log_new`` is the new cluster's log density of y,
+    ``prior_predictive(prior, y)``."""
     k = book.k
     if k == 0:
         return np.array([1.0])
     logq = np.empty(k + 1)
-    e = y - book.mu
-    quad = (e[:, None, :] @ book.prec @ e[:, :, None])[:, 0, 0]
+    quad = _quad_forms(y - book.mu, book.prec)
     logq[:k] = np.log(book.m) + student_t_log_density(book.log_norm, book.coef, book.expo, quad)
-    logq[k] = math.log(alpha) + prior_predictive(prior, y)
+    logq[k] = math.log(alpha) + log_new
     logq -= logq.max()
     q = np.exp(logq)
     q /= q.sum()
@@ -261,18 +326,21 @@ def responsibilities(
 
 
 def step(
-    book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator
+    book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator,
+    log_new: float,
 ) -> StepRecord:
     """Process one observation, updating the book in place.  y must be
     finite: ``run`` checks the whole stream (``as_stream``) before its
-    first step, so the step does not check again."""
+    first step, so the step does not check again.  ``log_new`` is
+    ``prior_predictive(config.prior, y)``, which ``run`` scores for a window
+    of rows at once."""
     y = _observation(y, config.prior.dim)
     k = book.k
     if k == 0:
         alpha, q, label = 0.0, np.array([1.0]), 1  # the first observation opens cluster 1
     else:
         alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
-        q = responsibilities(book, y, alpha, config.prior)
+        q = responsibilities(book, y, alpha, log_new)
         if config.selection == "argmax":
             label = int(q.argmax()) + 1  # ties resolve to the lowest index
         else:
@@ -285,10 +353,7 @@ def step(
         k += 1
     book.absorb(label - 1, y)
     book.m[label - 1] += 1
-    q_live = q[:k]  # an unused innovation slot's mass is dropped
-    book.w += q_live
-    book.dist += np.abs(np.subtract.outer(q_live, q_live))
-    book.coact += np.add.outer(q_live, q_live)
+    book.push(q[:k], config.maintenance_period)  # an unused innovation slot's mass is dropped
 
     book.n += 1
     return StepRecord(
@@ -437,7 +502,9 @@ def run(
 
     Maintenance (prune, then merge) runs every ``maintenance_period``
     steps and once more at stream end if the last step was not already a
-    maintenance step.  A stream that ``as_stream`` rejects (empty, no
+    maintenance step.  The rows go in windows of that period: before a
+    window's first step, one batched call scores the prior predictive of
+    all its rows.  A stream that ``as_stream`` rejects (empty, no
     coordinates, more than two axes) raises ``ValueError``; a failing
     step raises ``StepError`` (a ``RuntimeError``) naming its 1-based index.
     A non-finite row raises its ``StepError`` before the first step.
@@ -461,15 +528,19 @@ def run(
         records[-1].k_after = book.k
 
     maintenance = config.prune_eps > 0.0 or config.merge_eps > 0.0
-    for i, y in enumerate(stream, start=1):
-        try:
-            records.append(step(book, y, config, rng))
-        except Exception as exc:
-            raise StepError(i, exc) from exc
-        if maintenance and i % config.maintenance_period == 0:
-            maintain()
-        if on_step is not None:
-            on_step(i, book)
-    if maintenance and book.n % config.maintenance_period != 0:
+    period = config.maintenance_period
+    for start in range(0, len(stream), period):  # one window per maintenance period
+        rows = stream[start:start + period]
+        for i, y, log_new in zip(range(start + 1, start + period + 1), rows,
+                                 _prior_scores(config.prior, rows).tolist()):
+            try:
+                records.append(step(book, y, config, rng, log_new))
+            except Exception as exc:
+                raise StepError(i, exc) from exc
+            if maintenance and i % period == 0:
+                maintain()
+            if on_step is not None:
+                on_step(i, book)
+    if maintenance and book.n % period != 0:
         maintain()
     return RunTrace(config=config, records=records, final_book=book)

@@ -332,6 +332,33 @@ class TestTracePersistence:
                          "cluster record: w must be finite and nonnegative", id="w-inf"),
             pytest.param(replace_first("cluster", lambda rec: {**rec, "w": -1.0}),
                          "cluster record: w must be finite and nonnegative", id="w-negative"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "label": "3"}),
+                         "step record: label must be int, got '3'", id="label-string"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "label": None}),
+                         "step record: label must be int, got None", id="label-null"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "innovation": 1}),
+                         "step record: innovation must be bool, got 1", id="innovation-int"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "q": "abc"}),
+                         "step record: q must be a list of numbers, got 'abc'", id="q-string"),
+            pytest.param(replace_first("step", lambda rec: {**rec, "q": [rec["q"]]}),
+                         "step record: q must be a list of numbers", id="q-nested"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "c": "2.0"}),
+                         "cluster record: c must be int or float, got '2.0'", id="c-string"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "c": "abc"}),
+                         "cluster record: c must be int or float, got 'abc'", id="c-not-a-number"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "c": True}),
+                         "cluster record: c must be int or float, got True", id="c-true"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "mu": ["0.5", 0.0]}),
+                         "cluster record: mu must be a list of numbers", id="mu-string"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "sigma": [[1.0, 0.0], [0.0]]}),
+                         "cluster record: sigma must be a list of numbers", id="sigma-ragged"),
+            pytest.param(
+                replace_first("config", lambda rec: {**rec, "prior": {**rec["prior"], "c0": "2.0"}}),
+                "config record: c0 must be int or float, got '2.0'", id="prior-c0-string"),
+            pytest.param(replace_first("final", lambda rec: {**rec, "n": "120"}),
+                         "final record: n must be int, got '120'", id="final-n-string"),
+            pytest.param(replace_first("final", lambda rec: {**rec, "n": -1}),
+                         "final record: n must be nonnegative", id="final-n-negative"),
         ],
     )
     def test_malformed_trace_is_data_error(self, tmp_path, edit, problem):

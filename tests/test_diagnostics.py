@@ -38,7 +38,13 @@ from asugs.engine import (
     run,
 )
 from asugs.mixture import GaussianMixture
-from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density, posterior_update
+from asugs.niw import (
+    NiwPosterior,
+    PriorConfig,
+    log_predictive_density,
+    posterior_update,
+    prior_predictive,
+)
 
 
 def make_book(posts, ms, n):
@@ -145,7 +151,7 @@ class TestInnovationProbability:
             alpha = book.alpha(rng.uniform(0.2, 3.0))
             y = rng.normal(size=2) * 3
             tau = innovation_probability(book, alpha, prior, y)
-            q = responsibilities(book, y, alpha, prior)
+            q = responsibilities(book, y, alpha, prior_predictive(prior, y))
             assert tau == pytest.approx(q[-1], abs=1e-12)
 
 

@@ -6,6 +6,7 @@ label-prior weights and predictive densities with its own scalar
 arithmetic.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from asugs.engine import (
     EngineConfig,
     REFRESH_MAX_T,
     StepError,
+    _prior_scores,
     merge,
     prune,
     responsibilities,
@@ -80,10 +82,12 @@ class TestPredictivePriorWeights:
     def weights(self, ms, n, alpha):
         book = make_book([self.PRIOR.state for _ in ms], ms,
                          [float(m) for m in ms], n=n)
-        return responsibilities(book, np.array([0.37]), alpha, self.PRIOR)
+        y = np.array([0.37])
+        return responsibilities(book, y, alpha, prior_predictive(self.PRIOR, y))
 
     def test_empty_book_certain_innovation(self):
-        assert responsibilities(ClusterBook(), np.zeros(1), 3.7, self.PRIOR).tolist() == [1.0]
+        y = np.zeros(1)
+        assert responsibilities(ClusterBook(), y, 3.7, prior_predictive(self.PRIOR, y)).tolist() == [1.0]
 
     def test_single_cluster_unit_alpha(self):
         np.testing.assert_allclose(self.weights([1], 1, 1.0), [0.5, 0.5])
@@ -106,14 +110,16 @@ class TestResponsibilities:
     def test_empty_book(self):
         prior = PriorConfig.default(1)
         np.testing.assert_array_equal(
-            responsibilities(ClusterBook(), np.zeros(1), 1.0, prior), [1.0]
+            responsibilities(ClusterBook(), np.zeros(1), 1.0, prior_predictive(prior, np.zeros(1))),
+            [1.0],
         )
 
     def test_symmetric_clusters_split_evenly(self):
         post_a = NiwPosterior(np.array([-1.0]), 3.0, 2.0, np.array([[0.5]]))
         post_b = NiwPosterior(np.array([1.0]), 3.0, 2.0, np.array([[0.5]]))
         book = make_book([post_a, post_b], [4, 4], [4.0, 4.0], n=8)
-        q = responsibilities(book, np.zeros(1), 1.0, PriorConfig.default(1))
+        q = responsibilities(book, np.zeros(1), 1.0,
+                             prior_predictive(PriorConfig.default(1), np.zeros(1)))
         assert q[0] == pytest.approx(q[1], rel=1e-12)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -133,7 +139,7 @@ class TestResponsibilities:
             alpha * math.exp(ref_log_density_1d(0.0, 1.0, 1.5, 2.0, y)),
         ]
         expected = np.array(raw) / sum(raw)
-        got = responsibilities(book, np.array([y]), alpha, prior)
+        got = responsibilities(book, np.array([y]), alpha, prior_predictive(prior, np.array([y])))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     @staticmethod
@@ -168,7 +174,7 @@ class TestResponsibilities:
         for mean in means:
             book.add(posterior_update(cfg.prior.state, mean), 1, 1.0)
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, step_rng)
+            step(book, y, cfg, step_rng, prior_predictive(cfg.prior, y))
             if i % 50 == 0:
                 for y_new in means[rng.integers(4, size=5)] + rng.normal(size=(5, d)):
                     yield book, cfg.prior, y_new, book.alpha(cfg.lam)
@@ -191,7 +197,7 @@ class TestResponsibilities:
             )
             expected = np.exp(logq - logq.max())
             expected /= expected.sum()
-            got = responsibilities(book, y, alpha, prior)
+            got = responsibilities(book, y, alpha, prior_predictive(prior, y))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_random_states_normalized(self):
@@ -206,8 +212,8 @@ class TestResponsibilities:
                                           rng.uniform(1.5, 9), a @ a.T + np.eye(2)))
                 ms.append(int(rng.integers(1, 30)))
             book = make_book(posts, ms, [float(m) for m in ms], n=sum(ms))
-            q = responsibilities(book, rng.normal(size=2) * 3,
-                                 rng.uniform(0.1, 5.0), prior)
+            y = rng.normal(size=2) * 3
+            q = responsibilities(book, y, rng.uniform(0.1, 5.0), prior_predictive(prior, y))
             assert q.shape == (k + 1,)
             assert np.all(q >= 0)
             assert q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -237,10 +243,13 @@ class TestStep:
         self.config = EngineConfig(lam=1.0, seed=0, prior=PriorConfig.default(2)).resolve(2)
         self.rng = np.random.Generator(np.random.PCG64(0))
 
+    def step(self, book, y):
+        return step(book, y, self.config, self.rng, prior_predictive(self.config.prior, y))
+
     def test_first_observation_opens_cluster_one(self):
         book = ClusterBook()
         rng_state = self.rng.bit_generator.state
-        rec = step(book, np.array([0.4, -0.1]), self.config, self.rng)
+        rec = self.step(book, np.array([0.4, -0.1]))
         assert (rec.label, rec.k_after, rec.innovation, rec.alpha_used) == (1, 1, True, 0.0)
         assert rec.q.tolist() == [1.0]
         assert self.rng.bit_generator.state == rng_state  # no selection, no draw
@@ -253,14 +262,14 @@ class TestStep:
         y = np.array([1.0, 1.0])
         post = NiwPosterior(y.copy(), 100.0, 50.0, 0.01 * np.eye(2))
         book = make_book([post], [100], [100.0], n=100)
-        rec = step(book, y, config, self.rng)
+        rec = step(book, y, config, self.rng, prior_predictive(config.prior, y))
         assert rec.label == 1 and not rec.innovation
 
     def test_counts_partition_observations(self):
         rng = np.random.default_rng(2)
         book = ClusterBook()
         for i in range(200):
-            rec = step(book, rng.normal(size=2) * 2, self.config, self.rng)
+            rec = self.step(book, rng.normal(size=2) * 2)
             assert book.m.sum() == book.n == i + 1
             assert rec.q.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(rec.q >= 0)
@@ -280,9 +289,9 @@ class TestStep:
     def test_observation_of_wrong_dimension_rejected(self, k, dim):
         book = ClusterBook()
         for _ in range(k):
-            step(book, np.array([0.4, -0.1]), self.config, self.rng)
+            self.step(book, np.array([0.4, -0.1]))
         with pytest.raises(ValueError, match=f"observation has dim {dim}, state has dim 2"):
-            step(book, np.ones(dim), self.config, self.rng)
+            step(book, np.ones(dim), self.config, self.rng, 0.0)  # y is refused before log_new is read
         assert (book.k, book.n) == (k, k)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -297,7 +306,7 @@ class TestStep:
         for far in (False, True):
             y = scale * rng.normal(size=d) * (1e3 if far else 1.0)
             book = ClusterBook()
-            step(book, y, config, np.random.default_rng(0))
+            step(book, y, config, np.random.default_rng(0), prior_predictive(prior, y))
             want = posterior_update(prior.state, y)
             np.testing.assert_array_equal(book.mu[0], want.mu)
             np.testing.assert_array_equal(book.sigma[0], want.sigma)
@@ -448,7 +457,7 @@ class TestPairHistories:
 
         born = pruned = merged = 0
         for i, y in enumerate(ys, start=1):
-            rec = step(book, y, cfg, rng)
+            rec = step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             if rec.innovation:
                 born += 1
                 new = born  # cids are never reused
@@ -476,6 +485,113 @@ class TestPairHistories:
                 merged += 1
             check()
         assert pruned > 0 and merged > 0
+
+
+class TestWindows:
+    """``run`` scores the prior for a window of ``maintenance_period`` rows at
+    once, and the book folds the pair histories of up to that many steps in
+    one pass; both give the values of once per step, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_batched_prior_score_is_prior_predictive(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        priors = (PriorConfig.default(d), PriorConfig.from_scale(d, 0.3, 2.0 * d + 4.0),
+                  PriorConfig(mu0=rng.normal(size=d), c0=0.7, delta0=d + 1.5,
+                              sigma0=a @ a.T + 0.1 * np.eye(d)))
+        for prior in priors:
+            for scale in (1e-6, 1.0, 1e6):
+                for rows in (1, 7, 50):
+                    ys = rng.normal(size=(rows, d)) * scale + prior.mu0
+                    got = _prior_scores(prior, ys)
+                    assert got.tolist() == [prior_predictive(prior, y) for y in ys]
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_fold_adds_in_step_order(self, k):
+        """A window of 60 steps against adding once per step, on sums whose
+        rounding depends on the order; at k = 1 a plain ``np.add.reduce``
+        over the window would sum it pairwise."""
+        rng = np.random.default_rng(k)
+        book = k_cluster_book(k, n=0)
+        sums = [book.w.copy(), book.dist.copy(), book.coact.copy()]
+        for _ in range(60):
+            q = rng.random(k) * 10.0 ** rng.uniform(-8.0, 0.0)
+            book.push(q, 100)
+            for total, term in zip(sums, (q, np.abs(np.subtract.outer(q, q)), np.add.outer(q, q))):
+                total += term
+        assert len(book.window) == 60
+        for got, want in zip((book.w, book.dist, book.coact), sums):
+            assert np.array_equal(got, want)
+        assert book.window == []
+
+    @staticmethod
+    def per_step_push(book, q, period):
+        """``ClusterBook.push`` as a reference: add once per step, no window."""
+        book._w += q
+        book._dist += np.abs(np.subtract.outer(q, q))
+        book._coact += np.add.outer(q, q)
+
+    @pytest.mark.parametrize("maintained", [True, False], ids=["prune-merge", "no-maintenance"])
+    @pytest.mark.parametrize("period", [1, 7, 50])
+    def test_pair_sums_equal_once_per_step(self, monkeypatch, period, maintained):
+        """``w``, ``dist`` and ``coact`` as ``on_step`` reads them at every step
+        against the reference that adds once per step.  Each read is taken
+        from a copy, so the run's own window is left to grow; it never holds
+        more than ``period`` steps."""
+        ys = sample_mixture(generate_grid_mixture(4, 0.025), 400, seed=0).rows
+        cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025),
+                           maintenance_period=period,
+                           **({} if maintained else dict(prune_eps=0.0, merge_eps=0.0)))
+        sizes, real_fold = [], ClusterBook.fold
+
+        def sized_fold(book):
+            sizes.append(len(book.window))
+            real_fold(book)
+
+        def runs():
+            seen = []
+            trace = run(ys, cfg, on_step=lambda i, book: seen.append(
+                [getattr(copy.deepcopy(book), name) for name in ("w", "dist", "coact")]))
+            return trace, seen
+
+        monkeypatch.setattr(ClusterBook, "fold", sized_fold)
+        trace, seen = runs()
+        monkeypatch.setattr(ClusterBook, "push", self.per_step_push)
+        want_trace, want = runs()
+
+        assert [r.label for r in trace.records] == [r.label for r in want_trace.records]
+        assert len(seen) == len(want) == len(ys)
+        for got_sums, want_sums in zip(seen, want):
+            for got_arr, want_arr in zip(got_sums, want_sums):
+                assert np.array_equal(got_arr, want_arr)
+        assert max(sizes) == period
+        births = [r.index for r in trace.records if r.innovation]
+        assert period == 1 or any((i - 1) % period for i in births)  # a birth in mid-window
+        assert (len(births) > trace.k) == maintained  # maintenance removed clusters
+
+    @pytest.mark.parametrize("rows, period", [(400, 50), (401, 50), (400, 7), (3, 50)])
+    def test_one_prior_score_per_window(self, monkeypatch, rows, period):
+        """An N-row run scores the prior in ceil(N / period) batched calls,
+        which cover every row once, and calls ``prior_predictive`` never."""
+        import asugs.engine as engine_mod
+
+        batches, singles = [], []
+
+        def counted_batch(prior, ys):
+            batches.append(len(ys))
+            return _prior_scores(prior, ys)
+
+        def counted_single(*args):
+            singles.append(args)
+            return prior_predictive(*args)
+
+        ys = sample_mixture(generate_grid_mixture(3, 0.025), rows, seed=2).rows
+        monkeypatch.setattr(engine_mod, "_prior_scores", counted_batch)
+        monkeypatch.setattr(engine_mod, "prior_predictive", counted_single)
+        run(ys, EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.025),
+                             maintenance_period=period))
+        assert len(batches) == math.ceil(rows / period) and sum(batches) == rows
+        assert singles == []
 
 
 def assert_cache_fresh(book):
@@ -626,7 +742,7 @@ class TestBookInvariants:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         book = ClusterBook()
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, rng)
+            step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             check(i, book)
             if i % period == 0:
                 prune(book, cfg.prune_eps)
@@ -682,7 +798,7 @@ class TestCacheAcrossScales:
         ys, _, cfg = self.stream(d, centers, picks, seed, exponent, matched)
         book, rng = ClusterBook(), np.random.Generator(np.random.PCG64(cfg.seed))
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, rng)
+            step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             assert_cache_fresh(book)
             assert_sigma_symmetric(book)
             if i % cfg.maintenance_period == 0:
@@ -833,7 +949,7 @@ class TestReadBook:
         assert book.w.tolist() == trace.final_book.w.tolist()
         assert book.dist.shape == book.coact.shape == (book.k, book.k)
         assert not book.dist.any() and not book.coact.any()
-        step(book, ys[0], cfg, np.random.default_rng(0))
+        step(book, ys[0], cfg, np.random.default_rng(0), prior_predictive(cfg.prior, ys[0]))
         assert book.n == trace.n + 1
         book.dist[:] = 0.0
         book.coact[:] = float(book.n)
