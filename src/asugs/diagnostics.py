@@ -30,7 +30,7 @@ from asugs.engine import (
     run,
     step,
 )
-from asugs.mixture import GaussianMixture, gaussian_log_density, log_sum_exp
+from asugs.mixture import GaussianMixture, gaussian_log_density, log_sum_exp, row_quad_forms
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
@@ -49,15 +49,11 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     """
     if book.k == 0:
         raise ValueError("mixture predictive undefined for an empty book")
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    total = book.total_count
-    logs = np.empty((book.k, ys.shape[0]))
-    for h in range(book.k):  # one cluster at a time keeps temporaries O(rows x d)
-        e = ys - book.mu[h]
-        logs[h] = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.coef[h], book.expo[h], np.einsum("ij,ij->i", e @ book.prec[h], e)
-        )
-    return log_sum_exp(logs)
+    logs = row_quad_forms(ys, book.mu, book.prec)
+    student_t_log_density(book.log_norm[:, None], book.coef[:, None], book.expo[:, None], logs,
+                          out=logs)
+    logs += np.log(book.m / book.total_count)[:, None]
+    return log_sum_exp(logs, overwrite=True)
 
 
 def _log_likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:
@@ -119,18 +115,19 @@ def _grid_weights(axes) -> np.ndarray:
     return weights
 
 
-def _grid_quad(axes, mu: np.ndarray, prec: np.ndarray) -> np.ndarray:
-    """(y - mu)^T prec (y - mu) at every tensor-grid point, in grid shape:
-    sum_a P_aa u_a^2 + sum_{a<b} 2 P_ab u_a u_b over the per-axis offsets
-    u_a, with no row array of points."""
-    d = len(axes)
-    us = [(ax - mu[a]).reshape((-1,) + (1,) * (d - 1 - a)) for a, ax in enumerate(axes)]
-    quad = np.zeros((len(axes[0]),) * d)
-    for a in range(d):
-        quad += prec[a, a] * us[a] ** 2
-        for b in range(a + 1, d):
-            quad += (2.0 * prec[a, b]) * us[a] * us[b]
-    return quad
+def _grid_quad(axes, mu: np.ndarray, prec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(y - mu)^T prec (y - mu) at every point of a d <= 2 tensor grid,
+    written into ``out`` (grid shape): P_00 u_0^2 + 2 P_01 u_0 u_1 + P_11 u_1^2
+    over the per-axis offsets u_a, by broadcast writes and adds of per-axis
+    vectors, so no row array of points and no grid-sized temporary."""
+    u0 = axes[0] - mu[0]
+    if len(axes) == 1:
+        return np.multiply(prec[0, 0], u0 ** 2, out=out)
+    u1 = axes[1] - mu[1]
+    np.multiply(((2.0 * prec[0, 1]) * u0)[:, None], u1, out=out)
+    out += (prec[0, 0] * u0 ** 2)[:, None]
+    out += prec[1, 1] * u1 ** 2
+    return out
 
 
 def _tensor_grid(los, his, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +165,8 @@ def l2_distance_to_truth(
     The grid evaluation is separable: each component's quadratic form is
     built from per-axis offsets in grid shape, and the components'
     densities, fitted minus truth, are summed into one grid array in the
-    linear domain, so memory is O(grid) whatever the number of clusters.
+    linear domain, through one buffer that every component reuses: three
+    grid arrays (sum, buffer, weights) whatever the number of clusters.
     """
     if book.k == 0:
         raise ValueError("L2 distance undefined for an empty book")
@@ -184,17 +182,20 @@ def l2_distance_to_truth(
     axes = _grid_axes(mus.min(axis=0) - pad_stds * max_sd, mus.max(axis=0) + pad_stds * max_sd,
                       grid_points)
     diff = np.zeros((grid_points,) * d)
+    buf = np.empty_like(diff)
     total = book.total_count
     for h in range(book.k):
-        quad = _grid_quad(axes, book.mu[h], book.prec[h])
-        log_dens = math.log(book.m[h] / total) + student_t_log_density(
-            book.log_norm[h], book.coef[h], book.expo[h], quad)
-        diff += np.exp(log_dens, out=log_dens)
+        student_t_log_density(book.log_norm[h], book.coef[h], book.expo[h],
+                              _grid_quad(axes, book.mu[h], book.prec[h], buf), out=buf)
+        buf += math.log(book.m[h] / total)
+        diff += np.exp(buf, out=buf)
     for h in range(truth.n_components):
-        log_dens = math.log(truth.weights[h]) + gaussian_log_density(
-            d, truth.logdets[h], _grid_quad(axes, truth.means[h], truth.precs[h]))
-        diff -= np.exp(log_dens, out=log_dens)
-    return float(np.sqrt(np.sum(diff * diff * _grid_weights(axes))))
+        gaussian_log_density(d, truth.logdets[h],
+                             _grid_quad(axes, truth.means[h], truth.precs[h], buf), out=buf)
+        buf += math.log(truth.weights[h])
+        diff -= np.exp(buf, out=buf)
+    np.square(diff, out=diff)
+    return float(np.sqrt(np.sum(np.multiply(diff, _grid_weights(axes), out=diff))))
 
 
 def _truth_draws(truth: GaussianMixture, n_mc: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +206,9 @@ def _truth_draws(truth: GaussianMixture, n_mc: int, seed: int) -> tuple[np.ndarr
 
 def _l2_from_draws(book: ClusterBook, ys: np.ndarray, log_truth: np.ndarray) -> McEstimate:
     pt = np.exp(log_truth)
-    vals = (np.exp(log_mixture_predictive_rows(book, ys)) - pt) ** 2 / pt
+    vals = log_mixture_predictive_rows(book, ys)
+    np.square(np.subtract(np.exp(vals, out=vals), pt, out=vals), out=vals)
+    vals /= pt
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(ys)))
     return McEstimate(value=math.sqrt(max(est, 0.0)),
@@ -213,7 +216,8 @@ def _l2_from_draws(book: ClusterBook, ys: np.ndarray, log_truth: np.ndarray) -> 
 
 
 def _kl_from_draws(book: ClusterBook, ys: np.ndarray, log_truth: np.ndarray) -> McEstimate:
-    vals = log_truth - log_mixture_predictive_rows(book, ys)
+    vals = log_mixture_predictive_rows(book, ys)
+    np.subtract(log_truth, vals, out=vals)
     return McEstimate(
         value=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(len(ys)))
     )
@@ -301,9 +305,10 @@ def gaussian_limit_deviation(
         raise ValueError("grid evaluation supports d <= 2")
     sd = math.sqrt(np.linalg.eigvalsh(cov).max())
     grid, _ = _tensor_grid(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
-    pred = np.exp(log_predictive_density_rows(post, grid))
-    gauss = GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
-    return float(np.max(np.abs(pred - gauss)))
+    gap = log_predictive_density_rows(post, grid)
+    np.exp(gap, out=gap)
+    gap -= GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def slope_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -333,8 +333,10 @@ def step(
     finite: ``run`` checks the whole stream (``as_stream``) before its
     first step, so the step does not check again.  ``log_new`` is
     ``prior_predictive(config.prior, y)``, which ``run`` scores for a window
-    of rows at once."""
-    y = _observation(y, config.prior.dim)
+    of rows at once.  A y that is not a length-d array is converted and checked."""
+    d = config.prior.dim
+    if getattr(y, "shape", None) != (d,):  # the rows ``run`` passes are shaped already
+        y = _observation(y, d)
     k = book.k
     if k == 0:
         alpha, q, label = 0.0, np.array([1.0]), 1  # the first observation opens cluster 1

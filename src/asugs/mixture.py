@@ -8,23 +8,45 @@ import numpy as np
 from numpy.linalg import cholesky
 
 
-def log_sum_exp(logs: np.ndarray) -> np.ndarray:
+def log_sum_exp(logs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """log sum_h exp(logs[h, j]) for each column j of a K x N array.
 
     Shifted by the column maximum; a column whose maximum is not finite
     is shifted by 0, so a column of -inf terms gives -inf, not nan.
+    ``logs`` is left as it is unless ``overwrite``, which lets the
+    reduction work in the caller's float array instead of a copy.
     """
+    if not overwrite:
+        logs = np.array(logs, dtype=float)
     top = logs.max(axis=0)
     top[~np.isfinite(top)] = 0.0
+    logs -= top
+    total = np.exp(logs, out=logs).sum(axis=0)
     with np.errstate(divide="ignore"):
-        return top + np.log(np.exp(logs - top).sum(axis=0))
+        np.log(total, out=total)
+    total += top
+    return total
 
 
-def gaussian_log_density(d: int, logdet, quad):
+def row_quad_forms(ys: np.ndarray, mus: np.ndarray, precs: np.ndarray) -> np.ndarray:
+    """(y - mu_h)^T P_h (y - mu_h) for each row y of ``ys`` (N x d) and each
+    component h of ``mus`` (K x d) and ``precs`` (K x d x d), as a K x N array.
+    The rows are copied once to d x N, so that ``P @ E`` and the column dot
+    products run along N, in two d x N buffers that every component reuses."""
+    yt = np.atleast_2d(np.asarray(ys, dtype=float)).T.copy()
+    e, pe, quad = np.empty_like(yt), np.empty_like(yt), np.empty((len(mus), yt.shape[1]))
+    for h in range(len(mus)):
+        np.subtract(yt, mus[h][:, None], out=e)
+        np.einsum("ij,ij->j", np.matmul(precs[h], e, out=pe), e, out=quad[h])
+    return quad
+
+
+def gaussian_log_density(d: int, logdet, quad, out=None):
     """The Gaussian log density in dimension d from the log determinant of
     its covariance and the quadratic form (y - mu)^T cov^-1 (y - mu); the
-    last two broadcast."""
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    last two broadcast.  Written into ``out`` when given (``quad`` itself
+    may be ``out``)."""
+    return np.multiply(-0.5, np.add(d * np.log(2.0 * np.pi) + logdet, quad, out=out), out=out)
 
 
 @dataclass
@@ -79,18 +101,14 @@ class GaussianMixture:
 
     def logpdf(self, ys: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of ys."""
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        d = self.dim
-        comps = np.empty((self.n_components, ys.shape[0]))
-        for h in range(self.n_components):
-            e = ys - self.means[h]
-            comps[h] = np.log(self.weights[h]) + gaussian_log_density(
-                d, self.logdets[h], np.einsum("ij,ij->i", e @ self.precs[h], e)
-            )
-        return log_sum_exp(comps)
+        comps = row_quad_forms(ys, self.means, self.precs)
+        gaussian_log_density(self.dim, self.logdets[:, None], comps, out=comps)
+        comps += np.log(self.weights)[:, None]
+        return log_sum_exp(comps, overwrite=True)
 
     def pdf(self, ys: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(ys))
+        logs = self.logpdf(ys)
+        return np.exp(logs, out=logs)
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw n labeled points: component by weight, then a Gaussian draw.

@@ -18,6 +18,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import cholesky
 
+from asugs.mixture import row_quad_forms
+
 
 def check_state(mu, c, delta, sigma, names=("mu", "c", "delta", "sigma")):
     """(mu, c, delta, sigma) as arrays and floats, each checked: finite, sigma
@@ -178,11 +180,13 @@ def student_t_factors(c: float, delta: float, sigma: np.ndarray
             *student_t_shape(c, delta))
 
 
-def student_t_log_density(log_norm, coef, expo, quad):
+def student_t_log_density(log_norm, coef, expo, quad, out=None):
     """The Student-t log density from its constant, its shape (``coef``,
     ``expo`` = ``student_t_shape``) and the quadratic form
-    (y - mu)^T sigma^-1 (y - mu); all arguments broadcast."""
-    return log_norm - expo * np.log1p(coef * quad)
+    (y - mu)^T sigma^-1 (y - mu); all arguments broadcast.  Written into
+    ``out`` when given (``quad`` itself may be ``out``)."""
+    t = np.log1p(np.multiply(coef, quad, out=out), out=out)
+    return np.subtract(log_norm, np.multiply(expo, t, out=out), out=out)
 
 
 def _observation(y, d: int) -> np.ndarray:
@@ -218,8 +222,8 @@ def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarra
     """Vectorized ``log_predictive_density`` over the rows of ``ys``, from
     the state's cached factors; used for grid and held-out evaluations."""
     prec, _, log_norm, coef, expo = post.factors
-    e = np.atleast_2d(np.asarray(ys, dtype=float)) - post.mu
-    return student_t_log_density(log_norm, coef, expo, ((e @ prec) * e).sum(axis=-1))
+    quad = row_quad_forms(ys, post.mu[None], prec[None])[0]
+    return student_t_log_density(log_norm, coef, expo, quad, out=quad)
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:

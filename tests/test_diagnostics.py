@@ -99,6 +99,24 @@ class TestMixturePredictive:
         with pytest.raises(ValueError):
             log_mixture_predictive_rows(ClusterBook(), np.zeros(1))
 
+    def test_memory_is_one_k_by_n_array(self):
+        """16 clusters, d = 2, 5000 rows: one K x N array (640 kB) and three
+        d x N buffers (240 kB) peak at 0.88 MB under ``tracemalloc``.  The
+        N x d form, which took two more K x N temporaries in its
+        log-sum-exp, peaked at 2.04 MB."""
+        truth = generate_grid_mixture(4, 0.025, 1.0)
+        posts = [NiwPosterior(mu, 100.0, 50.0, 0.025 * np.eye(2)) for mu in truth.means]
+        book = make_book(posts, [100] * 16, n=1600)
+        ys, _ = truth.sample(5000, np.random.default_rng(0))
+        log_mixture_predictive_rows(book, ys)
+        tracemalloc.start()
+        try:
+            log_mixture_predictive_rows(book, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+
 
 class TestLikelihoodRatio:
     def test_prior_state_gives_unit_ratio(self):
@@ -213,6 +231,23 @@ class TestL2Distance:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_grid_holds_three_grid_arrays(self):
+        """The same call holds the sum, one component buffer and the
+        quadrature weights (3 x 320 kB) and about 0.14 MB of fixed overhead:
+        1.10 MB under ``tracemalloc``.  Fresh grid-sized temporaries per
+        component had peaked at 1.74 MB."""
+        truth = generate_grid_mixture(4, 0.025, 1.0)
+        posts = [NiwPosterior(mu, 100.0, 50.0, 0.025 * np.eye(2)) for mu in truth.means]
+        book = make_book(posts, [100] * 16, n=1600)
+        l2_distance_to_truth(book, truth, grid_points=200)
+        tracemalloc.start()
+        try:
+            l2_distance_to_truth(book, truth, grid_points=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
 
     def test_matched_fit_is_close(self):
         truth = GaussianMixture(np.array([1.0]), np.array([[0.0]]),

@@ -14,9 +14,16 @@ from scipy.stats import multivariate_normal
 
 from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import _tensor_grid, log_mixture_predictive_rows, run_with_diagnostics
-from asugs.engine import EngineConfig, run
+from asugs.engine import ClusterBook, EngineConfig, run
 from asugs.mixture import GaussianMixture, log_sum_exp
-from asugs.niw import PriorConfig, prior_predictive, student_t_log_norm
+from asugs.niw import (
+    NiwPosterior,
+    PriorConfig,
+    log_predictive_density,
+    log_predictive_density_rows,
+    prior_predictive,
+    student_t_log_norm,
+)
 
 
 def random_mixture(d: int, k: int, seed: int) -> GaussianMixture:
@@ -96,21 +103,55 @@ ORDINARY_ROWS = np.array([[0.2, -0.1], [1.5, 1.5]])
 class TestLogSumExp:
     def test_column_of_minus_inf_is_minus_inf(self):
         logs = np.array([[-np.inf, 0.0, -1.0], [-np.inf, -np.inf, -2.0]])
+        kept = logs.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = log_sum_exp(logs)
+        np.testing.assert_array_equal(logs, kept)  # the argument is left as it is
         assert got[0] == -np.inf
         np.testing.assert_allclose(got[1:], logsumexp(logs[:, 1:], axis=0), rtol=1e-15)
 
     def test_truth_and_fitted_densities_at_overflowing_rows(self):
         truth = generate_grid_mixture(4, 0.025, 1.0)
         rows = sample_mixture(truth, 300, seed=1).rows
-        book = run(rows, EngineConfig(seed=1, prior=PriorConfig.from_scale(2, 0.025))).final_book
+        prior = PriorConfig.from_scale(2, 0.025)
+        book = run(rows, EngineConfig(seed=1, prior=prior)).final_book
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for logdens in (truth.logpdf, lambda ys: log_mixture_predictive_rows(book, ys)):
+            for logdens in (truth.logpdf, lambda ys: log_mixture_predictive_rows(book, ys),
+                            lambda ys: log_predictive_density_rows(prior.state, ys)):
                 assert np.all(logdens(OVERFLOW_ROWS) == -np.inf)
                 assert np.all(np.isfinite(logdens(ORDINARY_ROWS)))
+
+
+def random_book(d: int, k: int, seed: int):
+    """k clusters with covariances of at least 4 I, so that every log
+    density scored below is negative and well away from 0."""
+    g = np.random.default_rng(seed)
+    posts = []
+    for _ in range(k):
+        a = g.normal(size=(d, d))
+        posts.append(NiwPosterior(3.0 * g.normal(size=d), g.uniform(1.0, 50.0),
+                                  d / 2.0 + g.uniform(1.0, 20.0), a @ a.T / d + 4.0 * np.eye(d)))
+    book = ClusterBook(n=100)
+    for post, m in zip(posts, g.integers(1, 30, size=k).tolist()):
+        book.add(post, m, float(m))
+    return book, posts
+
+
+class TestRowScorer:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("n_rows", [1, 7, 5000])
+    def test_matches_per_cluster_density_and_scipy_logsumexp(self, d, n_rows):
+        """The d x N row scorer against one ``log_predictive_density`` call
+        per row and cluster, summed by scipy's ``logsumexp``."""
+        book, posts = random_book(d, 3, seed=10 * d + n_rows)
+        ys = book.mu[np.arange(n_rows) % book.k] + 2.0 * np.random.default_rng(d).normal(
+            size=(n_rows, d))
+        log_w = np.log(book.m / book.total_count)
+        want = logsumexp([[lw + log_predictive_density(post, y) for y in ys]
+                          for lw, post in zip(log_w, posts)], axis=0)
+        np.testing.assert_allclose(log_mixture_predictive_rows(book, ys), want, rtol=1e-14)
 
 
 def fitted_logpdf_solve(book, ys: np.ndarray) -> np.ndarray:
