@@ -7,6 +7,7 @@ from asugs.engine import (
     RunTrace,
     StepRecord,
     run,
+    run_many,
 )
 from asugs.mixture import GaussianMixture
 from asugs.niw import (
@@ -31,6 +32,7 @@ __all__ = [
     "posterior_update",
     "prior_predictive",
     "run",
+    "run_many",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from asugs.data import Dataset, heldout_loglik, sample_mixture
-from asugs.engine import EngineConfig, run
+from asugs.engine import EngineConfig, run, run_many  # run is unused here but stays
+# an attribute of this module: perfbench/tracer.py wraps it here
 from asugs.mixture import GaussianMixture
 
 VARIANTS = ("ASUGS", "ASUGS-PM", "SUGS", "SUGS-PM")
@@ -97,40 +98,63 @@ def geometric_checkpoints(n: int, start: int = 10) -> list[int]:
     return pts
 
 
-def _one_trial(args) -> TrialResult:
+def _trial_data(job):
+    """A trial's config, training rows and held-out set."""
     (variant, trial, base_config, fixed_alpha, train_rows, test_rows,
-     truth, n_train, n_test, checkpoints) = args
+     truth, n_train, n_test) = job
     seed = base_config.seed + trial
     cfg = replace(variant_config(base_config, variant, fixed_alpha), seed=seed)
-    try:
-        if train_rows is None:
-            train = sample_mixture(truth, n_train, seed=seed)
-            test = sample_mixture(truth, n_test, seed=40000 + seed)
-            rows, test_ds = train.rows, Dataset(test.rows)
-        else:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            order = rng.permutation(train_rows.shape[0])
-            rows = train_rows[order]
-            test_ds = Dataset(test_rows) if test_rows is not None else None
-        t0 = time.perf_counter()
-        trace = run(rows, cfg)
-        dt = time.perf_counter() - t0
-        ks = trace.k_series()
-        k_cp = [int(ks[min(c, len(ks)) - 1]) for c in checkpoints]
-        total = per = None
-        if test_ds is not None:
-            total, per = heldout_loglik(trace.final_book, test_ds)
-        return TrialResult(
-            variant=variant, trial=trial, seed=seed, final_k=trace.k,
-            heldout_total=total, heldout_per_sample=per, runtime_s=dt,
-            k_at_checkpoints=k_cp,
-        )
-    except Exception as exc:
-        return TrialResult(
-            variant=variant, trial=trial, seed=seed, final_k=-1,
-            heldout_total=None, heldout_per_sample=None, runtime_s=0.0,
-            k_at_checkpoints=[], error=f"{type(exc).__name__}: {exc}",
-        )
+    if train_rows is None:
+        train = sample_mixture(truth, n_train, seed=seed)
+        test = sample_mixture(truth, n_test, seed=40000 + seed)
+        return cfg, train.rows, Dataset(test.rows)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = rng.permutation(train_rows.shape[0])
+    return cfg, train_rows[order], Dataset(test_rows) if test_rows is not None else None
+
+
+def _failed(variant, trial, seed, exc) -> TrialResult:
+    return TrialResult(
+        variant=variant, trial=trial, seed=seed, final_k=-1,
+        heldout_total=None, heldout_per_sample=None, runtime_s=0.0,
+        k_at_checkpoints=[], error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _trial_group(args) -> list[TrialResult]:
+    """Generate a group of trials, fit them together in one ``run_many`` call
+    and score each.  A trial's ``runtime_s`` is the group's fit time over
+    the number of runs in it."""
+    jobs, checkpoints = args
+    out: list[TrialResult | None] = [None] * len(jobs)
+    fits = []  # (position, config, rows, test set) of the trials to fit
+    for pos, job in enumerate(jobs):
+        variant, trial, base_config = job[:3]
+        try:
+            fits.append((pos, *_trial_data(job)))
+        except Exception as exc:
+            out[pos] = _failed(variant, trial, base_config.seed + trial, exc)
+    t0 = time.perf_counter()
+    traces = run_many([rows for _, _, rows, _ in fits], [cfg for _, cfg, _, _ in fits])
+    share = (time.perf_counter() - t0) / max(len(fits), 1)
+    for (pos, cfg, _, test_ds), trace in zip(fits, traces):
+        variant, trial = jobs[pos][:2]
+        try:
+            if isinstance(trace, Exception):
+                raise trace
+            ks = trace.k_series()
+            k_cp = [int(ks[min(c, len(ks)) - 1]) for c in checkpoints]
+            total = per = None
+            if test_ds is not None:
+                total, per = heldout_loglik(trace.final_book, test_ds)
+            out[pos] = TrialResult(
+                variant=variant, trial=trial, seed=cfg.seed, final_k=trace.k,
+                heldout_total=total, heldout_per_sample=per, runtime_s=share,
+                k_at_checkpoints=k_cp,
+            )
+        except Exception as exc:
+            out[pos] = _failed(variant, trial, cfg.seed, exc)
+    return out
 
 
 def compare_variants(
@@ -156,21 +180,27 @@ def compare_variants(
     """
     if train is None and truth is None:
         raise ValueError("either a training dataset or a truth mixture is required")
+    if trials < 1 or workers < 1:
+        raise ValueError(f"trials and workers must be at least 1, got {trials} and {workers}")
     n_stream = train.n if train is not None else n_train
     cps = checkpoints or geometric_checkpoints(n_stream)
     jobs = [
         (variant, t, base_config, fixed_alpha,
          None if train is None else train.rows,
          None if test is None else test.rows,
-         truth, n_train, n_test, cps)
+         truth, n_train, n_test)
         for variant in variants
         for t in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one_trial, jobs))
+    groups = [(jobs[w::workers], cps) for w in range(min(workers, len(jobs)))]
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            done = list(pool.map(_trial_group, groups))
     else:
-        rows = [_one_trial(j) for j in jobs]
+        done = [_trial_group(g) for g in groups]
+    rows = [None] * len(jobs)
+    for w, results in enumerate(done):
+        rows[w::workers] = results
     report = BenchReport(checkpoints=cps, rows=rows)
     report.aggregates = report.recompute_aggregates()
     return report

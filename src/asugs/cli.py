@@ -154,6 +154,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    counts = {"--trials": args.trials, "--workers": args.workers,
+              "--n-train": args.n_train, "--n-test": args.n_test}
+    for flag, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.test and not args.train:
         raise ConfigError("--test needs --train (with --truth alone, trials draw their test rows)")
     train = read_csv(args.train) if args.train else None

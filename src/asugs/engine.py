@@ -13,11 +13,15 @@ order, the observation count n (from which, with k, the adaptive
 concentration follows) and two K x K arrays of pairwise responsibility
 histories indexed by position in that order.  A single run is strictly
 sequential and owns its book; distinct runs share nothing and may
-execute concurrently.
+execute concurrently.  ``run_many`` steps independent runs in lockstep:
+their books are the rows of one ``BookStack``, so that a step scores,
+normalises and folds all of them with one numpy call each, and ``run`` is
+``run_many`` of one stream.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -55,7 +59,11 @@ class StepError(RuntimeError):
 _CLUSTER_FIELDS = (
     "mu", "sigma", "c", "delta", "m", "_w", "cid", "prec", "logdet", "log_norm", "coef", "expo",
 )
+_PAIR_FIELDS = ("_dist", "_coact")
+_BLANK = {"m": 1, "log_norm": -math.inf}  # a slot without a cluster scores -inf
+_SCORED = ("mu", "prec", "m", "log_norm", "coef", "expo")
 REFRESH_MAX_T = 100.0  # largest t that ``ClusterBook.absorb`` refreshes in closed form
+FOLD_TERMS = 2**15  # pair terms a fold holds at once, 256 kB
 
 
 @dataclass
@@ -82,12 +90,12 @@ class ClusterBook:
     how much evidence the distance rests on.  ``add`` and ``keep`` are
     the only places where the arrays change length.
 
-    ``w``, ``dist`` and ``coact`` are folded on read: a step ``push``es its
-    responsibilities q of the live clusters onto ``window``, and ``fold``
-    adds the window's terms in step order, so every read sees the sums of
-    adding once per step, bit for bit.  The window is folded before ``add``
-    and ``keep`` change k (so it holds one k) and whenever it reaches the
-    period ``push`` is given.
+    The arrays are views of row ``row`` of a ``BookStack``, which a book
+    gets on its first ``add``; ``run_many`` keeps the books of all its runs
+    in one stack.  ``w``, ``dist`` and ``coact`` are folded on read: a step
+    pushes its responsibilities onto the stack's window, and ``fold`` adds
+    them in step order, so every read sees the sums of adding once per
+    step, bit for bit.
     """
 
     n: int = 0
@@ -106,7 +114,9 @@ class ClusterBook:
     _dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     _coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     next_cid: int = 1
-    window: list[np.ndarray] = field(default_factory=list, repr=False)
+    stack: "BookStack | None" = field(default=None, repr=False, compare=False)
+    row: int = field(default=0, repr=False, compare=False)
+    slots: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def w(self) -> np.ndarray:
@@ -138,29 +148,16 @@ class ClusterBook:
             raise ValueError("alpha undefined before the first observation")
         return self.k / (lam + math.log(self.n))
 
+    def fold(self) -> None:
+        """Add the steps its stack has queued into w, dist and coact."""
+        if self.stack is not None:
+            self.stack.fold()
+
     def factorise(self, h: int) -> None:
         """Compute cluster h's cached factors afresh from its state.  Raises
         ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
         (self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h],
          self.expo[h]) = student_t_factors(self.c[h], self.delta[h], self.sigma[h])
-
-    def push(self, q: np.ndarray, period: int) -> None:
-        """Queue one step's responsibilities of the k live clusters, folding
-        once the window holds ``period`` steps."""
-        self.window.append(q)
-        if len(self.window) >= period:
-            self.fold()
-
-    def fold(self) -> None:
-        """Add the window's terms q, |q_i - q_j| and q_i + q_j into w, dist
-        and coact, one step after another, and empty it."""
-        if not self.window:
-            return
-        q = np.array(self.window)
-        self.window = []
-        self._w = _sum_in_order(self._w, q)
-        self._dist = _sum_in_order(self._dist, np.abs(q[:, :, None] - q[:, None, :]))
-        self._coact = _sum_in_order(self._coact, q[:, :, None] + q[:, None, :])
 
     def absorb(self, h: int, y: np.ndarray) -> None:
         """Update cluster h by y in place (``conjugate_update``).  As sigma' = a
@@ -169,55 +166,192 @@ class ClusterBook:
         lemma logdet' = d log a + logdet + log1p(t).  The subtraction loses
         about (1+t) ulps, so if t is not finite, negative (P is no longer
         positive definite) or above REFRESH_MAX_T, ``factorise`` runs instead."""
-        c, delta = float(self.c[h]), float(self.delta[h])
+        c, delta = self.c.item(h), self.delta.item(h)
         r, a, b = conjugate_update(self.mu[h], c, delta, self.sigma[h], y)
         self.c[h], self.delta[h] = c, delta = c + 1.0, delta + 0.5
-        p_r = self.prec[h] @ r
+        prec = self.prec[h]  # a view: refreshed in place
+        p_r = prec @ r
         t = b / a * float(r @ p_r)
         if not 0.0 <= t <= REFRESH_MAX_T:
             return self.factorise(h)
-        prec = self.prec[h]  # a view: refreshed in place
         prec -= ((b / a / (1.0 + t)) * p_r)[:, None] * p_r
         prec /= a
-        logdet = len(r) * math.log(a) + self.logdet[h] + math.log1p(t)
-        self.logdet[h], self.log_norm[h] = logdet, student_t_log_norm(c, delta, len(r), logdet)
-        self.coef[h], self.expo[h] = student_t_shape(c, delta)
+        d = len(r)
+        logdet = d * math.log(a) + self.logdet[h] + math.log1p(t)
+        coef, expo = student_t_shape(c, delta)
+        self.logdet[h], self.log_norm[h] = logdet, student_t_log_norm(coef, delta, d, logdet)
+        self.coef[h], self.expo[h] = coef, expo
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with a copy of post's state and ``factors`` and a
-        fresh cid; its pair histories start at zero."""
-        self.fold()
-        d, h = post.dim, self.k
-        for name in _CLUSTER_FIELDS:
-            tail = {"mu": (d,), "sigma": (d, d), "prec": (d, d)}.get(name, ())
-            arr = getattr(self, name).reshape(h, *tail)
-            setattr(self, name, np.concatenate([arr, np.zeros((1, *tail), arr.dtype)]))
-        self.m[h], self._w[h], self.cid[h] = m, w, self.next_cid
+        fresh cid; its pair histories start at zero.  A full stack first
+        doubles its room."""
+        h = self.k
+        if self.stack is None:
+            BookStack([self], post.dim, 2)
+        elif h == self.stack.cap:
+            self.stack.store(self.stack.books, 2 * self.stack.cap)
+        values = dict(mu=post.mu, sigma=post.sigma, c=post.c, delta=post.delta, m=m, _w=w,
+                      cid=self.next_cid)
+        values.update(zip(("prec", "logdet", "log_norm", "coef", "expo"), post.factors))
+        for name, value in values.items():
+            self.slots[name][h] = value
         self.next_cid += 1
-        self._dist = np.pad(self._dist, ((0, 1), (0, 1)))
-        self._coact = np.pad(self._coact, ((0, 1), (0, 1)))
-        self.mu[h], self.sigma[h] = post.mu, post.sigma
-        self.c[h], self.delta[h] = post.c, post.delta
-        self.prec[h], self.logdet[h], self.log_norm[h], self.coef[h], self.expo[h] = post.factors
+        self._bind(h + 1)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the clusters where mask is False, with their rows and columns."""
         self.fold()
         mask = np.asarray(mask, dtype=bool)
+        k, kept = self.k, int(mask.sum())
         for name in _CLUSTER_FIELDS:
-            setattr(self, name, getattr(self, name)[mask])
-        self._dist = self._dist[mask][:, mask]
-        self._coact = self._coact[mask][:, mask]
+            arr = self.slots[name]
+            arr[:kept] = arr[:k][mask]
+            if name in _BLANK:  # the freed slots' other fields stay finite and unread
+                arr[kept:k] = _BLANK[name]
+        for name in _PAIR_FIELDS:
+            arr = self.slots[name]
+            arr[:kept, :kept] = arr[:k, :k][np.ix_(mask, mask)]
+            arr[kept:k] = arr[:, kept:k] = 0.0
+        self._bind(kept)
+
+    def _bind(self, k: int) -> None:
+        """Make the fields views of the first k slots of the book's row."""
+        for name in _CLUSTER_FIELDS:
+            setattr(self, name, self.slots[name][:k])
+        for name in _PAIR_FIELDS:
+            setattr(self, name, self.slots[name][:k, :k])
+        ks = self.stack.ks.copy()  # a new array: queued steps keep the k they were taken at
+        ks[self.row] = k
+        self.stack.ks, self.stack.scored_views = ks, None
+
+    def __deepcopy__(self, memo) -> "ClusterBook":
+        """A copy with a stack of its own, which queues this book's unfolded
+        steps: reading its sums folds them, and the original's window is
+        left as it is."""
+        twin = copy.copy(self)
+        if self.stack is not None:
+            twin.stack = None
+            BookStack([twin], self.stack.dim, self.k + 1)
+            rows = len(self.stack.books)
+            twin.stack.window = [(q.reshape(rows, -1)[self.row], ks[self.row:self.row + 1])
+                                 for q, ks in self.stack.window]
+        return twin
 
 
-def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """total + terms[0] + terms[1] + ..., added in that order.  ``np.add.reduce``
-    over axis 0 adds whole rows in turn, but a column of scalars (k = 1) it
-    sums pairwise, so there the running ``accumulate`` gives the sum."""
-    stack = np.concatenate([total[None], terms])
+class BookStack:
+    """The cluster books of runs that step together, as one array per field
+    with a leading run axis: ``books[r]`` holds row r, its fields are views
+    of the first k slots of that row, and the row has room for ``cap``
+    clusters, at least k.  A slot past k scores -inf (its m is 1 and its
+    log_norm -inf; its state is finite) and its pair histories are zero.
+    ``store`` is the only place where the arrays are allocated.  A stack of
+    one book is scored in that book's own shapes, without the run axis:
+    numpy's calls cost less on them, and ``run`` steps one book.
+
+    A step ``push``es its responsibilities of every row (one row per book,
+    padded as its scores were), and ``fold`` adds them into w, dist and
+    coact in step order.  The window is folded before any k or the layout
+    changes (``add``, ``keep``, ``store``, a new width of the scored slots)
+    and whenever it reaches the period ``push`` is given.
+    """
+
+    def __init__(self, books: list[ClusterBook], dim: int, cap: int):
+        self.dim, self.window, self.width, self.scored_views = dim, [], 0, None
+        self.store(books, cap)
+
+    def store(self, books: list[ClusterBook], cap: int) -> None:
+        """Copy the books' clusters into new arrays with room for cap each."""
+        for book in books:
+            book.fold()  # their windows refer to the old layout
+        tails = {"mu": (self.dim,), "sigma": (self.dim,) * 2, "prec": (self.dim,) * 2,
+                 "_dist": (cap,), "_coact": (cap,)}
+        self.arrays = {}
+        for name in _CLUSTER_FIELDS + _PAIR_FIELDS:
+            dtype = np.int64 if name in ("m", "cid") else float
+            shape = (len(books), cap, *tails.get(name, ()))
+            self.arrays[name] = np.full(shape, _BLANK.get(name, 0), dtype)
+        self.books, self.cap = list(books), cap
+        self.ks = np.zeros(len(books), dtype=np.int64)
+        for r, book in enumerate(books):
+            slots = {name: arr[r] for name, arr in self.arrays.items()}
+            for name, row in slots.items():
+                part = getattr(book, name)
+                row[tuple(map(slice, part.shape))] = part
+            book.stack, book.row, book.slots = self, r, slots
+            book._bind(book.k)
+
+    def scored(self) -> tuple[np.ndarray, ...]:
+        """mu, prec, m, log_norm, coef and expo over the first width slots of
+        every row, width = max k."""
+        if self.scored_views is None:
+            width = int(self.ks.max())
+            if width != self.width:
+                self.fold()  # the window holds steps of one width
+                self.width = width
+            short = np.flatnonzero(self.ks < width)
+            self.short = short, self.ks[short]
+            views = tuple(self.arrays[name][:, :width] for name in _SCORED)
+            self.scored_views = tuple(v[0] for v in views) if len(self.books) == 1 else views
+        return self.scored_views
+
+    def push(self, q: np.ndarray, period: int) -> None:
+        """Queue one step's responsibilities of every row, with each book's k
+        after the step, folding once the window holds ``period`` steps."""
+        self.window.append((q, self.ks))
+        if len(self.window) >= period:
+            self.fold()
+
+    def fold(self) -> None:
+        """Add the window's terms q, |q_i - q_j| and q_i + q_j into w, dist and
+        coact, one step after another, and empty it; a few books at a time,
+        so that the pair terms never hold more than FOLD_TERMS values.  The
+        terms of a slot that held no cluster at a step (a book's unused new
+        cluster, the padding of a book with fewer clusters than another, a
+        cluster born later in the window) are zeros."""
+        if not self.window:
+            return
+        qs, counts = zip(*self.window)
+        self.window = []
+        last = counts[-1].tolist()
+        kmax = max(last)  # within a window k only grows: keep and store fold first
+        q = np.array(qs).reshape(len(qs), len(self.books), -1)[..., :kmax]
+        if counts[0] is not counts[-1]:  # a k changed within the window
+            live = np.arange(kmax) < np.array(counts)[..., None]
+        elif min(last) < kmax:
+            live = (np.arange(kmax) < counts[0][:, None])[None]
+        else:
+            live = None
+        chunk = max(1, FOLD_TERMS // (len(q) * kmax * kmax))  # books whose pair terms fit
+        for lo in range(0, len(self.books), chunk):
+            books = slice(lo, lo + chunk)
+            part = q[:, books]
+            if live is not None:
+                part = np.where(live[:, books], part, 0.0)
+                pairs = live[:, books, :, None] & live[:, books, None, :]
+            for name in _PAIR_FIELDS:  # one pair array at a time
+                if name == "_dist":
+                    terms = part[..., :, None] - part[..., None, :]
+                    np.abs(terms, out=terms)
+                else:
+                    terms = part[..., :, None] + part[..., None, :]
+                if live is not None:
+                    terms *= pairs
+                _sum_in_order(self.arrays[name][books, :kmax, :kmax], terms)
+                del terms
+            _sum_in_order(self.arrays["_w"][books, :kmax], part)  # last: this overwrites part
+
+
+def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> None:
+    """total = total + terms[0] + terms[1] + ..., added in that order, in place
+    (terms is overwritten).  ``np.add.reduce`` over axis 0 adds whole rows in
+    turn, but a column of scalars (one book with k = 1) it sums pairwise, so
+    there the running ``accumulate`` gives the sum."""
+    terms[0] += total
     if total.size > 1:
-        return np.add.reduce(stack, axis=0)
-    return np.add.accumulate(stack, axis=0)[-1]
+        np.add.reduce(terms, axis=0, out=total)
+    else:
+        total[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
 def _is_int(value) -> bool:
@@ -289,6 +423,18 @@ class StepRecord:
     innovation: bool
 
 
+def _prefix_sums(q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """q[r, :n[r]].sum() of each row r, bit for bit, for rows that are zero
+    past n[r].  numpy adds fewer than 8 terms in order, which gives the
+    running sum's entry n - 1; more it adds in 8 interleaved partial sums,
+    which a row padded past n would group differently, so such a row is
+    summed over its own first n entries."""
+    total = np.add.accumulate(q, axis=1)[np.arange(len(q)), n - 1]
+    for r in np.flatnonzero(n >= 8):
+        total[r] = q[r, :n[r]].sum()
+    return total
+
+
 def _quad_forms(e: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """e^T prec e for each row of e (... x d), against the matching or a
     shared prec (d x d): the batched matmul sandwich."""
@@ -301,67 +447,116 @@ def _prior_scores(prior: PriorConfig, rows: np.ndarray) -> np.ndarray:
     return student_t_log_density(log_norm, coef, expo, _quad_forms(rows - prior.state.mu, prec))
 
 
-def responsibilities(
-    book: ClusterBook, y: np.ndarray, alpha: float, log_new: float
-) -> np.ndarray:
-    """Posterior probability of each label (existing clusters, then new).
+def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
+    """Posterior probability of each label, one row per book of the stack:
+    the book's existing clusters, then a new one at position k.
 
     Label prior m(h)/(n + alpha), and alpha/(n + alpha) for a new cluster,
     in log domain and normalized by max-subtraction: the common 1/(n + alpha)
     cancels and is omitted, and q sums to 1 also after pruning has dropped
     counts.  One batched quadratic form over the cached precisions scores
-    every cluster; ``log_new`` is the new cluster's log density of y,
-    ``prior_predictive(prior, y)``."""
-    k = book.k
-    if k == 0:
-        return np.array([1.0])
-    logq = np.empty(k + 1)
-    quad = _quad_forms(y - book.mu, book.prec)
-    logq[:k] = np.log(book.m) + student_t_log_density(book.log_norm, book.coef, book.expo, quad)
-    logq[k] = math.log(alpha) + log_new
-    logq -= logq.max()
-    q = np.exp(logq)
-    q /= q.sum()
+    every slot of every row against that row's observation ``ys[r]``, and a
+    blank slot scores -inf; ``log_new[r]`` is the new cluster's log weight,
+    log(alpha) + ``prior_predictive(prior, ys[r])``.  Row r's q[:k + 1] is
+    bit for bit the q of its book scored alone, and q is 0 past it: a row
+    padded past k + 1 is summed over its first k + 1 entries, because
+    numpy's pairwise sum groups the terms of a longer row differently.  For
+    a stack of one book, q is that book's row itself."""
+    mu, prec, m, log_norm, coef, expo = stack.scored()
+    if mu.ndim == 2:  # one book, in its own shapes: numpy's calls cost less on them
+        k = len(m)
+        logq = np.empty(k + 1)
+        logq[:k] = np.log(m) + student_t_log_density(
+            log_norm, coef, expo, _quad_forms(ys[0] - mu, prec))
+        logq[k] = log_new[0]
+        logq -= logq.max()
+        q = np.exp(logq, out=logq)
+        q /= q.sum()
+        return q
+    quad = _quad_forms(ys[:, None, :] - mu, prec)
+    logq = np.empty((len(ys), quad.shape[1] + 1))
+    np.log(m, out=logq[:, :-1])
+    logq[:, :-1] += student_t_log_density(log_norm, coef, expo, quad, out=quad)
+    logq[:, -1] = log_new
+    short, short_k = stack.short
+    if len(short):  # a book with fewer clusters than another scores its new one at k
+        logq[short, short_k] = logq[short, -1]
+        logq[short, -1] = -math.inf
+    logq -= logq.max(axis=1, keepdims=True)
+    q = np.exp(logq, out=logq)
+    total = q.sum(axis=1, keepdims=True)
+    if len(short):
+        total[short, 0] = _prefix_sums(q[short], short_k + 1)
+    q /= total
     return q
 
 
+def _labels(q: np.ndarray, ks: list[int], configs: list[EngineConfig], uniforms) -> list[int]:
+    """Each book's 1-based label from its row of q: the first maximum for
+    argmax selection, else the number of cumsum entries at or below its
+    uniform (``searchsorted(u, side="right")``), at most k + 1 as the cumsum
+    may fall short of 1 by an ulp.  A book's first observation (k = 0) gets
+    label 1 either way, as its q is [1.0]."""
+    if q.ndim == 1:  # one book
+        if configs[0].selection == "argmax":
+            return [int(q.argmax()) + 1]  # ties resolve to the lowest index
+        drawn = int(np.add.accumulate(q).searchsorted(uniforms[0], side="right"))
+        return [min(drawn, ks[0]) + 1]
+    drawn = (np.add.accumulate(q, axis=1) <= np.array(uniforms)[:, None]).sum(axis=1)
+    sampled = np.array([config.selection == "sample" for config in configs])
+    return (np.minimum(np.where(sampled, drawn, q.argmax(axis=1)), ks) + 1).tolist()
+
+
 def step(
-    book: ClusterBook, y: np.ndarray, config: EngineConfig, rng: np.random.Generator,
-    log_new: float,
-) -> StepRecord:
-    """Process one observation, updating the book in place.  y must be
-    finite: ``run`` checks the whole stream (``as_stream``) before its
-    first step, so the step does not check again.  ``log_new`` is
-    ``prior_predictive(config.prior, y)``, which ``run`` scores for a window
-    of rows at once.  A y that is not a length-d array is converted and checked."""
-    d = config.prior.dim
-    if getattr(y, "shape", None) != (d,):  # the rows ``run`` passes are shaped already
-        y = _observation(y, d)
-    k = book.k
-    if k == 0:
-        alpha, q, label = 0.0, np.array([1.0]), 1  # the first observation opens cluster 1
-    else:
-        alpha = config.fixed_alpha if config.fixed_alpha is not None else book.alpha(config.lam)
-        q = responsibilities(book, y, alpha, log_new)
-        if config.selection == "argmax":
-            label = int(q.argmax()) + 1  # ties resolve to the lowest index
+    stack: BookStack, ys: np.ndarray, configs: list[EngineConfig], log_new: list[float],
+    uniforms: list[float],
+) -> list["StepRecord | Exception"]:
+    """Process one observation for every book of the stack, updating the
+    books in place, and return each book's ``StepRecord``, or the exception
+    its update raised.
+
+    ``ys[r]`` is book r's observation and must be finite: ``run_many``
+    checks every stream before its first step, so the step does not check
+    again.  ``log_new[r]`` is ``prior_predictive(configs[r].prior, ys[r])``,
+    which ``run_many`` scores for a window of rows at once.  A sampled
+    label is read at ``uniforms[r]``; the first observation of a book opens
+    cluster 1 and reads none.  Rows that are not an R x d array are
+    converted and checked."""
+    books, d, ks = stack.books, stack.dim, stack.ks.tolist()
+    if getattr(ys, "shape", None) != (len(books), d):  # the rows ``run_many`` passes are shaped
+        ys = np.array([_observation(y, d) for y in ys]).reshape(len(books), d)
+    alphas, weights = [], []
+    for book, k, config, log_density in zip(books, ks, configs, log_new):
+        if k == 0:
+            alpha, weight = 0.0, 0.0  # the first observation opens cluster 1
         else:
-            label = int(q.cumsum().searchsorted(rng.random(), side="right")) + 1
-            label = min(label, k + 1)  # cumsum may fall short of 1 by an ulp
-
-    innovation = label == k + 1
-    if innovation:  # a new cluster is the prior absorbing its first observation
-        book.add(config.prior.state, 0, 0.0)
-        k += 1
-    book.absorb(label - 1, y)
-    book.m[label - 1] += 1
-    book.push(q[:k], config.maintenance_period)  # an unused innovation slot's mass is dropped
-
-    book.n += 1
-    return StepRecord(
-        index=book.n, label=label, q=q, alpha_used=float(alpha),
-        k_after=k, innovation=innovation,
-    )
+            alpha = config.fixed_alpha
+            if alpha is None:
+                alpha = book.alpha(config.lam)
+            weight = math.log(alpha) + log_density
+        alphas.append(alpha)
+        weights.append(weight)
+    q = responsibilities(stack, ys, weights)
+    out: list[StepRecord | Exception] = []
+    rows = (q,) if q.ndim == 1 else q  # one book's q is its row
+    for book, k, config, y, alpha, label, qr in zip(
+        books, ks, configs, ys, alphas, _labels(q, ks, configs, uniforms), rows
+    ):
+        try:
+            innovation = label == k + 1
+            if innovation:  # a new cluster is the prior absorbing its first observation
+                book.add(config.prior.state, 0, 0.0)
+            book.absorb(label - 1, y)
+            book.m[label - 1] += 1
+            book.n += 1
+            out.append(StepRecord(
+                index=book.n, label=label, q=qr if k + 1 == len(qr) else qr[:k + 1],
+                alpha_used=float(alpha), k_after=k + innovation, innovation=innovation,
+            ))
+        except Exception as exc:
+            out.append(exc)
+    stack.push(q, configs[0].maintenance_period)  # an unused innovation slot's mass is dropped
+    return out
 
 
 def prune(book: ClusterBook, eps_r: float) -> list[int]:
@@ -495,12 +690,134 @@ def as_stream(stream) -> np.ndarray:
     return stream
 
 
+@dataclass
+class _Run:
+    """One stream's run inside ``run_many``."""
+
+    index: int
+    stream: np.ndarray
+    config: EngineConfig
+    on_step: Callable[[int, ClusterBook], None] | None
+    book: ClusterBook = field(default_factory=ClusterBook)
+    records: list[StepRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.n = len(self.stream)
+        self.rng = np.random.Generator(np.random.PCG64(self.config.seed))
+        self.maintained = self.config.prune_eps > 0.0 or self.config.merge_eps > 0.0
+
+    def open_window(self, start: int, width: int) -> np.ndarray:
+        """The rows start:start + width, the last repeated past the stream's
+        end; sets the window's prior scores and uniforms, one per row."""
+        rows = self.stream[start:start + width]
+        pad = width - len(rows)
+        self.log_new = _prior_scores(self.config.prior, rows).tolist() + [0.0] * pad
+        self.uniforms = [0.0] * width
+        first = int(start == 0)  # step 1 selects nothing
+        if self.config.selection == "sample" and len(rows) > first:
+            self.uniforms[first:len(rows)] = self.rng.random(len(rows) - first).tolist()
+        return np.concatenate([rows, rows[-1:].repeat(pad, axis=0)]) if pad else rows
+
+    def maintain(self) -> None:
+        prune(self.book, self.config.prune_eps)
+        merge(self.book, self.config.merge_eps)
+        self.records[-1].k_after = self.book.k
+
+    def finish(self) -> "RunTrace":
+        if self.maintained and self.n % self.config.maintenance_period != 0:
+            self.maintain()
+        if len(self.book.stack.books) > 1:  # leave a shared stack
+            BookStack([self.book], self.stream.shape[1], self.book.k + 1)
+        return RunTrace(config=self.config, records=self.records, final_book=self.book)
+
+
+def run_many(
+    streams: list[np.ndarray],
+    configs: list[EngineConfig],
+    on_step: list[Callable[[int, ClusterBook], None] | None] | None = None,
+) -> list["RunTrace | Exception"]:
+    """Run each stream under its config, all in lockstep, and return for each
+    the ``RunTrace`` that ``run(streams[r], configs[r], on_step[r])`` returns
+    or the exception it raises.
+
+    The runs share nothing but numpy calls: their books are the rows of one
+    ``BookStack``, and each ``step`` scores, normalises and selects for all
+    of them at once, while each book is updated, pruned and merged on its
+    own.  A run's trace is bit for bit its trace alone.  A run whose stream
+    or config is rejected, or whose step, maintenance or ``on_step`` raises,
+    gets that exception and leaves the lockstep; the others go on.  The
+    streams may differ in length, but their rows must have one dimension d
+    and their configs one ``maintenance_period``, as the rows step in
+    windows of that period; else ``ConfigError`` names the field.
+    ``on_step``, if given, holds one callback or None per stream.
+    """
+    callbacks = [None] * len(streams) if on_step is None else list(on_step)
+    if not len(streams) == len(configs) == len(callbacks):
+        raise ValueError("run_many needs one config (and one on_step) per stream")
+    results: list[RunTrace | Exception | None] = [None] * len(streams)
+    runs = []
+    for index, (stream, config, callback) in enumerate(zip(streams, configs, callbacks)):
+        try:
+            stream = as_stream(stream)
+            config = config.resolve(stream.shape[1])
+        except (ValueError, StepError) as exc:  # ConfigError is a ValueError
+            results[index] = exc
+        else:
+            runs.append(_Run(index, stream, config, callback))
+    for name, value in (("d", lambda run: run.stream.shape[1]),
+                        ("maintenance_period", lambda run: run.config.maintenance_period)):
+        values = sorted({value(run) for run in runs})
+        if len(values) > 1:
+            raise ConfigError(f"{name} must be the same for every run, got {values}")
+    if not runs:
+        return results
+    period = runs[0].config.maintenance_period
+    stack = BookStack([run.book for run in runs], runs[0].stream.shape[1], 2)
+    for start in range(0, max(run.n for run in runs), period):
+        if not runs:
+            break
+        width = min(period, max(run.n for run in runs) - start)
+        block = np.stack([run.open_window(start, width) for run in runs], axis=1)
+        done = 0  # rows of the window stepped; the rows left restart when runs leave
+        while runs and done < width:
+            configs = [run.config for run in runs]
+            rows = zip(range(start + done + 1, start + width + 1), block[done:],
+                       zip(*(run.log_new[done:] for run in runs)),
+                       zip(*(run.uniforms[done:] for run in runs)))
+            for i, ys, log_new, uniforms in rows:
+                done += 1
+                due, left = i % period == 0, False
+                for run, record in zip(runs, step(stack, ys, configs, log_new, uniforms)):
+                    try:
+                        if isinstance(record, Exception):
+                            raise StepError(i, record) from record
+                        run.records.append(record)
+                        if due and run.maintained:
+                            run.maintain()
+                        if run.on_step is not None:
+                            run.on_step(i, run.book)
+                        if i == run.n:
+                            results[run.index] = run.finish()
+                            left = True
+                    except Exception as exc:
+                        results[run.index], left = exc, True
+                if left:  # runs that ended or failed leave the stack
+                    stay = [r for r, run in enumerate(runs) if results[run.index] is None]
+                    runs = [runs[r] for r in stay]
+                    if runs:
+                        stack.store([run.book for run in runs], stack.cap)
+                        block = block[:, stay]
+                    break
+    return results
+
+
 def run(
     stream: np.ndarray,
     config: EngineConfig,
     on_step: Callable[[int, ClusterBook], None] | None = None,
 ) -> RunTrace:
-    """Drive the full loop over a stream of observations.
+    """Drive the full loop over a stream of observations: ``run_many`` of
+    this one stream.
 
     Maintenance (prune, then merge) runs every ``maintenance_period``
     steps and once more at stream end if the last step was not already a
@@ -518,31 +835,7 @@ def run(
     rejected up front, ``on_step`` never sees a stream that will fail on
     one.
     """
-    stream = as_stream(stream)
-    config = config.resolve(stream.shape[1])
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    book = ClusterBook()
-    records: list[StepRecord] = []
-
-    def maintain() -> None:
-        prune(book, config.prune_eps)
-        merge(book, config.merge_eps)
-        records[-1].k_after = book.k
-
-    maintenance = config.prune_eps > 0.0 or config.merge_eps > 0.0
-    period = config.maintenance_period
-    for start in range(0, len(stream), period):  # one window per maintenance period
-        rows = stream[start:start + period]
-        for i, y, log_new in zip(range(start + 1, start + period + 1), rows,
-                                 _prior_scores(config.prior, rows).tolist()):
-            try:
-                records.append(step(book, y, config, rng, log_new))
-            except Exception as exc:
-                raise StepError(i, exc) from exc
-            if maintenance and i % period == 0:
-                maintain()
-            if on_step is not None:
-                on_step(i, book)
-    if maintenance and book.n % period != 0:
-        maintain()
-    return RunTrace(config=config, records=records, final_book=book)
+    (result,) = run_many([stream], [config], [on_step])
+    if isinstance(result, Exception):
+        raise result
+    return result

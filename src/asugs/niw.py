@@ -161,9 +161,10 @@ def student_t_shape(c: float, delta: float) -> tuple[float, float]:
     return c / (1.0 + c) / (2.0 * delta), delta + 0.5
 
 
-def student_t_log_norm(c: float, delta: float, d: int, logdet: float) -> float:
-    """The constant of ``log_predictive_density``, given logdet = log det sigma."""
-    return (-0.5 * d * math.log(math.pi) + 0.5 * d * math.log(student_t_shape(c, delta)[0])
+def student_t_log_norm(coef: float, delta: float, d: int, logdet: float) -> float:
+    """The constant of ``log_predictive_density``, given its scale ``coef``
+    (``student_t_shape``) and logdet = log det sigma."""
+    return (-0.5 * d * math.log(math.pi) + 0.5 * d * math.log(coef)
             + log_gamma_ratio(delta, d) - 0.5 * logdet)
 
 
@@ -176,8 +177,8 @@ def student_t_factors(c: float, delta: float, sigma: np.ndarray
     L = cholesky(sigma)
     inv_l = np.linalg.inv(L)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return (inv_l.T @ inv_l, logdet, student_t_log_norm(c, delta, L.shape[0], logdet),
-            *student_t_shape(c, delta))
+    coef, expo = student_t_shape(c, delta)
+    return inv_l.T @ inv_l, logdet, student_t_log_norm(coef, delta, L.shape[0], logdet), coef, expo
 
 
 def student_t_log_density(log_norm, coef, expo, quad, out=None):
@@ -240,7 +241,9 @@ def conjugate_update(mu: np.ndarray, c: float, delta: float, sigma: np.ndarray, 
     r = y - mu
     a = 2.0 * delta / (1.0 + 2.0 * delta)
     b = (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
-    mu[:] = (y + c * mu) / (1.0 + c)
+    mu *= c  # mu' = (y + c mu) / (1 + c), in place
+    mu += y
+    mu /= 1.0 + c
     sigma *= a
     sigma += b * (r[:, None] * r)
     return r, a, b

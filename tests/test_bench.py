@@ -11,8 +11,10 @@ from asugs.bench import (
     geometric_checkpoints,
     variant_config,
 )
-from asugs.data import Dataset, generate_grid_mixture
-from asugs.engine import EngineConfig
+from dataclasses import replace
+
+from asugs.data import Dataset, generate_grid_mixture, heldout_loglik, sample_mixture
+from asugs.engine import EngineConfig, run
 from asugs.niw import PriorConfig
 
 
@@ -107,6 +109,46 @@ class TestCompareVariants:
         for rs, rp in zip(serial.rows, parallel.rows):
             assert rs.final_k == rp.final_k
             assert rs.heldout_total == rp.heldout_total
+
+
+    @pytest.mark.parametrize("trials, workers", [(0, 1), (-1, 1), (1, 0), (2, -2)])
+    def test_counts_below_one_rejected(self, trials, workers):
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            compare_variants(EngineConfig(), trials=trials, truth=truth, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_solo_runs(self, workers):
+        """Rows of trials fitted in lockstep against each trial fitted by
+        itself with ``run``: the final k, the k at each checkpoint and the
+        held-out total are the same."""
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        cfg = EngineConfig(seed=8, prior=PriorConfig.from_scale(2, 0.05))
+        report = compare_variants(cfg, trials=3, truth=truth, n_train=90, n_test=40,
+                                  workers=workers)
+        assert [(r.variant, r.trial) for r in report.rows] == [
+            (v, t) for v in VARIANTS for t in range(3)]
+        for row in report.rows:
+            seed = cfg.seed + row.trial
+            trace = run(sample_mixture(truth, 90, seed=seed).rows,
+                        replace(variant_config(cfg, row.variant), seed=seed))
+            ks = trace.k_series()
+            total, _ = heldout_loglik(trace.final_book,
+                                      Dataset(sample_mixture(truth, 40, seed=40000 + seed).rows))
+            assert row.error is None and row.seed == seed
+            assert row.final_k == trace.k
+            assert row.k_at_checkpoints == [int(ks[min(c, len(ks)) - 1])
+                                            for c in report.checkpoints]
+            assert row.heldout_total == total
+
+    def test_runtime_is_the_group_share(self):
+        """Every trial of one group reports the group's fit time over its
+        size, so the rows sum to the engine time."""
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        report = compare_variants(EngineConfig(seed=3, prior=PriorConfig.from_scale(2, 0.05)),
+                                  trials=2, truth=truth, n_train=60, n_test=30)
+        assert len({r.runtime_s for r in report.rows}) == 1
+        assert report.rows[0].runtime_s > 0.0
 
 
 class TestBenchReportFailureAccounting:

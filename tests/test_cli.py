@@ -232,6 +232,30 @@ class TestCompare:
         assert code == EXIT_DATA
         assert "does not match --train dim 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-1"), ("--workers", "0"), ("--workers", "-2"),
+        ("--n-train", "0"), ("--n-test", "0"),
+    ])
+    def test_count_below_one_is_config_error_naming_it(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        """Rejected with exit 2 before any trial runs or any file is written."""
+        import asugs.cli as cli_mod
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran despite a count below 1")
+
+        monkeypatch.setattr(cli_mod, "compare_variants", no_trials)
+        out = tmp_path / "bench"
+        counts = {"--trials": "1", "--workers": "1", "--n-train": "100", "--n-test": "50",
+                  flag: value}
+        code = main(["compare", "--truth", str(dataset_dir / "truth.json"), "--out", str(out),
+                     *[part for item in counts.items() for part in item]])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith("config error: ") and flag in err[0]
+        assert not out.exists()
+
     def test_trial_failure_exit_code(self, dataset_dir, tmp_path, monkeypatch):
         from asugs.bench import BenchReport, TrialResult
         import asugs.cli as cli_mod

@@ -169,8 +169,8 @@ class TestInnovationProbability:
             alpha = book.alpha(rng.uniform(0.2, 3.0))
             y = rng.normal(size=2) * 3
             tau = innovation_probability(book, alpha, prior, y)
-            q = responsibilities(book, y, alpha, prior_predictive(prior, y))
-            assert tau == pytest.approx(q[-1], abs=1e-12)
+            q = responsibilities(book.stack, y[None], [math.log(alpha) + prior_predictive(prior, y)])
+            assert tau == pytest.approx(q[book.k], abs=1e-12)
 
 
 def row_quadrature_l2(book, truth, grid_points, pad_stds=6.0):

@@ -8,6 +8,7 @@ arithmetic.
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,18 +17,23 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from asugs.engine import (
+    BookStack,
     ClusterBook,
     ConfigError,
     EngineConfig,
     REFRESH_MAX_T,
     StepError,
+    _prefix_sums,
     _prior_scores,
+    _sum_in_order,
     merge,
     prune,
     responsibilities,
     run,
+    run_many,
     step,
 )
+from asugs.bench import VARIANTS, variant_config
 from asugs.data import generate_grid_mixture, read_trace, sample_mixture, write_trace
 from asugs.diagnostics import log_mixture_predictive_rows, run_with_diagnostics
 from asugs.niw import (
@@ -39,6 +45,27 @@ from asugs.niw import (
     student_t_factors,
     student_t_shape,
 )
+
+
+def score_one(book, y, alpha, log_new):
+    """``responsibilities`` of one book, alone in its stack: the old
+    single-book signature, with log_new the prior predictive of y."""
+    y = np.asarray(y, dtype=float)
+    stack = book.stack or BookStack([book], len(y), 2)
+    q = responsibilities(stack, y[None], [math.log(alpha) + log_new])
+    return q[:book.k + 1]  # a stack of one book scores in its own shapes
+
+
+def step_one(book, y, config, rng, log_new):
+    """``step`` of one book, alone in its stack, drawing its uniform from rng
+    as ``run`` does (from the second observation on, in sample mode); raises
+    what the step returns in place of a record."""
+    stack = book.stack or BookStack([book], config.prior.dim, 2)
+    u = rng.random() if config.selection == "sample" and book.k else 0.0
+    (record,) = step(stack, [y], [config], [log_new], [u])
+    if isinstance(record, Exception):
+        raise record
+    return record
 
 
 def make_book(posts, ms, ws, n):
@@ -83,11 +110,11 @@ class TestPredictivePriorWeights:
         book = make_book([self.PRIOR.state for _ in ms], ms,
                          [float(m) for m in ms], n=n)
         y = np.array([0.37])
-        return responsibilities(book, y, alpha, prior_predictive(self.PRIOR, y))
+        return score_one(book, y, alpha, prior_predictive(self.PRIOR, y))
 
     def test_empty_book_certain_innovation(self):
         y = np.zeros(1)
-        assert responsibilities(ClusterBook(), y, 3.7, prior_predictive(self.PRIOR, y)).tolist() == [1.0]
+        assert score_one(ClusterBook(), y, 3.7, prior_predictive(self.PRIOR, y)).tolist() == [1.0]
 
     def test_single_cluster_unit_alpha(self):
         np.testing.assert_allclose(self.weights([1], 1, 1.0), [0.5, 0.5])
@@ -110,7 +137,7 @@ class TestResponsibilities:
     def test_empty_book(self):
         prior = PriorConfig.default(1)
         np.testing.assert_array_equal(
-            responsibilities(ClusterBook(), np.zeros(1), 1.0, prior_predictive(prior, np.zeros(1))),
+            score_one(ClusterBook(), np.zeros(1), 1.0, prior_predictive(prior, np.zeros(1))),
             [1.0],
         )
 
@@ -118,8 +145,8 @@ class TestResponsibilities:
         post_a = NiwPosterior(np.array([-1.0]), 3.0, 2.0, np.array([[0.5]]))
         post_b = NiwPosterior(np.array([1.0]), 3.0, 2.0, np.array([[0.5]]))
         book = make_book([post_a, post_b], [4, 4], [4.0, 4.0], n=8)
-        q = responsibilities(book, np.zeros(1), 1.0,
-                             prior_predictive(PriorConfig.default(1), np.zeros(1)))
+        q = score_one(book, np.zeros(1), 1.0,
+                      prior_predictive(PriorConfig.default(1), np.zeros(1)))
         assert q[0] == pytest.approx(q[1], rel=1e-12)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -139,7 +166,7 @@ class TestResponsibilities:
             alpha * math.exp(ref_log_density_1d(0.0, 1.0, 1.5, 2.0, y)),
         ]
         expected = np.array(raw) / sum(raw)
-        got = responsibilities(book, np.array([y]), alpha, prior_predictive(prior, np.array([y])))
+        got = score_one(book, np.array([y]), alpha, prior_predictive(prior, np.array([y])))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     @staticmethod
@@ -174,7 +201,7 @@ class TestResponsibilities:
         for mean in means:
             book.add(posterior_update(cfg.prior.state, mean), 1, 1.0)
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, step_rng, prior_predictive(cfg.prior, y))
+            step_one(book, y, cfg, step_rng, prior_predictive(cfg.prior, y))
             if i % 50 == 0:
                 for y_new in means[rng.integers(4, size=5)] + rng.normal(size=(5, d)):
                     yield book, cfg.prior, y_new, book.alpha(cfg.lam)
@@ -197,7 +224,7 @@ class TestResponsibilities:
             )
             expected = np.exp(logq - logq.max())
             expected /= expected.sum()
-            got = responsibilities(book, y, alpha, prior_predictive(prior, y))
+            got = score_one(book, y, alpha, prior_predictive(prior, y))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_random_states_normalized(self):
@@ -213,7 +240,7 @@ class TestResponsibilities:
                 ms.append(int(rng.integers(1, 30)))
             book = make_book(posts, ms, [float(m) for m in ms], n=sum(ms))
             y = rng.normal(size=2) * 3
-            q = responsibilities(book, y, rng.uniform(0.1, 5.0), prior_predictive(prior, y))
+            q = score_one(book, y, rng.uniform(0.1, 5.0), prior_predictive(prior, y))
             assert q.shape == (k + 1,)
             assert np.all(q >= 0)
             assert q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +271,7 @@ class TestStep:
         self.rng = np.random.Generator(np.random.PCG64(0))
 
     def step(self, book, y):
-        return step(book, y, self.config, self.rng, prior_predictive(self.config.prior, y))
+        return step_one(book, y, self.config, self.rng, prior_predictive(self.config.prior, y))
 
     def test_first_observation_opens_cluster_one(self):
         book = ClusterBook()
@@ -262,7 +289,7 @@ class TestStep:
         y = np.array([1.0, 1.0])
         post = NiwPosterior(y.copy(), 100.0, 50.0, 0.01 * np.eye(2))
         book = make_book([post], [100], [100.0], n=100)
-        rec = step(book, y, config, self.rng, prior_predictive(config.prior, y))
+        rec = step_one(book, y, config, self.rng, prior_predictive(config.prior, y))
         assert rec.label == 1 and not rec.innovation
 
     def test_counts_partition_observations(self):
@@ -291,7 +318,8 @@ class TestStep:
         for _ in range(k):
             self.step(book, np.array([0.4, -0.1]))
         with pytest.raises(ValueError, match=f"observation has dim {dim}, state has dim 2"):
-            step(book, np.ones(dim), self.config, self.rng, 0.0)  # y is refused before log_new is read
+            # y is refused before log_new is read
+            step_one(book, np.ones(dim), self.config, self.rng, 0.0)
         assert (book.k, book.n) == (k, k)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 64])
@@ -306,7 +334,7 @@ class TestStep:
         for far in (False, True):
             y = scale * rng.normal(size=d) * (1e3 if far else 1.0)
             book = ClusterBook()
-            step(book, y, config, np.random.default_rng(0), prior_predictive(prior, y))
+            step_one(book, y, config, np.random.default_rng(0), prior_predictive(prior, y))
             want = posterior_update(prior.state, y)
             np.testing.assert_array_equal(book.mu[0], want.mu)
             np.testing.assert_array_equal(book.sigma[0], want.sigma)
@@ -457,7 +485,7 @@ class TestPairHistories:
 
         born = pruned = merged = 0
         for i, y in enumerate(ys, start=1):
-            rec = step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
+            rec = step_one(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             if rec.innovation:
                 born += 1
                 new = born  # cids are never reused
@@ -516,20 +544,22 @@ class TestWindows:
         sums = [book.w.copy(), book.dist.copy(), book.coact.copy()]
         for _ in range(60):
             q = rng.random(k) * 10.0 ** rng.uniform(-8.0, 0.0)
-            book.push(q, 100)
+            book.stack.push(q[None], 100)
             for total, term in zip(sums, (q, np.abs(np.subtract.outer(q, q)), np.add.outer(q, q))):
                 total += term
-        assert len(book.window) == 60
+        assert len(book.stack.window) == 60
         for got, want in zip((book.w, book.dist, book.coact), sums):
             assert np.array_equal(got, want)
-        assert book.window == []
+        assert book.stack.window == []
 
     @staticmethod
-    def per_step_push(book, q, period):
-        """``ClusterBook.push`` as a reference: add once per step, no window."""
-        book._w += q
-        book._dist += np.abs(np.subtract.outer(q, q))
-        book._coact += np.add.outer(q, q)
+    def per_step_push(stack, q, period):
+        """``BookStack.push`` as a reference: add once per step, no window."""
+        for book, row in zip(stack.books, q.reshape(len(stack.books), -1)):
+            row = row[:book.k]
+            book._w += row
+            book._dist += np.abs(np.subtract.outer(row, row))
+            book._coact += np.add.outer(row, row)
 
     @pytest.mark.parametrize("maintained", [True, False], ids=["prune-merge", "no-maintenance"])
     @pytest.mark.parametrize("period", [1, 7, 50])
@@ -542,11 +572,11 @@ class TestWindows:
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025),
                            maintenance_period=period,
                            **({} if maintained else dict(prune_eps=0.0, merge_eps=0.0)))
-        sizes, real_fold = [], ClusterBook.fold
+        sizes, real_fold = [], BookStack.fold
 
-        def sized_fold(book):
-            sizes.append(len(book.window))
-            real_fold(book)
+        def sized_fold(stack):
+            sizes.append(len(stack.window))
+            real_fold(stack)
 
         def runs():
             seen = []
@@ -554,9 +584,9 @@ class TestWindows:
                 [getattr(copy.deepcopy(book), name) for name in ("w", "dist", "coact")]))
             return trace, seen
 
-        monkeypatch.setattr(ClusterBook, "fold", sized_fold)
+        monkeypatch.setattr(BookStack, "fold", sized_fold)
         trace, seen = runs()
-        monkeypatch.setattr(ClusterBook, "push", self.per_step_push)
+        monkeypatch.setattr(BookStack, "push", self.per_step_push)
         want_trace, want = runs()
 
         assert [r.label for r in trace.records] == [r.label for r in want_trace.records]
@@ -742,7 +772,7 @@ class TestBookInvariants:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         book = ClusterBook()
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
+            step_one(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             check(i, book)
             if i % period == 0:
                 prune(book, cfg.prune_eps)
@@ -798,7 +828,7 @@ class TestCacheAcrossScales:
         ys, _, cfg = self.stream(d, centers, picks, seed, exponent, matched)
         book, rng = ClusterBook(), np.random.Generator(np.random.PCG64(cfg.seed))
         for i, y in enumerate(ys, start=1):
-            step(book, y, cfg, rng, prior_predictive(cfg.prior, y))
+            step_one(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             assert_cache_fresh(book)
             assert_sigma_symmetric(book)
             if i % cfg.maintenance_period == 0:
@@ -949,7 +979,7 @@ class TestReadBook:
         assert book.w.tolist() == trace.final_book.w.tolist()
         assert book.dist.shape == book.coact.shape == (book.k, book.k)
         assert not book.dist.any() and not book.coact.any()
-        step(book, ys[0], cfg, np.random.default_rng(0), prior_predictive(cfg.prior, ys[0]))
+        step_one(book, ys[0], cfg, np.random.default_rng(0), prior_predictive(cfg.prior, ys[0]))
         assert book.n == trace.n + 1
         book.dist[:] = 0.0
         book.coact[:] = float(book.n)
@@ -987,3 +1017,291 @@ class TestEngineConfig:
     def test_prior_dimension_checked(self):
         with pytest.raises(ConfigError, match="dim"):
             EngineConfig(prior=PriorConfig.default(3)).resolve(2)
+
+
+def trace_bytes(trace, path):
+    write_trace(path, trace)
+    return path.read_bytes()
+
+
+def lockstep_group(d, seed, sizes, period=20):
+    """Streams of the given lengths from four separated clusters, each run
+    under one of the four variants in turn and a seed of its own."""
+    rng = np.random.default_rng(seed)
+    streams, configs = [], []
+    for r, n in enumerate(sizes):
+        means = rng.normal(scale=3.0, size=(4, d))
+        streams.append(means[rng.integers(4, size=n)] + rng.normal(size=(n, d)))
+        base = EngineConfig(seed=int(rng.integers(1000)), maintenance_period=period,
+                            prior=PriorConfig.from_scale(d, 1.0, 2.0 * d + 4.0))
+        configs.append(variant_config(base, VARIANTS[r % len(VARIANTS)]))
+    return streams, configs
+
+
+def assert_each_alone(streams, configs, results, tmp_path):
+    """Each result's trace file is byte for byte that of ``run`` of its stream."""
+    assert len(results) == len(streams)
+    for r, (stream, config, got) in enumerate(zip(streams, configs, results)):
+        assert not isinstance(got, Exception), got
+        want = run(stream, config)
+        assert trace_bytes(got, tmp_path / f"got{r}.jsonl") == trace_bytes(
+            want, tmp_path / f"want{r}.jsonl"), f"run {r}"
+
+
+class TestRunMany:
+    """``run_many`` steps its runs in lockstep; every run's trace is the trace
+    of that run alone, bit for bit, and a failing run fails alone."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_mixed_variants_match_each_run_alone(self, d, tmp_path):
+        streams, configs = lockstep_group(d, seed=d, sizes=[130] * 8)
+        assert_each_alone(streams, configs, run_many(streams, configs), tmp_path)
+
+    @pytest.mark.parametrize("sizes", [[1, 2, 19, 20, 21, 140, 55], [240], [3, 1]],
+                             ids=["unequal", "one-run", "shortest"])
+    def test_unequal_lengths_and_one_run(self, sizes, tmp_path):
+        streams, configs = lockstep_group(2, seed=len(sizes), sizes=sizes)
+        assert_each_alone(streams, configs, run_many(streams, configs), tmp_path)
+
+    def test_order_does_not_matter(self, tmp_path):
+        streams, configs = lockstep_group(2, seed=11, sizes=[90, 160, 75, 200, 120, 60])
+        order = np.random.default_rng(3).permutation(len(streams))
+        shuffled = run_many([streams[i] for i in order], [configs[i] for i in order])
+        given = run_many(streams, configs)
+        for pos, i in enumerate(order):
+            assert trace_bytes(shuffled[pos], tmp_path / "a.jsonl") == trace_bytes(
+                given[i], tmp_path / "b.jsonl")
+        assert_each_alone(streams, configs, given, tmp_path)
+
+    def test_capacity_grows_mid_window(self, monkeypatch, tmp_path):
+        """The stack starts with room for one cluster per run and doubles it
+        when a run outgrows it, here in the middle of a maintenance window."""
+        grown, real_store = [], BookStack.store
+
+        def spied_store(stack, books, cap):
+            if "cap" in stack.__dict__ and cap > stack.cap:
+                grown.append(books[0].n)  # the steps taken so far
+            real_store(stack, books, cap)
+
+        streams, configs = lockstep_group(2, seed=5, sizes=[150] * 5, period=50)
+        monkeypatch.setattr(BookStack, "store", spied_store)
+        results = run_many(streams, configs)
+        monkeypatch.undo()
+        assert any(n % 50 for n in grown)
+        assert_each_alone(streams, configs, results, tmp_path)
+
+    def test_poisoned_streams_fail_alone(self, tmp_path):
+        streams, configs = lockstep_group(2, seed=7, sizes=[80, 80, 80, 80, 80])
+        streams[1] = streams[1].copy()
+        streams[1][41, 0] = np.nan
+        configs[3] = replace(configs[3], prior=PriorConfig.default(3))
+        results = run_many(streams, configs)
+        for bad, kind in ((1, StepError), (3, ConfigError)):
+            with pytest.raises(kind) as alone:
+                run(streams[bad], configs[bad])
+            assert type(results[bad]) is kind and str(results[bad]) == str(alone.value)
+        assert results[1].step == 42
+        good = [0, 2, 4]
+        assert_each_alone([streams[r] for r in good], [configs[r] for r in good],
+                          [results[r] for r in good], tmp_path)
+
+    def test_failing_step_fails_alone(self, tmp_path):
+        """One run's cached precision is spoilt after its step 30, so its
+        step 31 fails as it would alone; the others run on, unchanged."""
+        streams, configs = lockstep_group(2, seed=9, sizes=[100] * 4)
+        calls = [None, None, None, None]
+
+        def spoil(i, book):
+            if i == 30:
+                book.prec[:] = np.nan
+                book.sigma[:] = -book.sigma
+
+        calls[2] = spoil
+        results = run_many(streams, configs, on_step=calls)
+        with pytest.raises(StepError) as alone:
+            run(streams[2], configs[2], on_step=spoil)
+        assert isinstance(results[2], StepError) and str(results[2]) == str(alone.value)
+        assert results[2].step == alone.value.step == 31
+        good = [0, 1, 3]
+        assert_each_alone([streams[r] for r in good], [configs[r] for r in good],
+                          [results[r] for r in good], tmp_path)
+
+    @pytest.mark.parametrize("fold_terms", [None, 1], ids=["one-chunk", "book-by-book"])
+    def test_pair_sums_match_each_run_alone(self, monkeypatch, fold_terms):
+        """``w``, ``dist`` and ``coact`` as ``on_step`` reads them (from a copy)
+        at every step of every run, against the run alone: the window folds
+        clusters born in mid-window and books of different k, one chunk of
+        books at a time when the pair terms are large."""
+        import asugs.engine as engine_mod
+
+        streams, configs = lockstep_group(2, seed=13, sizes=[120, 90, 120, 60, 120])
+        configs[1] = replace(configs[1], prune_eps=0.0, merge_eps=0.0)
+
+        def reads(seen):
+            return lambda i, book: seen.append(
+                [getattr(copy.deepcopy(book), name).copy() for name in ("w", "dist", "coact")])
+
+        alone = [[] for _ in streams]
+        for stream, config, seen in zip(streams, configs, alone):
+            run(stream, config, on_step=reads(seen))
+        if fold_terms is not None:
+            monkeypatch.setattr(engine_mod, "FOLD_TERMS", fold_terms)
+        together = [[] for _ in streams]
+        run_many(streams, configs, on_step=[reads(seen) for seen in together])
+        for want, got in zip(alone, together):
+            assert len(want) == len(got)
+            for want_sums, got_sums in zip(want, got):
+                for a, b in zip(want_sums, got_sums):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field, change", [
+        ("d", lambda stream, config: (np.hstack([stream, stream[:, :1]]),
+                                      replace(config, prior=PriorConfig.default(3)))),
+        ("maintenance_period", lambda stream, config: (stream,
+                                                      replace(config, maintenance_period=7))),
+    ])
+    def test_runs_must_share_d_and_period(self, field, change):
+        streams, configs = lockstep_group(2, seed=1, sizes=[30, 30])
+        streams[1], configs[1] = change(streams[1], configs[1])
+        with pytest.raises(ConfigError, match=f"^{field} must be the same for every run"):
+            run_many(streams, configs)
+
+
+def random_posts(rng, k, d):
+    posts = []
+    for _ in range(k):
+        a = rng.normal(size=(d, d))
+        posts.append(NiwPosterior(rng.normal(size=d) * 2, rng.uniform(0.1, 50),
+                                  rng.uniform(d / 2.0, 40), a @ a.T + 0.1 * np.eye(d)))
+    return posts
+
+
+class TestLockstepBits:
+    """Three ways in which stepping runs together could change a run's bits."""
+
+    def test_padded_rows_normalise_over_their_own_k(self):
+        """Twenty books with k = 0 .. 19 in one stack: each row of q is its
+        book's q scored alone, although the shorter rows are padded to the
+        longest.  A plain row sum over a padded row would group the terms
+        of numpy's pairwise sum differently and differ in the last bit."""
+        rng = np.random.default_rng(0)
+        prior = PriorConfig.default(2)
+        books = [make_book(random_posts(rng, k, 2), list(rng.integers(1, 40, size=k)),
+                           [1.0] * k, n=40 * k + 1) for k in range(20)]
+        alone = [copy.deepcopy(book) for book in books]
+        stack = BookStack(books, 2, 21)
+        for _ in range(20):
+            ys = rng.normal(size=(20, 2)) * 3
+            weights = [math.log(rng.uniform(0.1, 5.0)) + prior_predictive(prior, y) for y in ys]
+            q = responsibilities(stack, ys, weights)
+            for r, (book, y, weight) in enumerate(zip(alone, ys, weights)):
+                own = responsibilities(book.stack or BookStack([book], 2, 2), y[None], [weight])
+                assert np.array_equal(q[r, :r + 1], own.reshape(-1)[:r + 1]), r
+                assert not q[r, r + 1:].any()
+
+    def test_prefix_sums_group_like_numpys_sum(self):
+        rng = np.random.default_rng(1)
+        lengths = np.arange(1, 21)
+        differs = 0
+        for _ in range(200):
+            q = np.zeros((20, 24))
+            for r, n in enumerate(lengths):
+                q[r, :n] = np.exp(rng.normal(size=n) * 4.0)
+            want = [q[r, :n].sum() for r, n in enumerate(lengths)]
+            assert _prefix_sums(q, lengths).tolist() == want
+            differs += int((q.sum(axis=1) != want).sum())
+        assert differs > 0  # the padded row sum is not the sum over k + 1
+
+    @pytest.mark.parametrize("books", [1, 3])
+    def test_fold_of_single_clusters_adds_in_order(self, books):
+        """With k = 1 the window is a column of scalars per book, which for
+        one book ``np.add.reduce`` would sum pairwise; the fold adds step
+        after step, for one book and for several."""
+        rng = np.random.default_rng(books)
+        stack = BookStack([k_cluster_book(1, n=0) for _ in range(books)], 1, 2)
+        want = np.array([book.w[0] for book in stack.books])
+        steps = [rng.random((books, 1)) for _ in range(60)]
+        for q in steps:
+            stack.push(q, 100)
+            want += q[:, 0]
+        if books == 1:  # what a plain reduce over the window would give
+            column = np.concatenate([[1.0], [q[0, 0] for q in steps]])
+            assert np.add.reduce(column) != want[0]
+        stack.fold()
+        assert [book.w[0] for book in stack.books] == want.tolist()
+
+    def test_sum_in_order_of_a_scalar_column(self):
+        total, terms = np.zeros(1), np.random.default_rng(4).random((60, 1)) * 1e-3
+        want = 0.0
+        for term in terms[:, 0]:
+            want += term
+        _sum_in_order(total, terms.copy())
+        assert total[0] == want
+
+    def test_concentration_uses_math_log(self):
+        """At n = 9170, numpy's log and ``math.log`` differ in the last bit:
+        a step of several books keeps alpha = k / (lam + math.log(n))."""
+        n, lam = 9170, 0.3
+        assert np.log(np.array([float(n)]))[0] != math.log(n)
+        rng = np.random.default_rng(2)
+        config = EngineConfig(lam=lam, seed=0, prior=PriorConfig.default(2)).resolve(2)
+        books = [make_book(random_posts(rng, k, 2), [n // k] * k, [1.0] * k, n=n) for k in (3, 5)]
+        stack = BookStack(books, 2, 8)
+        ys = rng.normal(size=(2, 2))
+        records = step(stack, ys, [config] * 2, [prior_predictive(config.prior, y) for y in ys],
+                       [0.5, 0.5])
+        for record, k in zip(records, (3, 5)):
+            assert record.alpha_used == k / (lam + math.log(n))
+        assert any(k / (lam + math.log(n)) != k / (lam + float(np.log(np.float64(n))))
+                   for k in (3, 5))
+
+    def test_new_cluster_weight_uses_math_log(self, monkeypatch):
+        """The new cluster's log weight is math.log(alpha) + its prior score,
+        for an alpha whose numpy log differs in the last bit."""
+        import asugs.engine as engine_mod
+
+        alpha = 0.40771306437289007
+        assert float(np.log(np.float64(alpha))) != math.log(alpha)
+        seen, real = [], engine_mod.responsibilities
+
+        def spied(stack, ys, log_new):
+            seen.append(list(log_new))
+            return real(stack, ys, log_new)
+
+        rng = np.random.default_rng(3)
+        config = EngineConfig(fixed_alpha=alpha, seed=0, prior=PriorConfig.default(2)).resolve(2)
+        stack = BookStack([make_book(random_posts(rng, 2, 2), [3, 4], [1.0, 1.0], n=7)
+                           for _ in range(2)], 2, 4)
+        ys = rng.normal(size=(2, 2))
+        scores = [prior_predictive(config.prior, y) for y in ys]
+        monkeypatch.setattr(engine_mod, "responsibilities", spied)
+        step(stack, ys, [config] * 2, scores, [0.5, 0.5])
+        assert seen == [[math.log(alpha) + score for score in scores]]
+
+    def test_refresh_uses_math_log_and_log1p(self):
+        """After a lockstep step, each chosen cluster's logdet is
+        d log a + logdet + log1p(t) in ``math``; over these states numpy's
+        log or log1p would differ in the last bit at least once."""
+        rng = np.random.default_rng(4)
+        config = EngineConfig(seed=0, selection="argmax",
+                              prior=PriorConfig.default(2)).resolve(2)
+        differs = 0
+        for _ in range(100):
+            books = [make_book(random_posts(rng, 1, 2), [5], [1.0], n=5) for _ in range(3)]
+            ys = np.array([book.mu[0] for book in books]) + rng.normal(size=(3, 2))
+            before = [(book.c[0], book.delta[0], book.mu[0].copy(), book.prec[0].copy(),
+                       book.logdet[0]) for book in books]
+            stack = BookStack(books, 2, 4)
+            records = step(stack, ys, [config] * 3,
+                           [prior_predictive(config.prior, y) - 50.0 for y in ys], [0.5] * 3)
+            for book, y, record, (c, delta, mu, prec, logdet) in zip(books, ys, records, before):
+                assert record.label == 1
+                a = 2.0 * delta / (1.0 + 2.0 * delta)
+                b = (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
+                r = y - mu
+                t = b / a * float(r @ (prec @ r))
+                assert book.logdet[0] == 2 * math.log(a) + logdet + math.log1p(t)
+                numpy_logdet = (2 * float(np.log(np.float64(a))) + logdet
+                                + float(np.log1p(np.float64(t))))
+                differs += numpy_logdet != book.logdet[0]
+        assert differs > 0

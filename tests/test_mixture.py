@@ -23,6 +23,7 @@ from asugs.niw import (
     log_predictive_density_rows,
     prior_predictive,
     student_t_log_norm,
+    student_t_shape,
 )
 
 
@@ -163,7 +164,7 @@ def fitted_logpdf_solve(book, ys: np.ndarray) -> np.ndarray:
         z = np.linalg.solve(L, (ys - book.mu[h]).T)
         logdet = 2.0 * np.log(np.diag(L)).sum()
         c, delta = book.c[h], book.delta[h]
-        log_norm = student_t_log_norm(c, delta, book.mu.shape[1], logdet)
+        log_norm = student_t_log_norm(student_t_shape(c, delta)[0], delta, book.mu.shape[1], logdet)
         logs.append(math.log(book.m[h] / book.total_count) + log_norm
                     - (delta + 0.5) * np.log1p(c / (1.0 + c) / (2.0 * delta) * (z * z).sum(axis=0)))
     return logsumexp(np.array(logs), axis=0)
