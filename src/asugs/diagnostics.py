@@ -24,6 +24,7 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     RunTrace,
+    _quad_forms,
     as_stream,
     merge,  # merge, prune and step are unused here but stay attributes of
     prune,  # this module: perfbench/tracer.py wraps them here too
@@ -47,9 +48,18 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
     observations (counts of pruned clusters are gone), so the mixture
     integrates to 1 regardless of pruning history.  No innovation slot.
     """
+    _require_clusters(book)
+    return _log_mixture(book, row_quad_forms(ys, book.mu, book.prec))
+
+
+def _require_clusters(book: ClusterBook) -> None:
     if book.k == 0:
         raise ValueError("mixture predictive undefined for an empty book")
-    logs = row_quad_forms(ys, book.mu, book.prec)
+
+
+def _log_mixture(book: ClusterBook, logs: np.ndarray) -> np.ndarray:
+    """The mixture log density of each column of the K x N quadratic forms
+    ``logs``, which it overwrites."""
     student_t_log_density(book.log_norm[:, None], book.coef[:, None], book.expo[:, None], logs,
                           out=logs)
     logs += np.log(book.m / book.total_count)[:, None]
@@ -57,8 +67,12 @@ def log_mixture_predictive_rows(book: ClusterBook, ys: np.ndarray) -> np.ndarray
 
 
 def _log_likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:
+    """The one row is scored with the engine's matmul sandwich, which costs
+    less than the row scorer's loop over clusters."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    return prior_predictive(prior, y) - log_mixture_predictive_rows(book, y)[0]
+    _require_clusters(book)
+    quad = _quad_forms(y - book.mu, book.prec)
+    return prior_predictive(prior, y) - _log_mixture(book, quad[:, None])[0]
 
 
 def likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) -> float:

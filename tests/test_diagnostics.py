@@ -96,8 +96,10 @@ class TestMixturePredictive:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_book_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty book"):
             log_mixture_predictive_rows(ClusterBook(), np.zeros(1))
+        with pytest.raises(ValueError, match="empty book"):
+            likelihood_ratio(ClusterBook(), PriorConfig.default(1), np.zeros(1))
 
     def test_memory_is_one_k_by_n_array(self):
         """16 clusters, d = 2, 5000 rows: one K x N array (640 kB) and three

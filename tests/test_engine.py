@@ -732,6 +732,29 @@ class TestCachedFactors:
         assert calls == []
         assert_cache_fresh(trace.final_book)
 
+    def test_births_copy_the_prior_factors_in_lockstep(self, monkeypatch):
+        """The same 400-row stream as one of three lockstep runs: every step
+        updates the three books in one batched call, whose refresh
+        factorises nothing on well-scaled data either."""
+        import asugs.engine as engine_mod
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return student_t_factors(*args)
+
+        mix = generate_grid_mixture(3, 0.025)
+        streams = [sample_mixture(mix, 400, seed=seed).rows for seed in (2, 3, 4)]
+        configs = [EngineConfig(seed=seed, prior=PriorConfig.from_scale(2, 0.025),
+                                prune_eps=0.0, merge_eps=0.0) for seed in (2, 3, 4)]
+        monkeypatch.setattr(engine_mod, "student_t_factors", counted)
+        traces = run_many(streams, configs)
+        for trace in traces:
+            assert sum(r.innovation for r in trace.records) >= 9
+            assert_cache_fresh(trace.final_book)
+        assert calls == []
+
 
 class TestBookInvariants:
     # Overlapping clusters under the broad default prior: about half of
@@ -1052,7 +1075,7 @@ class TestRunMany:
     """``run_many`` steps its runs in lockstep; every run's trace is the trace
     of that run alone, bit for bit, and a failing run fails alone."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     def test_mixed_variants_match_each_run_alone(self, d, tmp_path):
         streams, configs = lockstep_group(d, seed=d, sizes=[130] * 8)
         assert_each_alone(streams, configs, run_many(streams, configs), tmp_path)
@@ -1165,6 +1188,116 @@ class TestRunMany:
         streams[1], configs[1] = change(streams[1], configs[1])
         with pytest.raises(ConfigError, match=f"^{field} must be the same for every run"):
             run_many(streams, configs)
+
+
+class TestBatchedUpdate:
+    """A lockstep step of several books updates them with ``BookStack.absorb``:
+    one batched conjugate update and refresh, bit for bit ``ClusterBook.absorb``
+    of each book alone, which a step of one book still calls."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_batched_update_is_absorb_bit_for_bit(self, monkeypatch, d):
+        """Six books of random states, five batched updates of a random
+        cluster each, by observations near and far from it (far ones
+        refactorise), against ``absorb`` of a copy of each book."""
+        import asugs.engine as engine_mod
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return student_t_factors(*args)
+
+        rng = np.random.default_rng(d)
+        books = [make_book(random_posts(rng, 3, d), [2, 3, 4], [1.0] * 3, n=9) for _ in range(6)]
+        stack = BookStack(books, d, 4)
+        refactorised = 0
+        for _ in range(5):
+            twins = [copy.deepcopy(book) for book in books]
+            labels = rng.integers(1, 4, size=len(books)).tolist()
+            scales = 10.0 ** rng.choice([-2, 0, 3], size=len(books))
+            ys = np.array([book.mu[h - 1] + rng.normal(size=d) * scale
+                           for book, h, scale in zip(books, labels, scales)])
+            errors = [None] * len(books)
+            monkeypatch.setattr(engine_mod, "student_t_factors", counted)
+            stack.absorb(labels, ys, errors)
+            monkeypatch.undo()
+            assert errors == [None] * len(books)
+            refactorised += len(calls)
+            calls.clear()
+            for book, twin, h, y in zip(books, twins, labels, ys):
+                twin.absorb(h - 1, y)
+                twin.m[h - 1] += 1
+                for name in ("mu", "sigma", "c", "delta", "m", "prec", "logdet", "log_norm",
+                             "coef", "expo"):
+                    assert np.array_equal(getattr(book, name), getattr(twin, name)), name
+        assert 0 < refactorised < 30
+
+    def test_one_step_refreshes_refactorises_and_fails_alone(self, monkeypatch):
+        """One lockstep step of three books, one outcome each: book 0's
+        observation is near its cluster and takes the rank-one refresh;
+        book 1's lies far outside its spread (t above REFRESH_MAX_T), so it
+        refactorises once and leaves exactly a fresh cache; book 2's sigma
+        is indefinite, so its refactorisation raises ``LinAlgError`` and only
+        that book fails."""
+        import asugs.engine as engine_mod
+
+        real, calls = engine_mod.student_t_factors, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        config = EngineConfig(seed=0, selection="argmax",
+                              prior=PriorConfig.default(2)).resolve(2)
+        books = [make_book([NiwPosterior(np.zeros(2), 1.0, 2.0, np.eye(2))], [1], [1.0], n=1)
+                 for _ in range(3)]
+        books[2].sigma[:] = -books[2].sigma  # its cached precision still scores
+        ys = np.array([[0.3, -0.2], [1e4, -3e4], [1e4, -3e4]])
+        twins = [copy.deepcopy(book) for book in books[:2]]
+        for twin, y in zip(twins, ys):
+            twin.absorb(0, y)
+            twin.m[0] += 1
+        stack = BookStack(books, 2, 4)
+        monkeypatch.setattr(engine_mod, "student_t_factors", counted)
+        records = step(stack, ys, [config] * 3, [-1e6] * 3, [0.0] * 3)
+        assert [record.label for record in records[:2]] == [1, 1]
+        assert isinstance(records[2], np.linalg.LinAlgError)
+        assert [book.n for book in books[:2]] == [2, 2]
+        assert len(calls) == 2  # book 1's refactorisation and book 2's failed one
+        assert np.array_equal(calls[0][2], books[1].sigma[0])
+        prec, logdet, log_norm, _, _ = real(books[1].c[0], books[1].delta[0], books[1].sigma[0])
+        np.testing.assert_array_equal(books[1].prec[0], prec)
+        assert (books[1].logdet[0], books[1].log_norm[0]) == (logdet, log_norm)
+        for book, twin in zip(books, twins):
+            for name in ("mu", "sigma", "c", "delta", "m", "prec", "logdet", "log_norm",
+                         "coef", "expo"):
+                assert np.array_equal(getattr(book, name), getattr(twin, name)), name
+        assert_cache_fresh(books[0])
+
+    def test_lockstep_steps_never_call_absorb(self, monkeypatch):
+        """Runs in lockstep update through ``BookStack.absorb``, one call per
+        step, and never through ``ClusterBook.absorb``; ``run`` calls
+        ``ClusterBook.absorb`` once per observation and the batch never."""
+        singles, batches = [], []
+        real_single, real_batch = ClusterBook.absorb, BookStack.absorb
+
+        def counted_single(book, h, y):
+            singles.append(h)
+            return real_single(book, h, y)
+
+        def counted_batch(stack, labels, ys, errors):
+            batches.append(len(labels))
+            return real_batch(stack, labels, ys, errors)
+
+        streams, configs = lockstep_group(2, seed=17, sizes=[60] * 3)
+        monkeypatch.setattr(ClusterBook, "absorb", counted_single)
+        monkeypatch.setattr(BookStack, "absorb", counted_batch)
+        results = run_many(streams, configs)
+        assert not any(isinstance(result, Exception) for result in results)
+        assert singles == [] and batches == [3] * 60
+        run(streams[0], configs[0])
+        assert len(singles) == 60 and len(batches) == 60
 
 
 def random_posts(rng, k, d):
