@@ -23,7 +23,7 @@ import numpy as np
 from asugs.bench import VARIANTS, compare_variants
 from asugs.data import (
     DataError,
-    _config_to_dict,
+    config_record,
     generate_grid_mixture,
     heldout_loglik,
     read_csv,
@@ -187,7 +187,7 @@ def cmd_compare(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(
             {
-                "config": _config_to_dict(cfg),
+                "config": config_record(cfg),
                 "trials": args.trials,
                 "checkpoints": report.checkpoints,
                 "aggregates": report.aggregates,

@@ -10,10 +10,10 @@ lossless and byte-identical for identical runs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,47 +172,74 @@ def read_truth(path) -> GaussianMixture:
 # ---------------------------------------------------------------------------
 # trace persistence
 
-# The keys of each record kind besides "kind"; writer and reader share them.
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
-_PRIOR_KEYS = ("mu0", "c0", "delta0", "sigma0")
-_STEP_KEYS = ("i", "label", "q", "alpha", "k", "innovation")  # StepRecord's fields, in order
-_CLUSTER_KEYS = ("mu", "sigma", "c", "delta", "m", "w")
-_RECORD_KEYS = {
-    "config": frozenset(_CONFIG_KEYS),
-    "step": frozenset(_STEP_KEYS),
-    "checkpoint": frozenset(f.name for f in dataclasses.fields(Checkpoint)),
-    "cluster": frozenset(_CLUSTER_KEYS),
-    "final": frozenset(("n", "k")),
-}
+def _scalar(types: tuple, ok=None, need: str = ""):
+    """A reader of a JSON scalar: its type() is one of types (a JSON true is
+    a bool, not an int) and, given ok, ok(value) holds."""
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+    def read(value, key):
+        if type(value) not in types:
+            raise ValueError(f"{key} must be {names}, got {value!r}")
+        if ok is not None and not ok(value):
+            raise ValueError(f"{key} must be {need}, got {value!r}")
+        return value
+    return read
 
 
-# Each scalar's JSON type, checked with type(): a JSON true is a bool, not an int.
-_NUMBER = (int, float)
-_STEP_TYPES = {"i": (int,), "label": (int,), "alpha": _NUMBER, "k": (int,), "innovation": (bool,)}
-_PRIOR_TYPES = {"c0": _NUMBER, "delta0": _NUMBER}
-_STATE_TYPES = {"c": _NUMBER, "delta": _NUMBER}
-_FINAL_TYPES = {"n": (int,), "k": (int,)}
+def _floats(ndim: int | None = None):
+    """A reader of a JSON list of numbers, or of such lists, with ndim
+    dimensions if given; it returns a float array."""
+    def read(value, key):
+        try:
+            arr = np.array(value) if type(value) is list else None
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in "fi" or ndim not in (None, arr.ndim):
+            raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        return arr.astype(float, copy=False)
+    return read
 
 
-def _typed(rec: dict, types: dict) -> None:
-    """Raise ``ValueError`` naming the first key of ``types`` whose value has
-    another JSON type."""
-    for key, allowed in types.items():
-        if type(rec[key]) not in allowed:
-            names = " or ".join(t.__name__ for t in allowed)
-            raise ValueError(f"{key} must be {names}, got {rec[key]!r}")
+class _Kind:
+    """One record kind.  Each keyword is a JSON key; its value is the reader
+    of the attribute of that name, or (attribute, reader).  A reader checks
+    the key's JSON value, names the key if it refuses it and returns the
+    value converted.  ``write_trace`` and ``read_trace`` walk the fields."""
+
+    def __init__(self, name: str, **fields):
+        self.name, self.keys = name, fields.keys()  # ordered, and compared as a set
+        self.fields = [(key, *(spec if type(spec) is tuple else (key, spec)))
+                       for key, spec in fields.items()]
+        self.values = operator.attrgetter(*(attr for _, attr, _ in self.fields))  # in key order
+
+    def line(self, values) -> str:
+        return _dumps({"kind": self.name, **dict(zip(self.keys, values))}) + "\n"
+
+    def read(self, rec, within: str = "") -> dict:
+        """A record's values keyed by attribute; ``within`` (" in prior") places a nested one."""
+        if not isinstance(rec, dict) or rec.keys() != self.keys:
+            got = sorted(rec) if isinstance(rec, dict) else repr(rec)
+            raise ValueError(f"expected keys {sorted(self.keys)}{within}, got {got}")
+        return {attr: read(rec[key], key) for key, attr, read in self.fields}
 
 
-def _numbers(value, key: str) -> np.ndarray:
-    """A JSON list of numbers, or of such lists, as a float array; anything
-    else raises ``ValueError`` naming key."""
-    try:
-        arr = np.array(value) if type(value) is list else None
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "fi":
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
-    return arr.astype(float, copy=False)
+_int, _number = _scalar((int,)), _scalar((int, float))
+_number_or_null = _scalar((int, float, type(None)))
+_PRIOR = _Kind("prior", mu0=_floats(1), c0=_number, delta0=_number, sigma0=_floats())
+_CONFIG = _Kind(  # the values' ranges are EngineConfig.resolve's
+    "config", lam=_number, selection=_scalar((str,)), fixed_alpha=_number_or_null,
+    prune_eps=_number, merge_eps=_number, maintenance_period=_int, seed=_int,
+    prior=lambda value, key: PriorConfig(**_PRIOR.read(value, f" in {key}")))
+_STEP = _Kind("step", i=("index", _int), label=_int, q=_floats(1),
+              alpha=("alpha_used", _number), k=("k_after", _int), innovation=_scalar((bool,)))
+_CHECKPOINT = _Kind(  # not checked finite: the writer gives an infinite ratio as Infinity
+    "checkpoint", n=_int, k=_int, alpha=_number, likelihood_ratio=_number_or_null,
+    l2_distance=_number_or_null, kl_estimate=_number_or_null, kl_stderr=_number_or_null)
+_CLUSTER = _Kind(  # one per row of the book's columns; the state's ranges are check_state's
+    "cluster", mu=_floats(1), sigma=_floats(), c=_number, delta=_number,
+    m=_scalar((int, float), lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    w=_scalar((int, float), lambda v: math.isfinite(v) and v >= 0, "finite and nonnegative"))
+_FINAL = _Kind("final", n=_scalar((int,), lambda v: v >= 0, "nonnegative"), k=_int)
+_KINDS = {kind.name: kind for kind in (_CONFIG, _STEP, _CHECKPOINT, _CLUSTER, _FINAL)}
 
 
 def _dumps(obj: dict) -> str:
@@ -220,50 +247,38 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.tolist())
 
 
-def _has_keys(rec, keys: frozenset) -> None:
-    if not isinstance(rec, dict) or rec.keys() != keys:
-        got = sorted(rec) if isinstance(rec, dict) else f"a JSON {type(rec).__name__}"
-        raise ValueError(f"expected keys {sorted(keys)}, got {got}")
-
-
-def _config_to_dict(config: EngineConfig) -> dict:
-    """The fields of a config record, as JSON values."""
-    rec = {key: getattr(config, key) for key in _CONFIG_KEYS}
+def config_record(config: EngineConfig) -> dict:
+    """A config's fields as JSON values, the prior's as an object: the
+    trace's config record, and the ``config`` of ``asugs compare``'s report."""
+    rec = dict(zip(_CONFIG.keys, _CONFIG.values(config)))
     if config.prior is not None:
-        rec["prior"] = {key: np.asarray(getattr(config.prior, key)).tolist() for key in _PRIOR_KEYS}
+        rec["prior"] = {key: np.asarray(value).tolist()
+                        for key, value in zip(_PRIOR.keys, _PRIOR.values(config.prior))}
     return rec
 
 
 def write_trace(path, trace: RunTrace) -> None:
     book = trace.final_book
     with open(path, "w") as fh:
-        fh.write(_dumps({"kind": "config", **_config_to_dict(trace.config)}) + "\n")
-        for r in trace.records:
-            fh.write(_dumps({"kind": "step", **dict(zip(_STEP_KEYS, vars(r).values()))}) + "\n")
-        for cp in trace.checkpoints:
-            fh.write(_dumps({"kind": "checkpoint", **asdict(cp)}) + "\n")
-        for values in zip(*(getattr(book, key) for key in _CLUSTER_KEYS)):
-            fh.write(_dumps({"kind": "cluster", **dict(zip(_CLUSTER_KEYS, values))}) + "\n")
-        fh.write(_dumps({"kind": "final", "n": book.n, "k": book.k}) + "\n")
+        fh.write(_dumps({"kind": _CONFIG.name, **config_record(trace.config)}) + "\n")
+        fh.writelines(_STEP.line(_STEP.values(r)) for r in trace.records)
+        fh.writelines(_CHECKPOINT.line(_CHECKPOINT.values(cp)) for cp in trace.checkpoints)
+        fh.writelines(map(_CLUSTER.line, zip(*_CLUSTER.values(book))))
+        fh.write(_FINAL.line(_FINAL.values(book)))
 
 
 def read_trace(path) -> RunTrace:
-    """Load a trace written by ``write_trace``.  Its final book is rebuilt
-    with ``ClusterBook.add``, so cids run 1..k and pair histories start at
-    zero.  Every value has the JSON type the writer gives it: an integer, a
-    number, true/false or a list of numbers (no strings for numbers, no
-    true for 1).  A cluster record's state passes ``check_state`` as the
-    prior's does, its m is a nonnegative integer and its w finite and
-    nonnegative.  A malformed trace raises DataError naming the path, the
-    row and, for an invalid value, its key."""
-    config = final = None
-    records: list[StepRecord] = []
-    checkpoints: list[Checkpoint] = []
-    book = ClusterBook()
+    """Load a trace written by ``write_trace``; its final book is rebuilt with
+    ``ClusterBook.add`` (cids 1..k, pair histories at zero).  Each value is
+    read as its kind declares, type then range; the config then passes
+    ``EngineConfig.resolve``, a cluster ``check_state`` and the prior's d.
+    A malformed trace, or a record before the config record, raises
+    DataError naming the path, the row and the key."""
+    lineno, config, final = 0, None, None
+    records, checkpoints, book = [], [], ClusterBook()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
@@ -271,49 +286,30 @@ def read_trace(path) -> RunTrace:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}: row {lineno}: expected a JSON object")
-            kind = rec.pop("kind", None)
-            if not isinstance(kind, str) or kind not in _RECORD_KEYS:
-                raise DataError(f"{path}: row {lineno}: unknown record kind {kind!r}")
+            name = rec.pop("kind", None)
+            kind = _KINDS.get(name) if isinstance(name, str) else None
+            if kind is None:
+                raise DataError(f"{path}: row {lineno}: unknown record kind {name!r}")
+            if config is None and kind is not _CONFIG:
+                raise DataError(f"{path}: row {lineno}: {name} record before the config record")
             try:
-                _has_keys(rec, _RECORD_KEYS[kind])
-                if kind == "config":
-                    if rec["prior"] is not None:
-                        prior = rec["prior"]
-                        _has_keys(prior, frozenset(_PRIOR_KEYS))
-                        _typed(prior, _PRIOR_TYPES)
-                        prior["mu0"], prior["sigma0"] = (
-                            _numbers(prior[key], key) for key in ("mu0", "sigma0"))
-                        rec["prior"] = PriorConfig(**prior)
-                    config = EngineConfig(**rec)
-                elif kind == "step":
-                    _typed(rec, _STEP_TYPES)
-                    q = _numbers(rec["q"], "q")
-                    if q.ndim != 1:
-                        raise ValueError(f"q must be a list of numbers, got {rec['q']!r}")
-                    rec["q"] = q
-                    records.append(StepRecord(*map(rec.get, _STEP_KEYS)))
-                elif kind == "checkpoint":
-                    checkpoints.append(Checkpoint(**rec))
-                elif kind == "cluster":
-                    m, w = rec["m"], rec["w"]
-                    if not (type(m) is int and m >= 0):
-                        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-                    if not (type(w) in _NUMBER and math.isfinite(w) and w >= 0):
-                        raise ValueError(f"w must be finite and nonnegative, got {w!r}")
-                    _typed(rec, _STATE_TYPES)
-                    post = NiwPosterior(*check_state(
-                        _numbers(rec["mu"], "mu"), rec["c"], rec["delta"],
-                        _numbers(rec["sigma"], "sigma")))
-                    book.add(post, m, w)  # LinAlgError if sigma does not factorise
+                v = kind.read(rec)
+                if kind is _CONFIG:
+                    config = EngineConfig(**v).resolve(v["prior"].dim)
+                elif kind is _STEP:
+                    records.append(StepRecord(**v))
+                elif kind is _CHECKPOINT:
+                    checkpoints.append(Checkpoint(**v))
+                elif kind is _CLUSTER:
+                    if len(v["mu"]) != config.prior.dim:
+                        raise ValueError(f"mu must have the prior's d = {config.prior.dim} "
+                                         f"entries, got {len(v['mu'])}")
+                    book.add(NiwPosterior(*check_state(v["mu"], v["c"], v["delta"], v["sigma"])),
+                             v["m"], v["w"])  # LinAlgError if sigma does not factorise
                 else:
-                    _typed(rec, _FINAL_TYPES)
-                    if rec["n"] < 0:
-                        raise ValueError(f"n must be nonnegative, got {rec['n']}")
-                    final, final_row = rec, lineno
+                    final, final_row = v, lineno
             except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: row {lineno}: {kind} record: {exc}") from exc
-    if config is None:
-        raise DataError(f"{path}: missing config record")
+                raise DataError(f"{path}: row {lineno}: {name} record: {exc}") from exc
     if final is None:
         raise DataError(f"{path}: no final record after row {lineno}")
     if final["k"] != book.k:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from asugs.data import (
     write_truth,
 )
 from asugs.diagnostics import run_with_diagnostics
-from asugs.engine import ClusterBook, EngineConfig, run
+from asugs.engine import Checkpoint, ClusterBook, EngineConfig, RunTrace, StepRecord, run
 from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density
 
 
@@ -35,6 +36,52 @@ def replace_first(kind, edit):
         row = next(i for i, rec in enumerate(lines) if rec["kind"] == kind)
         return lines[:row] + [edit(lines[row])] + lines[row + 1:], row + 1
     return apply
+
+
+# The bytes write_trace gives format_trace(): every record kind, with an int
+# lam, a fixed_alpha, and checkpoint fields null and Infinity.
+FORMAT_TRACE = (
+    '{"fixed_alpha":0.5,"kind":"config","lam":1,"maintenance_period":50,"merge_eps":0.05,'
+    '"prior":{"c0":0.5,"delta0":2.5,"mu0":[0.0,0.0],"sigma0":[[1.0,0.0],[0.0,1.0]]},'
+    '"prune_eps":0.01,"seed":0,"selection":"argmax"}\n'
+    '{"alpha":0.0,"i":1,"innovation":true,"k":1,"kind":"step","label":1,"q":[1.0]}\n'
+    '{"alpha":0.5,"i":2,"innovation":false,"k":1,"kind":"step","label":1,"q":[0.75,0.25]}\n'
+    '{"alpha":0.5,"k":1,"kind":"checkpoint","kl_estimate":0.125,"kl_stderr":null,'
+    '"l2_distance":null,"likelihood_ratio":Infinity,"n":2}\n'
+    '{"c":2.5,"delta":3.5,"kind":"cluster","m":2,"mu":[0.5,-0.25],'
+    '"sigma":[[1.0,0.25],[0.25,2.0]],"w":1.75}\n'
+    '{"k":1,"kind":"final","n":2}\n'
+)
+
+
+def format_trace() -> RunTrace:
+    """A hand-built trace whose values are exact in binary: none comes from
+    the engine's arithmetic, so its bytes do not depend on BLAS."""
+    prior = PriorConfig(mu0=np.zeros(2), c0=0.5, delta0=2.5, sigma0=np.eye(2))
+    book = ClusterBook(n=2)
+    book.add(NiwPosterior(np.array([0.5, -0.25]), 2.5, 3.5,
+                          np.array([[1.0, 0.25], [0.25, 2.0]])), 2, 1.75)
+    return RunTrace(
+        config=EngineConfig(lam=1, fixed_alpha=0.5, prior=prior).resolve(2),
+        records=[StepRecord(1, 1, np.array([1.0]), 0.0, 1, True),
+                 StepRecord(2, 1, np.array([0.75, 0.25]), 0.5, 1, False)],
+        final_book=book,
+        checkpoints=[Checkpoint(n=2, k=1, alpha=0.5, likelihood_ratio=math.inf,
+                                kl_estimate=0.125)],
+    )
+
+
+def every_key():
+    """(kind, row, keys) for each key of each record in FORMAT_TRACE, and
+    for each key nested in one: the writer walks the record declarations,
+    so every declared key is among these."""
+    for row, line in enumerate(FORMAT_TRACE.splitlines(), start=1):
+        rec = json.loads(line)
+        kind = rec.pop("kind")
+        for key, value in rec.items():
+            yield kind, row, (key,)
+            if isinstance(value, dict):
+                yield from ((kind, row, (key, inner)) for inner in value)
 
 
 class TestGenerateGridMixture:
@@ -279,6 +326,29 @@ class TestTracePersistence:
         write_trace(again, read_trace(p))
         assert again.read_bytes() == p.read_bytes()
 
+    def test_format_is_pinned(self, tmp_path):
+        p, again = tmp_path / "trace.jsonl", tmp_path / "again.jsonl"
+        write_trace(p, format_trace())
+        assert p.read_text() == FORMAT_TRACE
+        write_trace(again, read_trace(p))
+        assert again.read_text() == FORMAT_TRACE
+
+    @pytest.mark.parametrize("kind,row,keys", list(every_key()),
+                             ids=lambda v: ".".join(v) if isinstance(v, tuple) else str(v))
+    def test_every_key_refuses_a_json_string(self, tmp_path, kind, row, keys):
+        lines = [json.loads(line) for line in FORMAT_TRACE.splitlines()]
+        rec = lines[row - 1]
+        for key in keys[:-1]:
+            rec = rec[key]
+        key = keys[-1]
+        rec[key] = json.dumps(rec[key])
+        p = tmp_path / "bad.jsonl"
+        p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        with pytest.raises(DataError) as info:
+            read_trace(p)
+        assert re.search(rf"^{re.escape(str(p))}: row {row}: {kind} record: "
+                         rf"({key} must|expected keys \[.*\] in {key},)", str(info.value))
+
     def test_missing_config_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"kind":"final","n":1,"k":1}\n')
@@ -359,6 +429,39 @@ class TestTracePersistence:
                          "final record: n must be int, got '120'", id="final-n-string"),
             pytest.param(replace_first("final", lambda rec: {**rec, "n": -1}),
                          "final record: n must be nonnegative", id="final-n-negative"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "lam": -1.0}),
+                         "config record: lam must be positive and finite", id="lam-negative"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "selection": "greedy"}),
+                         "config record: selection must be 'sample' or 'argmax'",
+                         id="selection-unknown"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "fixed_alpha": 0.0}),
+                         "config record: fixed_alpha must be positive", id="fixed-alpha-zero"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "prune_eps": 1.0}),
+                         r"config record: prune_eps must be in \[0, 1\)", id="prune-eps-one"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "maintenance_period": 2.5}),
+                         "config record: maintenance_period must be int, got 2.5",
+                         id="maintenance-period-fraction"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "seed": True}),
+                         "config record: seed must be int, got True", id="seed-true"),
+            pytest.param(replace_first("config", lambda rec: {**rec, "prior": None}),
+                         r"config record: expected keys \[.*\] in prior, got None",
+                         id="prior-null"),
+            pytest.param(
+                lambda lines: (
+                    replace_first("config", lambda rec: {**rec, "prior": {
+                        **rec["prior"], "mu0": [0.0] * 3, "sigma0": np.eye(3).tolist()}})(lines)[0],
+                    1 + [rec["kind"] for rec in lines].index("cluster")),  # the first cluster's row
+                "cluster record: mu must have the prior's d = 3 entries, got 2", id="prior-3d"),
+            pytest.param(replace_first("cluster", lambda rec: {
+                **rec, "mu": [0.0] * 3, "sigma": np.eye(3).tolist()}),
+                "cluster record: mu must have the prior's d = 2 entries, got 3", id="cluster-3d"),
+            pytest.param(lambda lines: ([lines[1], lines[0]] + lines[2:], 1),
+                         "step record before the config record", id="step-before-config"),
+            pytest.param(lambda lines: (lines[:2] + [{
+                "kind": "checkpoint", "n": 100, "k": 3, "alpha": 0.5, "likelihood_ratio": None,
+                "l2_distance": None, "kl_estimate": [1, 2], "kl_stderr": None}] + lines[2:], 3),
+                r"checkpoint record: kl_estimate must be int or float or null, got \[1, 2\]",
+                id="checkpoint-kl-list"),
         ],
     )
     def test_malformed_trace_is_data_error(self, tmp_path, edit, problem):
