@@ -272,8 +272,10 @@ def read_trace(path) -> RunTrace:
     ``ClusterBook.add`` (cids 1..k, pair histories at zero).  Each value is
     read as its kind declares, type then range; the config then passes
     ``EngineConfig.resolve``, a cluster ``check_state`` and the prior's d.
-    A malformed trace, or a record before the config record, raises
-    DataError naming the path, the row and the key."""
+    A malformed trace raises DataError naming the path, the row and the key,
+    as does a trace out of order: a record before the config record, a
+    second config record, a record after the final record, or a step whose
+    i is not the previous step's i + 1, starting at 1."""
     lineno, config, final = 0, None, None
     records, checkpoints, book = [], [], ClusterBook()
     with open(path) as fh:
@@ -290,13 +292,18 @@ def read_trace(path) -> RunTrace:
             kind = _KINDS.get(name) if isinstance(name, str) else None
             if kind is None:
                 raise DataError(f"{path}: row {lineno}: unknown record kind {name!r}")
-            if config is None and kind is not _CONFIG:
-                raise DataError(f"{path}: row {lineno}: {name} record before the config record")
+            if final is not None:
+                raise DataError(f"{path}: row {lineno}: {name} record after the final record")
+            if (config is None) != (kind is _CONFIG):
+                where = "before the" if config is None else "after a"
+                raise DataError(f"{path}: row {lineno}: {name} record {where} config record")
             try:
                 v = kind.read(rec)
                 if kind is _CONFIG:
                     config = EngineConfig(**v).resolve(v["prior"].dim)
                 elif kind is _STEP:
+                    if v["index"] != len(records) + 1:
+                        raise ValueError(f"i must be {len(records) + 1}, got {v['index']}")
                     records.append(StepRecord(**v))
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))

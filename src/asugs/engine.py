@@ -15,8 +15,8 @@ histories indexed by position in that order.  A single run is strictly
 sequential and owns its book; distinct runs share nothing and may
 execute concurrently.  ``run_many`` steps independent runs in lockstep:
 their books are the rows of one ``BookStack``, so that a step scores,
-normalises, updates and folds all of them with one numpy call each, and
-``run`` is ``run_many`` of one stream.
+normalises and updates all of them with one numpy call each, and ``run``
+is ``run_many`` of one stream.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ _PAIR_FIELDS = ("_dist", "_coact")
 _BLANK = {"m": 1, "log_norm": -math.inf}  # a slot without a cluster scores -inf
 _SCORED = ("mu", "prec", "m", "log_norm", "coef", "expo")
 REFRESH_MAX_T = 100.0  # largest t that ``absorb`` refreshes in closed form
-FOLD_TERMS = 2**15  # pair terms a fold holds at once, 256 kB
 
 
 @dataclass
@@ -93,9 +92,10 @@ class ClusterBook:
     The arrays are views of row ``row`` of a ``BookStack``, which a book
     gets on its first ``add``; ``run_many`` keeps the books of all its runs
     in one stack.  ``w``, ``dist`` and ``coact`` are folded on read: a step
-    pushes its responsibilities onto the stack's window, and ``fold`` adds
-    them in step order, so every read sees the sums of adding once per
-    step, bit for bit.
+    appends the responsibilities q of the book's clusters to ``window``,
+    and ``fold`` adds the window's terms in step order, so every read sees
+    the sums of adding once per step, bit for bit.  ``add`` and ``keep``
+    fold first, so a window holds rows of one k.
     """
 
     n: int = 0
@@ -117,6 +117,7 @@ class ClusterBook:
     stack: "BookStack | None" = field(default=None, repr=False, compare=False)
     row: int = field(default=0, repr=False, compare=False)
     slots: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    window: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def w(self) -> np.ndarray:
@@ -149,9 +150,16 @@ class ClusterBook:
         return self.k / (lam + math.log(self.n))
 
     def fold(self) -> None:
-        """Add the steps its stack has queued into w, dist and coact."""
-        if self.stack is not None:
-            self.stack.fold()
+        """Add the window's terms q, |q_i - q_j| and q_i + q_j into w, dist
+        and coact, one step after another, and empty it."""
+        if not self.window:
+            return
+        q = np.array(self.window)
+        self.window = []
+        dist = q[:, :, None] - q[:, None, :]
+        _sum_in_order(self._dist, np.abs(dist, out=dist))
+        _sum_in_order(self._coact, q[:, :, None] + q[:, None, :])
+        _sum_in_order(self._w, q)  # last: this overwrites q
 
     def factorise(self, h: int) -> None:
         """Compute cluster h's cached factors afresh from its state.  Raises
@@ -185,6 +193,7 @@ class ClusterBook:
         """Append a cluster with a copy of post's state and ``factors`` and a
         fresh cid; its pair histories start at zero.  A full stack first
         doubles its room."""
+        self.fold()
         h = self.k
         if self.stack is None:
             BookStack([self], post.dim, 2)
@@ -220,21 +229,17 @@ class ClusterBook:
             setattr(self, name, self.slots[name][:k])
         for name in _PAIR_FIELDS:
             setattr(self, name, self.slots[name][:k, :k])
-        ks = self.stack.ks.copy()  # a new array: queued steps keep the k they were taken at
-        ks[self.row] = k
-        self.stack.ks, self.stack.scored_views = ks, None
+        self.stack.ks[self.row], self.stack.scored_views = k, None
 
     def __deepcopy__(self, memo) -> "ClusterBook":
-        """A copy with a stack of its own, which queues this book's unfolded
-        steps: reading its sums folds them, and the original's window is
-        left as it is."""
+        """A copy with a stack and a window of its own: reading its sums folds
+        its copy of the unfolded steps, and the original's are left as they
+        are."""
         twin = copy.copy(self)
+        twin.window = list(self.window)
         if self.stack is not None:
             twin.stack = None
             BookStack([twin], self.stack.dim, self.k + 1)
-            rows = len(self.stack.books)
-            twin.stack.window = [(q.reshape(rows, -1)[self.row], ks[self.row:self.row + 1])
-                                 for q, ks in self.stack.window]
         return twin
 
 
@@ -247,22 +252,14 @@ class BookStack:
     ``store`` is the only place where the arrays are allocated.  A stack of
     one book is scored in that book's own shapes, without the run axis:
     numpy's calls cost less on them, and ``run`` steps one book.
-
-    A step ``push``es its responsibilities of every row (one row per book,
-    padded as its scores were), and ``fold`` adds them into w, dist and
-    coact in step order.  The window is folded before any k or the layout
-    changes (``add``, ``keep``, ``store``, a new width of the scored slots)
-    and whenever it reaches the period ``push`` is given.
     """
 
     def __init__(self, books: list[ClusterBook], dim: int, cap: int):
-        self.dim, self.window, self.width, self.scored_views = dim, [], 0, None
+        self.dim, self.scored_views = dim, None
         self.store(books, cap)
 
     def store(self, books: list[ClusterBook], cap: int) -> None:
         """Copy the books' clusters into new arrays with room for cap each."""
-        for book in books:
-            book.fold()  # their windows refer to the old layout
         tails = {"mu": (self.dim,), "sigma": (self.dim,) * 2, "prec": (self.dim,) * 2,
                  "_dist": (cap,), "_coact": (cap,)}
         self.arrays = {}
@@ -285,9 +282,6 @@ class BookStack:
         every row, width = max k."""
         if self.scored_views is None:
             width = int(self.ks.max())
-            if width != self.width:
-                self.fold()  # the window holds steps of one width
-                self.width = width
             short = np.flatnonzero(self.ks < width)
             self.short = short, self.ks[short]
             views = tuple(self.arrays[name][:, :width] for name in _SCORED)
@@ -345,52 +339,6 @@ class BookStack:
             except Exception as exc:
                 errors[rows[i]] = exc
 
-    def push(self, q: np.ndarray, period: int) -> None:
-        """Queue one step's responsibilities of every row, with each book's k
-        after the step, folding once the window holds ``period`` steps."""
-        self.window.append((q, self.ks))
-        if len(self.window) >= period:
-            self.fold()
-
-    def fold(self) -> None:
-        """Add the window's terms q, |q_i - q_j| and q_i + q_j into w, dist and
-        coact, one step after another, and empty it; a few books at a time,
-        so that the pair terms never hold more than FOLD_TERMS values.  The
-        terms of a slot that held no cluster at a step (a book's unused new
-        cluster, the padding of a book with fewer clusters than another, a
-        cluster born later in the window) are zeros."""
-        if not self.window:
-            return
-        qs, counts = zip(*self.window)
-        self.window = []
-        last = counts[-1].tolist()
-        kmax = max(last)  # within a window k only grows: keep and store fold first
-        q = np.array(qs).reshape(len(qs), len(self.books), -1)[..., :kmax]
-        if counts[0] is not counts[-1]:  # a k changed within the window
-            live = np.arange(kmax) < np.array(counts)[..., None]
-        elif min(last) < kmax:
-            live = (np.arange(kmax) < counts[0][:, None])[None]
-        else:
-            live = None
-        chunk = max(1, FOLD_TERMS // (len(q) * kmax * kmax))  # books whose pair terms fit
-        for lo in range(0, len(self.books), chunk):
-            books = slice(lo, lo + chunk)
-            part = q[:, books]
-            if live is not None:
-                part = np.where(live[:, books], part, 0.0)
-                pairs = live[:, books, :, None] & live[:, books, None, :]
-            for name in _PAIR_FIELDS:  # one pair array at a time
-                if name == "_dist":
-                    terms = part[..., :, None] - part[..., None, :]
-                    np.abs(terms, out=terms)
-                else:
-                    terms = part[..., :, None] + part[..., None, :]
-                if live is not None:
-                    terms *= pairs
-                _sum_in_order(self.arrays[name][books, :kmax, :kmax], terms)
-                del terms
-            _sum_in_order(self.arrays["_w"][books, :kmax], part)  # last: this overwrites part
-
 
 def _refreshed(d: int, a: float, t: float, logdet: float, c: float, delta: float):
     """A refreshed cluster's logdet, log_norm, coef and expo: the determinant
@@ -405,7 +353,7 @@ def _refreshed(d: int, a: float, t: float, logdet: float, c: float, delta: float
 def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> None:
     """total = total + terms[0] + terms[1] + ..., added in that order, in place
     (terms is overwritten).  ``np.add.reduce`` over axis 0 adds whole rows in
-    turn, but a column of scalars (one book with k = 1) it sums pairwise, so
+    turn, but a column of scalars (k = 1) it sums pairwise, so
     there the running ``accumulate`` gives the sum."""
     terms[0] += total
     if total.size > 1:
@@ -628,13 +576,13 @@ def step(
                 book.absorb(label - 1, y)
                 book.m[label - 1] += 1
             book.n += 1
+            book.window.append(qr[:k + innovation])  # an unused innovation slot's mass is dropped
             out.append(StepRecord(
                 index=book.n, label=label, q=qr if k + 1 == len(qr) else qr[:k + 1],
                 alpha_used=float(alpha), k_after=k + innovation, innovation=innovation,
             ))
         except Exception as exc:
             out.append(exc)
-    stack.push(q, configs[0].maintenance_period)  # an unused innovation slot's mass is dropped
     return out
 
 
@@ -785,17 +733,17 @@ class _Run:
         self.rng = np.random.Generator(np.random.PCG64(self.config.seed))
         self.maintained = self.config.prune_eps > 0.0 or self.config.merge_eps > 0.0
 
-    def open_window(self, start: int, width: int) -> np.ndarray:
+    def open_window(self, start: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows start:start + width, the last repeated past the stream's
-        end; sets the window's prior scores and uniforms, one per row."""
+        end, with their prior scores and uniforms, one per row."""
         rows = self.stream[start:start + width]
-        pad = width - len(rows)
-        self.log_new = _prior_scores(self.config.prior, rows).tolist() + [0.0] * pad
-        self.uniforms = [0.0] * width
+        log_new, uniforms = np.zeros(width), np.zeros(width)
+        log_new[:len(rows)] = _prior_scores(self.config.prior, rows)
         first = int(start == 0)  # step 1 selects nothing
         if self.config.selection == "sample" and len(rows) > first:
-            self.uniforms[first:len(rows)] = self.rng.random(len(rows) - first).tolist()
-        return np.concatenate([rows, rows[-1:].repeat(pad, axis=0)]) if pad else rows
+            uniforms[first:len(rows)] = self.rng.random(len(rows) - first)
+        pad = rows[-1:].repeat(width - len(rows), axis=0)
+        return np.concatenate([rows, pad]) if len(pad) else rows, log_new, uniforms
 
     def maintain(self) -> None:
         prune(self.book, self.config.prune_eps)
@@ -853,40 +801,36 @@ def run_many(
     period = runs[0].config.maintenance_period
     stack = BookStack([run.book for run in runs], runs[0].stream.shape[1], 2)
     for start in range(0, max(run.n for run in runs), period):
-        if not runs:
-            break
         width = min(period, max(run.n for run in runs) - start)
-        block = np.stack([run.open_window(start, width) for run in runs], axis=1)
-        done = 0  # rows of the window stepped; the rows left restart when runs leave
-        while runs and done < width:
-            configs = [run.config for run in runs]
-            rows = zip(range(start + done + 1, start + width + 1), block[done:],
-                       zip(*(run.log_new[done:] for run in runs)),
-                       zip(*(run.uniforms[done:] for run in runs)))
-            for i, ys, log_new, uniforms in rows:
-                done += 1
-                due, left = i % period == 0, False
-                for run, record in zip(runs, step(stack, ys, configs, log_new, uniforms)):
-                    try:
-                        if isinstance(record, Exception):
-                            raise StepError(i, record) from record
-                        run.records.append(record)
-                        if due and run.maintained:
+        windows = zip(*(run.open_window(start, width) for run in runs))
+        rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in windows)
+        for j, i in enumerate(range(start + 1, start + width + 1)):
+            due, left = i % period == 0, False
+            records = step(stack, rows[j], [run.config for run in runs], log_new[j].tolist(),
+                           uniforms[j].tolist())
+            for run, record in zip(runs, records):
+                try:
+                    if isinstance(record, Exception):
+                        raise StepError(i, record) from record
+                    run.records.append(record)
+                    if due:  # every window folds at the tick, maintained or not
+                        run.book.fold()
+                        if run.maintained:
                             run.maintain()
-                        if run.on_step is not None:
-                            run.on_step(i, run.book)
-                        if i == run.n:
-                            results[run.index] = run.finish()
-                            left = True
-                    except Exception as exc:
-                        results[run.index], left = exc, True
-                if left:  # runs that ended or failed leave the stack
-                    stay = [r for r, run in enumerate(runs) if results[run.index] is None]
-                    runs = [runs[r] for r in stay]
-                    if runs:
-                        stack.store([run.book for run in runs], stack.cap)
-                        block = block[:, stay]
-                    break
+                    if run.on_step is not None:
+                        run.on_step(i, run.book)
+                    if i == run.n:
+                        results[run.index] = run.finish()
+                        left = True
+                except Exception as exc:
+                    results[run.index], left = exc, True
+            if left:  # runs that ended or failed leave the stack
+                stay = [r for r, run in enumerate(runs) if results[run.index] is None]
+                runs = [runs[r] for r in stay]
+                if not runs:
+                    return results
+                stack.store([run.book for run in runs], stack.cap)
+                rows, log_new, uniforms = rows[:, stay], log_new[:, stay], uniforms[:, stay]
     return results
 
 

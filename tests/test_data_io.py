@@ -457,6 +457,16 @@ class TestTracePersistence:
                 "cluster record: mu must have the prior's d = 2 entries, got 3", id="cluster-3d"),
             pytest.param(lambda lines: ([lines[1], lines[0]] + lines[2:], 1),
                          "step record before the config record", id="step-before-config"),
+            pytest.param(lambda lines: (lines[:1] + [{**lines[0], "lam": 7.0}] + lines[1:], 2),
+                         "config record after a config record", id="second-config"),
+            pytest.param(lambda lines: (lines + [lines[1]], len(lines) + 1),
+                         "step record after the final record", id="step-after-final"),
+            pytest.param(lambda lines: ([lines[0], lines[2], lines[1]] + lines[3:], 2),
+                         "step record: i must be 1, got 2", id="steps-2-1"),
+            pytest.param(lambda lines: (lines[:2] + [lines[1]] + lines[2:], 3),
+                         "step record: i must be 2, got 1", id="steps-1-1"),
+            pytest.param(lambda lines: (lines[:3] + [lines[1]] + lines[3:], 4),
+                         "step record: i must be 3, got 1", id="steps-1-2-1"),
             pytest.param(lambda lines: (lines[:2] + [{
                 "kind": "checkpoint", "n": 100, "k": 3, "alpha": 0.5, "likelihood_ratio": None,
                 "l2_distance": None, "kl_estimate": [1, 2], "kl_stderr": None}] + lines[2:], 3),

@@ -544,22 +544,23 @@ class TestWindows:
         sums = [book.w.copy(), book.dist.copy(), book.coact.copy()]
         for _ in range(60):
             q = rng.random(k) * 10.0 ** rng.uniform(-8.0, 0.0)
-            book.stack.push(q[None], 100)
+            book.window.append(q)
             for total, term in zip(sums, (q, np.abs(np.subtract.outer(q, q)), np.add.outer(q, q))):
                 total += term
-        assert len(book.stack.window) == 60
+        assert len(book.window) == 60
         for got, want in zip((book.w, book.dist, book.coact), sums):
             assert np.array_equal(got, want)
-        assert book.stack.window == []
+        assert book.window == []
 
     @staticmethod
-    def per_step_push(stack, q, period):
-        """``BookStack.push`` as a reference: add once per step, no window."""
-        for book, row in zip(stack.books, q.reshape(len(stack.books), -1)):
-            row = row[:book.k]
+    def per_step_fold(book):
+        """``ClusterBook.fold`` as a reference: add each queued step with ``+=``,
+        one after another."""
+        for row in book.window:
             book._w += row
             book._dist += np.abs(np.subtract.outer(row, row))
             book._coact += np.add.outer(row, row)
+        book.window = []
 
     @pytest.mark.parametrize("maintained", [True, False], ids=["prune-merge", "no-maintenance"])
     @pytest.mark.parametrize("period", [1, 7, 50])
@@ -572,11 +573,11 @@ class TestWindows:
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025),
                            maintenance_period=period,
                            **({} if maintained else dict(prune_eps=0.0, merge_eps=0.0)))
-        sizes, real_fold = [], BookStack.fold
+        sizes, real_fold = [], ClusterBook.fold
 
-        def sized_fold(stack):
-            sizes.append(len(stack.window))
-            real_fold(stack)
+        def sized_fold(book):
+            sizes.append(len(book.window))
+            real_fold(book)
 
         def runs():
             seen = []
@@ -584,9 +585,9 @@ class TestWindows:
                 [getattr(copy.deepcopy(book), name) for name in ("w", "dist", "coact")]))
             return trace, seen
 
-        monkeypatch.setattr(BookStack, "fold", sized_fold)
+        monkeypatch.setattr(ClusterBook, "fold", sized_fold)
         trace, seen = runs()
-        monkeypatch.setattr(BookStack, "push", self.per_step_push)
+        monkeypatch.setattr(ClusterBook, "fold", self.per_step_fold)
         want_trace, want = runs()
 
         assert [r.label for r in trace.records] == [r.label for r in want_trace.records]
@@ -1149,14 +1150,11 @@ class TestRunMany:
         assert_each_alone([streams[r] for r in good], [configs[r] for r in good],
                           [results[r] for r in good], tmp_path)
 
-    @pytest.mark.parametrize("fold_terms", [None, 1], ids=["one-chunk", "book-by-book"])
-    def test_pair_sums_match_each_run_alone(self, monkeypatch, fold_terms):
+    def test_pair_sums_match_each_run_alone(self):
         """``w``, ``dist`` and ``coact`` as ``on_step`` reads them (from a copy)
-        at every step of every run, against the run alone: the window folds
-        clusters born in mid-window and books of different k, one chunk of
-        books at a time when the pair terms are large."""
-        import asugs.engine as engine_mod
-
+        at every step of every run, against the run alone: each book folds
+        its own window, with clusters born in mid-window and books of
+        different k in the stack."""
         streams, configs = lockstep_group(2, seed=13, sizes=[120, 90, 120, 60, 120])
         configs[1] = replace(configs[1], prune_eps=0.0, merge_eps=0.0)
 
@@ -1167,8 +1165,6 @@ class TestRunMany:
         alone = [[] for _ in streams]
         for stream, config, seen in zip(streams, configs, alone):
             run(stream, config, on_step=reads(seen))
-        if fold_terms is not None:
-            monkeypatch.setattr(engine_mod, "FOLD_TERMS", fold_terms)
         together = [[] for _ in streams]
         run_many(streams, configs, on_step=[reads(seen) for seen in together])
         for want, got in zip(alone, together):
@@ -1176,6 +1172,41 @@ class TestRunMany:
             for want_sums, got_sums in zip(want, got):
                 for a, b in zip(want_sums, got_sums):
                     assert np.array_equal(a, b)
+
+    def test_each_book_folds_its_own_window(self, monkeypatch):
+        """A birth folds the born book's window and no other, the maintenance
+        tick folds every book's, maintained or not, and no window ever holds
+        more than ``maintenance_period`` rows: after step i, at most the
+        i % period steps since the tick."""
+        streams, configs = lockstep_group(2, seed=19, sizes=[120, 90, 120, 60, 120], period=20)
+        configs[1] = replace(configs[1], prune_eps=0.0, merge_eps=0.0)
+        births, folds, held = [], [], []
+        real_add, real_fold = ClusterBook.add, ClusterBook.fold
+
+        def spied_add(book, *args):
+            others = [(other, len(other.window)) for other in book.stack.books if other is not book]
+            before = len(book.window)
+            real_add(book, *args)
+            births.append((before, len(book.window),
+                           [len(other.window) - size for other, size in others]))
+
+        def spied_fold(book):
+            folds.append(len(book.window))
+            real_fold(book)
+
+        def sizes(r):
+            return lambda i, book: held.append((r, i, len(book.window)))
+
+        monkeypatch.setattr(ClusterBook, "add", spied_add)
+        monkeypatch.setattr(ClusterBook, "fold", spied_fold)
+        results = run_many(streams, configs, on_step=[sizes(r) for r in range(len(streams))])
+        monkeypatch.undo()
+        assert not any(isinstance(result, Exception) for result in results)
+        assert all(after == 0 and not any(changed) for _, after, changed in births)
+        assert any(before for before, _, _ in births)  # a birth in mid-window folded rows
+        assert max(folds) == 20
+        assert all(size <= i % 20 for _, i, size in held)
+        assert [size for r, i, size in held if r == 1 and i % 20 == 0] == [0] * 4
 
     @pytest.mark.parametrize("field, change", [
         ("d", lambda stream, config: (np.hstack([stream, stream[:, :1]]),
@@ -1347,20 +1378,22 @@ class TestLockstepBits:
 
     @pytest.mark.parametrize("books", [1, 3])
     def test_fold_of_single_clusters_adds_in_order(self, books):
-        """With k = 1 the window is a column of scalars per book, which for
-        one book ``np.add.reduce`` would sum pairwise; the fold adds step
-        after step, for one book and for several."""
+        """With k = 1 a window is a column of scalars, which ``np.add.reduce``
+        would sum pairwise; each book's fold adds step after step, for one
+        book alone and for several in one stack."""
         rng = np.random.default_rng(books)
         stack = BookStack([k_cluster_book(1, n=0) for _ in range(books)], 1, 2)
         want = np.array([book.w[0] for book in stack.books])
         steps = [rng.random((books, 1)) for _ in range(60)]
         for q in steps:
-            stack.push(q, 100)
+            for book, row in zip(stack.books, q):
+                book.window.append(row)
             want += q[:, 0]
         if books == 1:  # what a plain reduce over the window would give
             column = np.concatenate([[1.0], [q[0, 0] for q in steps]])
             assert np.add.reduce(column) != want[0]
-        stack.fold()
+        for book in stack.books:
+            book.fold()
         assert [book.w[0] for book in stack.books] == want.tolist()
 
     def test_sum_in_order_of_a_scalar_column(self):
