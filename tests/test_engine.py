@@ -1150,12 +1150,16 @@ class TestRunMany:
         assert_each_alone([streams[r] for r in good], [configs[r] for r in good],
                           [results[r] for r in good], tmp_path)
 
-    def test_pair_sums_match_each_run_alone(self):
+    @pytest.mark.parametrize("period", [1, 200], ids=["book-by-book", "one-chunk"])
+    def test_pair_sums_match_each_run_alone(self, period):
         """``w``, ``dist`` and ``coact`` as ``on_step`` reads them (from a copy)
         at every step of every run, against the run alone: each book folds
         its own window, with clusters born in mid-window and books of
-        different k in the stack."""
-        streams, configs = lockstep_group(2, seed=13, sizes=[120, 90, 120, 60, 120])
+        different k in the stack.  A period of 1 folds every book at every
+        step; a period longer than every stream never ticks, so each window
+        grows until a birth, a prune or a read folds it in one chunk."""
+        streams, configs = lockstep_group(2, seed=13, sizes=[120, 90, 120, 60, 120],
+                                          period=period)
         configs[1] = replace(configs[1], prune_eps=0.0, merge_eps=0.0)
 
         def reads(seen):
