@@ -1,8 +1,8 @@
 """Monte Carlo comparison harness for the four algorithm variants.
 
-A trial draws (or shuffles) a training stream, runs each variant on it
-with a trial-derived seed, and scores the final state on a held-out
-set.  Trials are independent (seed = base + index, so adding trials
+A trial draws (or shuffles) a training stream once, runs each variant
+on it with a trial-derived seed, and scores the final state on a
+held-out set.  Trials are independent (seed = base + index, so adding trials
 never changes existing ones) and may run in parallel processes; results
 aggregate into per-checkpoint class-count statistics plus per-trial
 rows, from which every aggregate is recomputable.
@@ -11,6 +11,7 @@ rows, from which every aggregate is recomputable.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,21 +25,23 @@ from asugs.mixture import GaussianMixture
 VARIANTS = ("ASUGS", "ASUGS-PM", "SUGS", "SUGS-PM")
 
 
-def variant_config(base: EngineConfig, variant: str, fixed_alpha: float = 1.0) -> EngineConfig:
+def variant_config(base: EngineConfig, variant: str) -> EngineConfig:
     """Specialize a base configuration for one of the named variants.
 
     Adaptive variants sample their labels; fixed-concentration variants
-    use the greedy argmax rule.  The -PM variants keep the base prune
-    and merge thresholds, the others disable maintenance.
+    use the greedy argmax rule with the base's ``fixed_alpha``, or 1.0
+    when it is unset.  The -PM variants keep the base prune and merge
+    thresholds, the others disable maintenance.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     adaptive = variant.startswith("ASUGS")
     pm = variant.endswith("-PM")
+    fixed = 1.0 if base.fixed_alpha is None else base.fixed_alpha
     return replace(
         base,
         selection="sample" if adaptive else "argmax",
-        fixed_alpha=None if adaptive else fixed_alpha,
+        fixed_alpha=None if adaptive else fixed,
         prune_eps=base.prune_eps if pm else 0.0,
         merge_eps=base.merge_eps if pm else 0.0,
     )
@@ -98,19 +101,20 @@ def geometric_checkpoints(n: int, start: int = 10) -> list[int]:
     return pts
 
 
-def _trial_data(job):
-    """A trial's config, training rows and held-out set."""
-    (variant, trial, base_config, fixed_alpha, train_rows, test_rows,
-     truth, n_train, n_test) = job
-    seed = base_config.seed + trial
-    cfg = replace(variant_config(base_config, variant, fixed_alpha), seed=seed)
-    if train_rows is None:
-        train = sample_mixture(truth, n_train, seed=seed)
-        test = sample_mixture(truth, n_test, seed=40000 + seed)
-        return cfg, train.rows, Dataset(test.rows)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(train_rows.shape[0])
-    return cfg, train_rows[order], Dataset(test_rows) if test_rows is not None else None
+# What the trials of one comparison share: ``train`` and ``test`` are the fixed
+# rows, if any; else each trial draws n_train and n_test rows from ``truth``.
+_Context = namedtuple("_Context", "base train test truth n_train n_test checkpoints")
+
+
+def _trial_data(context: _Context, trial: int) -> tuple[np.ndarray, Dataset | None]:
+    """A trial's training rows and held-out set, which its four variants
+    share: drawn from the truth, or a seeded shuffle of the fixed rows."""
+    seed = context.base.seed + trial
+    if context.train is None:
+        train = sample_mixture(context.truth, context.n_train, seed=seed).rows
+        return train, Dataset(sample_mixture(context.truth, context.n_test, seed=40000 + seed).rows)
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(context.train.shape[0])
+    return context.train[order], None if context.test is None else Dataset(context.test)
 
 
 def _failed(variant, trial, seed, exc) -> TrialResult:
@@ -121,39 +125,38 @@ def _failed(variant, trial, seed, exc) -> TrialResult:
     )
 
 
-def _trial_group(args) -> list[TrialResult]:
-    """Generate a group of trials, fit them together in one ``run_many`` call
-    and score each.  A trial's ``runtime_s`` is the group's fit time over
-    the number of runs in it."""
-    jobs, checkpoints = args
-    out: list[TrialResult | None] = [None] * len(jobs)
-    fits = []  # (position, config, rows, test set) of the trials to fit
-    for pos, job in enumerate(jobs):
-        variant, trial, base_config = job[:3]
+def _trial_group(context: _Context, trials: range) -> dict[tuple[str, int], TrialResult]:
+    """Draw each trial's data once, fit the four variants of every trial
+    together in one ``run_many`` call and score each run.  A run's
+    ``runtime_s`` is the group's fit time over the number of runs in it."""
+    out: dict[tuple[str, int], TrialResult] = {}
+    fits = []  # (variant, trial, config, rows, test set) of the runs to fit
+    for trial in trials:
+        seed = context.base.seed + trial
         try:
-            fits.append((pos, *_trial_data(job)))
+            rows, test_ds = _trial_data(context, trial)
         except Exception as exc:
-            out[pos] = _failed(variant, trial, base_config.seed + trial, exc)
+            out.update({(v, trial): _failed(v, trial, seed, exc) for v in VARIANTS})
+            continue
+        fits += [(v, trial, replace(variant_config(context.base, v), seed=seed), rows, test_ds)
+                 for v in VARIANTS]
     t0 = time.perf_counter()
-    traces = run_many([rows for _, _, rows, _ in fits], [cfg for _, cfg, _, _ in fits])
+    traces = run_many([rows for *_, rows, _ in fits], [cfg for _, _, cfg, _, _ in fits])
     share = (time.perf_counter() - t0) / max(len(fits), 1)
-    for (pos, cfg, _, test_ds), trace in zip(fits, traces):
-        variant, trial = jobs[pos][:2]
+    for (variant, trial, cfg, _, test_ds), trace in zip(fits, traces):
         try:
             if isinstance(trace, Exception):
                 raise trace
             ks = trace.k_series()
-            k_cp = [int(ks[min(c, len(ks)) - 1]) for c in checkpoints]
             total = per = None
             if test_ds is not None:
                 total, per = heldout_loglik(trace.final_book, test_ds)
-            out[pos] = TrialResult(
+            out[variant, trial] = TrialResult(
                 variant=variant, trial=trial, seed=cfg.seed, final_k=trace.k,
                 heldout_total=total, heldout_per_sample=per, runtime_s=share,
-                k_at_checkpoints=k_cp,
-            )
+                k_at_checkpoints=[int(ks[min(c, len(ks)) - 1]) for c in context.checkpoints])
         except Exception as exc:
-            out[pos] = _failed(variant, trial, cfg.seed, exc)
+            out[variant, trial] = _failed(variant, trial, cfg.seed, exc)
     return out
 
 
@@ -165,42 +168,33 @@ def compare_variants(
     truth: GaussianMixture | None = None,
     n_train: int = 500,
     n_test: int = 1000,
-    fixed_alpha: float = 1.0,
-    checkpoints: list[int] | None = None,
     workers: int = 1,
-    variants: tuple[str, ...] = VARIANTS,
 ) -> BenchReport:
-    """Run the variant comparison for a number of seeded trials.
+    """Run the four variants (``variant_config`` of ``base_config``) for a
+    number of seeded trials, dealt to the workers in turn.
 
-    With a ``truth`` mixture and no fixed training set, every trial
-    regenerates its own train and held-out data (paired across variants
-    through the trial seed).  With a fixed ``train`` dataset, each trial
-    streams a seed-shuffled ordering of the same rows.  Failed trials
-    are recorded with their error and do not stop the run.
+    With a ``truth`` mixture and no fixed training set, every trial draws
+    its own train and held-out data once, for all four variants.  With a
+    fixed ``train`` dataset, each trial streams a seed-shuffled ordering
+    of the same rows.  Failed trials are recorded with their error and
+    do not stop the run.
     """
     if train is None and truth is None:
         raise ValueError("either a training dataset or a truth mixture is required")
     if trials < 1 or workers < 1:
         raise ValueError(f"trials and workers must be at least 1, got {trials} and {workers}")
-    n_stream = train.n if train is not None else n_train
-    cps = checkpoints or geometric_checkpoints(n_stream)
-    jobs = [
-        (variant, t, base_config, fixed_alpha,
-         None if train is None else train.rows,
-         None if test is None else test.rows,
-         truth, n_train, n_test)
-        for variant in variants
-        for t in range(trials)
-    ]
-    groups = [(jobs[w::workers], cps) for w in range(min(workers, len(jobs)))]
+    context = _Context(
+        base_config, None if train is None else train.rows, None if test is None else test.rows,
+        truth, n_train, n_test, geometric_checkpoints(n_train if train is None else train.n),
+    )
+    groups = [range(w, trials, workers) for w in range(min(workers, trials))]
     if len(groups) > 1:
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            done = list(pool.map(_trial_group, groups))
+            done = list(pool.map(_trial_group, [context] * len(groups), groups))
     else:
-        done = [_trial_group(g) for g in groups]
-    rows = [None] * len(jobs)
-    for w, results in enumerate(done):
-        rows[w::workers] = results
-    report = BenchReport(checkpoints=cps, rows=rows)
+        done = [_trial_group(context, groups[0])]
+    results = {key: row for group in done for key, row in group.items()}
+    report = BenchReport(checkpoints=context.checkpoints,
+                         rows=[results[v, t] for v in VARIANTS for t in range(trials)])
     report.aggregates = report.recompute_aggregates()
     return report

@@ -53,8 +53,6 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
                    help="rate parameter of the adaptive concentration (default 0.3)")
     p.add_argument("--fixed-alpha", type=float, default=None,
                    help="hold the concentration fixed (greedy baseline mode)")
-    p.add_argument("--selection", choices=("sample", "argmax"), default=None,
-                   help="label rule; defaults to sample, or argmax with --fixed-alpha")
     p.add_argument("--prune-eps", type=float, default=0.01,
                    help="relative-weight removal threshold (0 disables)")
     p.add_argument("--merge-eps", type=float, default=0.05,
@@ -145,7 +143,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_trace(out, trace)
-    alpha = trace.final_book.alpha(cfg.lam)
+    alpha = cfg.alpha(trace.final_book)
     print(f"n={trace.n} final_k={trace.k} alpha_n={alpha:.4f} trace={out}")
     if test is not None:
         total, per = heldout_loglik(trace.final_book, test)
@@ -175,9 +173,7 @@ def cmd_compare(args) -> int:
     cfg = _build_config(args, d)
     report = compare_variants(
         cfg, trials=args.trials, train=train, test=test, truth=truth,
-        n_train=args.n_train, n_test=args.n_test,
-        fixed_alpha=args.fixed_alpha if args.fixed_alpha else 1.0,
-        workers=args.workers,
+        n_train=args.n_train, n_test=args.n_test, workers=args.workers,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", default="bench")
     _engine_flags(c)
-    c.set_defaults(func=cmd_compare)
+    c.set_defaults(func=cmd_compare, selection=None)  # each variant sets its own label rule
 
     d = sub.add_parser("diagnose", help="theory checks plus checkpointed run diagnostics")
     d.add_argument("--train", default=None)
@@ -300,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", default=None)
     _engine_flags(d)
     d.set_defaults(func=cmd_diagnose)
+    for p in (f, d):
+        p.add_argument("--selection", choices=("sample", "argmax"), default=None,
+                       help="label rule; defaults to sample, or argmax with --fixed-alpha")
     return ap
 
 

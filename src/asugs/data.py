@@ -157,16 +157,9 @@ def read_truth(path) -> GaussianMixture:
     if not isinstance(payload, dict) or any(f not in payload for f in fields):
         raise DataError(f"{path}: expected a JSON object with fields {', '.join(fields)}")
     try:
-        mix = GaussianMixture(*(np.array(payload[f], dtype=float) for f in fields))
+        return GaussianMixture(*(np.array(payload[f], dtype=float) for f in fields))
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    k, d = mix.means.shape
-    if mix.weights.shape != (k,) or mix.covariances.shape != (k, d, d):
-        raise DataError(
-            f"{path}: weights {mix.weights.shape}, means {mix.means.shape} and "
-            f"covariances {mix.covariances.shape} do not describe one mixture"
-        )
-    return mix
 
 
 # ---------------------------------------------------------------------------

@@ -364,13 +364,16 @@ def run_with_diagnostics(
     the truth draws of the KL and Monte Carlo L2 estimates, and their
     truth densities, are taken once per run, so a checkpoint only scores
     the book.  ``kl_mc`` and ``l2_grid`` must be at least 2 (else
-    ConfigError, before any step runs).
+    ConfigError, before any step runs), and a truth must have the stream's
+    dimension (else ConfigError naming both, also before any step).
     """
     if checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
     _at_least_two(kl_mc=kl_mc, l2_grid=l2_grid)
     stream = as_stream(stream)
     config = config.resolve(stream.shape[1])
+    if truth is not None and truth.dim != stream.shape[1]:
+        raise ConfigError(f"truth has dim {truth.dim}, stream has dim {stream.shape[1]}")
     checkpoints: list[Checkpoint] = []
     pending_lr: float | None = None
     kl_draws = l2_draws = None
@@ -383,7 +386,7 @@ def run_with_diagnostics(
         nonlocal pending_lr
         if i % checkpoint_every == 0:
             cp = Checkpoint(
-                n=book.n, k=book.k, alpha=book.alpha(config.lam), likelihood_ratio=pending_lr
+                n=book.n, k=book.k, alpha=config.alpha(book), likelihood_ratio=pending_lr
             )
             if truth is not None:
                 if l2_draws is None:

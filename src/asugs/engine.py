@@ -413,6 +413,11 @@ class EngineConfig:
             raise ConfigError(f"prior has dim {cfg.prior.dim}, data has dim {d}")
         return cfg
 
+    def alpha(self, book: ClusterBook) -> float:
+        """The concentration a step against ``book`` uses: ``fixed_alpha`` if
+        set, else the adaptive ``book.alpha(lam)``."""
+        return book.alpha(self.lam) if self.fixed_alpha is None else self.fixed_alpha
+
 
 @dataclass
 class StepRecord:
@@ -542,9 +547,7 @@ def step(
         if k == 0:
             alpha, weight = 0.0, 0.0  # the first observation opens cluster 1
         else:
-            alpha = config.fixed_alpha
-            if alpha is None:
-                alpha = book.alpha(config.lam)
+            alpha = config.alpha(book)
             weight = math.log(alpha) + log_density
         alphas.append(alpha)
         weights.append(weight)

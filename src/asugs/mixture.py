@@ -57,8 +57,9 @@ class GaussianMixture:
     means        K x d
     covariances  K x d x d, each symmetric positive definite
 
-    All three must be finite; an invalid field raises ``ValueError``
-    naming it (an indefinite covariance raises ``LinAlgError``).
+    All three must be finite and their shapes agree; an invalid field
+    raises ``ValueError`` naming it, and shapes that disagree name all
+    three (an indefinite covariance raises ``LinAlgError``).
 
     Each component's Cholesky factor, precision and log determinant are
     computed once at construction, so a mixture is treated as immutable.
@@ -80,6 +81,11 @@ class GaussianMixture:
         for name in ("weights", "means", "covariances"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        k, d = len(self.means), self.means.shape[-1]
+        shapes = self.weights.shape, self.means.shape, self.covariances.shape
+        if shapes != ((k,), (k, d), (k, d, d)):
+            raise ValueError("weights {}, means {} and covariances {} do not describe "
+                             "one mixture".format(*shapes))
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         for cov in self.covariances:

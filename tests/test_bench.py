@@ -31,7 +31,7 @@ class TestVariantConfig:
         assert (cfg.prune_eps, cfg.merge_eps) == (0.02, 0.07)
 
     def test_fixed_variants_argmax(self):
-        cfg = variant_config(EngineConfig(), "SUGS", fixed_alpha=2.0)
+        cfg = variant_config(EngineConfig(fixed_alpha=2.0), "SUGS")
         assert cfg.fixed_alpha == 2.0 and cfg.selection == "argmax"
         assert cfg.prune_eps == 0.0
 
@@ -140,6 +140,24 @@ class TestCompareVariants:
             assert row.k_at_checkpoints == [int(ks[min(c, len(ks)) - 1])
                                             for c in report.checkpoints]
             assert row.heldout_total == total
+
+    def test_each_trial_draws_its_data_once(self, monkeypatch):
+        """A truth-mode trial draws its train and held-out rows once for its
+        four variants: 3 trials make 6 draws."""
+        import asugs.bench as bench_mod
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return sample_mixture(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "sample_mixture", counted)
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        report = compare_variants(EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.05)),
+                                  trials=3, truth=truth, n_train=60, n_test=30)
+        assert sorted(calls) == [2, 3, 4, 40002, 40003, 40004]
+        assert all(r.error is None for r in report.rows)
 
     def test_runtime_is_the_group_share(self):
         """Every trial of one group reports the group's fit time over its

@@ -71,12 +71,13 @@ class TestFit:
         trace = read_trace(trace_path)
         assert trace.k <= 3
 
-    def test_fixed_alpha_engages_argmax(self, dataset_dir, tmp_path):
+    def test_fixed_alpha_engages_argmax(self, dataset_dir, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         code = main(["fit", "--train", str(dataset_dir / "train.csv"),
                      "--fixed-alpha", "1.0", "--prior-var", "0.025",
                      "--out", str(trace_path)])
         assert code == EXIT_OK
+        assert " alpha_n=1.0000 " in capsys.readouterr().out
         trace = read_trace(trace_path)
         assert trace.config.selection == "argmax"
         assert trace.config.fixed_alpha == 1.0
@@ -155,6 +156,15 @@ class TestFit:
 class TestCompare:
     def test_requires_train_or_truth(self):
         assert main(["compare", "--trials", "1"]) == EXIT_CONFIG
+
+    def test_selection_is_not_a_compare_flag(self, dataset_dir, tmp_path, capsys):
+        """Each variant sets its own label rule, so compare takes no --selection."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["compare", "--truth", str(dataset_dir / "truth.json"), "--selection", "argmax",
+                  "--trials", "1", "--out", str(tmp_path / "bench")])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "--selection" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
     def test_test_without_train_is_config_error(self, dataset_dir, tmp_path, capsys):
         code = main(["compare", "--truth", str(dataset_dir / "truth.json"),

@@ -502,17 +502,35 @@ class TestRunWithDiagnostics:
             run_with_diagnostics(ys, EngineConfig(seed=0), checkpoint_every=every)
 
     @pytest.mark.parametrize("name, value", [("kl_mc", 1), ("kl_mc", 0), ("l2_grid", 1),
-                                             ("l2_grid", 0)])
+                                             ("l2_grid", 0), ("stream_dim", 3)])
     def test_bad_diagnostics_arguments_rejected_before_any_step(self, monkeypatch, name, value):
+        """``stream_dim`` streams ``value`` coordinates against the 2-d truth;
+        the error names both dimensions."""
         def no_run(*args, **kwargs):
             raise AssertionError("a step ran before the arguments were checked")
 
         monkeypatch.setattr(diagnostics_mod, "run", no_run)
         truth = generate_grid_mixture(2, 0.025, 1.0)
         ys = sample_mixture(truth, 10, seed=0).rows
-        with pytest.raises(ConfigError, match=name):
+        kwargs, match = {name: value}, name
+        if name == "stream_dim":
+            ys, kwargs, match = np.tile(ys, 2)[:, :value], {}, "truth has dim 2, stream has dim 3"
+        with pytest.raises(ConfigError, match=match):
             run_with_diagnostics(ys, EngineConfig(seed=0), truth=truth, checkpoint_every=1,
-                                 **{name: value})
+                                 **kwargs)
+
+    @pytest.mark.parametrize("fixed_alpha", [None, 1.0])
+    def test_checkpoint_alpha_is_the_alpha_the_run_uses(self, fixed_alpha):
+        """A checkpoint records the alpha that the next step scores with: the
+        fixed one if set, else the adaptive k / (lam + log n)."""
+        data = sample_mixture(generate_grid_mixture(4, 0.025, 1.0), 300, seed=1)
+        cfg = EngineConfig(seed=1, fixed_alpha=fixed_alpha, prior=PriorConfig.from_scale(2, 0.025))
+        trace = run_with_diagnostics(data.rows, cfg, checkpoint_every=100)
+        assert [cp.n for cp in trace.checkpoints] == [100, 200, 300]
+        for cp in trace.checkpoints[:-1]:
+            assert cp.alpha == trace.records[cp.n].alpha_used
+        if fixed_alpha is not None:
+            assert [cp.alpha for cp in trace.checkpoints] == [fixed_alpha] * 3
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cached_draws_keep_standalone_values(self, d):

@@ -95,6 +95,19 @@ class TestLogpdf:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GaussianMixture(**parts)
 
+    @pytest.mark.parametrize("weights, means, covariances", [
+        ([0.5, 0.5], [[0.0, 0.0]], np.eye(2)),
+        ([1.0], [[0.0, 0.0]], np.eye(3)),
+        ([1.0], [[[0.0, 0.0]]], np.eye(2)),
+        ([[1.0]], [[0.0, 0.0]], np.eye(2)),
+    ], ids=["two-weights-one-mean", "covariance-of-another-d", "means-3-axes",
+            "weights-2-axes"])
+    def test_shapes_that_disagree_rejected(self, weights, means, covariances):
+        """Checked at construction, not left to fail in logpdf or sample."""
+        with pytest.raises(ValueError, match=r"weights \(.*\), means \(.*\) and "
+                                             r"covariances \(.*\) do not describe one mixture"):
+            GaussianMixture(weights, means, covariances)
+
 
 # the quadratic form of these rows overflows to inf, so every term is -inf
 OVERFLOW_ROWS = np.array([[1e160, 0.0], [1e300, 1e300]])
