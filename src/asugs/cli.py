@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from asugs.bench import VARIANTS, compare_variants
+from asugs.bench import VARIANTS, compare_variants, variant_config
 from asugs.data import (
     DataError,
     config_record,
@@ -183,10 +183,13 @@ def cmd_compare(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(
             {
-                "config": config_record(cfg),
+                "base_config": config_record(cfg),
+                "variant_configs": {v: config_record(variant_config(cfg, v)) for v in VARIANTS},
                 "trials": args.trials,
                 "checkpoints": report.checkpoints,
                 "aggregates": report.aggregates,
+                "runtime_s": "a group mean: each row's fit time is its worker's run_many "
+                             "time over the number of runs in that call",
             },
             fh, sort_keys=True, indent=1,
         )

@@ -24,11 +24,12 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     RunTrace,
+    StepError,
     _quad_forms,
     as_stream,
     merge,  # merge, prune and step are unused here but stay attributes of
     prune,  # this module: perfbench/tracer.py wraps them here too
-    run,
+    run_many,
     step,
 )
 from asugs.mixture import GaussianMixture, gaussian_log_density, log_sum_exp, row_quad_forms
@@ -152,6 +153,10 @@ def _tensor_grid(los, his, points: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, _grid_weights(axes).ravel()
 
 
+# the Monte Carlo L2 estimate's draws from the truth (d > 2), their number and seed
+L2_MC_DRAWS, L2_MC_SEED = 20000, 0
+
+
 @dataclass
 class McEstimate:
     """Monte Carlo estimate with its standard error."""
@@ -165,8 +170,8 @@ def l2_distance_to_truth(
     truth: GaussianMixture,
     grid_points: int = 400,
     pad_stds: float = 6.0,
-    n_mc: int = 20000,
-    seed: int = 0,
+    n_mc: int = L2_MC_DRAWS,
+    seed: int = L2_MC_SEED,
 ) -> float | McEstimate:
     """L2 distance between the fitted predictive and a known mixture.
 
@@ -342,49 +347,71 @@ def slope_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def run_with_diagnostics(
-    stream: np.ndarray,
-    config: EngineConfig,
+def run_many_with_diagnostics(
+    streams: list[np.ndarray],
+    configs: list[EngineConfig],
     truth: GaussianMixture | None = None,
     checkpoint_every: int = 100,
     kl_mc: int = 5000,
     kl_seed: int = 0,
     l2_grid: int = 200,
-) -> RunTrace:
-    """``run`` plus diagnostics recorded at periodic checkpoints.
+) -> list[RunTrace | Exception]:
+    """``run_many`` plus diagnostics recorded at periodic checkpoints: for
+    each stream, its ``RunTrace`` with its checkpoints, or its exception.
 
-    The run is ``run`` with an ``on_step`` callback: same labels,
-    maintenance and errors.  After every ``checkpoint_every``-th step
-    (>= 1, else ConfigError) and its maintenance, a checkpoint summarizes
-    the state, with the likelihood ratio of that step's observation
-    against the state before the step (the per-step ratio a converging
-    run keeps bounded; None at step 1) and, given a generating mixture,
-    truth-relative metrics.  KL estimates share one seed across
+    Each run has its own ``on_step`` callback in one ``run_many`` call, so
+    labels, maintenance and errors are ``run_many``'s.  After every
+    ``checkpoint_every``-th step and its maintenance, a checkpoint
+    summarizes the state, with the likelihood ratio of that step's
+    observation against the state before the step (the per-step ratio a
+    converging run keeps bounded; None at step 1) and, given a generating
+    mixture, truth-relative metrics.  KL estimates share one seed across
     checkpoints so their trend over n is not drowned by resampling noise;
     the truth draws of the KL and Monte Carlo L2 estimates, and their
-    truth densities, are taken once per run, so a checkpoint only scores
-    the book.  ``kl_mc`` and ``l2_grid`` must be at least 2 (else
-    ConfigError, before any step runs), and a truth must have the stream's
-    dimension (else ConfigError naming both, also before any step).
+    truth densities, are taken once per call, so a checkpoint only scores
+    the book.  The shared arguments raise ConfigError before any step:
+    ``checkpoint_every`` below 1, ``kl_mc`` or ``l2_grid`` below 2.  A
+    stream whose d is not the truth's gets a ConfigError naming both.
     """
     if checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
     _at_least_two(kl_mc=kl_mc, l2_grid=l2_grid)
-    stream = as_stream(stream)
-    config = config.resolve(stream.shape[1])
-    if truth is not None and truth.dim != stream.shape[1]:
-        raise ConfigError(f"truth has dim {truth.dim}, stream has dim {stream.shape[1]}")
-    checkpoints: list[Checkpoint] = []
-    pending_lr: float | None = None
     kl_draws = l2_draws = None
     if truth is not None:
         kl_draws = _truth_draws(truth, kl_mc, kl_seed)
-        if truth.dim > 2:  # the draws of l2_distance_to_truth's default n_mc and seed
-            l2_draws = _truth_draws(truth, 20000, 0)
+        if truth.dim > 2:
+            l2_draws = _truth_draws(truth, L2_MC_DRAWS, L2_MC_SEED)
+    results: list[RunTrace | Exception | None] = [None] * len(streams)
+    runs = []  # (index, stream, config, checkpoints, on_step) of the accepted streams
+    for index, (stream, config) in enumerate(zip(streams, configs, strict=True)):
+        try:
+            stream = as_stream(stream)
+            config = config.resolve(stream.shape[1])
+            if truth is not None and truth.dim != stream.shape[1]:
+                raise ConfigError(f"truth has dim {truth.dim}, stream has dim {stream.shape[1]}")
+        except (ValueError, StepError) as exc:  # ConfigError is a ValueError
+            results[index] = exc
+            continue
+        runs.append((index, stream, config,
+                     *_checkpointer(stream, config, truth, checkpoint_every, l2_grid,
+                                    kl_draws, l2_draws)))
+    traces = run_many([s for _, s, *_ in runs], [c for _, _, c, *_ in runs],
+                      [on_step for *_, on_step in runs])
+    for (index, _, _, checkpoints, _), trace in zip(runs, traces):
+        if not isinstance(trace, Exception):
+            trace.checkpoints = checkpoints
+        results[index] = trace
+    return results
+
+
+def _checkpointer(stream, config, truth, every, l2_grid, kl_draws, l2_draws):
+    """The checkpoints of one diagnosed run and the ``on_step`` that fills them."""
+    checkpoints: list[Checkpoint] = []
+    pending_lr: float | None = None
 
     def on_step(i: int, book: ClusterBook) -> None:
         nonlocal pending_lr
-        if i % checkpoint_every == 0:
+        if i % every == 0:
             cp = Checkpoint(
                 n=book.n, k=book.k, alpha=config.alpha(book), likelihood_ratio=pending_lr
             )
@@ -396,10 +423,27 @@ def run_with_diagnostics(
                 kl = _kl_from_draws(book, *kl_draws)
                 cp.kl_estimate, cp.kl_stderr = kl.value, kl.stderr
             checkpoints.append(cp)
-        if (i + 1) % checkpoint_every == 0 and i < len(stream):
+        if (i + 1) % every == 0 and i < len(stream):
             # the state here is the one step i + 1 scores stream[i] against
             pending_lr = likelihood_ratio(book, config.prior, stream[i])
 
-    trace = run(stream, config, on_step=on_step)
-    trace.checkpoints = checkpoints
-    return trace
+    return checkpoints, on_step
+
+
+def run_with_diagnostics(
+    stream: np.ndarray,
+    config: EngineConfig,
+    truth: GaussianMixture | None = None,
+    checkpoint_every: int = 100,
+    kl_mc: int = 5000,
+    kl_seed: int = 0,
+    l2_grid: int = 200,
+) -> RunTrace:
+    """``run`` plus diagnostics recorded at periodic checkpoints:
+    ``run_many_with_diagnostics`` of this one stream, whose exception it
+    raises."""
+    (result,) = run_many_with_diagnostics([stream], [config], truth, checkpoint_every, kl_mc,
+                                          kl_seed, l2_grid)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -36,10 +36,10 @@ from asugs.diagnostics import (
     gaussian_limit_deviation,
     harmonic_log_product_ratio,
     loglog_product_bound,
-    run_with_diagnostics,
+    run_many_with_diagnostics,
     slope_with_stderr,
 )
-from asugs.engine import EngineConfig, run
+from asugs.engine import EngineConfig, run, run_many
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
@@ -62,11 +62,9 @@ def report(n, ok, detail):
 
 def test_criterion_1_sixteen_cluster_recovery():
     """Modal final cluster count is 16; >= 70% of trials in [14, 18]."""
-    ks = []
-    for t in range(TRIALS):
-        train = sample_mixture(GRID, 500, seed=t)
-        trace = run(train.rows, EngineConfig(seed=t, prior=RECOVERY_PRIOR))
-        ks.append(trace.k)
+    traces = run_many([sample_mixture(GRID, 500, seed=t).rows for t in range(TRIALS)],
+                      [EngineConfig(seed=t, prior=RECOVERY_PRIOR) for t in range(TRIALS)])
+    ks = [trace.k for trace in traces]
     modal = Counter(ks).most_common(1)[0][0]
     inband = sum(14 <= k <= 18 for k in ks) / TRIALS
     ok = modal == 16 and inband >= 0.70
@@ -75,16 +73,18 @@ def test_criterion_1_sixteen_cluster_recovery():
 
 def test_criterion_2_heldout_ordering_vs_fixed_alpha():
     """Adaptive + prune/merge beats fixed alpha = 1 in >= 80% of trials."""
+    streams, configs = [], []
+    for t in range(TRIALS):  # each trial's two runs side by side
+        train = sample_mixture(GRID, 500, seed=t)
+        streams += [train.rows, train.rows]
+        configs += [EngineConfig(seed=t, prior=COMPARISON_PRIOR),
+                    EngineConfig(seed=t, prior=COMPARISON_PRIOR, fixed_alpha=1.0,
+                                 prune_eps=0.0, merge_eps=0.0)]
+    traces = run_many(streams, configs)
     wins = 0
     for t in range(TRIALS):
-        train = sample_mixture(GRID, 500, seed=t)
         test = Dataset(sample_mixture(GRID, 1000, seed=40000 + t).rows)
-        apm = run(train.rows, EngineConfig(seed=t, prior=COMPARISON_PRIOR))
-        sugs = run(
-            train.rows,
-            EngineConfig(seed=t, prior=COMPARISON_PRIOR, fixed_alpha=1.0,
-                         prune_eps=0.0, merge_eps=0.0),
-        )
+        apm, sugs = traces[2 * t], traces[2 * t + 1]
         _, per_apm = heldout_loglik(apm.final_book, test)
         _, per_sugs = heldout_loglik(sugs.final_book, test)
         wins += per_apm > per_sugs
@@ -238,13 +238,13 @@ def test_criterion_7_asymptotic_normality():
 def test_criterion_8_bounded_ratio_and_log_squared_growth():
     """On 1e4-point runs: no upward likelihood-ratio trend over the last
     half and k / log^2(n) non-increasing, in a majority of 20 seeds."""
+    traces = run_many_with_diagnostics(
+        [sample_mixture(GRID, 10_000, seed=seed).rows for seed in range(TRIALS)],
+        [EngineConfig(seed=seed, prior=RECOVERY_PRIOR) for seed in range(TRIALS)],
+        truth=None, checkpoint_every=100,
+    )
     majority = 0
-    for seed in range(TRIALS):
-        data = sample_mixture(GRID, 10_000, seed=seed)
-        trace = run_with_diagnostics(
-            data.rows, EngineConfig(seed=seed, prior=RECOVERY_PRIOR),
-            truth=None, checkpoint_every=100,
-        )
+    for trace in traces:
         tail = trace.checkpoints[len(trace.checkpoints) // 2:]
         pts = [(c.n, c.likelihood_ratio) for c in tail
                if c.likelihood_ratio is not None]

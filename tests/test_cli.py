@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import asugs
+from asugs.bench import VARIANTS
 from asugs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from asugs.data import read_csv, read_trace, read_truth
+from asugs.data import heldout_loglik, read_csv, read_trace, read_truth, sample_mixture
+from asugs.engine import EngineConfig, run
+from asugs.niw import PriorConfig
 
 
 @pytest.fixture()
@@ -207,11 +210,38 @@ class TestCompare:
         main(["compare", "--truth", str(dataset_dir / "truth.json"),
               "--trials", "1", "--n-train", "100", "--n-test", "50",
               "--prior-var", "0.025", "--out", str(out)])
-        cfg = json.loads((out / "report.json").read_text())["config"]
-        for field in ("lam", "selection", "prune_eps", "merge_eps",
-                      "maintenance_period", "seed", "prior"):
-            assert field in cfg
-        assert cfg["prior"]["sigma0"] is not None
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["variant_configs"]) == sorted(VARIANTS)
+        assert "group mean" in report["runtime_s"]
+        for cfg in (report["base_config"], *report["variant_configs"].values()):
+            for field in ("lam", "selection", "prune_eps", "merge_eps",
+                          "maintenance_period", "seed", "prior"):
+                assert field in cfg
+            assert cfg["prior"]["sigma0"] is not None
+
+    def test_report_replays_each_variant(self, dataset_dir, tmp_path):
+        """A row is refitted from its variant's config in report.json and the
+        row's seed alone: the trial draws n_train rows from the truth under
+        that seed and scores n_test rows drawn under 40000 + seed."""
+        out, n_test = tmp_path / "bench", 100
+        assert main(["compare", "--truth", str(dataset_dir / "truth.json"), "--trials", "2",
+                     "--n-train", "150", "--n-test", str(n_test), "--prior-var", "0.025",
+                     "--fixed-alpha", "2", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        rows = [json.loads(line) for line in (out / "rows.jsonl").read_text().splitlines()]
+        assert report["base_config"]["selection"] == "argmax"
+        truth, n_train = read_truth(dataset_dir / "truth.json"), report["checkpoints"][-1]
+        for variant, rec in report["variant_configs"].items():
+            row = next(r for r in rows if r["variant"] == variant and r["trial"] == 1)
+            prior = PriorConfig(**{key: np.array(value) for key, value in rec["prior"].items()})
+            cfg = EngineConfig(**{**rec, "prior": prior, "seed": row["seed"]})
+            assert cfg.selection == ("sample" if variant.startswith("ASUGS") else "argmax")
+            trace = run(sample_mixture(truth, n_train, seed=row["seed"]).rows, cfg)
+            test = sample_mixture(truth, n_test, seed=40000 + row["seed"])
+            ks = trace.k_series()
+            assert trace.k == row["final_k"]
+            assert [int(ks[c - 1]) for c in report["checkpoints"]] == row["k_at_checkpoints"]
+            assert heldout_loglik(trace.final_book, test)[0] == row["heldout_total"]
 
     def test_fixed_train_mode(self, dataset_dir, tmp_path):
         out = tmp_path / "bench"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import asugs.diagnostics as diagnostics_mod
+import asugs.engine as engine_mod
 from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import (
     McEstimate,
@@ -25,6 +25,7 @@ from asugs.diagnostics import (
     likelihood_ratio,
     log_mixture_predictive_rows,
     loglog_product_bound,
+    run_many_with_diagnostics,
     run_with_diagnostics,
     slope_with_stderr,
 )
@@ -33,6 +34,7 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     RunTrace,
+    StepError,
     StepRecord,
     responsibilities,
     run,
@@ -501,15 +503,19 @@ class TestRunWithDiagnostics:
         with pytest.raises(ConfigError, match="checkpoint_every"):
             run_with_diagnostics(ys, EngineConfig(seed=0), checkpoint_every=every)
 
-    @pytest.mark.parametrize("name, value", [("kl_mc", 1), ("kl_mc", 0), ("l2_grid", 1),
-                                             ("l2_grid", 0), ("stream_dim", 3)])
-    def test_bad_diagnostics_arguments_rejected_before_any_step(self, monkeypatch, name, value):
-        """``stream_dim`` streams ``value`` coordinates against the 2-d truth;
-        the error names both dimensions."""
-        def no_run(*args, **kwargs):
+    @pytest.fixture()
+    def no_steps(self, monkeypatch):
+        """Any step of any driver fails the test."""
+        def no_step(*args, **kwargs):
             raise AssertionError("a step ran before the arguments were checked")
 
-        monkeypatch.setattr(diagnostics_mod, "run", no_run)
+        monkeypatch.setattr(engine_mod, "step", no_step)
+
+    @pytest.mark.parametrize("name, value", [("kl_mc", 1), ("kl_mc", 0), ("l2_grid", 1),
+                                             ("l2_grid", 0), ("stream_dim", 3)])
+    def test_bad_diagnostics_arguments_rejected_before_any_step(self, no_steps, name, value):
+        """``stream_dim`` streams ``value`` coordinates against the 2-d truth;
+        the error names both dimensions."""
         truth = generate_grid_mixture(2, 0.025, 1.0)
         ys = sample_mixture(truth, 10, seed=0).rows
         kwargs, match = {name: value}, name
@@ -518,6 +524,24 @@ class TestRunWithDiagnostics:
         with pytest.raises(ConfigError, match=match):
             run_with_diagnostics(ys, EngineConfig(seed=0), truth=truth, checkpoint_every=1,
                                  **kwargs)
+
+    def test_bad_shared_argument_rejected_before_any_step_of_any_stream(self, no_steps):
+        truth = generate_grid_mixture(2, 0.025, 1.0)
+        streams = [sample_mixture(truth, 10, seed=s).rows for s in range(3)]
+        with pytest.raises(ConfigError, match="kl_mc must be at least 2, got 1"):
+            run_many_with_diagnostics(streams, [EngineConfig(seed=s) for s in range(3)],
+                                      truth=truth, checkpoint_every=1, kl_mc=1)
+
+    def test_stream_of_another_dim_fails_alone_in_a_group(self):
+        truth = generate_grid_mixture(2, 0.025, 1.0)
+        streams = [sample_mixture(truth, 30, seed=s).rows for s in range(3)]
+        streams[1] = np.tile(streams[1], 2)[:, :3]
+        results = run_many_with_diagnostics(streams, [EngineConfig(seed=s) for s in range(3)],
+                                            truth=truth, checkpoint_every=10, kl_mc=50, l2_grid=20)
+        assert isinstance(results[1], ConfigError)
+        assert str(results[1]) == "truth has dim 2, stream has dim 3"
+        for r in (0, 2):
+            assert results[r].n == 30 and [cp.n for cp in results[r].checkpoints] == [10, 20, 30]
 
     @pytest.mark.parametrize("fixed_alpha", [None, 1.0])
     def test_checkpoint_alpha_is_the_alpha_the_run_uses(self, fixed_alpha):
@@ -560,6 +584,54 @@ class TestRunWithDiagnostics:
         assert len(want) == len(trace.checkpoints) == 3
         for cp, (l2, kl, kl_se) in zip(trace.checkpoints, want):
             assert (cp.l2_distance, cp.kl_estimate, cp.kl_stderr) == (l2, kl, kl_se)
+
+
+def mc_truth(d=3):
+    g = np.random.default_rng(7)
+    return GaussianMixture(np.ones(3) / 3.0, 4.0 * g.normal(size=(3, d)),
+                           np.array([random_full_cov(g, d, 1.0) for _ in range(3)]))
+
+
+class TestRunManyWithDiagnostics:
+    """Every run of a group is bit for bit the same stream's solo run."""
+
+    GRID = generate_grid_mixture(3, 0.025, 1.0)
+
+    @pytest.mark.parametrize("case", ["no-truth", "grid-truth", "mc-truth", "unequal", "rejected"])
+    def test_group_matches_solo_runs(self, case):
+        source, truth = self.GRID, None
+        prior = PriorConfig.from_scale(2, 0.025)
+        lengths = [240, 240, 240]
+        if case == "grid-truth":
+            truth = source
+        elif case == "mc-truth":
+            source = truth = mc_truth()
+            prior = PriorConfig.from_scale(3, 1.0, 16)
+        elif case == "unequal":
+            lengths = [120, 290, 75]
+        streams = [sample_mixture(source, n, seed=s).rows for s, n in enumerate(lengths)]
+        configs = [EngineConfig(seed=s, prior=prior) for s in range(len(streams))]
+        if case == "rejected":
+            streams[1] = streams[1].copy()
+            streams[1][40, 0] = np.nan
+        kwargs = dict(truth=truth, checkpoint_every=30, kl_mc=300, kl_seed=3, l2_grid=50)
+        group = run_many_with_diagnostics(streams, configs, **kwargs)
+        assert len(group) == len(streams)
+        for stream, config, got in zip(streams, configs, group):
+            try:
+                want = run_with_diagnostics(stream, config, **kwargs)
+            except Exception as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got.checkpoints == want.checkpoints
+            assert len(got.checkpoints) == len(stream) // 30
+            assert [r.label for r in got.records] == [r.label for r in want.records]
+            assert [r.k_after for r in got.records] == [r.k_after for r in want.records]
+        if case == "rejected":
+            assert isinstance(group[1], StepError)
+            assert all(isinstance(group[r], RunTrace) for r in (0, 2))
+        if truth is not None:
+            assert all(cp.kl_estimate is not None for cp in group[0].checkpoints)
 
 
 class TestSlopeWithStderr:

@@ -925,15 +925,17 @@ class TestRun:
         step 1, so ``on_step`` is never called."""
         import asugs.diagnostics as diagnostics_mod
 
-        seen, real_run = [], diagnostics_mod.run
+        seen, real_run_many = [], diagnostics_mod.run_many
 
-        def spied_run(stream, config, on_step=None):
-            def spy(i, book):
-                seen.append(i)
-                on_step(i, book)
-            return real_run(stream, config, on_step=spy)
+        def spied_run_many(streams, configs, on_step):
+            def spied(callback):
+                def spy(i, book):
+                    seen.append(i)
+                    callback(i, book)
+                return spy
+            return real_run_many(streams, configs, [spied(f) for f in on_step])
 
-        monkeypatch.setattr(diagnostics_mod, "run", spied_run)
+        monkeypatch.setattr(diagnostics_mod, "run_many", spied_run_many)
         runners = (lambda ys, cfg: run(ys, cfg, on_step=lambda i, book: seen.append(i)),
                    lambda ys, cfg: run_with_diagnostics(ys, cfg, checkpoint_every=1))
         for bad in (np.nan, np.inf):
