@@ -60,7 +60,7 @@ data = sample_mixture(truth, 10_000, seed=3)
 trace = run_with_diagnostics(
     data.rows,
     EngineConfig(seed=3, prior=PriorConfig.from_scale(2, 0.025)),
-    truth=truth, checkpoint_every=500, kl_mc=2000, l2_grid=150,
+    truth=truth, checkpoint_every=500,
 )
 print(f"   {'n':>6s} {'k':>3s} {'alpha':>6s} {'lik.ratio':>10s} "
       f"{'L2 dist':>8s} {'KL est':>8s}")

@@ -25,7 +25,7 @@ from asugs.engine import (
     EngineConfig,
     RunTrace,
     StepError,
-    _quad_forms,
+    _is_int,
     as_stream,
     merge,  # merge, prune and step are unused here but stay attributes of
     prune,  # this module: perfbench/tracer.py wraps them here too
@@ -36,8 +36,8 @@ from asugs.mixture import GaussianMixture, gaussian_log_density, log_sum_exp, ro
 from asugs.niw import (
     NiwPosterior,
     PriorConfig,
-    log_predictive_density_rows,
     prior_predictive,
+    quad_forms,
     student_t_log_density,
 )
 
@@ -72,7 +72,7 @@ def _log_likelihood_ratio(book: ClusterBook, prior: PriorConfig, y: np.ndarray) 
     less than the row scorer's loop over clusters."""
     y = np.asarray(y, dtype=float).reshape(-1)
     _require_clusters(book)
-    quad = _quad_forms(y - book.mu, book.prec)
+    quad = quad_forms(y - book.mu, book.prec)
     return prior_predictive(prior, y) - _log_mixture(book, quad[:, None])[0]
 
 
@@ -145,16 +145,10 @@ def _grid_quad(axes, mu: np.ndarray, prec: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
-def _tensor_grid(los, his, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor grid over the box [los, his], ``points`` per axis: one point
-    per row, first axis slowest, and each point's quadrature weight."""
-    axes = _grid_axes(los, his, points)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    return grid, _grid_weights(axes).ravel()
-
-
 # the Monte Carlo L2 estimate's draws from the truth (d > 2), their number and seed
 L2_MC_DRAWS, L2_MC_SEED = 20000, 0
+# a checkpoint's KL draws from the truth, their number and seed, and L2 grid points per axis
+CHECKPOINT_KL_DRAWS, CHECKPOINT_KL_SEED, CHECKPOINT_L2_GRID = 5000, 0, 200
 
 
 @dataclass
@@ -314,19 +308,25 @@ def gaussian_limit_deviation(
 ) -> float:
     """Sup-norm gap between the predictive density and a target Gaussian.
 
-    Evaluated on a tensor grid centered at the target mean (d <= 2).
-    Shrinks to zero as the posterior's counts grow with data drawn from
-    the target.
+    Evaluated on a tensor grid centered at the target mean (d <= 2), as
+    ``l2_distance_to_truth`` evaluates its grid.  Shrinks to zero as the
+    posterior's counts grow with data drawn from the target.
     """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
     if post.dim > 2:
         raise ValueError("grid evaluation supports d <= 2")
-    sd = math.sqrt(np.linalg.eigvalsh(cov).max())
-    grid, _ = _tensor_grid(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
-    gap = log_predictive_density_rows(post, grid)
-    np.exp(gap, out=gap)
-    gap -= GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
+    target = GaussianMixture(weights=np.ones(1), means=mean, covariances=cov)
+    if target.dim != post.dim:
+        raise ValueError(f"target has dim {target.dim}, state has dim {post.dim}")
+    mean, sd = target.means[0], math.sqrt(np.linalg.eigvalsh(target.covariances[0]).max())
+    axes = _grid_axes(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
+    prec, _, log_norm, coef, expo = post.factors
+    gap = np.empty((n_grid,) * post.dim)
+    np.exp(student_t_log_density(log_norm, coef, expo, _grid_quad(axes, post.mu, prec, gap),
+                                 out=gap), out=gap)
+    buf = np.empty_like(gap)
+    gaussian_log_density(post.dim, target.logdets[0],
+                         _grid_quad(axes, mean, target.precs[0], buf), out=buf)
+    gap -= np.exp(buf, out=buf)
     return float(np.max(np.abs(gap, out=gap)))
 
 
@@ -352,9 +352,6 @@ def run_many_with_diagnostics(
     configs: list[EngineConfig],
     truth: GaussianMixture | None = None,
     checkpoint_every: int = 100,
-    kl_mc: int = 5000,
-    kl_seed: int = 0,
-    l2_grid: int = 200,
 ) -> list[RunTrace | Exception]:
     """``run_many`` plus diagnostics recorded at periodic checkpoints: for
     each stream, its ``RunTrace`` with its checkpoints, or its exception.
@@ -365,20 +362,21 @@ def run_many_with_diagnostics(
     summarizes the state, with the likelihood ratio of that step's
     observation against the state before the step (the per-step ratio a
     converging run keeps bounded; None at step 1) and, given a generating
-    mixture, truth-relative metrics.  KL estimates share one seed across
-    checkpoints so their trend over n is not drowned by resampling noise;
-    the truth draws of the KL and Monte Carlo L2 estimates, and their
-    truth densities, are taken once per call, so a checkpoint only scores
-    the book.  The shared arguments raise ConfigError before any step:
-    ``checkpoint_every`` below 1, ``kl_mc`` or ``l2_grid`` below 2.  A
+    mixture, truth-relative metrics: the L2 distance on a grid of
+    ``CHECKPOINT_L2_GRID`` points per axis (d <= 2) or against
+    ``L2_MC_DRAWS`` draws, and the KL estimate against
+    ``CHECKPOINT_KL_DRAWS`` draws under ``CHECKPOINT_KL_SEED``.  The draws
+    are shared across checkpoints so the trend over n is not drowned by
+    resampling noise; they and their truth densities are taken once per
+    call, so a checkpoint only scores the book.  A ``checkpoint_every``
+    that is not a positive integer raises ConfigError before any step.  A
     stream whose d is not the truth's gets a ConfigError naming both.
     """
-    if checkpoint_every < 1:
-        raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every}")
-    _at_least_two(kl_mc=kl_mc, l2_grid=l2_grid)
+    if not (_is_int(checkpoint_every) and checkpoint_every >= 1):
+        raise ConfigError(f"checkpoint_every must be a positive integer, got {checkpoint_every!r}")
     kl_draws = l2_draws = None
     if truth is not None:
-        kl_draws = _truth_draws(truth, kl_mc, kl_seed)
+        kl_draws = _truth_draws(truth, CHECKPOINT_KL_DRAWS, CHECKPOINT_KL_SEED)
         if truth.dim > 2:
             l2_draws = _truth_draws(truth, L2_MC_DRAWS, L2_MC_SEED)
     results: list[RunTrace | Exception | None] = [None] * len(streams)
@@ -393,8 +391,7 @@ def run_many_with_diagnostics(
             results[index] = exc
             continue
         runs.append((index, stream, config,
-                     *_checkpointer(stream, config, truth, checkpoint_every, l2_grid,
-                                    kl_draws, l2_draws)))
+                     *_checkpointer(stream, config, truth, checkpoint_every, kl_draws, l2_draws)))
     traces = run_many([s for _, s, *_ in runs], [c for _, _, c, *_ in runs],
                       [on_step for *_, on_step in runs])
     for (index, _, _, checkpoints, _), trace in zip(runs, traces):
@@ -404,7 +401,7 @@ def run_many_with_diagnostics(
     return results
 
 
-def _checkpointer(stream, config, truth, every, l2_grid, kl_draws, l2_draws):
+def _checkpointer(stream, config, truth, every, kl_draws, l2_draws):
     """The checkpoints of one diagnosed run and the ``on_step`` that fills them."""
     checkpoints: list[Checkpoint] = []
     pending_lr: float | None = None
@@ -417,7 +414,7 @@ def _checkpointer(stream, config, truth, every, l2_grid, kl_draws, l2_draws):
             )
             if truth is not None:
                 if l2_draws is None:
-                    cp.l2_distance = l2_distance_to_truth(book, truth, grid_points=l2_grid)
+                    cp.l2_distance = l2_distance_to_truth(book, truth, CHECKPOINT_L2_GRID)
                 else:
                     cp.l2_distance = _l2_from_draws(book, *l2_draws).value
                 kl = _kl_from_draws(book, *kl_draws)
@@ -435,15 +432,11 @@ def run_with_diagnostics(
     config: EngineConfig,
     truth: GaussianMixture | None = None,
     checkpoint_every: int = 100,
-    kl_mc: int = 5000,
-    kl_seed: int = 0,
-    l2_grid: int = 200,
 ) -> RunTrace:
     """``run`` plus diagnostics recorded at periodic checkpoints:
     ``run_many_with_diagnostics`` of this one stream, whose exception it
     raises."""
-    (result,) = run_many_with_diagnostics([stream], [config], truth, checkpoint_every, kl_mc,
-                                          kl_seed, l2_grid)
+    (result,) = run_many_with_diagnostics([stream], [config], truth, checkpoint_every)
     if isinstance(result, Exception):
         raise result
     return result

@@ -33,9 +33,10 @@ from asugs.niw import (
     PriorConfig,
     _observation,
     conjugate_update,
-    log_predictive_density,  # these three are unused here but stay attributes
-    posterior_update,  # of this module: perfbench/tracer.py wraps them here
+    log_predictive_density,  # these two are unused here but stay attributes of
+    posterior_update,  # this module: perfbench/tracer.py wraps them here
     prior_predictive,
+    quad_forms,
     student_t_factors,
     student_t_log_density,
     student_t_log_norm,
@@ -448,18 +449,6 @@ def _prefix_sums(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     return total
 
 
-def _quad_forms(e: np.ndarray, prec: np.ndarray) -> np.ndarray:
-    """e^T prec e for each row of e (... x d), against the matching or a
-    shared prec (d x d): the batched matmul sandwich."""
-    return (e[..., None, :] @ prec @ e[..., :, None])[..., 0, 0]
-
-
-def _prior_scores(prior: PriorConfig, rows: np.ndarray) -> np.ndarray:
-    """``prior_predictive`` of each row, bit for bit, in one batched pass."""
-    prec, _, log_norm, coef, expo = prior.state.factors
-    return student_t_log_density(log_norm, coef, expo, _quad_forms(rows - prior.state.mu, prec))
-
-
 def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     """Posterior probability of each label, one row per book of the stack:
     the book's existing clusters, then a new one at position k.
@@ -480,13 +469,13 @@ def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
         k = len(m)
         logq = np.empty(k + 1)
         logq[:k] = np.log(m) + student_t_log_density(
-            log_norm, coef, expo, _quad_forms(ys[0] - mu, prec))
+            log_norm, coef, expo, quad_forms(ys[0] - mu, prec))
         logq[k] = log_new[0]
         logq -= logq.max()
         q = np.exp(logq, out=logq)
         q /= q.sum()
         return q
-    quad = _quad_forms(ys[:, None, :] - mu, prec)
+    quad = quad_forms(ys[:, None, :] - mu, prec)
     logq = np.empty((len(ys), quad.shape[1] + 1))
     np.log(m, out=logq[:, :-1])
     logq[:, :-1] += student_t_log_density(log_norm, coef, expo, quad, out=quad)
@@ -741,7 +730,7 @@ class _Run:
         end, with their prior scores and uniforms, one per row."""
         rows = self.stream[start:start + width]
         log_new, uniforms = np.zeros(width), np.zeros(width)
-        log_new[:len(rows)] = _prior_scores(self.config.prior, rows)
+        log_new[:len(rows)] = prior_predictive(self.config.prior, rows)
         first = int(start == 0)  # step 1 selects nothing
         if self.config.selection == "sample" and len(rows) > first:
             uniforms[first:len(rows)] = self.rng.random(len(rows) - first)

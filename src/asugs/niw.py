@@ -190,15 +190,23 @@ def student_t_log_density(log_norm, coef, expo, quad, out=None):
     return np.subtract(log_norm, np.multiply(expo, t, out=out), out=out)
 
 
-def _observation(y, d: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != d:
-        raise ValueError(f"observation has dim {y.shape[0]}, state has dim {d}")
+def _observation(y, d: int, window: bool = False) -> np.ndarray:
+    """y as one row (d), or as a ``window`` of rows (... x d), of dimension d."""
+    y = np.asarray(y, dtype=float) if window else np.asarray(y, dtype=float).reshape(-1)
+    if y.shape[-1] != d:
+        raise ValueError(f"observation has dim {y.shape[-1]}, state has dim {d}")
     return y
 
 
-def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
-    """Log density of a new observation under the cluster's posterior.
+def quad_forms(e: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """e^T prec e for each row of e (... x d), against the matching or a shared
+    prec (d x d): the few-row scorer, a batched matmul sandwich."""
+    return (e[..., None, :] @ prec @ e[..., :, None])[..., 0, 0]
+
+
+def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float | np.ndarray:
+    """Log density of a new observation under the cluster's posterior: of
+    one row y (d), as a float, or of each row of a window y (... x d).
 
     The marginal of one observation, integrating out the unknown mean and
     precision, is a multivariate Student-t with 2*delta - d + 1 degrees of
@@ -207,28 +215,33 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float:
         log pi^(-d/2) + (d/2) log(r / (2 delta)) + log_gamma_ratio(delta, d)
         - (1/2) log det sigma - (delta + 1/2) log(1 + (r / (2 delta)) Q)
 
-    with r = c/(1+c) and Q the sigma^-1 quadratic form of (y - mu).  The
-    constant makes the density integrate to exactly 1 over R^d, so values
-    are comparable across clusters with different c and delta.
+    with r = c/(1+c) and Q the sigma^-1 quadratic form of (y - mu)
+    (``quad_forms``, so a row of a window scores bit for bit as that row
+    alone).  The constant makes the density integrate to exactly 1 over
+    R^d, so values are comparable across clusters with different c and
+    delta.
 
     Raises ``numpy.linalg.LinAlgError`` if sigma has lost positive
     definiteness; recovery is the caller's decision.
     """
     prec, _, log_norm, coef, expo = post.factors
-    e = _observation(y, post.dim) - post.mu
-    return float(student_t_log_density(log_norm, coef, expo, e @ prec @ e))
+    window = np.ndim(y) > 1
+    e = _observation(y, post.dim, window) - post.mu
+    log_density = student_t_log_density(log_norm, coef, expo, quad_forms(e, prec))
+    return log_density if window else float(log_density)
 
 
 def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarray:
-    """Vectorized ``log_predictive_density`` over the rows of ``ys``, from
-    the state's cached factors; used for grid and held-out evaluations."""
+    """``log_predictive_density`` of many rows ys (N x d), through the many-row
+    scorer ``mixture.row_quad_forms``."""
     prec, _, log_norm, coef, expo = post.factors
     quad = row_quad_forms(ys, post.mu[None], prec[None])[0]
     return student_t_log_density(log_norm, coef, expo, quad, out=quad)
 
 
-def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float:
-    """Log predictive density of a brand-new cluster: that of the prior's state."""
+def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float | np.ndarray:
+    """Log predictive density of a brand-new cluster, of one row or a window:
+    that of the prior's state."""
     return log_predictive_density(prior.state, y)
 
 

@@ -311,7 +311,7 @@ class TestTracePersistence:
         prior = PriorConfig.from_scale(2, 0.025)
         if kind == "diagnostics":
             trace = run_with_diagnostics(rows, EngineConfig(seed=4, prior=prior), truth=mix,
-                                         checkpoint_every=100, kl_mc=200, l2_grid=40)
+                                         checkpoint_every=100)
             assert all(cp.kl_estimate is not None for cp in trace.checkpoints)
         elif kind == "argmax":
             trace = run(rows, EngineConfig(seed=4, fixed_alpha=1.0, prior=prior))

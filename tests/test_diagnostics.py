@@ -3,6 +3,7 @@ ratio, innovation probability, divergences and the standalone numeric
 growth checks."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -15,8 +16,10 @@ from scipy.integrate import quad
 import asugs.engine as engine_mod
 from asugs.data import generate_grid_mixture, sample_mixture
 from asugs.diagnostics import (
+    CHECKPOINT_KL_DRAWS,
+    CHECKPOINT_KL_SEED,
+    CHECKPOINT_L2_GRID,
     McEstimate,
-    _tensor_grid,
     gaussian_limit_deviation,
     harmonic_log_product_ratio,
     innovation_probability,
@@ -44,9 +47,11 @@ from asugs.niw import (
     NiwPosterior,
     PriorConfig,
     log_predictive_density,
+    log_predictive_density_rows,
     posterior_update,
     prior_predictive,
 )
+from grid_oracle import tensor_grid
 
 
 def make_book(posts, ms, n):
@@ -183,8 +188,8 @@ def row_quadrature_l2(book, truth, grid_points, pad_stds=6.0):
     separable grid path."""
     max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
     mus = np.vstack([truth.means, book.mu])
-    grid, weights = _tensor_grid(mus.min(axis=0) - pad_stds * max_sd,
-                                 mus.max(axis=0) + pad_stds * max_sd, grid_points)
+    grid, weights = tensor_grid(mus.min(axis=0) - pad_stds * max_sd,
+                                mus.max(axis=0) + pad_stds * max_sd, grid_points)
     diff = np.exp(log_mixture_predictive_rows(book, grid)) - truth.pdf(grid)
     return math.sqrt(np.sum(diff * diff * weights))
 
@@ -400,7 +405,38 @@ class TestLoglogProductBound:
             loglog_product_bound(1.0, 10, 10)
 
 
+def row_built_deviation(post, mean, cov, n_grid=160, pad_stds=5.0):
+    """The sup-norm gap on the rows of the tensor grid: the Student-t by the
+    row scorer, the Gaussian by ``GaussianMixture.pdf``."""
+    mean, cov = np.asarray(mean, dtype=float).reshape(-1), np.asarray(cov, dtype=float)
+    sd = math.sqrt(np.linalg.eigvalsh(cov).max())
+    grid, _ = tensor_grid(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
+    gap = np.exp(log_predictive_density_rows(post, grid))
+    gap -= GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
+    return float(np.max(np.abs(gap)))
+
+
 class TestGaussianLimitDeviation:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_row_built_grid(self, d):
+        """The separable grid evaluation against the row-built one, for
+        states near and far from the target, at two grid sizes."""
+        rng = np.random.default_rng(d)
+        for _ in range(6):
+            a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+            mean, cov = rng.normal(size=d), a @ a.T + 0.2 * np.eye(d)
+            post = NiwPosterior(mean + rng.normal(size=d) * 10.0 ** rng.uniform(-3, 0),
+                                10.0 ** rng.uniform(0, 4), d / 2.0 + 10.0 ** rng.uniform(0, 4),
+                                b @ b.T + 0.2 * np.eye(d))
+            for n_grid in (80, 160):
+                assert gaussian_limit_deviation(post, mean, cov, n_grid=n_grid) == pytest.approx(
+                    row_built_deviation(post, mean, cov, n_grid=n_grid), rel=1e-12)
+
+    def test_target_of_another_dim_rejected(self):
+        post = NiwPosterior(np.zeros(2), 1.0, 2.0, np.eye(2))
+        with pytest.raises(ValueError, match="target has dim 1, state has dim 2"):
+            gaussian_limit_deviation(post, np.zeros(1), np.eye(1))
+
     def test_exact_limit_state(self):
         """Infinite-count surrogate leaves only evaluation error.
 
@@ -476,9 +512,7 @@ class TestRunWithDiagnostics:
         mix = generate_grid_mixture(2, 0.025, 1.0)
         data = sample_mixture(mix, 300, seed=0)
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025))
-        trace = run_with_diagnostics(data.rows, cfg, truth=mix,
-                                     checkpoint_every=100, kl_mc=1000,
-                                     l2_grid=80)
+        trace = run_with_diagnostics(data.rows, cfg, truth=mix, checkpoint_every=100)
         assert len(trace.checkpoints) == 3
         for cp in trace.checkpoints:
             assert cp.likelihood_ratio is None or cp.likelihood_ratio > 0
@@ -491,13 +525,12 @@ class TestRunWithDiagnostics:
         mix = generate_grid_mixture(4, 0.025, 1.0)
         data = sample_mixture(mix, 500, seed=3)
         cfg = EngineConfig(seed=3, prior=PriorConfig.from_scale(2, 0.025))
-        trace = run_with_diagnostics(data.rows, cfg, truth=mix,
-                                     checkpoint_every=50, kl_mc=500, l2_grid=120)
+        trace = run_with_diagnostics(data.rows, cfg, truth=mix, checkpoint_every=50)
         l2s = [cp.l2_distance for cp in trace.checkpoints]
         later = l2s[1:]
         assert sum(v < l2s[0] for v in later) > len(later) / 2
 
-    @pytest.mark.parametrize("every", [0, -5])
+    @pytest.mark.parametrize("every", [0, -5, 1.5])
     def test_nonpositive_checkpoint_interval_rejected(self, every):
         ys = np.zeros((10, 2))
         with pytest.raises(ConfigError, match="checkpoint_every"):
@@ -511,33 +544,34 @@ class TestRunWithDiagnostics:
 
         monkeypatch.setattr(engine_mod, "step", no_step)
 
-    @pytest.mark.parametrize("name, value", [("kl_mc", 1), ("kl_mc", 0), ("l2_grid", 1),
-                                             ("l2_grid", 0), ("stream_dim", 3)])
+    @pytest.mark.parametrize("name, value", [("checkpoint_every", 1.5),
+                                             ("checkpoint_every", True), ("stream_dim", 3)])
     def test_bad_diagnostics_arguments_rejected_before_any_step(self, no_steps, name, value):
-        """``stream_dim`` streams ``value`` coordinates against the 2-d truth;
-        the error names both dimensions."""
+        """A ``checkpoint_every`` that is not a positive integer (``True`` is a
+        bool) is rejected; ``stream_dim`` streams ``value`` coordinates
+        against the 2-d truth, and the error names both dimensions."""
         truth = generate_grid_mixture(2, 0.025, 1.0)
         ys = sample_mixture(truth, 10, seed=0).rows
-        kwargs, match = {name: value}, name
+        every, match = value, f"checkpoint_every must be a positive integer, got {value!r}"
         if name == "stream_dim":
-            ys, kwargs, match = np.tile(ys, 2)[:, :value], {}, "truth has dim 2, stream has dim 3"
-        with pytest.raises(ConfigError, match=match):
-            run_with_diagnostics(ys, EngineConfig(seed=0), truth=truth, checkpoint_every=1,
-                                 **kwargs)
+            ys, every, match = np.tile(ys, 2)[:, :value], 1, "truth has dim 2, stream has dim 3"
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            run_with_diagnostics(ys, EngineConfig(seed=0), truth=truth, checkpoint_every=every)
 
     def test_bad_shared_argument_rejected_before_any_step_of_any_stream(self, no_steps):
         truth = generate_grid_mixture(2, 0.025, 1.0)
         streams = [sample_mixture(truth, 10, seed=s).rows for s in range(3)]
-        with pytest.raises(ConfigError, match="kl_mc must be at least 2, got 1"):
+        with pytest.raises(ConfigError, match="checkpoint_every must be a positive integer, "
+                                              "got 1.5"):
             run_many_with_diagnostics(streams, [EngineConfig(seed=s) for s in range(3)],
-                                      truth=truth, checkpoint_every=1, kl_mc=1)
+                                      truth=truth, checkpoint_every=1.5)
 
     def test_stream_of_another_dim_fails_alone_in_a_group(self):
         truth = generate_grid_mixture(2, 0.025, 1.0)
         streams = [sample_mixture(truth, 30, seed=s).rows for s in range(3)]
         streams[1] = np.tile(streams[1], 2)[:, :3]
         results = run_many_with_diagnostics(streams, [EngineConfig(seed=s) for s in range(3)],
-                                            truth=truth, checkpoint_every=10, kl_mc=50, l2_grid=20)
+                                            truth=truth, checkpoint_every=10)
         assert isinstance(results[1], ConfigError)
         assert str(results[1]) == "truth has dim 2, stream has dim 3"
         for r in (0, 2):
@@ -569,15 +603,15 @@ class TestRunWithDiagnostics:
             prior = PriorConfig.from_scale(3, 1.0, 16)
         rows = sample_mixture(truth, 300, seed=2).rows
         cfg = EngineConfig(seed=2, prior=prior)
-        every, kl_mc, kl_seed, l2_grid = 100, 700, 4, 60
-        trace = run_with_diagnostics(rows, cfg, truth=truth, checkpoint_every=every,
-                                     kl_mc=kl_mc, kl_seed=kl_seed, l2_grid=l2_grid)
+        every = 100
+        trace = run_with_diagnostics(rows, cfg, truth=truth, checkpoint_every=every)
         want = []
 
         def oracle(i, book):
             if i % every == 0:
-                l2 = l2_distance_to_truth(book, truth, grid_points=l2_grid)
-                kl = kl_divergence_estimate(truth, book, n_mc=kl_mc, seed=kl_seed)
+                l2 = l2_distance_to_truth(book, truth, grid_points=CHECKPOINT_L2_GRID)
+                kl = kl_divergence_estimate(truth, book, n_mc=CHECKPOINT_KL_DRAWS,
+                                            seed=CHECKPOINT_KL_SEED)
                 want.append((l2 if d == 2 else l2.value, kl.value, kl.stderr))
 
         run(rows, cfg, on_step=oracle)
@@ -614,7 +648,7 @@ class TestRunManyWithDiagnostics:
         if case == "rejected":
             streams[1] = streams[1].copy()
             streams[1][40, 0] = np.nan
-        kwargs = dict(truth=truth, checkpoint_every=30, kl_mc=300, kl_seed=3, l2_grid=50)
+        kwargs = dict(truth=truth, checkpoint_every=30)
         group = run_many_with_diagnostics(streams, configs, **kwargs)
         assert len(group) == len(streams)
         for stream, config, got in zip(streams, configs, group):

@@ -24,7 +24,6 @@ from asugs.engine import (
     REFRESH_MAX_T,
     StepError,
     _prefix_sums,
-    _prior_scores,
     _sum_in_order,
     merge,
     prune,
@@ -43,6 +42,7 @@ from asugs.niw import (
     posterior_update,
     prior_predictive,
     student_t_factors,
+    student_t_log_density,
     student_t_shape,
 )
 
@@ -520,8 +520,18 @@ class TestWindows:
     once, and the book folds the pair histories of up to that many steps in
     one pass; both give the values of once per step, bit for bit."""
 
+    @staticmethod
+    def per_row_prior_score(prior, y):
+        """The prior predictive of one row y with the single-row quadratic
+        form ``e @ prec @ e``."""
+        prec, _, log_norm, coef, expo = prior.state.factors
+        e = y - prior.state.mu
+        return float(student_t_log_density(log_norm, coef, expo, e @ prec @ e))
+
     @pytest.mark.parametrize("d", [1, 2, 8, 64])
     def test_batched_prior_score_is_prior_predictive(self, d):
+        """A window's scores, and each of its rows scored alone, against the
+        per-row oracle."""
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d))
         priors = (PriorConfig.default(d), PriorConfig.from_scale(d, 0.3, 2.0 * d + 4.0),
@@ -531,8 +541,9 @@ class TestWindows:
             for scale in (1e-6, 1.0, 1e6):
                 for rows in (1, 7, 50):
                     ys = rng.normal(size=(rows, d)) * scale + prior.mu0
-                    got = _prior_scores(prior, ys)
-                    assert got.tolist() == [prior_predictive(prior, y) for y in ys]
+                    want = [self.per_row_prior_score(prior, y) for y in ys]
+                    assert prior_predictive(prior, ys).tolist() == want
+                    assert [prior_predictive(prior, y) for y in ys] == want
 
     @pytest.mark.parametrize("k", [1, 2, 16])
     def test_fold_adds_in_step_order(self, k):
@@ -602,27 +613,23 @@ class TestWindows:
 
     @pytest.mark.parametrize("rows, period", [(400, 50), (401, 50), (400, 7), (3, 50)])
     def test_one_prior_score_per_window(self, monkeypatch, rows, period):
-        """An N-row run scores the prior in ceil(N / period) batched calls,
-        which cover every row once, and calls ``prior_predictive`` never."""
+        """An N-row run calls ``prior_predictive`` ceil(N / period) times, each
+        on a window of rows, which cover every row once: never on one row."""
         import asugs.engine as engine_mod
 
-        batches, singles = [], []
+        shapes = []
 
-        def counted_batch(prior, ys):
-            batches.append(len(ys))
-            return _prior_scores(prior, ys)
-
-        def counted_single(*args):
-            singles.append(args)
-            return prior_predictive(*args)
+        def counted(prior, ys):
+            shapes.append(np.shape(ys))
+            return prior_predictive(prior, ys)
 
         ys = sample_mixture(generate_grid_mixture(3, 0.025), rows, seed=2).rows
-        monkeypatch.setattr(engine_mod, "_prior_scores", counted_batch)
-        monkeypatch.setattr(engine_mod, "prior_predictive", counted_single)
+        monkeypatch.setattr(engine_mod, "prior_predictive", counted)
         run(ys, EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.025),
                              maintenance_period=period))
-        assert len(batches) == math.ceil(rows / period) and sum(batches) == rows
-        assert singles == []
+        assert len(shapes) == math.ceil(rows / period)
+        assert all(len(shape) == 2 for shape in shapes)  # no single-row call
+        assert sum(shape[0] for shape in shapes) == rows
 
 
 def assert_cache_fresh(book):

@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from asugs.data import generate_grid_mixture, sample_mixture
-from asugs.diagnostics import _tensor_grid, log_mixture_predictive_rows, run_with_diagnostics
+from asugs.diagnostics import log_mixture_predictive_rows, run_with_diagnostics
 from asugs.engine import ClusterBook, EngineConfig, run
 from asugs.mixture import GaussianMixture, log_sum_exp
 from asugs.niw import (
@@ -25,6 +25,7 @@ from asugs.niw import (
     student_t_log_norm,
     student_t_shape,
 )
+from grid_oracle import tensor_grid
 
 
 def random_mixture(d: int, k: int, seed: int) -> GaussianMixture:
@@ -210,8 +211,8 @@ def test_checkpoints_match_solve_oracle():
         nonlocal pending
         if i % every == 0:
             mus = np.vstack([truth.means, book.mu])
-            grid, weights = _tensor_grid(mus.min(axis=0) - 6.0 * max_sd,
-                                         mus.max(axis=0) + 6.0 * max_sd, grid_points)
+            grid, weights = tensor_grid(mus.min(axis=0) - 6.0 * max_sd,
+                                        mus.max(axis=0) + 6.0 * max_sd, grid_points)
             diff = np.exp(fitted_logpdf_solve(book, grid)) - np.exp(truth_logpdf_solve(truth, grid))
             kl = truth_logpdf_solve(truth, kl_ys) - fitted_logpdf_solve(book, kl_ys)
             want.append((math.sqrt(np.sum(diff * diff * weights)), kl.mean(), pending))

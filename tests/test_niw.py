@@ -174,6 +174,10 @@ class TestLogPredictiveDensity:
         batch = log_predictive_density_rows(post, ys)
         for i, y in enumerate(ys):
             assert batch[i] == pytest.approx(log_predictive_density(post, y), rel=1e-13)
+        # a window of rows, of any leading shape, scores each row as that row alone
+        singles = [log_predictive_density(post, y) for y in ys]
+        assert log_predictive_density(post, ys).tolist() == singles
+        assert log_predictive_density(post, ys.reshape(4, 10, 2)).ravel().tolist() == singles
 
     def test_degenerate_sigma_raises(self):
         post = NiwPosterior(mu=np.zeros(2), c=1.0, delta=2.0,
@@ -185,6 +189,8 @@ class TestLogPredictiveDensity:
         post = NiwPosterior(mu=np.zeros(2), c=1.0, delta=2.0, sigma=np.eye(2))
         with pytest.raises(ValueError):
             log_predictive_density(post, np.zeros(3))
+        with pytest.raises(ValueError, match="observation has dim 3, state has dim 2"):
+            log_predictive_density(post, np.zeros((4, 3)))
 
 
 class TestPosteriorUpdate:

@@ -1,6 +1,6 @@
 """Paired in-process timing of two source trees on one perfbench workload.
 
-    python3 tools/paired.py SRC_A SRC_B WORKLOAD ROUNDS
+    python3 tools/paired.py SRC_A SRC_B WORKLOAD ROUNDS   (ROUNDS even)
 
 SRC_A and SRC_B are directories that hold an ``asugs`` package, such as
 the ``src`` of two checkouts.  Both packages are copied, renamed
@@ -8,8 +8,12 @@ the ``src`` of two checkouts.  Both packages are copied, renamed
 this one process.  After one untimed call of each, every round calls the
 workload's operation once with each package, alternating which goes first,
 and times each call with ``time.process_time``.  The script prints each
-round's times and B/A ratio, then the median ratio and the number of
-rounds in which B took less time.
+round's times and B/A ratio.  Rounds 2i - 1 (A first) and 2i (B first) form
+pair i, whose ratio is the geometric mean of the two rounds' B/A: a constant
+factor on the call that goes second (on a shared 2-core host, the second call
+was the slower one in 10 of 11 rounds) multiplies one round's ratio and
+divides the other's, so it cancels.  The script ends with the median over
+pairs and the number of pairs in which B took less time; ROUNDS must be even.
 
 The inputs are perfbench's (``perfbench/inputs.py``, full size, seed 1),
 and each operation is the one ``perfbench/rep.py`` times, with its
@@ -33,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import gc
 import importlib
+import math
 import re
 import statistics
 import sys
@@ -98,6 +103,8 @@ def main() -> None:
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("rounds", type=int)
     args = parser.parse_args()
+    if args.rounds < 2 or args.rounds % 2:
+        parser.error(f"ROUNDS must be a positive even number (AB/BA pairs), got {args.rounds}")
     with tempfile.TemporaryDirectory() as tmp:
         paths = make_inputs(args.workload, SEED, SIZES["full"][args.workload], Path(tmp))
         paths["trace"] = str(Path(tmp, "trace.jsonl"))
@@ -119,9 +126,12 @@ def main() -> None:
             ratios.append(times[1] / times[0])
             print(f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
                   f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}")
-    wins = sum(ratio < 1.0 for ratio in ratios)
-    print(f"{args.workload}: median B/A {statistics.median(ratios):.4f}, "
-          f"B lower in {wins}/{len(ratios)} rounds")
+    pairs = [math.sqrt(ab * ba) for ab, ba in zip(ratios[::2], ratios[1::2])]
+    for i, pair in enumerate(pairs):
+        print(f"pair {i + 1:3d} (rounds {2 * i + 1}, {2 * i + 2}): B/A {pair:.4f}")
+    wins = sum(pair < 1.0 for pair in pairs)
+    print(f"{args.workload}: median pair B/A {statistics.median(pairs):.4f}, "
+          f"B lower in {wins}/{len(pairs)} pairs")
 
 
 if __name__ == "__main__":
