@@ -25,6 +25,8 @@ import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from asugs.niw import (
     posterior_update,  # this module: perfbench/tracer.py wraps them here
     prior_predictive,
     quad_forms,
+    student_t_constant,
     student_t_factors,
     student_t_log_density,
-    student_t_log_norm,
     student_t_shape,
 )
 
@@ -64,6 +66,7 @@ _PAIR_FIELDS = ("_dist", "_coact")
 _BLANK = {"m": 1, "log_norm": -math.inf}  # a slot without a cluster scores -inf
 _SCORED = ("mu", "prec", "m", "log_norm", "coef", "expo")
 REFRESH_MAX_T = 100.0  # largest t that ``absorb`` refreshes in closed form
+REFRESH_MEMO = 1024  # (d, c, delta) keys whose refresh tail ``_refresh_tail`` keeps
 
 
 @dataclass
@@ -175,11 +178,12 @@ class ClusterBook:
         lemma logdet' = d log a + logdet + log1p(t).  The subtraction loses
         about (1+t) ulps, so if t is not finite, negative (P is no longer
         positive definite) or above REFRESH_MAX_T, ``factorise`` runs instead.
-        ``BookStack.absorb`` is the same update of one cluster of each of its
-        books."""
+        The rest of the refresh depends on (d, c, delta) alone
+        (``_refresh_tail``).  ``BookStack.absorb`` is the same update of one
+        cluster of each of its books."""
         c, delta = self.c.item(h), self.delta.item(h)
         r, a, b = conjugate_update(self.mu[h], c, delta, self.sigma[h], y)
-        self.c[h], self.delta[h] = c, delta = c + 1.0, delta + 0.5
+        self.c[h], self.delta[h] = c + 1.0, delta + 0.5
         prec = self.prec[h]  # a view: refreshed in place
         p_r = prec @ r
         t = b / a * float(r @ p_r)
@@ -187,8 +191,9 @@ class ClusterBook:
             return self.factorise(h)
         prec -= ((b / a / (1.0 + t)) * p_r)[:, None] * p_r
         prec /= a
-        (self.logdet[h], self.log_norm[h], self.coef[h],
-         self.expo[h]) = _refreshed(len(r), a, t, self.logdet[h], c, delta)
+        d_log_a, self.coef[h], self.expo[h], constant = _refresh_tail(len(r), c, delta)
+        self.logdet[h] = logdet = d_log_a + self.logdet.item(h) + math.log1p(t)
+        self.log_norm[h] = constant - 0.5 * logdet
 
     def add(self, post: NiwPosterior, m: int, w: float) -> None:
         """Append a cluster with a copy of post's state and ``factors`` and a
@@ -270,6 +275,9 @@ class BookStack:
             self.arrays[name] = np.full(shape, _BLANK.get(name, 0), dtype)
         self.books, self.cap = list(books), cap
         self.ks = np.zeros(len(books), dtype=np.int64)
+        # slot h of row r is entry r * cap + h: ``absorb`` gathers with one take
+        self.flat = {name: self.arrays[name].reshape(len(books) * cap, *tails.get(name, ()))
+                     for name in _CLUSTER_FIELDS}
         for r, book in enumerate(books):
             slots = {name: arr[r] for name, arr in self.arrays.items()}
             for name, row in slots.items():
@@ -280,11 +288,18 @@ class BookStack:
 
     def scored(self) -> tuple[np.ndarray, ...]:
         """mu, prec, m, log_norm, coef and expo over the first width slots of
-        every row, width = max k."""
+        every row, width = max k.  Also ``short``, the rows with k < width and
+        their k, and ``resum``, the ``_sum_groups`` of those short rows whose
+        q ``responsibilities`` must sum again over their own n = k + 1
+        terms: by the rule of ``_sum_groups``, a row zero-padded to
+        W = width + 1 <= 128 terms sums like its first n when
+        n // 8 == W // 8, and a longer row never does."""
         if self.scored_views is None:
             width = int(self.ks.max())
             short = np.flatnonzero(self.ks < width)
             self.short = short, self.ks[short]
+            resum = short if width >= 128 else short[(self.ks[short] + 1) // 8 != (width + 1) // 8]
+            self.resum = _sum_groups(resum, self.ks[resum] + 1)
             views = tuple(self.arrays[name][:, :width] for name in _SCORED)
             self.scored_views = tuple(v[0] for v in views) if len(self.books) == 1 else views
         return self.scored_views
@@ -293,62 +308,63 @@ class BookStack:
         """``ClusterBook.absorb`` of cluster ``labels[r] - 1`` of book r by
         ``ys[r]``, with its count m + 1, for every book r whose ``errors[r]``
         is None: one numpy call per operation over the run axis, bit for bit
-        the update of each book alone.  The chosen slots are gathered,
-        updated and scattered back.  ``conjugate_update`` works on them with
-        the run axis last, where its scalars broadcast; the scalar tail
-        (``_refreshed``) runs per book in ``math``.  A book whose t is out
+        the update of each book alone.  The chosen slots are gathered from
+        the flat views with one take each, updated and scattered back.
+        ``conjugate_update`` works on them with the run axis last, where its
+        scalars broadcast.  Of the tail, one C-level ``map`` reads each
+        book's ``_refresh_tail`` and one takes each ``math.log1p(t)``; the
+        sums are numpy's, which add as ``math`` does.  A book whose t is out
         of range refactorises; if that raises, the exception goes to
         ``errors[r]``."""
-        rows = np.array([r for r, error in enumerate(errors) if error is None])
+        rows = np.flatnonzero([error is None for error in errors])
         if not len(rows):
             return
         hs = np.array(labels)[rows] - 1
-        at, arrays = (rows, hs), self.arrays
-        mu, sigma, c, delta = (arrays[name][at] for name in ("mu", "sigma", "c", "delta"))
+        at, flat = rows * self.cap + hs, self.flat
+        mu, sigma, c, delta, prec, logdet = (
+            flat[name].take(at, axis=0) for name in ("mu", "sigma", "c", "delta", "prec", "logdet"))
+        tails = np.fromiter(chain.from_iterable(map(  # 0.6x the time of np.array of the tuples
+            _refresh_tail, repeat(self.dim), c.tolist(), delta.tolist())), float, 4 * len(rows))
         # .T also transposes each sigma, which the update leaves as it is: entry
         # (i, j) gets a sigma_ij + b (r_i r_j), and IEEE products commute
         r, a, b = conjugate_update(mu.T, c, delta, sigma.T, ys[rows].T)
-        c, delta = c + 1.0, delta + 0.5
-        prec, r = arrays["prec"][at], np.ascontiguousarray(r.T)
+        r = np.ascontiguousarray(r.T)
         p_r = prec @ r[:, :, None]
         s = b / a
         t = s * (r[:, None, :] @ p_r)[:, 0, 0]
-        tails, refactor = [], []
-        for i, (a_i, t_i, logdet, c_i, delta_i) in enumerate(zip(
-                a.tolist(), t.tolist(), arrays["logdet"][at].tolist(), c.tolist(), delta.tolist())):
-            if 0.0 <= t_i <= REFRESH_MAX_T:
-                tails += _refreshed(self.dim, a_i, t_i, logdet, c_i, delta_i)
-            else:
-                refactor.append(i)
-                tails += (0.0, 0.0, 0.0, 0.0)  # factorise overwrites them
-        if refactor:
-            t[refactor] = 0.0  # keeps the refresh finite where it is discarded
+        refactor = np.flatnonzero(~((0.0 <= t) & (t <= REFRESH_MAX_T)))  # NaN included
+        if len(refactor):
+            t[refactor] = 0.0  # keeps the refresh finite where factorise overwrites it
         p_r = p_r[:, :, 0]
         prec -= ((s / (1.0 + t))[:, None] * p_r)[:, :, None] * p_r[:, None, :]
         prec /= a[:, None, None]
-        arrays["mu"][at], arrays["sigma"][at], arrays["prec"][at] = mu, sigma, prec
-        arrays["c"][at], arrays["delta"][at] = c, delta
-        # one flat list, reshaped once: per-book tuples transposed with zip(*)
-        # had raised the peak memory of a 20-run group by 0.3 MB
-        tails = np.reshape(tails, (-1, 4)).T
-        for name, values in zip(("logdet", "log_norm", "coef", "expo"), tails):
-            arrays[name][at] = values
-        arrays["m"][at] += 1
-        for i in refactor:
+        d_log_a, coef, expo, constant = tails.reshape(-1, 4).T
+        logdet = d_log_a + logdet + np.fromiter(map(math.log1p, t.tolist()), float, len(t))
+        for name, values in (("mu", mu), ("sigma", sigma), ("prec", prec), ("c", c + 1.0),
+                             ("delta", delta + 0.5), ("logdet", logdet),
+                             ("log_norm", constant - 0.5 * logdet), ("coef", coef),
+                             ("expo", expo)):
+            flat[name][at] = values
+        flat["m"][at] += 1
+        for i in refactor.tolist():
             try:
                 self.books[rows[i]].factorise(hs[i])
             except Exception as exc:
                 errors[rows[i]] = exc
 
 
-def _refreshed(d: int, a: float, t: float, logdet: float, c: float, delta: float):
-    """A refreshed cluster's logdet, log_norm, coef and expo: the determinant
-    lemma d log a + logdet + log1p(t) and the Student-t shape and constant
-    of the updated (c, delta).  Scalar, in ``math``: numpy's log and log1p
-    differ from it in the last bit."""
-    logdet = d * math.log(a) + logdet + math.log1p(t)
-    coef, expo = student_t_shape(c, delta)
-    return logdet, student_t_log_norm(coef, delta, d, logdet), coef, expo
+@lru_cache(maxsize=REFRESH_MEMO)
+def _refresh_tail(d: int, c: float, delta: float) -> tuple[float, float, float, float]:
+    """What the refresh of a cluster at (c, delta) by one observation takes
+    from (d, c, delta) alone: d log a of the determinant lemma (a of
+    ``conjugate_update``), and the updated (c + 1, delta + 1/2)'s Student-t
+    shape ``coef``, ``expo`` and ``student_t_constant``.  Scalar, in
+    ``math``, whose log differs from numpy's in the last bit; memoised, as
+    runs of one stream length share their counts, but bounded, as a merge
+    moves (c, delta) off the grid of counts."""
+    a = 2.0 * delta / (1.0 + 2.0 * delta)
+    coef, expo = student_t_shape(c + 1.0, delta + 0.5)
+    return d * math.log(a), coef, expo, student_t_constant(coef, delta + 0.5, d)
 
 
 def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> None:
@@ -420,7 +436,7 @@ class EngineConfig:
         return book.alpha(self.lam) if self.fixed_alpha is None else self.fixed_alpha
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Per-observation outcome: chosen label and the evidence behind it.
 
@@ -437,15 +453,24 @@ class StepRecord:
     innovation: bool
 
 
+def _sum_groups(rows: np.ndarray, n: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The rows, each zero past its first n terms, grouped by a width over
+    which numpy sums each of them bit for bit like those n terms: (rows,
+    width) pairs.  numpy sums fewer than 129 terms in 8 interleaved partial
+    sums over the first 8 (n // 8) and adds the rest one by one, so a row
+    of n < 128 terms sums alike over 8 (n // 8) + 7 = n | 7 of them.  More
+    terms numpy splits in halves first, so those rows keep their n."""
+    widths = np.where(n < 128, n | 7, n)
+    return [(rows[widths == w], w) for w in set(widths.tolist())]
+
+
 def _prefix_sums(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """q[r, :n[r]].sum() of each row r, bit for bit, for rows that are zero
-    past n[r].  numpy adds fewer than 8 terms in order, which gives the
-    running sum's entry n - 1; more it adds in 8 interleaved partial sums,
-    which a row padded past n would group differently, so such a row is
-    summed over its own first n entries."""
-    total = np.add.accumulate(q, axis=1)[np.arange(len(q)), n - 1]
-    for r in np.flatnonzero(n >= 8):
-        total[r] = q[r, :n[r]].sum()
+    past n[r]: one sum per group of ``_sum_groups``, as ``responsibilities``
+    sums the rows that ``BookStack.scored`` picks."""
+    total = np.empty(len(q))
+    for rows, width in _sum_groups(np.arange(len(q)), n):
+        total[rows] = q[rows, :width].sum(axis=1)
     return total
 
 
@@ -461,9 +486,9 @@ def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     blank slot scores -inf; ``log_new[r]`` is the new cluster's log weight,
     log(alpha) + ``prior_predictive(prior, ys[r])``.  Row r's q[:k + 1] is
     bit for bit the q of its book scored alone, and q is 0 past it: a row
-    padded past k + 1 is summed over its first k + 1 entries, because
-    numpy's pairwise sum groups the terms of a longer row differently.  For
-    a stack of one book, q is that book's row itself."""
+    padded past k + 1 whose terms numpy's pairwise sum would group
+    differently (``BookStack.scored``'s ``resum``) is summed over its first
+    k + 1 entries.  For a stack of one book, q is that book's row itself."""
     mu, prec, m, log_norm, coef, expo = stack.scored()
     if mu.ndim == 2:  # one book, in its own shapes: numpy's calls cost less on them
         k = len(m)
@@ -487,8 +512,8 @@ def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     logq -= logq.max(axis=1, keepdims=True)
     q = np.exp(logq, out=logq)
     total = q.sum(axis=1, keepdims=True)
-    if len(short):
-        total[short, 0] = _prefix_sums(q[short], short_k + 1)
+    for rows, width in stack.resum:  # ``_prefix_sums`` of those rows
+        total[rows, 0] = q[rows, :width].sum(axis=1)
     q /= total
     return q
 
@@ -525,9 +550,10 @@ def step(
     cluster 1 and reads none.  Rows that are not an R x d array are
     converted and checked.
 
-    Births come first, as a birth may re-store the stack.  Then a stack of
-    one book updates it with ``ClusterBook.absorb``, in its own shapes, and
-    a stack of several updates all of them with one ``BookStack.absorb``."""
+    A stack of one book updates it with ``ClusterBook.absorb``, in its own
+    shapes.  A stack of several does its births first, as a birth may
+    re-store the stack, and then updates all of its books with one
+    ``BookStack.absorb``.  The records come last."""
     books, d, ks = stack.books, stack.dim, stack.ks.tolist()
     if getattr(ys, "shape", None) != (len(books), d):  # the rows ``run_many`` passes are shaped
         ys = np.array([_observation(y, d) for y in ys]).reshape(len(books), d)
@@ -543,38 +569,35 @@ def step(
     q = responsibilities(stack, ys, weights)
     labels = _labels(q, ks, configs, uniforms)
     errors: list[Exception | None] = [None] * len(books)
-    one = q.ndim == 1  # one book updates in its own shapes, with ``ClusterBook.absorb``
-    if not one:  # births first, as a birth may re-store the stack; then one update of all
-        for r, (book, k, config, label) in enumerate(zip(books, ks, configs, labels)):
+    if q.ndim == 1:  # one book, in its own shapes: its q is its row
+        (book,), (k,), (label,), rows = books, ks, labels, (q,)
+        try:
+            if label > k:  # a new cluster is the prior absorbing its first observation
+                book.add(configs[0].prior.state, 0, 0.0)
+            book.absorb(label - 1, ys[0])
+            book.m[label - 1] += 1
+        except Exception as exc:
+            errors[0] = exc
+    else:
+        rows = q
+        for r in np.flatnonzero(np.array(labels) > stack.ks).tolist():
             try:
-                if label == k + 1:
-                    book.add(config.prior.state, 0, 0.0)
+                books[r].add(configs[r].prior.state, 0, 0.0)
             except Exception as exc:
                 errors[r] = exc
         stack.absorb(labels, ys, errors)
     out: list[StepRecord | Exception] = []
-    rows = (q,) if one else q  # one book's q is its row
-    for book, k, config, y, alpha, label, qr, error in zip(
-        books, ks, configs, ys, alphas, labels, rows, errors
-    ):
+    for book, k, alpha, label, qr, error in zip(books, ks, alphas, labels, rows, errors):
         if error is not None:
             out.append(error)
             continue
-        try:
-            innovation = label == k + 1
-            if one:
-                if innovation:  # a new cluster is the prior absorbing its first observation
-                    book.add(config.prior.state, 0, 0.0)
-                book.absorb(label - 1, y)
-                book.m[label - 1] += 1
-            book.n += 1
-            book.window.append(qr[:k + innovation])  # an unused innovation slot's mass is dropped
-            out.append(StepRecord(
-                index=book.n, label=label, q=qr if k + 1 == len(qr) else qr[:k + 1],
-                alpha_used=float(alpha), k_after=k + innovation, innovation=innovation,
-            ))
-        except Exception as exc:
-            out.append(exc)
+        innovation = label > k
+        book.n += 1
+        book.window.append(qr[:k + innovation])  # an unused innovation slot's mass is dropped
+        # index, label, q, alpha_used, k_after, innovation: by position, as a
+        # call by keyword costs the record about twice as much
+        out.append(StepRecord(book.n, label, qr if k + 1 == len(qr) else qr[:k + 1],
+                              float(alpha), k + innovation, innovation))
     return out
 
 
@@ -792,14 +815,14 @@ def run_many(
         return results
     period = runs[0].config.maintenance_period
     stack = BookStack([run.book for run in runs], runs[0].stream.shape[1], 2)
+    live_configs = [run.config for run in runs]
     for start in range(0, max(run.n for run in runs), period):
         width = min(period, max(run.n for run in runs) - start)
         windows = zip(*(run.open_window(start, width) for run in runs))
         rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in windows)
         for j, i in enumerate(range(start + 1, start + width + 1)):
             due, left = i % period == 0, False
-            records = step(stack, rows[j], [run.config for run in runs], log_new[j].tolist(),
-                           uniforms[j].tolist())
+            records = step(stack, rows[j], live_configs, log_new[j].tolist(), uniforms[j].tolist())
             for run, record in zip(runs, records):
                 try:
                     if isinstance(record, Exception):
@@ -821,6 +844,7 @@ def run_many(
                 runs = [runs[r] for r in stay]
                 if not runs:
                     return results
+                live_configs = [run.config for run in runs]
                 stack.store([run.book for run in runs], stack.cap)
                 rows, log_new, uniforms = rows[:, stay], log_new[:, stay], uniforms[:, stay]
     return results

@@ -161,11 +161,17 @@ def student_t_shape(c: float, delta: float) -> tuple[float, float]:
     return c / (1.0 + c) / (2.0 * delta), delta + 0.5
 
 
+def student_t_constant(coef: float, delta: float, d: int) -> float:
+    """The part of ``student_t_log_norm`` that does not depend on sigma:
+    -d/2 log pi + d/2 log coef + ``log_gamma_ratio(delta, d)``."""
+    return -0.5 * d * math.log(math.pi) + 0.5 * d * math.log(coef) + log_gamma_ratio(delta, d)
+
+
 def student_t_log_norm(coef: float, delta: float, d: int, logdet: float) -> float:
     """The constant of ``log_predictive_density``, given its scale ``coef``
-    (``student_t_shape``) and logdet = log det sigma."""
-    return (-0.5 * d * math.log(math.pi) + 0.5 * d * math.log(coef)
-            + log_gamma_ratio(delta, d) - 0.5 * logdet)
+    (``student_t_shape``) and logdet = log det sigma: ``student_t_constant``
+    - logdet / 2."""
+    return student_t_constant(coef, delta, d) - 0.5 * logdet
 
 
 def student_t_factors(c: float, delta: float, sigma: np.ndarray

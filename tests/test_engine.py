@@ -22,8 +22,10 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     REFRESH_MAX_T,
+    REFRESH_MEMO,
     StepError,
     _prefix_sums,
+    _refresh_tail,
     _sum_in_order,
     merge,
     prune,
@@ -32,7 +34,7 @@ from asugs.engine import (
     run_many,
     step,
 )
-from asugs.bench import VARIANTS, variant_config
+from asugs.bench import VARIANTS, compare_variants, variant_config
 from asugs.data import generate_grid_mixture, read_trace, sample_mixture, write_trace
 from asugs.diagnostics import log_mixture_predictive_rows, run_with_diagnostics
 from asugs.niw import (
@@ -43,6 +45,7 @@ from asugs.niw import (
     prior_predictive,
     student_t_factors,
     student_t_log_density,
+    student_t_log_norm,
     student_t_shape,
 )
 
@@ -1344,6 +1347,87 @@ class TestBatchedUpdate:
         assert len(singles) == 60 and len(batches) == 60
 
 
+def resummed(stack):
+    """The rows of a stack whose q ``responsibilities`` sums again."""
+    stack.scored()
+    return sorted(r for rows, _ in stack.resum for r in rows.tolist())
+
+
+class TestRefreshTail:
+    """The refresh's scalars that depend on (d, c, delta) alone come from one
+    bounded memo, ``_refresh_tail``, bit for bit what they were."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_tail_is_shape_and_log_norm_bit_for_bit(self, d):
+        """At (c, delta) off the grid of counts, as a merge leaves them (sums
+        of two clusters' states), the tail is d log a, ``student_t_shape``
+        and, less logdet / 2, ``student_t_log_norm`` of the updated state;
+        ``ClusterBook.absorb`` of such a cluster leaves these values."""
+        rng = np.random.default_rng(d)
+        c0, delta0 = 0.01, d / 2.0 + 2.0
+        for _ in range(25):
+            m = rng.integers(1, 300, size=2)
+            c, delta = float((c0 + m).sum()), float((delta0 + m / 2.0).sum())
+            d_log_a, coef, expo, constant = _refresh_tail(d, c, delta)
+            assert d_log_a == d * math.log(2.0 * delta / (1.0 + 2.0 * delta))
+            assert (coef, expo) == student_t_shape(c + 1.0, delta + 0.5)
+            for logdet in rng.normal(size=4) * 10.0 ** rng.integers(-3, 4):
+                assert constant - 0.5 * logdet == student_t_log_norm(
+                    coef, delta + 0.5, d, float(logdet))
+            (post,) = random_posts(rng, 1, d)
+            book = make_book([replace(post, c=c, delta=delta)], [int(m.sum())], [1.0], n=9)
+            book.absorb(0, book.mu[0] + 0.1 * rng.normal(size=d))
+            assert (book.coef[0], book.expo[0]) == (coef, expo)
+            assert book.log_norm[0] == student_t_log_norm(coef, delta + 0.5, d, book.logdet[0])
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        """A run with merges, long enough to refresh more than ``REFRESH_MEMO``
+        distinct (c, delta) (its last 1500 rows go to one cluster), leaves the
+        memo at its bound."""
+        import asugs.engine as engine_mod
+
+        merges, real_merge = [], engine_mod.merge
+
+        def counted(book, eps_d):
+            events = real_merge(book, eps_d)
+            merges.extend(events)
+            return events
+
+        _refresh_tail.cache_clear()
+        monkeypatch.setattr(engine_mod, "merge", counted)
+        stream = np.concatenate([
+            sample_mixture(generate_grid_mixture(side, 0.025), n, seed=0).rows + shift
+            for side, n, shift in ((4, 3000, 0.0), (1, 1500, 5.0))])
+        run(stream, EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025)))
+        info = _refresh_tail.cache_info()
+        assert merges
+        assert info.misses > REFRESH_MEMO
+        assert info.currsize <= info.maxsize == REFRESH_MEMO
+
+    def test_compare_misses_once_per_distinct_key(self, monkeypatch):
+        """Over one seed-1 ``compare_variants`` call (10 trials, 40 runs in
+        lockstep), each step's refresh of each run reads the memo once, and
+        the memo computes each distinct (d, c, delta) once."""
+        import asugs.engine as engine_mod
+
+        keys = []
+
+        def spied(*key):
+            keys.append(key)
+            return _refresh_tail(*key)
+
+        _refresh_tail.cache_clear()
+        monkeypatch.setattr(engine_mod, "_refresh_tail", spied)
+        config = EngineConfig(seed=1000, prior=PriorConfig.from_scale(2, 0.1, 24)).resolve(2)
+        report = compare_variants(config, trials=10, truth=generate_grid_mixture(4),
+                                  n_train=500, n_test=10)
+        assert not any(row.error for row in report.rows)
+        info = _refresh_tail.cache_info()
+        assert len(keys) == info.hits + info.misses == 10 * len(VARIANTS) * 500
+        assert info.misses == len(set(keys)) == info.currsize < REFRESH_MEMO
+        assert info.hits > 50 * info.misses
+
+
 def random_posts(rng, k, d):
     posts = []
     for _ in range(k):
@@ -1356,25 +1440,47 @@ def random_posts(rng, k, d):
 class TestLockstepBits:
     """Three ways in which stepping runs together could change a run's bits."""
 
-    def test_padded_rows_normalise_over_their_own_k(self):
-        """Twenty books with k = 0 .. 19 in one stack: each row of q is its
-        book's q scored alone, although the shorter rows are padded to the
-        longest.  A plain row sum over a padded row would group the terms
-        of numpy's pairwise sum differently and differ in the last bit."""
-        rng = np.random.default_rng(0)
-        prior = PriorConfig.default(2)
-        books = [make_book(random_posts(rng, k, 2), list(rng.integers(1, 40, size=k)),
-                           [1.0] * k, n=40 * k + 1) for k in range(20)]
+    @staticmethod
+    def assert_rows_scored_alone(books, d, rng, steps):
+        """Each row of q of a stack of the books is its book's q scored alone,
+        and zero past it; returns the stack."""
+        prior = PriorConfig.default(d)
         alone = [copy.deepcopy(book) for book in books]
-        stack = BookStack(books, 2, 21)
-        for _ in range(20):
-            ys = rng.normal(size=(20, 2)) * 3
+        stack = BookStack(books, d, max(book.k for book in books) + 1)
+        for _ in range(steps):
+            ys = rng.normal(size=(len(books), d)) * 3
             weights = [math.log(rng.uniform(0.1, 5.0)) + prior_predictive(prior, y) for y in ys]
             q = responsibilities(stack, ys, weights)
             for r, (book, y, weight) in enumerate(zip(alone, ys, weights)):
-                own = responsibilities(book.stack or BookStack([book], 2, 2), y[None], [weight])
-                assert np.array_equal(q[r, :r + 1], own.reshape(-1)[:r + 1]), r
-                assert not q[r, r + 1:].any()
+                own = responsibilities(book.stack or BookStack([book], d, 2), y[None], [weight])
+                k = book.k
+                assert np.array_equal(q[r, :k + 1], own.reshape(-1)[:k + 1]), r
+                assert not q[r, k + 1:].any()
+        return stack
+
+    def test_padded_rows_normalise_over_their_own_k(self):
+        """Books with k = 0 .. top in one stack, for rows of top + 1 = 20,
+        15, 23 and 41 terms (2, 1, 2 and 5 blocks of 8): each row of q is its
+        book's q scored alone, although the shorter rows are padded to the
+        longest.  A plain row sum over a padded row whose k + 1 terms fill
+        fewer blocks would group the terms of numpy's pairwise sum
+        differently and differ in the last bit; a row that fills as many is
+        summed whole, and such rows occur at every width."""
+        rng = np.random.default_rng(0)
+        for top in (19, 14, 22, 40):
+            books = [make_book(random_posts(rng, k, 2), list(rng.integers(1, 40, size=k)),
+                               [1.0] * k, n=40 * k + 1) for k in range(top + 1)]
+            stack = self.assert_rows_scored_alone(books, 2, rng, steps=20)
+            assert 0 < len(resummed(stack)) < len(stack.short[0]), top
+
+    def test_rows_wider_than_128_are_all_summed_over_their_own_k(self):
+        """Past 128 terms numpy's sum splits a row in halves, so every short
+        row of a wider stack is summed over its own k + 1 terms."""
+        rng = np.random.default_rng(5)
+        books = [make_book(random_posts(rng, k, 1), list(rng.integers(1, 40, size=k)),
+                           [1.0] * k, n=40 * k + 1) for k in (0, 3, 9, 64, 120, 127, 129, 140)]
+        stack = self.assert_rows_scored_alone(books, 1, rng, steps=5)
+        assert resummed(stack) == stack.short[0].tolist() == list(range(7))
 
     def test_prefix_sums_group_like_numpys_sum(self):
         rng = np.random.default_rng(1)
@@ -1388,6 +1494,20 @@ class TestLockstepBits:
             assert _prefix_sums(q, lengths).tolist() == want
             differs += int((q.sum(axis=1) != want).sum())
         assert differs > 0  # the padded row sum is not the sum over k + 1
+
+    def test_rows_summed_again_are_those_of_another_block_count(self):
+        """``scored`` picks for summing again exactly the short rows whose
+        k + 1 terms fill another number of blocks of 8 than the row's."""
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            ks = rng.integers(0, 60, size=12).tolist()
+            stack = BookStack([k_cluster_book(k, n=k) for k in ks], 1, max(ks) + 1)
+            row = max(ks) + 1
+            want = [r for r, k in enumerate(ks) if k + 1 < row and (k + 1) // 8 != row // 8]
+            assert resummed(stack) == want
+            for rows, width in stack.resum:  # summed over their own blocks of 8
+                assert [(ks[r] + 1) // 8 for r in rows] == [width // 8] * len(rows)
+                assert width < row
 
     @pytest.mark.parametrize("books", [1, 3])
     def test_fold_of_single_clusters_adds_in_order(self, books):

@@ -15,6 +15,13 @@ was the slower one in 10 of 11 rounds) multiplies one round's ratio and
 divides the other's, so it cancels.  The script ends with the median over
 pairs and the number of pairs in which B took less time; ROUNDS must be even.
 
+For ``compare`` the call also samples each trial's data and scores it on
+the held-out set, which dilute a change in the fit.  So each round also
+prints each side's fit time per observation, the report rows' summed
+``runtime_s`` over the observations fitted (perfbench's
+``fit_us_per_obs``, unscaled), and the script reports its pairs the same
+way.
+
 The inputs are perfbench's (``perfbench/inputs.py``, full size, seed 1),
 and each operation is the one ``perfbench/rep.py`` times, with its
 configuration.  ``compare`` runs its trials in this process, one worker,
@@ -60,7 +67,8 @@ def install(src: str, name: str, into: str) -> None:
 
 
 def operation(name: str, workload: str, paths: dict):
-    """A call that runs the workload's operation with package ``name``."""
+    """A call that runs the workload's operation with package ``name``; for
+    ``compare`` it returns the fit time in us per observation."""
     data, engine, niw = (importlib.import_module(f"{name}.{module}")
                          for module in ("data", "engine", "niw"))
     size = SIZES["full"][workload]
@@ -69,8 +77,14 @@ def operation(name: str, workload: str, paths: dict):
         truth = data.read_truth(paths["truth"])
         config = engine.EngineConfig(seed=1000 * SEED, prior=niw.PriorConfig.from_scale(
             2, 0.1, 24)).resolve(2)
-        return lambda: bench.compare_variants(config, trials=size["trials"], truth=truth,
-                                              n_train=size["n_train"], n_test=size["n_test"])
+
+        def compare():
+            report = bench.compare_variants(config, trials=size["trials"], truth=truth,
+                                            n_train=size["n_train"], n_test=size["n_test"])
+            fit_s = sum(row.runtime_s for row in report.rows)
+            return 1e6 * fit_s / (size["n_train"] * len(report.rows))
+
+        return compare
     train, test = data.read_csv(paths["train"]), data.read_csv(paths["test"])
     truth = data.read_truth(paths["truth"]) if workload == "diagnose" else None
     d = train.dim
@@ -114,23 +128,36 @@ def main() -> None:
         calls = [operation(name, args.workload, paths) for name in ("asugs_a", "asugs_b")]
         for call in calls:  # untimed: imports, first-call set-up
             call()
-        ratios = []
+        ratios, fit_ratios = [], []
         for r in range(args.rounds):
-            times = [0.0, 0.0]
+            times, fits = [0.0, 0.0], [None, None]
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for side in order:
                 gc.collect()
                 start = time.process_time()
-                calls[side]()
+                fits[side] = calls[side]()
                 times[side] = time.process_time() - start
             ratios.append(times[1] / times[0])
-            print(f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
-                  f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}")
+            line = (f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
+                    f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}")
+            if fits[0] is not None:
+                fit_ratios.append(fits[1] / fits[0])
+                line += (f"; fit A {fits[0]:.3f} us/obs, B {fits[1]:.3f} us/obs, "
+                         f"B/A {fit_ratios[-1]:.4f}")
+            print(line)
+    summarise(args.workload, "", ratios)
+    if fit_ratios:
+        summarise(args.workload, " fit us/obs", fit_ratios)
+
+
+def summarise(workload: str, what: str, ratios: list[float]) -> None:
+    """Print each pair's geometric-mean B/A of rounds 2i - 1 and 2i, their
+    median and the number of pairs in which B was lower."""
     pairs = [math.sqrt(ab * ba) for ab, ba in zip(ratios[::2], ratios[1::2])]
     for i, pair in enumerate(pairs):
-        print(f"pair {i + 1:3d} (rounds {2 * i + 1}, {2 * i + 2}): B/A {pair:.4f}")
+        print(f"pair {i + 1:3d} (rounds {2 * i + 1}, {2 * i + 2}):{what} B/A {pair:.4f}")
     wins = sum(pair < 1.0 for pair in pairs)
-    print(f"{args.workload}: median pair B/A {statistics.median(pairs):.4f}, "
+    print(f"{workload}:{what} median pair B/A {statistics.median(pairs):.4f}, "
           f"B lower in {wins}/{len(pairs)} pairs")
 
 
