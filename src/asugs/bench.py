@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from asugs.data import Dataset, heldout_loglik, sample_mixture
+from asugs.data import HELDOUT_SEED_OFFSET, Dataset, heldout_loglik, sample_mixture
 from asugs.engine import EngineConfig, run, run_many  # run is unused here but stays
 # an attribute of this module: perfbench/tracer.py wraps it here
 from asugs.mixture import GaussianMixture
@@ -112,7 +112,8 @@ def _trial_data(context: _Context, trial: int) -> tuple[np.ndarray, Dataset | No
     seed = context.base.seed + trial
     if context.train is None:
         train = sample_mixture(context.truth, context.n_train, seed=seed).rows
-        return train, Dataset(sample_mixture(context.truth, context.n_test, seed=40000 + seed).rows)
+        test = sample_mixture(context.truth, context.n_test, seed=HELDOUT_SEED_OFFSET + seed)
+        return train, Dataset(test.rows)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(context.train.shape[0])
     return context.train[order], None if context.test is None else Dataset(context.test)
 

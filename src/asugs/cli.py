@@ -22,6 +22,7 @@ import numpy as np
 
 from asugs.bench import VARIANTS, compare_variants, variant_config
 from asugs.data import (
+    HELDOUT_SEED_OFFSET,
     DataError,
     config_record,
     generate_grid_mixture,
@@ -117,7 +118,7 @@ def cmd_generate(args) -> int:
         _require_new(p, args.force)
     mix = generate_grid_mixture(args.side, args.sigma2, args.spacing)
     train = sample_mixture(mix, args.n_train, seed=args.seed)
-    test = sample_mixture(mix, args.n_test, seed=40000 + args.seed)
+    test = sample_mixture(mix, args.n_test, seed=HELDOUT_SEED_OFFSET + args.seed)
     write_csv(paths[0], train)
     write_csv(paths[1], test)
     write_truth(paths[2], mix, generator_args={

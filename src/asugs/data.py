@@ -73,6 +73,9 @@ def generate_grid_mixture(
     )
 
 
+HELDOUT_SEED_OFFSET = 40000  # the held-out rows of training seed s are drawn under s + this
+
+
 def sample_mixture(mix: GaussianMixture, n: int, seed: int) -> Dataset:
     """n iid labeled draws, deterministic per seed (PCG64)."""
     if n < 1:
@@ -268,7 +271,9 @@ def read_trace(path) -> RunTrace:
     A malformed trace raises DataError naming the path, the row and the key,
     as does a trace out of order: a record before the config record, a
     second config record, a record after the final record, or a step whose
-    i is not the previous step's i + 1, starting at 1."""
+    i is not the previous step's i + 1, starting at 1.  So does a final
+    record whose n is not the number of step records, or whose k is not the
+    number of cluster records or (after a step) the last step's k."""
     lineno, config, final = 0, None, None
     records, checkpoints, book = [], [], ClusterBook()
     with open(path) as fh:
@@ -312,10 +317,13 @@ def read_trace(path) -> RunTrace:
                 raise DataError(f"{path}: row {lineno}: {name} record: {exc}") from exc
     if final is None:
         raise DataError(f"{path}: no final record after row {lineno}")
-    if final["k"] != book.k:
-        raise DataError(
-            f"{path}: row {final_row}: final record has k = {final['k']}, "
-            f"but the trace has {book.k} cluster records"
-        )
+    ends = [("k", book.k, f"the trace has {book.k} cluster records"),
+            ("n", len(records), f"the trace has {len(records)} step records")]
+    if records:
+        ends.append(("k", records[-1].k_after, f"the last step has k = {records[-1].k_after}"))
+    for key, want, found in ends:
+        if final[key] != want:
+            raise DataError(f"{path}: row {final_row}: final record has {key} = {final[key]}, "
+                            f"but {found}")
     book.n = final["n"]
     return RunTrace(config=config, records=records, final_book=book, checkpoints=checkpoints)

@@ -464,16 +464,6 @@ def _sum_groups(rows: np.ndarray, n: np.ndarray) -> list[tuple[np.ndarray, int]]
     return [(rows[widths == w], w) for w in set(widths.tolist())]
 
 
-def _prefix_sums(q: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """q[r, :n[r]].sum() of each row r, bit for bit, for rows that are zero
-    past n[r]: one sum per group of ``_sum_groups``, as ``responsibilities``
-    sums the rows that ``BookStack.scored`` picks."""
-    total = np.empty(len(q))
-    for rows, width in _sum_groups(np.arange(len(q)), n):
-        total[rows] = q[rows, :width].sum(axis=1)
-    return total
-
-
 def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     """Posterior probability of each label, one row per book of the stack:
     the book's existing clusters, then a new one at position k.
@@ -512,7 +502,7 @@ def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     logq -= logq.max(axis=1, keepdims=True)
     q = np.exp(logq, out=logq)
     total = q.sum(axis=1, keepdims=True)
-    for rows, width in stack.resum:  # ``_prefix_sums`` of those rows
+    for rows, width in stack.resum:  # summed again, as numpy sums their own k + 1 terms
         total[rows, 0] = q[rows, :width].sum(axis=1)
     q /= total
     return q

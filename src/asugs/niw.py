@@ -18,8 +18,6 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import cholesky
 
-from asugs.mixture import row_quad_forms
-
 
 def check_state(mu, c, delta, sigma, names=("mu", "c", "delta", "sigma")):
     """(mu, c, delta, sigma) as arrays and floats, each checked: finite, sigma
@@ -206,7 +204,7 @@ def _observation(y, d: int, window: bool = False) -> np.ndarray:
 
 def quad_forms(e: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """e^T prec e for each row of e (... x d), against the matching or a shared
-    prec (d x d): the few-row scorer, a batched matmul sandwich."""
+    prec (d x d): a batched matmul sandwich, the scorer of one row or a window."""
     return (e[..., None, :] @ prec @ e[..., :, None])[..., 0, 0]
 
 
@@ -223,9 +221,10 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float | np.ndar
 
     with r = c/(1+c) and Q the sigma^-1 quadratic form of (y - mu)
     (``quad_forms``, so a row of a window scores bit for bit as that row
-    alone).  The constant makes the density integrate to exactly 1 over
-    R^d, so values are comparable across clusters with different c and
-    delta.
+    alone; a Q that overflows scores -inf without a warning).  The constant
+    makes the density integrate to exactly 1 over R^d, so values are
+    comparable across clusters with different c and delta.  The window form
+    is the scorer of many rows under one posterior.
 
     Raises ``numpy.linalg.LinAlgError`` if sigma has lost positive
     definiteness; recovery is the caller's decision.
@@ -233,16 +232,10 @@ def log_predictive_density(post: NiwPosterior, y: np.ndarray) -> float | np.ndar
     prec, _, log_norm, coef, expo = post.factors
     window = np.ndim(y) > 1
     e = _observation(y, post.dim, window) - post.mu
-    log_density = student_t_log_density(log_norm, coef, expo, quad_forms(e, prec))
+    with np.errstate(over="ignore"):
+        quad = quad_forms(e, prec)
+    log_density = student_t_log_density(log_norm, coef, expo, quad)
     return log_density if window else float(log_density)
-
-
-def log_predictive_density_rows(post: NiwPosterior, ys: np.ndarray) -> np.ndarray:
-    """``log_predictive_density`` of many rows ys (N x d), through the many-row
-    scorer ``mixture.row_quad_forms``."""
-    prec, _, log_norm, coef, expo = post.factors
-    quad = row_quad_forms(ys, post.mu[None], prec[None])[0]
-    return student_t_log_density(log_norm, coef, expo, quad, out=quad)
 
 
 def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float | np.ndarray:

@@ -44,7 +44,6 @@ from asugs.niw import (
     NiwPosterior,
     PriorConfig,
     log_predictive_density,
-    log_predictive_density_rows,
     posterior_update,
 )
 from test_sugs_reference import ref_sugs_labels
@@ -128,7 +127,7 @@ def _integral_2d(post, n_nodes=500):
     jac = [s[i] / np.cos(theta) ** 2 for i in range(2)]
     xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
     grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    vals = np.exp(log_predictive_density_rows(post, grid)).reshape(n_nodes, n_nodes)
+    vals = np.exp(log_predictive_density(post, grid)).reshape(n_nodes, n_nodes)
     return float(np.sum(vals * np.outer(jac[0], jac[1])) * w * w)
 
 

@@ -367,6 +367,16 @@ class TestTracePersistence:
             pytest.param(lambda lines: (lines[:150], None), "no final record", id="cut"),
             pytest.param(lambda lines: (lines[:-3] + lines[-2:], len(lines) - 1),
                          "final record has k = ", id="cluster-dropped"),
+            pytest.param(replace_first("final", lambda rec: {**rec, "n": 5000}),
+                         "final record has n = 5000, but the trace has 300 step records",
+                         id="final-n-not-step-count"),
+            pytest.param(lambda lines: (lines[:300] + lines[301:], len(lines) - 1),  # step i = 300
+                         "final record has n = 300, but the trace has 299 step records",
+                         id="last-step-dropped"),
+            pytest.param(lambda lines: (lines[:300] + [{**lines[300], "k": lines[300]["k"] + 1}]
+                                        + lines[301:], len(lines)),
+                         "final record has k = [0-9]+, but the last step has k = [0-9]+",
+                         id="last-step-k"),
             pytest.param(replace_first("step", lambda rec: without(rec, "q")),
                          "step record: expected keys", id="step-without-q"),
             pytest.param(replace_first("step", lambda rec: {**rec, "extra": 1}),

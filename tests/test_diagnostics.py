@@ -47,7 +47,6 @@ from asugs.niw import (
     NiwPosterior,
     PriorConfig,
     log_predictive_density,
-    log_predictive_density_rows,
     posterior_update,
     prior_predictive,
 )
@@ -407,11 +406,12 @@ class TestLoglogProductBound:
 
 def row_built_deviation(post, mean, cov, n_grid=160, pad_stds=5.0):
     """The sup-norm gap on the rows of the tensor grid: the Student-t by the
-    row scorer, the Gaussian by ``GaussianMixture.pdf``."""
+    window form of ``log_predictive_density``, the Gaussian by
+    ``GaussianMixture.pdf``."""
     mean, cov = np.asarray(mean, dtype=float).reshape(-1), np.asarray(cov, dtype=float)
     sd = math.sqrt(np.linalg.eigvalsh(cov).max())
     grid, _ = tensor_grid(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
-    gap = np.exp(log_predictive_density_rows(post, grid))
+    gap = np.exp(log_predictive_density(post, grid))
     gap -= GaussianMixture(weights=np.ones(1), means=mean, covariances=cov).pdf(grid)
     return float(np.max(np.abs(gap)))
 

@@ -24,8 +24,8 @@ from asugs.engine import (
     REFRESH_MAX_T,
     REFRESH_MEMO,
     StepError,
-    _prefix_sums,
     _refresh_tail,
+    _sum_groups,
     _sum_in_order,
     merge,
     prune,
@@ -1491,7 +1491,10 @@ class TestLockstepBits:
             for r, n in enumerate(lengths):
                 q[r, :n] = np.exp(rng.normal(size=n) * 4.0)
             want = [q[r, :n].sum() for r, n in enumerate(lengths)]
-            assert _prefix_sums(q, lengths).tolist() == want
+            total = np.empty(len(q))
+            for rows, width in _sum_groups(np.arange(len(q)), lengths):  # as ``responsibilities``
+                total[rows] = q[rows, :width].sum(axis=1)
+            assert total.tolist() == want
             differs += int((q.sum(axis=1) != want).sum())
         assert differs > 0  # the padded row sum is not the sum over k + 1
 

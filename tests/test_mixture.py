@@ -20,7 +20,6 @@ from asugs.niw import (
     NiwPosterior,
     PriorConfig,
     log_predictive_density,
-    log_predictive_density_rows,
     prior_predictive,
     student_t_log_norm,
     student_t_shape,
@@ -134,7 +133,7 @@ class TestLogSumExp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for logdens in (truth.logpdf, lambda ys: log_mixture_predictive_rows(book, ys),
-                            lambda ys: log_predictive_density_rows(prior.state, ys)):
+                            lambda ys: log_predictive_density(prior.state, ys)):
                 assert np.all(logdens(OVERFLOW_ROWS) == -np.inf)
                 assert np.all(np.isfinite(logdens(ORDINARY_ROWS)))
 

@@ -18,7 +18,6 @@ from asugs.niw import (
     PriorConfig,
     log_gamma_ratio,
     log_predictive_density,
-    log_predictive_density_rows,
     posterior_update,
     prior_predictive,
     student_t_shape,
@@ -171,7 +170,7 @@ class TestLogPredictiveDensity:
         post = NiwPosterior(mu=rng.normal(size=2), c=3.0, delta=4.0,
                             sigma=a @ a.T + np.eye(2))
         ys = rng.normal(size=(40, 2)) * 3
-        batch = log_predictive_density_rows(post, ys)
+        batch = log_predictive_density(post, ys)
         for i, y in enumerate(ys):
             assert batch[i] == pytest.approx(log_predictive_density(post, y), rel=1e-13)
         # a window of rows, of any leading shape, scores each row as that row alone
@@ -318,8 +317,8 @@ class TestCachedFactors:
         post = NiwPosterior(mu=np.array([0.5, -1.0]), c=3.0, delta=4.0,
                             sigma=np.array([[2.0, 0.3], [0.3, 1.0]]))
         ys = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]])
-        first = log_predictive_density_rows(post, ys)
-        np.testing.assert_array_equal(log_predictive_density_rows(post, ys), first)
+        first = log_predictive_density(post, ys)
+        np.testing.assert_array_equal(log_predictive_density(post, ys), first)
         assert len(calls) == 1
         prec, *rest = real(post.c, post.delta, post.sigma)
         np.testing.assert_array_equal(post.factors[0], prec)

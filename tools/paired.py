@@ -3,30 +3,33 @@
     python3 tools/paired.py SRC_A SRC_B WORKLOAD ROUNDS   (ROUNDS even)
 
 SRC_A and SRC_B are directories that hold an ``asugs`` package, such as
-the ``src`` of two checkouts.  Both packages are copied, renamed
-``asugs_a`` and ``asugs_b``, into a temporary directory and imported into
-this one process.  After one untimed call of each, every round calls the
-workload's operation once with each package, alternating which goes first,
-and times each call with ``time.process_time``.  The script prints each
-round's times and B/A ratio.  Rounds 2i - 1 (A first) and 2i (B first) form
-pair i, whose ratio is the geometric mean of the two rounds' B/A: a constant
-factor on the call that goes second (on a shared 2-core host, the second call
-was the slower one in 10 of 11 rounds) multiplies one round's ratio and
-divides the other's, so it cancels.  The script ends with the median over
-pairs and the number of pairs in which B took less time; ROUNDS must be even.
+the ``src`` of two checkouts.  Each package is imported as it is, module
+by module, into this one process, and its modules are then taken out of
+``sys.modules``; before each call, the modules of the tree being called
+are put back.  Each call is the workload's operation from
+``perfbench/rep.py`` (``rep.OPERATIONS``), with its configuration and its
+output checks, on perfbench's inputs (``perfbench/inputs.py``, full size,
+seed 1).  ``compare`` runs its trials in this process, one worker, so
+that ``process_time`` counts them.  BLAS is pinned to one thread, as in
+perfbench.
 
-For ``compare`` the call also samples each trial's data and scores it on
-the held-out set, which dilute a change in the fit.  So each round also
-prints each side's fit time per observation, the report rows' summed
-``runtime_s`` over the observations fitted (perfbench's
-``fit_us_per_obs``, unscaled), and the script reports its pairs the same
-way.
+After one untimed call of each, every round calls the operation once with
+each tree, alternating which goes first, and times each whole call with
+``time.process_time``.  The script prints each round's times and B/A
+ratio, and each side's fit time per observation: the operation's
+``fit_s`` over its ``n_obs`` (perfbench's ``fit_us_per_obs``, unscaled,
+wall clock), which leaves out what the operation does around the fit,
+such as reading, sampling and scoring the held-out set.  Rounds 2i - 1
+(A first) and 2i (B first) form pair i, whose ratio is the geometric mean
+of the two rounds' B/A: a constant factor on the call that goes second
+(on a shared 2-core host, the second call was the slower one in 10 of 11
+rounds) multiplies one round's ratio and divides the other's, so it
+cancels.  For both the call time and the fit time, the script ends with
+the median over pairs and the number of pairs in which B took less time.
 
-The inputs are perfbench's (``perfbench/inputs.py``, full size, seed 1),
-and each operation is the one ``perfbench/rep.py`` times, with its
-configuration.  ``compare`` runs its trials in this process, one worker,
-so that ``process_time`` counts them.  BLAS is pinned to one thread, as
-in perfbench.
+A call whose result counts a failed operation stops the script with its
+problems.  The script then says whether every call of A and every call of
+B gave the same output digests, and exits with status 1 if they did not.
 
 perfbench starts one process per repetition, and on a shared host the
 speed of a process can differ from the next one's by about 10%; here both
@@ -36,78 +39,55 @@ the tests nor the benchmark run it.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported
-
 import argparse
 import gc
 import importlib
+import json
 import math
-import re
+import os
+import pkgutil
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import GRID_SIGMA2, SIZES, WORKLOADS, make_inputs  # noqa: E402
+import rep  # noqa: E402  (imports no numpy)
+
+os.environ.update(dict.fromkeys(rep.BLAS_VARS, "1"))  # before numpy is imported
+from inputs import SIZES, WORKLOADS, make_inputs  # noqa: E402
 
 SEED = 1
+CLOCK = SimpleNamespace(ready=rep.now)  # rep's Clock without the reference kernel
 
 
-def install(src: str, name: str, into: str) -> None:
-    """Copy the ``asugs`` package under src to into/name, renaming its imports."""
-    package = Path(into, name)
-    package.mkdir()
-    for module in Path(src, "asugs").glob("*.py"):
-        (package / module.name).write_text(re.sub(r"\basugs\b", name, module.read_text()))
+def load(src: str) -> dict:
+    """Every module of the ``asugs`` package under src, imported and then
+    taken out of ``sys.modules``."""
+    package = Path(src, "asugs")
+    sys.path.insert(0, src)
+    try:
+        for module in pkgutil.iter_modules([str(package)]):
+            importlib.import_module(f"asugs.{module.name}")
+    finally:
+        sys.path.remove(src)
+    modules = {name: module for name, module in sys.modules.items()
+               if name == "asugs" or name.startswith("asugs.")}
+    for name in modules:
+        del sys.modules[name]
+    return modules
 
 
-def operation(name: str, workload: str, paths: dict):
-    """A call that runs the workload's operation with package ``name``; for
-    ``compare`` it returns the fit time in us per observation."""
-    data, engine, niw = (importlib.import_module(f"{name}.{module}")
-                         for module in ("data", "engine", "niw"))
-    size = SIZES["full"][workload]
-    if workload == "compare":
-        bench = importlib.import_module(f"{name}.bench")
-        truth = data.read_truth(paths["truth"])
-        config = engine.EngineConfig(seed=1000 * SEED, prior=niw.PriorConfig.from_scale(
-            2, 0.1, 24)).resolve(2)
-
-        def compare():
-            report = bench.compare_variants(config, trials=size["trials"], truth=truth,
-                                            n_train=size["n_train"], n_test=size["n_test"])
-            fit_s = sum(row.runtime_s for row in report.rows)
-            return 1e6 * fit_s / (size["n_train"] * len(report.rows))
-
-        return compare
-    train, test = data.read_csv(paths["train"]), data.read_csv(paths["test"])
-    truth = data.read_truth(paths["truth"]) if workload == "diagnose" else None
-    d = train.dim
-    if workload == "wide-fit":
-        config = engine.EngineConfig(seed=SEED, prior=niw.PriorConfig.from_scale(d, 1.0, 2 * d),
-                                     prune_eps=0.0, merge_eps=0.0).resolve(d)
-    else:
-        config = engine.EngineConfig(seed=SEED, prior=niw.PriorConfig.from_scale(
-            d, GRID_SIGMA2, 64)).resolve(d)
-
-    def call():
-        if workload == "diagnose":
-            diagnostics = importlib.import_module(f"{name}.diagnostics")
-            trace = diagnostics.run_with_diagnostics(
-                train.rows, config, truth=truth, checkpoint_every=size["checkpoint_every"])
-        else:
-            trace = engine.run(train.rows, config)
-        if workload == "grid-fit":
-            data.write_trace(paths["trace"], trace)
-            data.read_trace(paths["trace"])
-        data.heldout_loglik(trace.final_book, test)
-
-    return call
+def call(modules: dict, workload: str, paths: dict) -> dict:
+    """The workload's operation with the tree's modules; stops on a failure."""
+    sys.modules.update(modules)
+    spec = {"seed": SEED, "size": SIZES["full"][workload], "workers": 1}
+    out = rep.OPERATIONS[workload](spec, paths, CLOCK)
+    if out["failed"]:
+        sys.exit(f"error: {out['failed']} failed operation(s): " + "; ".join(out["problems"]))
+    return out
 
 
 def main() -> None:
@@ -119,35 +99,40 @@ def main() -> None:
     args = parser.parse_args()
     if args.rounds < 2 or args.rounds % 2:
         parser.error(f"ROUNDS must be a positive even number (AB/BA pairs), got {args.rounds}")
+    srcs = [os.path.abspath(src) for src in (args.src_a, args.src_b)]
+    for src in srcs:
+        if not Path(src, "asugs", "__init__.py").is_file():
+            sys.exit(f"error: no asugs package under {src}")
+    trees = [load(src) for src in srcs]
+    digests = [set(), set()]
     with tempfile.TemporaryDirectory() as tmp:
         paths = make_inputs(args.workload, SEED, SIZES["full"][args.workload], Path(tmp))
         paths["trace"] = str(Path(tmp, "trace.jsonl"))
-        for name, src in (("asugs_a", args.src_a), ("asugs_b", args.src_b)):
-            install(src, name, tmp)
-        sys.path.insert(0, tmp)
-        calls = [operation(name, args.workload, paths) for name in ("asugs_a", "asugs_b")]
-        for call in calls:  # untimed: imports, first-call set-up
-            call()
+        for tree in trees:  # untimed: first-call set-up
+            call(tree, args.workload, paths)
         ratios, fit_ratios = [], []
         for r in range(args.rounds):
-            times, fits = [0.0, 0.0], [None, None]
+            times, fits = [0.0, 0.0], [0.0, 0.0]
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for side in order:
                 gc.collect()
                 start = time.process_time()
-                fits[side] = calls[side]()
+                out = call(trees[side], args.workload, paths)
                 times[side] = time.process_time() - start
+                fits[side] = 1e6 * out["fit_s"] / out["n_obs"]
+                digests[side].add(json.dumps(out["digest"], sort_keys=True))
             ratios.append(times[1] / times[0])
-            line = (f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
-                    f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}")
-            if fits[0] is not None:
-                fit_ratios.append(fits[1] / fits[0])
-                line += (f"; fit A {fits[0]:.3f} us/obs, B {fits[1]:.3f} us/obs, "
-                         f"B/A {fit_ratios[-1]:.4f}")
-            print(line)
+            fit_ratios.append(fits[1] / fits[0])
+            print(f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
+                  f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}; fit A {fits[0]:.3f} us/obs, "
+                  f"B {fits[1]:.3f} us/obs, B/A {fit_ratios[-1]:.4f}")
     summarise(args.workload, "", ratios)
-    if fit_ratios:
-        summarise(args.workload, " fit us/obs", fit_ratios)
+    summarise(args.workload, " fit us/obs", fit_ratios)
+    if len(digests[0]) == 1 and digests[0] == digests[1]:
+        print(f"{args.workload}: digests equal: {digests[0].pop()}")
+        return
+    print(f"{args.workload}: digests differ: A {sorted(digests[0])}, B {sorted(digests[1])}")
+    sys.exit(1)
 
 
 def summarise(workload: str, what: str, ratios: list[float]) -> None:
