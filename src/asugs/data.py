@@ -263,6 +263,23 @@ def write_trace(path, trace: RunTrace) -> None:
         fh.write(_FINAL.line(_FINAL.values(book)))
 
 
+def _check_chain(step: dict, k: int) -> None:
+    """A step record's values against k, the k of the step before it (0
+    before step 1): q scores those k clusters and a new one, the label is
+    one of its entries and is the new one exactly at an innovation, and the
+    step leaves between 1 and len(q) clusters."""
+    width, label = len(step["q"]), step["label"]
+    if width != k + 1:
+        raise ValueError(f"q must have the previous step's k + 1 = {k + 1} entries, got {width}")
+    if not 1 <= label <= width:
+        raise ValueError(f"label must be in 1..len(q) = {width}, got {label}")
+    if step["innovation"] != (label == width):
+        raise ValueError(f"innovation must be {str(label == width).lower()} for label {label} "
+                         f"of len(q) = {width}, got {str(step['innovation']).lower()}")
+    if not 1 <= step["k_after"] <= width:
+        raise ValueError(f"k must be in 1..len(q) = {width}, got {step['k_after']}")
+
+
 def read_trace(path) -> RunTrace:
     """Load a trace written by ``write_trace``; its final book is rebuilt with
     ``ClusterBook.add`` (cids 1..k, pair histories at zero).  Each value is
@@ -271,9 +288,11 @@ def read_trace(path) -> RunTrace:
     A malformed trace raises DataError naming the path, the row and the key,
     as does a trace out of order: a record before the config record, a
     second config record, a record after the final record, or a step whose
-    i is not the previous step's i + 1, starting at 1.  So does a final
-    record whose n is not the number of step records, or whose k is not the
-    number of cluster records or (after a step) the last step's k."""
+    i is not the previous step's i + 1, starting at 1, or whose q, label,
+    innovation or k do not follow from the previous step's k
+    (``_check_chain``).  So does a final record whose n is not the number
+    of step records, or whose k is not the number of cluster records or
+    (after a step) the last step's k."""
     lineno, config, final = 0, None, None
     records, checkpoints, book = [], [], ClusterBook()
     with open(path) as fh:
@@ -302,6 +321,7 @@ def read_trace(path) -> RunTrace:
                 elif kind is _STEP:
                     if v["index"] != len(records) + 1:
                         raise ValueError(f"i must be {len(records) + 1}, got {v['index']}")
+                    _check_chain(v, records[-1].k_after if records else 0)
                     records.append(StepRecord(**v))
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))

@@ -12,11 +12,13 @@ A run's whole state is one ``ClusterBook``: the live clusters in birth
 order, the observation count n (from which, with k, the adaptive
 concentration follows) and two K x K arrays of pairwise responsibility
 histories indexed by position in that order.  A single run is strictly
-sequential and owns its book; distinct runs share nothing and may
-execute concurrently.  ``run_many`` steps independent runs in lockstep:
-their books are the rows of one ``BookStack``, so that a step scores,
-normalises and updates all of them with one numpy call each, and ``run``
-is ``run_many`` of one stream.
+sequential, and independent runs may execute concurrently.
+``run_many`` steps independent runs in lockstep: their books are the
+rows of one ``BookStack``, so that a step scores, normalises and updates
+all of them with one numpy call each, and ``run`` is ``run_many`` of one
+stream.  Runs that would take the same steps (one rows object, one seed,
+one scoring config) share one book and one row until their maintenance
+differs.
 """
 
 from __future__ import annotations
@@ -591,26 +593,35 @@ def step(
     return out
 
 
-def prune(book: ClusterBook, eps_r: float) -> list[int]:
-    """Remove clusters whose relative running weight fell below eps_r.
+def prune_mask(book: ClusterBook, eps_r: float) -> np.ndarray | None:
+    """The clusters ``prune`` keeps, as a mask, or None if it would remove
+    none; the book is not changed.
 
-    Thresholds are evaluated against the pre-sweep normalization, all
-    removals happen in one sweep, and the last cluster is never removed.
-    Counts of removed clusters are dropped; n stays as is.  Returns the
-    cids of removed clusters.
+    A cluster goes when its relative running weight fell below eps_r.
+    Thresholds are evaluated against the pre-sweep normalization, and the
+    last cluster is never removed.
     """
     if book.k <= 1 or eps_r <= 0.0:
-        return []
+        return None
     total = book.w.sum()
     if total <= 0.0:
-        return []
+        return None
     rel = book.w / total
     kept = rel >= eps_r
     if not kept.any():
         kept[int(np.argmax(rel))] = True
+    return None if kept.all() else kept
+
+
+def prune(book: ClusterBook, eps_r: float) -> list[int]:
+    """Remove the clusters that ``prune_mask`` drops, all in one sweep.
+    Counts of removed clusters are dropped; n stays as is.  Returns the
+    cids of removed clusters."""
+    kept = prune_mask(book, eps_r)
+    if kept is None:
+        return []
     removed = book.cid[~kept].tolist()
-    if removed:
-        book.keep(kept)
+    book.keep(kept)
     return removed
 
 
@@ -618,8 +629,9 @@ MERGE_MIN_COACTIVITY = 1.0  # one observation's worth of shared mass
 MERGE_EVIDENCE_RATIO = 0.65  # diff sum must stay well below the shared mass
 
 
-def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
-    """Fuse cluster pairs whose time-averaged responsibility distance is small.
+def merge_pairs(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
+    """The (survivor, absorbed) positions that ``merge`` fuses, in its
+    order; the book is not changed.
 
     Pairs with d_q = dist/n below eps_d merge greedily in ascending
     d_q; each cluster participates in at most one merge per sweep.  A
@@ -627,10 +639,7 @@ def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
     that were merely inactive, so a pair is only mergeable once it has
     received at least one observation's worth of combined responsibility
     and its accumulated |q_a - q_b| is small against that mass.  The
-    lower-index cluster survives with count-weighted convex combinations
-    of mu and sigma and summed c, delta, m, w; distance tracking for the
-    survivor restarts at zero.  Returns (survivor_cid, absorbed_cid)
-    pairs.
+    lower-index cluster survives.
     """
     if book.k <= 1 or eps_d <= 0.0 or book.n == 0:
         return []
@@ -642,27 +651,39 @@ def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
     candidates = sorted(
         (float(d_q[i, j]), i, j) for i, j in zip(iu.tolist(), ju.tolist()) if i < j
     )
+    merged: set[int] = set()
+    pairs = []
+    for _, i, j in candidates:
+        if i not in merged and j not in merged:
+            merged.update((i, j))
+            pairs.append((i, j))
+    return pairs
 
-    merged_positions: set[int] = set()
+
+def merge(book: ClusterBook, eps_d: float) -> list[tuple[int, int]]:
+    """Fuse the cluster pairs that ``merge_pairs`` picks.
+
+    The survivor gets count-weighted convex combinations of mu and sigma
+    and summed c, delta, m, w; distance tracking for the survivor
+    restarts at zero.  Returns (survivor_cid, absorbed_cid) pairs.
+    """
+    pairs = merge_pairs(book, eps_d)
+    if not pairs:
+        return []
     events: list[tuple[int, int]] = []
     kept = np.ones(book.k, dtype=bool)
-    for _, i, j in candidates:
-        if i in merged_positions or j in merged_positions:
-            continue
+    for i, j in pairs:
         a = book.c[i] / (book.c[i] + book.c[j])
         for arr in (book.mu, book.sigma):
             arr[i] = a * arr[i] + (1.0 - a) * arr[j]
         for arr in (book.c, book.delta, book.m, book.w):
             arr[i] += arr[j]
         book.factorise(i)
-        merged_positions.update((i, j))
         events.append((int(book.cid[i]), int(book.cid[j])))
-        for pairs in (book.dist, book.coact):
-            pairs[i, :] = pairs[:, i] = 0.0
+        for arr in (book.dist, book.coact):
+            arr[i, :] = arr[:, i] = 0.0
         kept[j] = False
-
-    if events:
-        book.keep(kept)
+    book.keep(kept)
     return events
 
 
@@ -724,7 +745,8 @@ def as_stream(stream) -> np.ndarray:
 
 @dataclass
 class _Run:
-    """One stream's run inside ``run_many``."""
+    """One stream's run inside ``run_many``.  The runs of a family hold one
+    ``book``, one ``records`` list and one ``rng`` until ``split``."""
 
     index: int
     stream: np.ndarray
@@ -750,17 +772,71 @@ class _Run:
         pad = rows[-1:].repeat(width - len(rows), axis=0)
         return np.concatenate([rows, pad]) if len(pad) else rows, log_new, uniforms
 
-    def maintain(self) -> None:
-        prune(self.book, self.config.prune_eps)
-        merge(self.book, self.config.merge_eps)
+    def shares(self, family: list["_Run"], results: list) -> bool:
+        """Whether another live run of the family holds this run's book."""
+        return len(family) > 1 and any(
+            other is not self and other.book is self.book and results[other.index] is None
+            for other in family)
+
+    def split(self) -> None:
+        """Take copies of the book, the records and the generator, which the
+        rest of the family keeps."""
+        self.book, self.rng = copy.deepcopy(self.book), copy.deepcopy(self.rng)
+        self.records = [StepRecord(r.index, r.label, r.q, r.alpha_used, r.k_after, r.innovation)
+                        for r in self.records]
+
+    def maintain(self, shared: bool) -> None:
+        """Prune, then merge.  A run that shares its book splits first if
+        either would change it."""
+        book, config = self.book, self.config
+        if shared and (prune_mask(book, config.prune_eps) is not None
+                       or merge_pairs(book, config.merge_eps)):
+            self.split()
+        prune(self.book, config.prune_eps)
+        merge(self.book, config.merge_eps)
         self.records[-1].k_after = self.book.k
 
-    def finish(self) -> "RunTrace":
+    def finish(self, shared: bool) -> "RunTrace":
+        """The run's trace, after the end-of-stream maintenance, with a book
+        and records of its own."""
+        if shared:
+            self.split()
         if self.maintained and self.n % self.config.maintenance_period != 0:
-            self.maintain()
+            self.maintain(False)
         if len(self.book.stack.books) > 1:  # leave a shared stack
             BookStack([self.book], self.stream.shape[1], self.book.k + 1)
         return RunTrace(config=self.config, records=self.records, final_book=self.book)
+
+
+def _families(runs: list[_Run], streams: list) -> list[list[_Run]]:
+    """The runs grouped into families, which step alike: same rows object,
+    seed, lam, selection, fixed_alpha and prior.  The runs of a family get
+    its first run's book, records and generator."""
+    families: dict[tuple, list[_Run]] = {}
+    for run in runs:
+        config, prior = run.config, run.config.prior
+        key = (id(streams[run.index]), config.seed, config.lam, config.selection,
+               config.fixed_alpha, prior.mu0.tobytes(), prior.c0, prior.delta0,
+               prior.sigma0.tobytes())
+        families.setdefault(key, []).append(run)
+    for lead, *rest in families.values():
+        for run in rest:
+            run.book, run.records, run.rng = lead.book, lead.records, lead.rng
+    return list(families.values())
+
+
+def _regroup(families: list[list[_Run]], results: list) -> tuple[list[list[_Run]], list[int]]:
+    """The live runs of each family grouped by the book they hold, and for
+    each group the position of the family it came from."""
+    groups, origin = [], []
+    for f, family in enumerate(families):
+        books: dict[int, list[_Run]] = {}
+        for run in family:
+            if results[run.index] is None:
+                books.setdefault(id(run.book), []).append(run)
+        groups += books.values()
+        origin += [f] * len(books)
+    return groups, origin
 
 
 def run_many(
@@ -772,16 +848,26 @@ def run_many(
     the ``RunTrace`` that ``run(streams[r], configs[r], on_step[r])`` returns
     or the exception it raises.
 
-    The runs share nothing but numpy calls: their books are the rows of one
-    ``BookStack``, and each ``step`` scores, normalises, selects and updates
-    all of them at once, while each book is pruned and merged on its own.
-    A run's trace is bit for bit its trace alone.  A run whose stream or
-    config is rejected, or whose step, maintenance or ``on_step`` raises,
-    gets that exception and leaves the lockstep; the others go on.  The
-    streams may differ in length, but their rows must have one dimension d
-    and their configs one ``maintenance_period``, as the rows step in
-    windows of that period; else ``ConfigError`` names the field.
-    ``on_step``, if given, holds one callback or None per stream.
+    The books are the rows of one ``BookStack``, and each ``step`` scores,
+    normalises, selects and updates all of them at once, while each book is
+    pruned and merged on its own.  Runs that step alike share a row.  A
+    family is the runs given the same rows object (one object, not equal
+    rows) with equal seed, lam, selection, fixed_alpha and prior, whose
+    configs then differ at most in prune_eps and merge_eps: until a prune
+    or merge acts, they take the same steps.  A family steps one book, with
+    one list of records and one generator; each of its runs calls its own
+    ``on_step`` with that book.  At each maintenance tick, a run whose
+    prune or merge would change the book splits off with copies of all
+    three, in a row of its own, and the others share on.  At the end of the
+    stream every run takes a book and records of its own (twins' records
+    share their q arrays).  A run's trace is bit for bit its trace alone.
+
+    A run whose stream or config is rejected, or whose step, maintenance or
+    ``on_step`` raises, gets that exception and leaves the lockstep; the
+    others go on.  The streams may differ in length, but their rows must
+    have one dimension d and their configs one ``maintenance_period``, as
+    the rows step in windows of that period; else ``ConfigError`` names the
+    field.  ``on_step``, if given, holds one callback or None per stream.
     """
     callbacks = [None] * len(streams) if on_step is None else list(on_step)
     if not len(streams) == len(configs) == len(callbacks):
@@ -803,40 +889,50 @@ def run_many(
             raise ConfigError(f"{name} must be the same for every run, got {values}")
     if not runs:
         return results
-    period = runs[0].config.maintenance_period
-    stack = BookStack([run.book for run in runs], runs[0].stream.shape[1], 2)
-    live_configs = [run.config for run in runs]
-    for start in range(0, max(run.n for run in runs), period):
-        width = min(period, max(run.n for run in runs) - start)
-        windows = zip(*(run.open_window(start, width) for run in runs))
-        rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in windows)
+    period, ends = runs[0].config.maintenance_period, {run.n for run in runs}
+    watched, n_max = any(run.on_step is not None for run in runs), max(ends)
+    families = _families(runs, streams)
+    stack = BookStack([family[0].book for family in families], runs[0].stream.shape[1], 2)
+    for start in range(0, n_max, period):
+        width = min(period, n_max - start)
+        windows = [family[0].open_window(start, width) for family in families]
+        rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
+        lead_configs = [family[0].config for family in families]
         for j, i in enumerate(range(start + 1, start + width + 1)):
             due, left = i % period == 0, False
-            records = step(stack, rows[j], live_configs, log_new[j].tolist(), uniforms[j].tolist())
-            for run, record in zip(runs, records):
-                try:
-                    if isinstance(record, Exception):
-                        raise StepError(i, record) from record
-                    run.records.append(record)
-                    if due:  # every window folds at the tick, maintained or not
-                        run.book.fold()
-                        if run.maintained:
-                            run.maintain()
-                    if run.on_step is not None:
-                        run.on_step(i, run.book)
-                    if i == run.n:
-                        results[run.index] = run.finish()
-                        left = True
-                except Exception as exc:
-                    results[run.index], left = exc, True
-            if left:  # runs that ended or failed leave the stack
-                stay = [r for r, run in enumerate(runs) if results[run.index] is None]
-                runs = [runs[r] for r in stay]
-                if not runs:
+            busy = due or watched or i in ends  # else a run only keeps its record
+            records = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j].tolist())
+            for family, record in zip(families, records):
+                if not isinstance(record, Exception):
+                    family[0].records.append(record)  # the family's runs share the list
+                    if not busy:
+                        continue
+                for run in family:
+                    try:
+                        if isinstance(record, Exception):
+                            raise StepError(i, record) from record
+                        if due:  # every window folds at the tick, maintained or not
+                            run.book.fold()
+                            if run.maintained:
+                                run.maintain(run.shares(family, results))
+                        if run.on_step is not None:
+                            run.on_step(i, run.book)
+                        if i == run.n:
+                            results[run.index] = run.finish(run.shares(family, results))
+                            left = True
+                    except Exception as exc:
+                        results[run.index], left = exc, True
+            if left or due:  # runs that ended, failed or copied their book change the rows
+                groups, origin = _regroup(families, results)
+                if not groups:
                     return results
-                live_configs = [run.config for run in runs]
-                stack.store([run.book for run in runs], stack.cap)
-                rows, log_new, uniforms = rows[:, stay], log_new[:, stay], uniforms[:, stay]
+                families = groups
+                lead_configs = [family[0].config for family in families]
+                books = [family[0].book for family in families]
+                if list(map(id, books)) != list(map(id, stack.books)):
+                    stack.store(books, stack.cap)
+                    rows, log_new, uniforms = (rows[:, origin], log_new[:, origin],
+                                               uniforms[:, origin])
     return results
 
 

@@ -106,9 +106,9 @@ class TestCompareVariants:
                                   n_train=60, n_test=30, workers=1)
         parallel = compare_variants(cfg, trials=2, truth=truth,
                                     n_train=60, n_test=30, workers=2)
-        for rs, rp in zip(serial.rows, parallel.rows):
-            assert rs.final_k == rp.final_k
-            assert rs.heldout_total == rp.heldout_total
+        assert len(serial.rows) == len(parallel.rows) == 2 * len(VARIANTS)
+        for rs, rp in zip(serial.rows, parallel.rows):  # every field but the timing
+            assert replace(rs, runtime_s=0.0) == replace(rp, runtime_s=0.0)
 
 
     @pytest.mark.parametrize("trials, workers", [(0, 1), (-1, 1), (1, 0), (2, -2)])

@@ -38,6 +38,11 @@ def replace_first(kind, edit):
     return apply
 
 
+def replace_step(i, edit):
+    """A trace edit that replaces step i, on row i + 1, by edit(record)."""
+    return lambda lines: (lines[:i] + [edit(lines[i])] + lines[i + 1:], i + 1)
+
+
 # The bytes write_trace gives format_trace(): every record kind, with an int
 # lam, a fixed_alpha, and checkpoint fields null and Infinity.
 FORMAT_TRACE = (
@@ -477,6 +482,20 @@ class TestTracePersistence:
                          "step record: i must be 2, got 1", id="steps-1-1"),
             pytest.param(lambda lines: (lines[:3] + [lines[1]] + lines[3:], 4),
                          "step record: i must be 3, got 1", id="steps-1-2-1"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "label": 99}),
+                         r"step record: label must be in 1\.\.len\(q\) = [0-9]+, got 99",
+                         id="label-past-q"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "label": 0}),
+                         r"step record: label must be in 1\.\.len\(q\) = [0-9]+, got 0",
+                         id="label-zero"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "q": rec["q"] + [0.0]}),
+                         "step record: q must have the previous step's k \\+ 1 = [0-9]+ entries",
+                         id="q-one-longer"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "innovation": not rec["innovation"]}),
+                         "step record: innovation must be (true|false) for label",
+                         id="innovation-flipped"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "k": 0}),
+                         r"step record: k must be in 1\.\.len\(q\) = [0-9]+, got 0", id="k-zero"),
             pytest.param(lambda lines: (lines[:2] + [{
                 "kind": "checkpoint", "n": 100, "k": 3, "alpha": 0.5, "likelihood_ratio": None,
                 "l2_distance": None, "kl_estimate": [1, 2], "kl_stderr": None}] + lines[2:], 3),

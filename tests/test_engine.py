@@ -1237,6 +1237,119 @@ class TestRunMany:
             run_many(streams, configs)
 
 
+def trial_twins(base_seed, trial, n=500):
+    """The four variants of one ``compare`` trial on the 4x4 grid truth, as
+    ``compare_variants`` hands them to ``run_many``: one rows object (its
+    first n rows) and the trial's seed for all four."""
+    seed = base_seed + trial
+    rows = sample_mixture(generate_grid_mixture(4), 500, seed=seed).rows[:n]
+    base = EngineConfig(seed=base_seed, prior=PriorConfig.from_scale(2, 0.1, 24))
+    return [rows] * len(VARIANTS), [replace(variant_config(base, v), seed=seed) for v in VARIANTS]
+
+
+def first_split(a, b):
+    """The first step at which two traces' records differ in label or k, or
+    None: for a run and its -PM twin, the first tick at which the twin's
+    prune or merge acted."""
+    return next((x.index for x, y in zip(a.records, b.records)
+                 if (x.label, x.k_after) != (y.label, y.k_after)), None)
+
+
+def rows_per_step(monkeypatch):
+    """The number of rows of each ``step`` that ``run_many`` makes from now on."""
+    import asugs.engine as engine_mod
+
+    seen, real_step = [], engine_mod.step
+
+    def spied(stack, *args):
+        seen.append(len(stack.books))
+        return real_step(stack, *args)
+
+    monkeypatch.setattr(engine_mod, "step", spied)
+    return seen
+
+
+class TestTwins:
+    """A -PM variant and its plain twin given one rows object and one seed
+    share one lockstep row until the -PM run's maintenance acts; every
+    trace stays that run's trace alone."""
+
+    @pytest.mark.parametrize("base_seed, trial, plain, split", [
+        (1000, 1, "ASUGS", 50), (1000, 9, "ASUGS", 450), (1000, 2, "ASUGS", None),
+        (2000, 8, "SUGS", 50)])
+    def test_twins_match_each_run_alone(self, base_seed, trial, plain, split, tmp_path):
+        streams, configs = trial_twins(base_seed, trial)
+        results = run_many(streams, configs)
+        assert_each_alone(streams, configs, results, tmp_path)
+        r = VARIANTS.index(plain)
+        assert first_split(results[r], results[r + 1]) == split
+
+    def test_one_row_per_family_until_the_split(self, monkeypatch):
+        """Trial 1's ASUGS twins split at the tick of step 50, its SUGS twins
+        never."""
+        streams, configs = trial_twins(1000, 1)
+        seen = rows_per_step(monkeypatch)
+        run_many(streams[:2], configs[:2])
+        assert seen == [1] * 50 + [2] * 450
+        seen.clear()
+        run_many(streams, configs)
+        assert seen == [2] * 50 + [3] * 450
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3], ids=VARIANTS)
+    def test_failing_on_step_fails_its_run_alone(self, failing, tmp_path):
+        streams, configs = trial_twins(1000, 9)
+
+        def fail(i, book):
+            if i == 120:
+                raise RuntimeError("on_step failed")
+
+        results = run_many(streams, configs, on_step=[fail if r == failing else None
+                                                      for r in range(len(streams))])
+        assert type(results[failing]) is RuntimeError
+        good = [r for r in range(len(streams)) if r != failing]
+        assert_each_alone([streams[r] for r in good], [configs[r] for r in good],
+                          [results[r] for r in good], tmp_path)
+
+    @pytest.mark.parametrize("trial", [1, 2], ids=["split", "never-split"])
+    def test_each_run_owns_its_book_and_records(self, trial):
+        results = run_many(*trial_twins(1000, trial))
+        books = [result.final_book for result in results]
+        assert len({id(book) for book in books}) == len(books)
+        assert all(book.stack.books == [book] for book in books)
+        records = [{id(record) for record in result.records} for result in results]
+        assert len(set.union(*records)) == sum(map(len, records))
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=7), dict(lam=0.31), dict(selection="argmax"), dict(fixed_alpha=2.0),
+        dict(prior=PriorConfig.from_scale(2, 0.1, 25)), "copy"],
+        ids=["seed", "lam", "selection", "fixed_alpha", "prior", "copy"])
+    def test_runs_that_step_otherwise_do_not_share(self, change, monkeypatch, tmp_path):
+        """ASUGS with its twin changed in one thing that a step reads, or
+        given an equal copy of the rows: the two runs step two rows."""
+        (rows, *_), (config, *_) = trial_twins(1000, 2, n=120)
+        streams, configs = [rows, rows], [config, config]
+        if change == "copy":
+            streams[1] = rows.copy()
+        else:
+            configs[1] = replace(config, **change)
+        seen = rows_per_step(monkeypatch)
+        results = run_many(streams, configs)
+        assert seen == [2] * 120
+        assert_each_alone(streams, configs, results, tmp_path)
+
+    def test_end_of_stream_maintenance_splits(self, monkeypatch, tmp_path):
+        """On 440 rows, not a multiple of the period, trial 9's ASUGS twins
+        share one row through every tick and split at the end of the
+        stream, where ASUGS-PM's maintenance acts."""
+        streams, configs = trial_twins(1000, 9, n=440)
+        seen = rows_per_step(monkeypatch)
+        results = run_many(streams[:2], configs[:2])
+        assert seen == [1] * 440
+        assert first_split(*results) == 440
+        assert results[0].final_book is not results[1].final_book
+        assert_each_alone(streams[:2], configs[:2], results, tmp_path)
+
+
 class TestBatchedUpdate:
     """A lockstep step of several books updates them with ``BookStack.absorb``:
     one batched conjugate update and refresh, bit for bit ``ClusterBook.absorb``
@@ -1404,10 +1517,9 @@ class TestRefreshTail:
         assert info.misses > REFRESH_MEMO
         assert info.currsize <= info.maxsize == REFRESH_MEMO
 
-    def test_compare_misses_once_per_distinct_key(self, monkeypatch):
-        """Over one seed-1 ``compare_variants`` call (10 trials, 40 runs in
-        lockstep), each step's refresh of each run reads the memo once, and
-        the memo computes each distinct (d, c, delta) once."""
+    @staticmethod
+    def spy_memo(monkeypatch):
+        """The keys of every read of the memo from now on, which starts empty."""
         import asugs.engine as engine_mod
 
         keys = []
@@ -1418,14 +1530,45 @@ class TestRefreshTail:
 
         _refresh_tail.cache_clear()
         monkeypatch.setattr(engine_mod, "_refresh_tail", spied)
-        config = EngineConfig(seed=1000, prior=PriorConfig.from_scale(2, 0.1, 24)).resolve(2)
-        report = compare_variants(config, trials=10, truth=generate_grid_mixture(4),
-                                  n_train=500, n_test=10)
-        assert not any(row.error for row in report.rows)
+        return keys
+
+    def test_compare_misses_once_per_distinct_key(self, monkeypatch):
+        """Over the 40 runs of a seed-1 ``compare_variants`` call (10 trials)
+        in lockstep, each with its own copy of its stream, so that no two
+        share a row, each step's refresh of each run reads the memo once,
+        and the memo computes each distinct (d, c, delta) once."""
+        streams, configs = [], []
+        for trial in range(10):
+            rows, variants = trial_twins(1000, trial)
+            streams += [stream.copy() for stream in rows]
+            configs += variants
+        keys = self.spy_memo(monkeypatch)
+        results = run_many(streams, configs)
+        assert not any(isinstance(result, Exception) for result in results)
         info = _refresh_tail.cache_info()
         assert len(keys) == info.hits + info.misses == 10 * len(VARIANTS) * 500
         assert info.misses == len(set(keys)) == info.currsize < REFRESH_MEMO
         assert info.hits > 50 * info.misses
+
+    def test_compare_reads_once_per_row_step(self, monkeypatch):
+        """A seed-1 ``compare_variants`` call of 10 trials, where each -PM run
+        shares its plain twin's row up to its first acting tick, reads the
+        memo once per row and step: 500 per pair of twins, and 500 - s more
+        if they split at step s (12 300 reads in all, against 20 000 for the
+        40 runs apart)."""
+        row_steps = 0
+        for trial in range(10):
+            traces = [run(*args) for args in zip(*trial_twins(1000, trial))]
+            for plain in (0, 2):
+                split = first_split(traces[plain], traces[plain + 1])
+                row_steps += 500 + (0 if split is None else 500 - split)
+        keys = self.spy_memo(monkeypatch)
+        config = EngineConfig(seed=1000, prior=PriorConfig.from_scale(2, 0.1, 24))
+        report = compare_variants(config, trials=10, truth=generate_grid_mixture(4),
+                                  n_train=500, n_test=10)
+        assert not any(row.error for row in report.rows)
+        info = _refresh_tail.cache_info()
+        assert len(keys) == info.hits + info.misses == row_steps < 10 * len(VARIANTS) * 500
 
 
 def random_posts(rng, k, d):

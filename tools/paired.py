@@ -16,16 +16,19 @@ perfbench.
 After one untimed call of each, every round calls the operation once with
 each tree, alternating which goes first, and times each whole call with
 ``time.process_time``.  The script prints each round's times and B/A
-ratio, and each side's fit time per observation: the operation's
-``fit_s`` over its ``n_obs`` (perfbench's ``fit_us_per_obs``, unscaled,
-wall clock), which leaves out what the operation does around the fit,
-such as reading, sampling and scoring the held-out set.  Rounds 2i - 1
+ratio, each side's fit time per observation and each side's wall time.
+The fit time is the operation's ``fit_s`` over its ``n_obs``
+(perfbench's ``fit_us_per_obs``, unscaled, wall clock), which leaves out
+what the operation does around the fit, such as reading, sampling and
+scoring the held-out set; the wall time is its ``t_end - t_start``
+(perfbench's ``wall_s``, unscaled), which includes them.  Rounds 2i - 1
 (A first) and 2i (B first) form pair i, whose ratio is the geometric mean
 of the two rounds' B/A: a constant factor on the call that goes second
 (on a shared 2-core host, the second call was the slower one in 10 of 11
 rounds) multiplies one round's ratio and divides the other's, so it
-cancels.  For both the call time and the fit time, the script ends with
-the median over pairs and the number of pairs in which B took less time.
+cancels.  For the call time, the fit time and the wall time, the script
+ends with the median over pairs and the number of pairs in which B took
+less time.
 
 A call whose result counts a failed operation stops the script with its
 problems.  The script then says whether every call of A and every call of
@@ -110,9 +113,9 @@ def main() -> None:
         paths["trace"] = str(Path(tmp, "trace.jsonl"))
         for tree in trees:  # untimed: first-call set-up
             call(tree, args.workload, paths)
-        ratios, fit_ratios = [], []
+        ratios, fit_ratios, wall_ratios = [], [], []
         for r in range(args.rounds):
-            times, fits = [0.0, 0.0], [0.0, 0.0]
+            times, fits, walls = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for side in order:
                 gc.collect()
@@ -120,14 +123,18 @@ def main() -> None:
                 out = call(trees[side], args.workload, paths)
                 times[side] = time.process_time() - start
                 fits[side] = 1e6 * out["fit_s"] / out["n_obs"]
+                walls[side] = out["t_end"] - out["t_start"]
                 digests[side].add(json.dumps(out["digest"], sort_keys=True))
             ratios.append(times[1] / times[0])
             fit_ratios.append(fits[1] / fits[0])
+            wall_ratios.append(walls[1] / walls[0])
             print(f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
                   f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}; fit A {fits[0]:.3f} us/obs, "
-                  f"B {fits[1]:.3f} us/obs, B/A {fit_ratios[-1]:.4f}")
+                  f"B {fits[1]:.3f} us/obs, B/A {fit_ratios[-1]:.4f}; wall A {walls[0]:.4f} s, "
+                  f"B {walls[1]:.4f} s, B/A {wall_ratios[-1]:.4f}")
     summarise(args.workload, "", ratios)
     summarise(args.workload, " fit us/obs", fit_ratios)
+    summarise(args.workload, " wall s", wall_ratios)
     if len(digests[0]) == 1 and digests[0] == digests[1]:
         print(f"{args.workload}: digests equal: {digests[0].pop()}")
         return
