@@ -6,6 +6,15 @@ row, uniform arity, finite values only.  Traces are JSON lines: one
 one ``cluster`` record per final cluster and a closing ``final`` record.
 Floats serialize via ``repr`` (shortest round-trip), so write/read is
 lossless and byte-identical for identical runs.
+
+Each record kind is declared once (``_Kind``), and its declaration writes
+and reads it.  Step records, one per observation, take two lean paths
+that cost little more than their floats' ``repr`` and ``json.loads``: a
+line is formatted from a template built from the step declaration, and a
+line whose values have the types the writer gives is read without the
+per-key readers.  Neither changes a byte or a refusal: a record the
+template cannot write as JSON does, or a line the lean reader does not
+take, goes through the declaration, which stays their oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -148,6 +158,12 @@ def write_truth(path, mix: GaussianMixture, generator_args: dict | None = None) 
         fh.write("\n")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is true or false, or holds one in its lists:
+    numpy reads a list of a bool and a number as numbers."""
+    return any(map(_holds_bool, value)) if type(value) is list else type(value) is bool
+
+
 def read_truth(path) -> GaussianMixture:
     """Load a mixture written by ``write_truth``; a malformed file raises
     DataError naming the path and the problem."""
@@ -159,6 +175,9 @@ def read_truth(path) -> GaussianMixture:
     fields = ("weights", "means", "covariances")
     if not isinstance(payload, dict) or any(f not in payload for f in fields):
         raise DataError(f"{path}: expected a JSON object with fields {', '.join(fields)}")
+    for f in fields:
+        if _holds_bool(payload[f]):
+            raise DataError(f"{path}: {f} must be a list of numbers, got {payload[f]!r}")
     try:
         return GaussianMixture(*(np.array(payload[f], dtype=float) for f in fields))
     except (TypeError, ValueError) as exc:
@@ -189,7 +208,8 @@ def _floats(ndim: int | None = None):
             arr = np.array(value) if type(value) is list else None
         except ValueError:  # ragged nesting
             arr = None
-        if arr is None or arr.dtype.kind not in "fi" or ndim not in (None, arr.ndim):
+        if (arr is None or arr.dtype.kind not in "fi" or ndim not in (None, arr.ndim)
+                or _holds_bool(value)):
             raise ValueError(f"{key} must be a list of numbers, got {value!r}")
         return arr.astype(float, copy=False)
     return read
@@ -243,6 +263,43 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.tolist())
 
 
+def _finite(text: str) -> str:
+    """Text of floats' repr, which JSON writes alike unless it holds nan or
+    inf (JSON's NaN and Infinity): no finite float's repr holds an n."""
+    if "n" in text:
+        raise ValueError(text)
+    return text
+
+
+def _float_text(value: float) -> str:
+    return _finite(float.__repr__(value))  # not %r: a numpy float64 prints as np.float64(...)
+
+
+# The JSON text _dumps writes for each type a step record's value may have;
+# for another type, a q of other than floats, or a nan or inf, a KeyError,
+# TypeError or ValueError.
+_TEXT = {
+    float: _float_text, np.float64: _float_text, int: int.__repr__,
+    **dict.fromkeys({np.dtype(c).type for c in np.typecodes["AllInteger"]}, "%d".__mod__),
+    bool: {True: "true", False: "false"}.__getitem__, np.bool_: lambda v: "true" if v else "false",
+    np.ndarray: lambda q: "[" + _finite(",".join(map(float.__repr__, q.tolist()))) + "]",
+}
+# _STEP.line's bytes with a %s for each value, in _dumps' sorted key order
+_STEP_TEMPLATE = "{" + ",".join(f'"kind":"{_STEP.name}"' if key == "kind" else f'"{key}":%s'
+                                for key in sorted(["kind", *_STEP.keys])) + "}\n"
+_STEP_SORTED = operator.attrgetter(*(attr for _, attr, _ in sorted(_STEP.fields)))
+
+
+def _step_line(record: StepRecord) -> str:
+    """``_STEP.line`` of a step record, formatted from the template: the
+    floats' repr is its cost.  A value the template cannot write as JSON
+    does goes through ``_STEP.line``."""
+    try:
+        return _STEP_TEMPLATE % tuple([_TEXT[type(v)](v) for v in _STEP_SORTED(record)])
+    except (KeyError, TypeError, ValueError):
+        return _STEP.line(_STEP.values(record))
+
+
 def config_record(config: EngineConfig) -> dict:
     """A config's fields as JSON values, the prior's as an object: the
     trace's config record, and the ``config`` of ``asugs compare``'s report."""
@@ -257,27 +314,46 @@ def write_trace(path, trace: RunTrace) -> None:
     book = trace.final_book
     with open(path, "w") as fh:
         fh.write(_dumps({"kind": _CONFIG.name, **config_record(trace.config)}) + "\n")
-        fh.writelines(_STEP.line(_STEP.values(r)) for r in trace.records)
+        fh.writelines(map(_step_line, trace.records))
         fh.writelines(_CHECKPOINT.line(_CHECKPOINT.values(cp)) for cp in trace.checkpoints)
         fh.writelines(map(_CLUSTER.line, zip(*_CLUSTER.values(book))))
         fh.write(_FINAL.line(_FINAL.values(book)))
 
 
-def _check_chain(step: dict, k: int) -> None:
-    """A step record's values against k, the k of the step before it (0
-    before step 1): q scores those k clusters and a new one, the label is
-    one of its entries and is the new one exactly at an innovation, and the
-    step leaves between 1 and len(q) clusters."""
-    width, label = len(step["q"]), step["label"]
+def _check_chain(width: int, label: int, innovation: bool, k_after: int, k: int) -> None:
+    """A step's len(q), label, innovation and k against k, the k of the
+    step before it (0 before step 1): q scores those k clusters and a new
+    one, the label is one of its entries and is the new one exactly at an
+    innovation, and the step leaves between 1 and len(q) clusters."""
     if width != k + 1:
         raise ValueError(f"q must have the previous step's k + 1 = {k + 1} entries, got {width}")
     if not 1 <= label <= width:
         raise ValueError(f"label must be in 1..len(q) = {width}, got {label}")
-    if step["innovation"] != (label == width):
+    if innovation != (label == width):
         raise ValueError(f"innovation must be {str(label == width).lower()} for label {label} "
-                         f"of len(q) = {width}, got {str(step['innovation']).lower()}")
-    if not 1 <= step["k_after"] <= width:
-        raise ValueError(f"k must be in 1..len(q) = {width}, got {step['k_after']}")
+                         f"of len(q) = {width}, got {str(innovation).lower()}")
+    if not 1 <= k_after <= width:
+        raise ValueError(f"k must be in 1..len(q) = {width}, got {k_after}")
+
+
+_STEP_KEYS = {"kind", *_STEP.keys}
+_STEP_ITEMS = operator.itemgetter(*_STEP.keys)  # in declaration order
+
+
+def _lean_step(rec: dict, records: list[StepRecord]) -> StepRecord | None:
+    """The next record of a step line whose JSON values have the types the
+    writer gives (q a list of floats), whose i is the next index and which
+    passes ``_check_chain``; else None, and ``_STEP.read`` reads it."""
+    i, label, q, alpha, k, innovation = _STEP_ITEMS(rec)
+    if not (type(i) is type(label) is type(k) is int and type(alpha) in (int, float)
+            and type(innovation) is bool and type(q) is list and i == len(records) + 1
+            and all(map(isinstance, q, repeat(float)))):
+        return None
+    try:
+        _check_chain(len(q), label, innovation, k, records[-1].k_after if records else 0)
+    except ValueError:
+        return None
+    return StepRecord(i, label, np.array(q), alpha, k, innovation)
 
 
 def read_trace(path) -> RunTrace:
@@ -292,7 +368,10 @@ def read_trace(path) -> RunTrace:
     innovation or k do not follow from the previous step's k
     (``_check_chain``).  So does a final record whose n is not the number
     of step records, or whose k is not the number of cluster records or
-    (after a step) the last step's k."""
+    (after a step) the last step's k.  A step line that passes
+    ``_lean_step``'s checks, the same but for its message, is read on that
+    lean path; any other goes through the declaration, which names its
+    fault."""
     lineno, config, final = 0, None, None
     records, checkpoints, book = [], [], ClusterBook()
     with open(path) as fh:
@@ -303,6 +382,12 @@ def read_trace(path) -> RunTrace:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
+            if (type(rec) is dict and rec.keys() == _STEP_KEYS and rec["kind"] == _STEP.name
+                    and config is not None and final is None):
+                step = _lean_step(rec, records)
+                if step is not None:
+                    records.append(step)
+                    continue
             if not isinstance(rec, dict):
                 raise DataError(f"{path}: row {lineno}: expected a JSON object")
             name = rec.pop("kind", None)
@@ -321,7 +406,8 @@ def read_trace(path) -> RunTrace:
                 elif kind is _STEP:
                     if v["index"] != len(records) + 1:
                         raise ValueError(f"i must be {len(records) + 1}, got {v['index']}")
-                    _check_chain(v, records[-1].k_after if records else 0)
+                    _check_chain(len(v["q"]), v["label"], v["innovation"], v["k_after"],
+                                 records[-1].k_after if records else 0)
                     records.append(StepRecord(**v))
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))

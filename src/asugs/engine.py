@@ -760,12 +760,18 @@ class _Run:
         self.rng = np.random.Generator(np.random.PCG64(self.config.seed))
         self.maintained = self.config.prune_eps > 0.0 or self.config.merge_eps > 0.0
 
-    def open_window(self, start: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def open_window(self, start: int, width: int,
+                    scores: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows start:start + width, the last repeated past the stream's
-        end, with their prior scores and uniforms, one per row."""
+        end, with their prior scores and uniforms, one per row.  ``scores``
+        holds the window's prior scores by (rows object, prior), so runs
+        that share both score them once."""
         rows = self.stream[start:start + width]
         log_new, uniforms = np.zeros(width), np.zeros(width)
-        log_new[:len(rows)] = prior_predictive(self.config.prior, rows)
+        key = (id(self.stream), *_prior_key(self.config.prior))
+        if key not in scores:
+            scores[key] = prior_predictive(self.config.prior, rows)
+        log_new[:len(rows)] = scores[key]
         first = int(start == 0)  # step 1 selects nothing
         if self.config.selection == "sample" and len(rows) > first:
             uniforms[first:len(rows)] = self.rng.random(len(rows) - first)
@@ -808,16 +814,19 @@ class _Run:
         return RunTrace(config=self.config, records=self.records, final_book=self.book)
 
 
+def _prior_key(prior: PriorConfig) -> tuple:
+    return prior.mu0.tobytes(), prior.c0, prior.delta0, prior.sigma0.tobytes()
+
+
 def _families(runs: list[_Run], streams: list) -> list[list[_Run]]:
     """The runs grouped into families, which step alike: same rows object,
     seed, lam, selection, fixed_alpha and prior.  The runs of a family get
     its first run's book, records and generator."""
     families: dict[tuple, list[_Run]] = {}
     for run in runs:
-        config, prior = run.config, run.config.prior
+        config = run.config
         key = (id(streams[run.index]), config.seed, config.lam, config.selection,
-               config.fixed_alpha, prior.mu0.tobytes(), prior.c0, prior.delta0,
-               prior.sigma0.tobytes())
+               config.fixed_alpha, *_prior_key(config.prior))
         families.setdefault(key, []).append(run)
     for lead, *rest in families.values():
         for run in rest:
@@ -860,7 +869,9 @@ def run_many(
     prune or merge would change the book splits off with copies of all
     three, in a row of its own, and the others share on.  At the end of the
     stream every run takes a book and records of its own (twins' records
-    share their q arrays).  A run's trace is bit for bit its trace alone.
+    share their q arrays).  Runs given one rows object under one prior
+    share each window's prior scores.  A run's trace is bit for bit its
+    trace alone.
 
     A run whose stream or config is rejected, or whose step, maintenance or
     ``on_step`` raises, gets that exception and leaves the lockstep; the
@@ -895,7 +906,8 @@ def run_many(
     stack = BookStack([family[0].book for family in families], runs[0].stream.shape[1], 2)
     for start in range(0, n_max, period):
         width = min(period, n_max - start)
-        windows = [family[0].open_window(start, width) for family in families]
+        scores: dict = {}
+        windows = [family[0].open_window(start, width, scores) for family in families]
         rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
         lead_configs = [family[0].config for family in families]
         for j, i in enumerate(range(start + 1, start + width + 1)):

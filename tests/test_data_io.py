@@ -1,12 +1,19 @@
 """Tests for dataset generation, CSV ingestion and trace persistence."""
 
+import functools
 import json
 import math
+import random
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import asugs.data as data_mod
 from asugs.data import (
     DataError,
     Dataset,
@@ -256,6 +263,8 @@ class TestTruthFile:
             ('{"weights": [1.0], "means": [["a"]], "covariances": [[[1.0]]]}', "could not convert"),
             ('{"weights": [0.5, 0.5], "means": [[0.0, 0.0]], "covariances": [[[1.0]]]}',
              "do not describe one mixture"),
+            ('{"weights": [true, false], "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[1.0]]]}',
+             r"weights must be a list of numbers, got \[True, False\]"),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, text, problem):
@@ -427,6 +436,15 @@ class TestTracePersistence:
                          "step record: q must be a list of numbers, got 'abc'", id="q-string"),
             pytest.param(replace_first("step", lambda rec: {**rec, "q": [rec["q"]]}),
                          "step record: q must be a list of numbers", id="q-nested"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "q": [True, *rec["q"][1:]]}),
+                         r"step record: q must be a list of numbers, got \[True, ", id="q-bool"),
+            pytest.param(replace_first("cluster", lambda rec: {**rec, "mu": [rec["mu"][0], False]}),
+                         "cluster record: mu must be a list of numbers", id="mu-bool"),
+            pytest.param(
+                replace_first("config", lambda rec: {**rec, "prior": {
+                    **rec["prior"], "sigma0": [[rec["prior"]["sigma0"][0][0], False],
+                                               [False, rec["prior"]["sigma0"][1][1]]]}}),
+                "config record: sigma0 must be a list of numbers", id="prior-sigma0-bool"),
             pytest.param(replace_first("cluster", lambda rec: {**rec, "c": "2.0"}),
                          "cluster record: c must be int or float, got '2.0'", id="c-string"),
             pytest.param(replace_first("cluster", lambda rec: {**rec, "c": "abc"}),
@@ -513,3 +531,109 @@ class TestTracePersistence:
             read_trace(p)
         assert str(p) in str(info.value)
         assert row is None or f"row {row}:" in str(info.value)
+
+
+# Floats whose repr or JSON text is at an edge: signed zero, the least
+# subnormal, either side of the switches to exponent form at 1e-4 and 1e16,
+# and the values JSON writes as NaN and Infinity.
+EDGE_FLOATS = st.one_of(
+    st.floats(), st.floats(9e-5, 1.1e-4), st.floats(9e15, 1.1e16),
+    st.sampled_from([-0.0, 5e-324, 1e-4, 1e16, math.nan, math.inf, -math.inf]))
+INTS = st.one_of(st.integers(), st.integers(-2**31, 2**31 - 1).flatmap(
+    lambda v: st.sampled_from([np.int64(v), np.int32(v), np.intp(v)])))
+
+
+@functools.lru_cache(maxsize=None)
+def engine_trace_lines(selection: str) -> tuple[str, ...]:
+    """The lines write_trace gives for a 150-row run on the 4x4 grid."""
+    rows = sample_mixture(generate_grid_mixture(4, 0.025), 150, seed=3).rows
+    trace = run(rows, EngineConfig(seed=3, selection=selection,
+                                   prior=PriorConfig.from_scale(2, 0.025)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(f"{tmp}/trace.jsonl", trace)
+        with open(f"{tmp}/trace.jsonl") as fh:
+            return tuple(fh)
+
+
+# Edits of one step record, each of a kind the lean step reader must leave
+# to the declared one: a bool or an int in q, an int q, a value of another
+# type, a broken chain, a wrong index, a missing key.
+STEP_EDITS = {
+    "q-bool": lambda rec: {**rec, "q": [True, *rec["q"][1:]]},
+    "q-int": lambda rec: {**rec, "q": [0, *rec["q"][1:]]},
+    "q-all-int": lambda rec: {**rec, "q": [round(v) for v in rec["q"]]},
+    "q-nested": lambda rec: {**rec, "q": [rec["q"]]},
+    "q-longer": lambda rec: {**rec, "q": rec["q"] + [0.5]},
+    "alpha-bool": lambda rec: {**rec, "alpha": True},
+    "alpha-int": lambda rec: {**rec, "alpha": 2},
+    "label-float": lambda rec: {**rec, "label": float(rec["label"])},
+    "label-next": lambda rec: {**rec, "label": rec["label"] % len(rec["q"]) + 1},
+    "innovation-flipped": lambda rec: {**rec, "innovation": not rec["innovation"]},
+    "innovation-int": lambda rec: {**rec, "innovation": int(rec["innovation"])},
+    "k-zero": lambda rec: {**rec, "k": 0},
+    "k-past-q": lambda rec: {**rec, "k": len(rec["q"]) + 1},
+    "i-next": lambda rec: {**rec, "i": rec["i"] + 1},
+    "i-bool": lambda rec: {**rec, "i": True},
+    "without-k": lambda rec: without(rec, "k"),
+}
+
+
+def read_outcome(path):
+    """read_trace's records as comparable tuples, or its refusal's message."""
+    try:
+        trace = read_trace(path)
+    except DataError as exc:
+        return str(exc)
+    return [(r.index, r.label, r.q.dtype.str, r.q.tobytes(), type(r.alpha_used),
+             r.alpha_used, r.k_after, r.innovation) for r in trace.records]
+
+
+class TestStepLines:
+    """write_trace formats step lines from a template and read_trace reads
+    well-formed step lines on a lean path; the declared ``_STEP.line`` and
+    ``_STEP.read`` stay the oracles of both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.lists(EDGE_FLOATS, min_size=1, max_size=70),
+           alpha=st.one_of(EDGE_FLOATS, st.integers(), EDGE_FLOATS.map(np.float64)),
+           index=INTS, label=INTS, k=INTS,
+           innovation=st.one_of(st.booleans(), st.booleans().map(np.bool_)))
+    def test_template_line_is_declared_line(self, q, alpha, index, label, k, innovation):
+        record = StepRecord(index, label, np.array(q), alpha, k, innovation)
+        assert data_mod._step_line(record) == data_mod._STEP.line(data_mod._STEP.values(record))
+
+    @settings(max_examples=60, deadline=None)
+    @given(selection=st.sampled_from(["sample", "argmax"]),
+           style=st.sampled_from(["canonical", "default-separators", "shuffled-keys"]),
+           edit=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(STEP_EDITS)),
+                                               st.integers(1, 150))),
+           shuffle_seed=st.integers(0, 2**32 - 1))
+    def test_read_is_declared_read(self, selection, style, edit, shuffle_seed):
+        """An engine trace, written as write_trace writes it, with json.dumps'
+        default separators or with every record's keys shuffled, and with one
+        step edited or none: read_trace gives the records, or the refusal,
+        that the declared reader alone gives.  Unedited, every step takes
+        the lean path."""
+        lines = list(engine_trace_lines(selection))
+        if edit is not None:
+            name, i = edit
+            lines[i] = data_mod._dumps(STEP_EDITS[name](json.loads(lines[i]))) + "\n"
+        if style != "canonical":
+            recs = [json.loads(line) for line in lines]
+            if style == "shuffled-keys":
+                order = random.Random(shuffle_seed)
+                recs = [dict(order.sample(list(rec.items()), len(rec))) for rec in recs]
+            lines = [json.dumps(rec) + "\n" for rec in recs]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/trace.jsonl"
+            with open(path, "w") as fh:
+                fh.writelines(lines)
+            lean, real_lean = [], data_mod._lean_step
+            with mock.patch.object(data_mod, "_lean_step",
+                                   lambda *args: lean.append(real_lean(*args)) or lean[-1]):
+                got = read_outcome(path)
+            with mock.patch.object(data_mod, "_lean_step", lambda *args: None):
+                want = read_outcome(path)
+        assert got == want
+        if edit is None:
+            assert len(got) == 150 and len(lean) == 150 and None not in lean

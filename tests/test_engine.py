@@ -1295,6 +1295,29 @@ class TestTwins:
         run_many(streams, configs)
         assert seen == [2] * 50 + [3] * 450
 
+    def test_each_window_is_scored_once(self, monkeypatch, tmp_path):
+        """The four variants of two trials, and ASUGS on the first trial's
+        rows under another prior: three (rows object, prior) pairs, whose
+        500 rows are ten windows of 50, so 30 distinct windows, each given
+        to ``prior_predictive`` once, however the families split."""
+        import asugs.engine as engine_mod
+
+        windows, real = [], engine_mod.prior_predictive
+
+        def counted(prior, rows):
+            windows.append((rows.tobytes(), prior.c0, prior.delta0, prior.sigma0.tobytes()))
+            return real(prior, rows)
+
+        streams, configs = trial_twins(1000, 1)
+        more_streams, more_configs = trial_twins(1000, 2)
+        streams += more_streams + streams[:1]
+        configs += more_configs + [replace(configs[0], prior=PriorConfig.from_scale(2, 0.1, 25))]
+        monkeypatch.setattr(engine_mod, "prior_predictive", counted)
+        results = run_many(streams, configs)
+        monkeypatch.undo()
+        assert len(windows) == len(set(windows)) == 30
+        assert_each_alone(streams, configs, results, tmp_path)
+
     @pytest.mark.parametrize("failing", [0, 1, 2, 3], ids=VARIANTS)
     def test_failing_on_step_fails_its_run_alone(self, failing, tmp_path):
         streams, configs = trial_twins(1000, 9)
