@@ -6,20 +6,24 @@ without --force included), 3 data error (malformed or mismatched input,
 a path that cannot be read or written, or a row at which the engine's
 step fails), 4 at least one comparison trial failed.  Every output file
 embeds the fully resolved configuration, so a run is reproducible from
-its outputs.
+its outputs.  The driver states no run default of its own: a flag whose
+value the library defaults is passed on only when it is given, and its
+help reads that default from the library.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+import asugs.bench
 from asugs.bench import VARIANTS, compare_variants, variant_config
 from asugs.data import (
     HELDOUT_SEED_OFFSET,
@@ -49,25 +53,39 @@ EXIT_DATA = 3
 EXIT_TRIAL = 4
 
 
+def _given(args, *names: str) -> dict:
+    """The values of the named flags that the command line gives: a flag the
+    library defaults stays off ``args`` unless given (``_flag``)."""
+    return {name: vars(args)[name] for name in names if name in vars(args)}
+
+
+def _flag(p, flag: str, owner, dest: str, help: str = "", type=float, **kw) -> None:
+    """A flag that passes on ``owner``'s parameter ``dest`` only when given,
+    so ``owner`` (a class or a function) states its default, which the help
+    reads from it."""
+    default = inspect.signature(owner).parameters[dest].default
+    help += "" if default is None else f" (default {default})"
+    p.add_argument(flag, dest=dest, type=type, default=argparse.SUPPRESS, help=help.lstrip(), **kw)
+
+
 def _engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3,
-                   help="rate parameter of the adaptive concentration (default 0.3)")
-    p.add_argument("--fixed-alpha", type=float, default=None,
-                   help="hold the concentration fixed (greedy baseline mode)")
-    p.add_argument("--prune-eps", type=float, default=0.01,
-                   help="relative-weight removal threshold (0 disables)")
-    p.add_argument("--merge-eps", type=float, default=0.05,
-                   help="responsibility-distance merge threshold (0 disables)")
-    p.add_argument("--maintenance-period", type=int, default=50,
-                   help="steps between prune/merge sweeps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prior-var", type=float, default=None,
+    _flag(p, "--lambda", EngineConfig, "lam", "rate parameter of the adaptive concentration")
+    _flag(p, "--fixed-alpha", EngineConfig, "fixed_alpha",
+          "hold the concentration fixed (greedy baseline mode)")
+    _flag(p, "--prune-eps", EngineConfig, "prune_eps",
+          "relative-weight removal threshold (0 disables)")
+    _flag(p, "--merge-eps", EngineConfig, "merge_eps",
+          "responsibility-distance merge threshold (0 disables)")
+    _flag(p, "--maintenance-period", EngineConfig, "maintenance_period",
+          "steps between prune/merge sweeps", type=int)
+    _flag(p, "--seed", EngineConfig, "seed", type=int)
+    p.add_argument("--prior-var", type=float, default=argparse.SUPPRESS,
                    help="expected per-axis within-cluster variance; builds a "
                         "scale prior (default: identity covariance prior)")
-    p.add_argument("--prior-strength", type=float, default=64.0,
-                   help="pseudo-observation count behind --prior-var")
-    p.add_argument("--prior-c0", type=float, default=0.01,
-                   help="location-shrinkage count used with --prior-var")
+    _flag(p, "--prior-strength", PriorConfig.from_scale, "pseudo_obs",
+          "pseudo-observation count behind --prior-var", metavar="PRIOR_STRENGTH")
+    _flag(p, "--prior-c0", PriorConfig.from_scale, "c0",
+          "location-shrinkage count used with --prior-var", metavar="PRIOR_C0")
 
 
 _PRIOR_FLAGS = {"sigma0": "--prior-var", "delta0": "--prior-strength", "c0": "--prior-c0"}
@@ -75,27 +93,16 @@ _PRIOR_FLAGS = {"sigma0": "--prior-var", "delta0": "--prior-strength", "c0": "--
 
 def _build_config(args, d: int) -> EngineConfig:
     prior = None
-    if args.prior_var is not None:
+    if "prior_var" in vars(args):
         try:
-            prior = PriorConfig.from_scale(
-                d, args.prior_var, pseudo_obs=args.prior_strength, c0=args.prior_c0
-            )
+            prior = PriorConfig.from_scale(d, args.prior_var, **_given(args, "pseudo_obs", "c0"))
         except (ValueError, np.linalg.LinAlgError) as exc:
             # the prior's messages name its field; an indefinite sigma0 fails
             # in the factorisation, whose message names none
             field = next((f for f in _PRIOR_FLAGS if f in str(exc)), "sigma0")
             raise ConfigError(f"{_PRIOR_FLAGS[field]}: {exc}") from exc
-    cfg = EngineConfig(
-        lam=args.lam,
-        selection=args.selection,
-        fixed_alpha=args.fixed_alpha,
-        prune_eps=args.prune_eps,
-        merge_eps=args.merge_eps,
-        maintenance_period=args.maintenance_period,
-        seed=args.seed,
-        prior=prior,
-    )
-    return cfg.resolve(d)
+    engine = _given(args, *(f.name for f in fields(EngineConfig)))
+    return EngineConfig(**engine, prior=prior).resolve(d)
 
 
 def _require_new(path: Path, force: bool) -> None:
@@ -153,11 +160,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    counts = {"--trials": args.trials, "--workers": args.workers,
-              "--n-train": args.n_train, "--n-test": args.n_test}
-    for flag, value in counts.items():
+    sizes = _given(args, "workers", "n_train", "n_test")
+    for name, value in {"trials": args.trials, **sizes}.items():
         if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
     if args.test and not args.train:
         raise ConfigError("--test needs --train (with --truth alone, trials draw their test rows)")
     train = read_csv(args.train) if args.train else None
@@ -173,9 +179,7 @@ def cmd_compare(args) -> int:
     d = train.dim if train is not None else truth.dim
     cfg = _build_config(args, d)
     report = compare_variants(
-        cfg, trials=args.trials, train=train, test=test, truth=truth,
-        n_train=args.n_train, n_test=args.n_test, workers=args.workers,
-    )
+        cfg, trials=args.trials, train=train, test=test, truth=truth, **sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rows.jsonl", "w") as fh:
@@ -239,9 +243,8 @@ def cmd_diagnose(args) -> int:
     else:
         print("warning: no --truth given; truth-relative metrics disabled",
               file=sys.stderr)
-    trace = run_with_diagnostics(
-        train.rows, cfg, truth=truth, checkpoint_every=args.checkpoint_every
-    )
+    trace = run_with_diagnostics(train.rows, cfg, truth=truth,
+                                 **_given(args, "checkpoint_every"))
     if args.out:
         write_trace(Path(args.out), trace)
         print(f"wrote {args.out}")
@@ -286,23 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--test", default=None)
     c.add_argument("--truth", default=None)
     c.add_argument("--trials", type=int, default=20)
-    c.add_argument("--n-train", type=int, default=500)
-    c.add_argument("--n-test", type=int, default=1000)
-    c.add_argument("--workers", type=int, default=1)
+    for flag, dest in (("--n-train", "n_train"), ("--n-test", "n_test"), ("--workers", "workers")):
+        _flag(c, flag, asugs.bench.compare_variants, dest, type=int)  # not a stand-in bound here
     c.add_argument("--out", default="bench")
     _engine_flags(c)
-    c.set_defaults(func=cmd_compare, selection=None)  # each variant sets its own label rule
+    c.set_defaults(func=cmd_compare)  # no --selection: each variant sets its own label rule
 
     d = sub.add_parser("diagnose", help="theory checks plus checkpointed run diagnostics")
     d.add_argument("--train", default=None)
     d.add_argument("--truth", default=None)
-    d.add_argument("--checkpoint-every", type=int, default=100)
+    _flag(d, "--checkpoint-every", run_with_diagnostics, "checkpoint_every", type=int)
     d.add_argument("--out", default=None)
     _engine_flags(d)
     d.set_defaults(func=cmd_diagnose)
     for p in (f, d):
-        p.add_argument("--selection", choices=("sample", "argmax"), default=None,
-                       help="label rule; defaults to sample, or argmax with --fixed-alpha")
+        _flag(p, "--selection", EngineConfig, "selection",
+              "label rule; defaults to sample, or argmax with --fixed-alpha",
+              type=str, choices=("sample", "argmax"))
     return ap
 
 

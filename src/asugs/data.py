@@ -320,13 +320,21 @@ def write_trace(path, trace: RunTrace) -> None:
         fh.write(_FINAL.line(_FINAL.values(book)))
 
 
-def _check_chain(width: int, label: int, innovation: bool, k_after: int, k: int) -> None:
-    """A step's len(q), label, innovation and k against k, the k of the
-    step before it (0 before step 1): q scores those k clusters and a new
-    one, the label is one of its entries and is the new one exactly at an
-    innovation, and the step leaves between 1 and len(q) clusters."""
+def _check_chain(records, index, label, q, alpha_used, k_after, innovation) -> None:
+    """A step's values, as ``_STEP`` names them, against the step records
+    read before it: i is the previous step's i + 1, starting at 1; q scores the
+    previous step's k clusters (0 before step 1) and a new one, and is a
+    responsibility vector (no entry below 0, summing to 1 within 1e-9); the
+    label is one of its entries and is the new one exactly at an innovation;
+    the step leaves between 1 and len(q) clusters; and alpha is finite and
+    nonnegative.  It reads q with builtins, as a list or an array."""
+    if index != len(records) + 1:
+        raise ValueError(f"i must be {len(records) + 1}, got {index}")
+    k, width = records[-1].k_after if records else 0, len(q)
     if width != k + 1:
         raise ValueError(f"q must have the previous step's k + 1 = {k + 1} entries, got {width}")
+    if min(q) < 0 or not abs(sum(q) - 1) <= 1e-9:  # a NaN or an infinity fails the sum
+        raise ValueError(f"q must be >= 0 with sum 1 within 1e-9, got min {min(q)}, sum {sum(q)}")
     if not 1 <= label <= width:
         raise ValueError(f"label must be in 1..len(q) = {width}, got {label}")
     if innovation != (label == width):
@@ -334,23 +342,25 @@ def _check_chain(width: int, label: int, innovation: bool, k_after: int, k: int)
                          f"of len(q) = {width}, got {str(innovation).lower()}")
     if not 1 <= k_after <= width:
         raise ValueError(f"k must be in 1..len(q) = {width}, got {k_after}")
+    if not 0 <= alpha_used < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha_used}")
 
 
 _STEP_KEYS = {"kind", *_STEP.keys}
-_STEP_ITEMS = operator.itemgetter(*_STEP.keys)  # in declaration order
+_STEP_ITEMS = operator.itemgetter(*_STEP.keys)  # in declaration order, _check_chain's
 
 
 def _lean_step(rec: dict, records: list[StepRecord]) -> StepRecord | None:
     """The next record of a step line whose JSON values have the types the
-    writer gives (q a list of floats), whose i is the next index and which
-    passes ``_check_chain``; else None, and ``_STEP.read`` reads it."""
-    i, label, q, alpha, k, innovation = _STEP_ITEMS(rec)
+    writer gives (q a list of floats) and which passes ``_check_chain``;
+    else None, and ``_STEP.read`` reads it and words the refusal."""
+    values = i, label, q, alpha, k, innovation = _STEP_ITEMS(rec)
     if not (type(i) is type(label) is type(k) is int and type(alpha) in (int, float)
-            and type(innovation) is bool and type(q) is list and i == len(records) + 1
+            and type(innovation) is bool and type(q) is list
             and all(map(isinstance, q, repeat(float)))):
         return None
     try:
-        _check_chain(len(q), label, innovation, k, records[-1].k_after if records else 0)
+        _check_chain(records, *values)
     except ValueError:
         return None
     return StepRecord(i, label, np.array(q), alpha, k, innovation)
@@ -363,10 +373,9 @@ def read_trace(path) -> RunTrace:
     ``EngineConfig.resolve``, a cluster ``check_state`` and the prior's d.
     A malformed trace raises DataError naming the path, the row and the key,
     as does a trace out of order: a record before the config record, a
-    second config record, a record after the final record, or a step whose
-    i is not the previous step's i + 1, starting at 1, or whose q, label,
-    innovation or k do not follow from the previous step's k
-    (``_check_chain``).  So does a final record whose n is not the number
+    second config record, a record after the final record, or a step that
+    does not follow from the steps before it or whose q or alpha is out of
+    range (``_check_chain``).  So does a final record whose n is not the number
     of step records, or whose k is not the number of cluster records or
     (after a step) the last step's k.  A step line that passes
     ``_lean_step``'s checks, the same but for its message, is read on that
@@ -404,10 +413,7 @@ def read_trace(path) -> RunTrace:
                 if kind is _CONFIG:
                     config = EngineConfig(**v).resolve(v["prior"].dim)
                 elif kind is _STEP:
-                    if v["index"] != len(records) + 1:
-                        raise ValueError(f"i must be {len(records) + 1}, got {v['index']}")
-                    _check_chain(len(v["q"]), v["label"], v["innovation"], v["k_after"],
-                                 records[-1].k_after if records else 0)
+                    _check_chain(records, **v)
                     records.append(StepRecord(**v))
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))

@@ -410,6 +410,9 @@ class EngineConfig:
         cfg = replace(self, selection=sel)
         if cfg.prior is None:
             cfg = replace(cfg, prior=PriorConfig.default(d))
+        for name in ("lam", "fixed_alpha", "prune_eps", "merge_eps"):  # a bool passes as 0 or 1
+            if isinstance(getattr(cfg, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, got {getattr(cfg, name)!r}")
         if not (math.isfinite(cfg.lam) and cfg.lam > 0):
             raise ConfigError(f"lam must be positive and finite, got {cfg.lam}")
         if cfg.selection not in ("sample", "argmax"):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 import asugs
-from asugs.bench import VARIANTS
+from asugs.bench import VARIANTS, compare_variants
 from asugs.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from asugs.data import heldout_loglik, read_csv, read_trace, read_truth, sample_mixture
+from asugs.data import (config_record, heldout_loglik, read_csv, read_trace, read_truth,
+                        sample_mixture)
+from asugs.diagnostics import run_with_diagnostics
 from asugs.engine import EngineConfig, run
 from asugs.niw import PriorConfig
 
@@ -367,6 +370,37 @@ class TestDiagnose:
                      "--checkpoint-every", every])
         assert code == EXIT_CONFIG
         assert "checkpoint_every" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, prior", [
+    ([], None), (["--prior-var", "0.025"], PriorConfig.from_scale(2, 0.025)),
+])
+def test_run_defaults_are_the_library_defaults(dataset_dir, tmp_path, flags, prior):
+    """Given no other engine or prior flag, fit, diagnose and compare record
+    the config that ``EngineConfig`` and ``PriorConfig.from_scale`` default
+    to, and diagnose and compare use the checkpoint interval and the sizes
+    that ``run_with_diagnostics`` and ``compare_variants`` default to."""
+    want = json.loads(json.dumps(config_record(EngineConfig(prior=prior).resolve(2))))
+    train, fit, diag, bench = (str(dataset_dir / "train.csv"), tmp_path / "fit.jsonl",
+                               tmp_path / "diag.jsonl", tmp_path / "bench")
+    assert main(["fit", "--train", train, "--out", str(fit), *flags]) == EXIT_OK
+    assert main(["diagnose", "--train", train, "--out", str(diag), *flags]) == EXIT_OK
+    assert main(["compare", "--truth", str(dataset_dir / "truth.json"), "--trials", "1",
+                 "--out", str(bench), *flags]) == EXIT_OK
+    for path in (fit, diag):
+        with open(path) as fh:
+            assert json.loads(fh.readline()) == {"kind": "config", **want}
+    report = json.loads((bench / "report.json").read_text())
+    assert report["base_config"] == want
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+    every = default(run_with_diagnostics, "checkpoint_every")
+    assert [c.n for c in read_trace(diag).checkpoints] == list(range(every, 501, every))
+    assert report["checkpoints"][-1] == default(compare_variants, "n_train")
+    row = json.loads((bench / "rows.jsonl").read_text().splitlines()[0])
+    n_test = row["heldout_total"] / row["heldout_per_sample"]
+    assert n_test == pytest.approx(default(compare_variants, "n_test"))
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])

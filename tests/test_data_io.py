@@ -514,6 +514,24 @@ class TestTracePersistence:
                          id="innovation-flipped"),
             pytest.param(replace_step(5, lambda rec: {**rec, "k": 0}),
                          r"step record: k must be in 1\.\.len\(q\) = [0-9]+, got 0", id="k-zero"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "q": [math.nan, *rec["q"][1:]]}),
+                         "step record: q must be >= 0 with sum 1 within 1e-9, got min nan, sum nan",
+                         id="q-nan"),
+            pytest.param(replace_step(5, lambda rec: {
+                **rec, "q": [rec["q"][0] - 1.0, rec["q"][1] + 1.0, *rec["q"][2:]]}),
+                "step record: q must be >= 0 with sum 1 within 1e-9, got min -", id="q-negative"),
+            pytest.param(replace_step(8, lambda rec: {**rec, "q": [2.5] * len(rec["q"])}),
+                         r"step record: q must be >= 0 with sum 1 within 1e-9, got min 2\.5, sum",
+                         id="q-sum"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "alpha": -1.0}),
+                         "step record: alpha must be finite and nonnegative, got -1.0",
+                         id="alpha-negative"),
+            pytest.param(replace_step(5, lambda rec: {**rec, "alpha": math.nan}),
+                         "step record: alpha must be finite and nonnegative, got nan",
+                         id="alpha-nan"),
+            pytest.param(replace_step(8, lambda rec: {**rec, "alpha": math.inf}),
+                         "step record: alpha must be finite and nonnegative, got inf",
+                         id="alpha-inf"),
             pytest.param(lambda lines: (lines[:2] + [{
                 "kind": "checkpoint", "n": 100, "k": 3, "alpha": 0.5, "likelihood_ratio": None,
                 "l2_distance": None, "kl_estimate": [1, 2], "kl_stderr": None}] + lines[2:], 3),
@@ -557,7 +575,8 @@ def engine_trace_lines(selection: str) -> tuple[str, ...]:
 
 # Edits of one step record, each of a kind the lean step reader must leave
 # to the declared one: a bool or an int in q, an int q, a value of another
-# type, a broken chain, a wrong index, a missing key.
+# type, a broken chain, a q or an alpha out of range, a wrong index, a
+# missing key.
 STEP_EDITS = {
     "q-bool": lambda rec: {**rec, "q": [True, *rec["q"][1:]]},
     "q-int": lambda rec: {**rec, "q": [0, *rec["q"][1:]]},
@@ -570,6 +589,14 @@ STEP_EDITS = {
     "label-next": lambda rec: {**rec, "label": rec["label"] % len(rec["q"]) + 1},
     "innovation-flipped": lambda rec: {**rec, "innovation": not rec["innovation"]},
     "innovation-int": lambda rec: {**rec, "innovation": int(rec["innovation"])},
+    "q-nan": lambda rec: {**rec, "q": [math.nan, *rec["q"][1:]]},
+    "q-inf": lambda rec: {**rec, "q": [*rec["q"][:-1], math.inf]},
+    "q-negative": lambda rec: {**rec, "q": [-v for v in rec["q"]]},
+    "q-shifted": lambda rec: {**rec, "q": [*rec["q"][:-1], rec["q"][-1] - 1e-6]},
+    "q-all-half": lambda rec: {**rec, "q": [0.5] * len(rec["q"])},
+    "alpha-negative": lambda rec: {**rec, "alpha": -rec["alpha"] - 1.0},
+    "alpha-nan": lambda rec: {**rec, "alpha": math.nan},
+    "alpha-inf": lambda rec: {**rec, "alpha": math.inf},
     "k-zero": lambda rec: {**rec, "k": 0},
     "k-past-q": lambda rec: {**rec, "k": len(rec["q"]) + 1},
     "i-next": lambda rec: {**rec, "i": rec["i"] + 1},

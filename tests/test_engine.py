@@ -1044,6 +1044,10 @@ class TestEngineConfig:
             (dict(maintenance_period=2.5), "maintenance_period"),
             (dict(seed=-1), "seed"),
             (dict(seed=1.5), "seed"),
+            (dict(lam=True), "lam"),
+            (dict(fixed_alpha=True), "fixed_alpha"),
+            (dict(merge_eps=True), "merge_eps"),
+            (dict(prune_eps=False), "prune_eps"),
         ],
     )
     def test_validation_names_field(self, kwargs, field):
