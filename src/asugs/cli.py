@@ -92,15 +92,18 @@ _PRIOR_FLAGS = {"sigma0": "--prior-var", "delta0": "--prior-strength", "c0": "--
 
 
 def _build_config(args, d: int) -> EngineConfig:
-    prior = None
+    prior, scale = None, _given(args, "pseudo_obs", "c0")
     if "prior_var" in vars(args):
         try:
-            prior = PriorConfig.from_scale(d, args.prior_var, **_given(args, "pseudo_obs", "c0"))
+            prior = PriorConfig.from_scale(d, args.prior_var, **scale)
         except (ValueError, np.linalg.LinAlgError) as exc:
             # the prior's messages name its field; an indefinite sigma0 fails
             # in the factorisation, whose message names none
             field = next((f for f in _PRIOR_FLAGS if f in str(exc)), "sigma0")
             raise ConfigError(f"{_PRIOR_FLAGS[field]}: {exc}") from exc
+    elif scale:  # both shape the prior that --prior-var builds
+        flag = "--prior-strength" if "pseudo_obs" in scale else "--prior-c0"
+        raise ConfigError(f"{flag} needs --prior-var")
     engine = _given(args, *(f.name for f in fields(EngineConfig)))
     return EngineConfig(**engine, prior=prior).resolve(d)
 

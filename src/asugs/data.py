@@ -382,7 +382,7 @@ def read_trace(path) -> RunTrace:
     lean path; any other goes through the declaration, which names its
     fault."""
     lineno, config, final = 0, None, None
-    records, checkpoints, book = [], [], ClusterBook()
+    records, checkpoints = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -412,6 +412,7 @@ def read_trace(path) -> RunTrace:
                 v = kind.read(rec)
                 if kind is _CONFIG:
                     config = EngineConfig(**v).resolve(v["prior"].dim)
+                    book = ClusterBook(config.prior.dim)
                 elif kind is _STEP:
                     _check_chain(records, **v)
                     records.append(StepRecord(**v))

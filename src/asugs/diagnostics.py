@@ -145,6 +145,27 @@ def _grid_quad(axes, mu: np.ndarray, prec: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _grid_gap(axes, fitted, truth: GaussianMixture) -> np.ndarray:
+    """The fitted Student-t mixture minus the truth's Gaussian mixture at
+    every point of a d <= 2 tensor grid, in grid shape.  ``fitted`` holds
+    one (weight, mu, prec, log_norm, coef, expo) per component.  Each
+    component's weighted density is added in the linear domain through one
+    buffer that every component reuses: two grid arrays whatever the
+    number of components."""
+    gap = np.zeros(tuple(map(len, axes)))
+    buf = np.empty_like(gap)
+    for weight, mu, prec, log_norm, coef, expo in fitted:
+        student_t_log_density(log_norm, coef, expo, _grid_quad(axes, mu, prec, buf), out=buf)
+        buf += math.log(weight)
+        gap += np.exp(buf, out=buf)
+    for h in range(truth.n_components):
+        gaussian_log_density(truth.dim, truth.logdets[h],
+                             _grid_quad(axes, truth.means[h], truth.precs[h], buf), out=buf)
+        buf += math.log(truth.weights[h])
+        gap -= np.exp(buf, out=buf)
+    return gap
+
+
 # the Monte Carlo L2 estimate's draws from the truth (d > 2), their number and seed
 L2_MC_DRAWS, L2_MC_SEED = 20000, 0
 # a checkpoint's KL draws from the truth, their number and seed, and L2 grid points per axis
@@ -183,8 +204,7 @@ def l2_distance_to_truth(
     """
     if book.k == 0:
         raise ValueError("L2 distance undefined for an empty book")
-    d = truth.dim
-    if d > 2:
+    if truth.dim > 2:
         _at_least_two(n_mc=n_mc)
         return _l2_from_draws(book, *_truth_draws(truth, n_mc, seed))
     _at_least_two(grid_points=grid_points)
@@ -194,19 +214,9 @@ def l2_distance_to_truth(
     mus = np.vstack([truth.means, book.mu])
     axes = _grid_axes(mus.min(axis=0) - pad_stds * max_sd, mus.max(axis=0) + pad_stds * max_sd,
                       grid_points)
-    diff = np.zeros((grid_points,) * d)
-    buf = np.empty_like(diff)
-    total = book.total_count
-    for h in range(book.k):
-        student_t_log_density(book.log_norm[h], book.coef[h], book.expo[h],
-                              _grid_quad(axes, book.mu[h], book.prec[h], buf), out=buf)
-        buf += math.log(book.m[h] / total)
-        diff += np.exp(buf, out=buf)
-    for h in range(truth.n_components):
-        gaussian_log_density(d, truth.logdets[h],
-                             _grid_quad(axes, truth.means[h], truth.precs[h], buf), out=buf)
-        buf += math.log(truth.weights[h])
-        diff -= np.exp(buf, out=buf)
+    fitted = zip(book.m / book.total_count, book.mu, book.prec, book.log_norm, book.coef,
+                 book.expo)
+    diff = _grid_gap(axes, fitted, truth)
     np.square(diff, out=diff)
     return float(np.sqrt(np.sum(np.multiply(diff, _grid_weights(axes), out=diff))))
 
@@ -320,13 +330,7 @@ def gaussian_limit_deviation(
     mean, sd = target.means[0], math.sqrt(np.linalg.eigvalsh(target.covariances[0]).max())
     axes = _grid_axes(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
     prec, _, log_norm, coef, expo = post.factors
-    gap = np.empty((n_grid,) * post.dim)
-    np.exp(student_t_log_density(log_norm, coef, expo, _grid_quad(axes, post.mu, prec, gap),
-                                 out=gap), out=gap)
-    buf = np.empty_like(gap)
-    gaussian_log_density(post.dim, target.logdets[0],
-                         _grid_quad(axes, mean, target.precs[0], buf), out=buf)
-    gap -= np.exp(buf, out=buf)
+    gap = _grid_gap(axes, [(1.0, post.mu, prec, log_norm, coef, expo)], target)
     return float(np.max(np.abs(gap, out=gap)))
 
 

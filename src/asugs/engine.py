@@ -71,7 +71,7 @@ REFRESH_MAX_T = 100.0  # largest t that ``absorb`` refreshes in closed form
 REFRESH_MEMO = 1024  # (d, c, delta) keys whose refresh tail ``_refresh_tail`` keeps
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterBook:
     """Live clusters in birth order as one struct of arrays.
 
@@ -95,35 +95,26 @@ class ClusterBook:
     how much evidence the distance rests on.  ``add`` and ``keep`` are
     the only places where the arrays change length.
 
-    The arrays are views of row ``row`` of a ``BookStack``, which a book
-    gets on its first ``add``; ``run_many`` keeps the books of all its runs
-    in one stack.  ``w``, ``dist`` and ``coact`` are folded on read: a step
-    appends the responsibilities q of the book's clusters to ``window``,
-    and ``fold`` adds the window's terms in step order, so every read sees
-    the sums of adding once per step, bit for bit.  ``add`` and ``keep``
-    fold first, so a window holds rows of one k.
+    The arrays are views of row ``row`` of a ``BookStack`` from birth:
+    ``ClusterBook(dim, n)`` is a book of d = dim without clusters, after n
+    observations, in a stack of its own with room for two clusters;
+    ``run_many`` keeps the books of all its runs in one stack.  ``w``,
+    ``dist`` and ``coact`` are folded on read: a step appends the
+    responsibilities q of the book's clusters to ``window``, and ``fold``
+    adds the window's terms in step order, so every read sees the sums of
+    adding once per step, bit for bit.  ``add`` and ``keep`` fold first, so
+    a window holds rows of one k.
     """
 
+    dim: int
     n: int = 0
-    mu: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    sigma: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    c: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    _w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    prec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    logdet: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    log_norm: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    expo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _dist: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    _coact: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    next_cid: int = 1
-    stack: "BookStack | None" = field(default=None, repr=False, compare=False)
-    row: int = field(default=0, repr=False, compare=False)
-    slots: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    window: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+    next_cid: int = field(default=1, init=False)
+    stack: "BookStack" = field(init=False, repr=False)
+    row: int = field(default=0, init=False, repr=False)
+    window: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self):
+        BookStack([self], 2)
 
     @property
     def w(self) -> np.ndarray:
@@ -203,15 +194,13 @@ class ClusterBook:
         doubles its room."""
         self.fold()
         h = self.k
-        if self.stack is None:
-            BookStack([self], post.dim, 2)
-        elif h == self.stack.cap:
+        if h == self.stack.cap:
             self.stack.store(self.stack.books, 2 * self.stack.cap)
         values = dict(mu=post.mu, sigma=post.sigma, c=post.c, delta=post.delta, m=m, _w=w,
                       cid=self.next_cid)
         values.update(zip(("prec", "logdet", "log_norm", "coef", "expo"), post.factors))
         for name, value in values.items():
-            self.slots[name][h] = value
+            self.stack.arrays[name][self.row, h] = value
         self.next_cid += 1
         self._bind(h + 1)
 
@@ -221,12 +210,12 @@ class ClusterBook:
         mask = np.asarray(mask, dtype=bool)
         k, kept = self.k, int(mask.sum())
         for name in _CLUSTER_FIELDS:
-            arr = self.slots[name]
+            arr = self.stack.arrays[name][self.row]
             arr[:kept] = arr[:k][mask]
             if name in _BLANK:  # the freed slots' other fields stay finite and unread
                 arr[kept:k] = _BLANK[name]
         for name in _PAIR_FIELDS:
-            arr = self.slots[name]
+            arr = self.stack.arrays[name][self.row]
             arr[:kept, :kept] = arr[:k, :k][np.ix_(mask, mask)]
             arr[kept:k] = arr[:, kept:k] = 0.0
         self._bind(kept)
@@ -234,9 +223,9 @@ class ClusterBook:
     def _bind(self, k: int) -> None:
         """Make the fields views of the first k slots of the book's row."""
         for name in _CLUSTER_FIELDS:
-            setattr(self, name, self.slots[name][:k])
+            setattr(self, name, self.stack.arrays[name][self.row, :k])
         for name in _PAIR_FIELDS:
-            setattr(self, name, self.slots[name][:k, :k])
+            setattr(self, name, self.stack.arrays[name][self.row, :k, :k])
         self.stack.ks[self.row], self.stack.scored_views = k, None
 
     def __deepcopy__(self, memo) -> "ClusterBook":
@@ -245,9 +234,7 @@ class ClusterBook:
         are."""
         twin = copy.copy(self)
         twin.window = list(self.window)
-        if self.stack is not None:
-            twin.stack = None
-            BookStack([twin], self.stack.dim, self.k + 1)
+        BookStack([twin], self.k + 1)
         return twin
 
 
@@ -262,12 +249,13 @@ class BookStack:
     numpy's calls cost less on them, and ``run`` steps one book.
     """
 
-    def __init__(self, books: list[ClusterBook], dim: int, cap: int):
-        self.dim, self.scored_views = dim, None
+    def __init__(self, books: list[ClusterBook], cap: int):
+        self.dim, self.scored_views = books[0].dim, None
         self.store(books, cap)
 
     def store(self, books: list[ClusterBook], cap: int) -> None:
-        """Copy the books' clusters into new arrays with room for cap each."""
+        """Copy the books' clusters into new arrays with room for cap each,
+        and bind each book to its row."""
         tails = {"mu": (self.dim,), "sigma": (self.dim,) * 2, "prec": (self.dim,) * 2,
                  "_dist": (cap,), "_coact": (cap,)}
         self.arrays = {}
@@ -281,12 +269,13 @@ class BookStack:
         self.flat = {name: self.arrays[name].reshape(len(books) * cap, *tails.get(name, ()))
                      for name in _CLUSTER_FIELDS}
         for r, book in enumerate(books):
-            slots = {name: arr[r] for name, arr in self.arrays.items()}
-            for name, row in slots.items():
-                part = getattr(book, name)
-                row[tuple(map(slice, part.shape))] = part
-            book.stack, book.row, book.slots = self, r, slots
-            book._bind(book.k)
+            k = book.k if hasattr(book, "stack") else 0  # a book being made has no arrays
+            if k:
+                for name, arr in self.arrays.items():
+                    part = getattr(book, name)
+                    arr[r][tuple(map(slice, part.shape))] = part
+            book.stack, book.row = self, r
+            book._bind(k)
 
     def scored(self) -> tuple[np.ndarray, ...]:
         """mu, prec, m, log_norm, coef and expo over the first width slots of
@@ -755,7 +744,7 @@ class _Run:
     stream: np.ndarray
     config: EngineConfig
     on_step: Callable[[int, ClusterBook], None] | None
-    book: ClusterBook = field(default_factory=ClusterBook)
+    book: ClusterBook = field(init=False)
     records: list[StepRecord] = field(default_factory=list)
 
     def __post_init__(self):
@@ -813,7 +802,7 @@ class _Run:
         if self.maintained and self.n % self.config.maintenance_period != 0:
             self.maintain(False)
         if len(self.book.stack.books) > 1:  # leave a shared stack
-            BookStack([self.book], self.stream.shape[1], self.book.k + 1)
+            BookStack([self.book], self.book.k + 1)
         return RunTrace(config=self.config, records=self.records, final_book=self.book)
 
 
@@ -823,8 +812,8 @@ def _prior_key(prior: PriorConfig) -> tuple:
 
 def _families(runs: list[_Run], streams: list) -> list[list[_Run]]:
     """The runs grouped into families, which step alike: same rows object,
-    seed, lam, selection, fixed_alpha and prior.  The runs of a family get
-    its first run's book, records and generator."""
+    seed, lam, selection, fixed_alpha and prior.  A family's first run gets
+    a new book, and the others share it, its records and its generator."""
     families: dict[tuple, list[_Run]] = {}
     for run in runs:
         config = run.config
@@ -832,6 +821,7 @@ def _families(runs: list[_Run], streams: list) -> list[list[_Run]]:
                config.fixed_alpha, *_prior_key(config.prior))
         families.setdefault(key, []).append(run)
     for lead, *rest in families.values():
+        lead.book = ClusterBook(lead.stream.shape[1])
         for run in rest:
             run.book, run.records, run.rng = lead.book, lead.records, lead.rng
     return list(families.values())
@@ -906,7 +896,7 @@ def run_many(
     period, ends = runs[0].config.maintenance_period, {run.n for run in runs}
     watched, n_max = any(run.on_step is not None for run in runs), max(ends)
     families = _families(runs, streams)
-    stack = BookStack([family[0].book for family in families], runs[0].stream.shape[1], 2)
+    stack = BookStack([family[0].book for family in families], 2)
     for start in range(0, n_max, period):
         width = min(period, n_max - start)
         scores: dict = {}

@@ -147,6 +147,8 @@ class TestFit:
         (["--prior-var", "0.025", "--prior-strength", "0"], "--prior-strength"),
         (["--prior-var", "0.025", "--prior-c0", "0"], "--prior-c0"),
         (["--prior-var", "0.025", "--prior-c0", "inf"], "--prior-c0"),
+        (["--prior-strength", "5"], "--prior-strength needs --prior-var"),
+        (["--prior-c0", "3"], "--prior-c0 needs --prior-var"),
     ])
     def test_invalid_value_is_config_error_naming_it(self, dataset_dir, tmp_path, capsys,
                                                      flags, named):

@@ -70,7 +70,7 @@ def format_trace() -> RunTrace:
     """A hand-built trace whose values are exact in binary: none comes from
     the engine's arithmetic, so its bytes do not depend on BLAS."""
     prior = PriorConfig(mu0=np.zeros(2), c0=0.5, delta0=2.5, sigma0=np.eye(2))
-    book = ClusterBook(n=2)
+    book = ClusterBook(2, n=2)
     book.add(NiwPosterior(np.array([0.5, -0.25]), 2.5, 3.5,
                           np.array([[1.0, 0.25], [0.25, 2.0]])), 2, 1.75)
     return RunTrace(
@@ -163,7 +163,7 @@ class TestSampleMixture:
 class TestHeldoutLoglik:
     def _single_cluster_book(self):
         post = NiwPosterior(np.array([0.5]), 8.0, 5.0, np.array([[0.3]]))
-        book = ClusterBook(n=4)
+        book = ClusterBook(1, n=4)
         book.add(post, 4, 4.0)
         return book, post
 

@@ -54,7 +54,7 @@ from grid_oracle import tensor_grid
 
 
 def make_book(posts, ms, n):
-    book = ClusterBook(n=n)
+    book = ClusterBook(posts[0].dim, n=n)
     for post, m in zip(posts, ms):
         book.add(post, m, float(m))
     return book
@@ -103,9 +103,9 @@ class TestMixturePredictive:
 
     def test_empty_book_rejected(self):
         with pytest.raises(ValueError, match="empty book"):
-            log_mixture_predictive_rows(ClusterBook(), np.zeros(1))
+            log_mixture_predictive_rows(ClusterBook(1), np.zeros(1))
         with pytest.raises(ValueError, match="empty book"):
-            likelihood_ratio(ClusterBook(), PriorConfig.default(1), np.zeros(1))
+            likelihood_ratio(ClusterBook(1), PriorConfig.default(1), np.zeros(1))
 
     def test_memory_is_one_k_by_n_array(self):
         """16 clusters, d = 2, 5000 rows: one K x N array (640 kB) and three
@@ -474,7 +474,7 @@ def synthetic_trace(k_series):
                    k_after=int(k), innovation=False)
         for i, k in enumerate(k_series)
     ]
-    return RunTrace(config=EngineConfig(), records=records, final_book=ClusterBook(n=len(records)))
+    return RunTrace(config=EngineConfig(), records=records, final_book=ClusterBook(1, n=len(records)))
 
 
 def growth_exponent(trace):

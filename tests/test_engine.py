@@ -54,7 +54,7 @@ def score_one(book, y, alpha, log_new):
     """``responsibilities`` of one book, alone in its stack: the old
     single-book signature, with log_new the prior predictive of y."""
     y = np.asarray(y, dtype=float)
-    stack = book.stack or BookStack([book], len(y), 2)
+    stack = book.stack
     q = responsibilities(stack, y[None], [math.log(alpha) + log_new])
     return q[:book.k + 1]  # a stack of one book scores in its own shapes
 
@@ -63,7 +63,7 @@ def step_one(book, y, config, rng, log_new):
     """``step`` of one book, alone in its stack, drawing its uniform from rng
     as ``run`` does (from the second observation on, in sample mode); raises
     what the step returns in place of a record."""
-    stack = book.stack or BookStack([book], config.prior.dim, 2)
+    stack = book.stack
     u = rng.random() if config.selection == "sample" and book.k else 0.0
     (record,) = step(stack, [y], [config], [log_new], [u])
     if isinstance(record, Exception):
@@ -71,8 +71,8 @@ def step_one(book, y, config, rng, log_new):
     return record
 
 
-def make_book(posts, ms, ws, n):
-    book = ClusterBook(n=n)
+def make_book(posts, ms, ws, n, d=None):
+    book = ClusterBook(d or posts[0].dim, n=n)
     for post, m, w in zip(posts, ms, ws):
         book.add(post, m, w)
     return book
@@ -84,7 +84,7 @@ def unit_post():
 
 
 def k_cluster_book(k, n):
-    return make_book([unit_post() for _ in range(k)], [1] * k, [1.0] * k, n=n)
+    return make_book([unit_post() for _ in range(k)], [1] * k, [1.0] * k, n=n, d=1)
 
 
 def ref_log_density_1d(mu, c, delta, sigma, y):
@@ -117,7 +117,7 @@ class TestPredictivePriorWeights:
 
     def test_empty_book_certain_innovation(self):
         y = np.zeros(1)
-        assert score_one(ClusterBook(), y, 3.7, prior_predictive(self.PRIOR, y)).tolist() == [1.0]
+        assert score_one(ClusterBook(1), y, 3.7, prior_predictive(self.PRIOR, y)).tolist() == [1.0]
 
     def test_single_cluster_unit_alpha(self):
         np.testing.assert_allclose(self.weights([1], 1, 1.0), [0.5, 0.5])
@@ -140,7 +140,7 @@ class TestResponsibilities:
     def test_empty_book(self):
         prior = PriorConfig.default(1)
         np.testing.assert_array_equal(
-            score_one(ClusterBook(), np.zeros(1), 1.0, prior_predictive(prior, np.zeros(1))),
+            score_one(ClusterBook(1), np.zeros(1), 1.0, prior_predictive(prior, np.zeros(1))),
             [1.0],
         )
 
@@ -200,7 +200,7 @@ class TestResponsibilities:
         ys = means[rng.integers(4, size=400)] + rng.normal(size=(400, d))
         cfg = EngineConfig(seed=d, prior=PriorConfig.from_scale(d, 1.0, 2.0 * d + 4.0),
                            prune_eps=0.0, merge_eps=0.0).resolve(d)
-        book, step_rng = ClusterBook(n=4), np.random.default_rng(d)
+        book, step_rng = ClusterBook(d, n=4), np.random.default_rng(d)
         for mean in means:
             book.add(posterior_update(cfg.prior.state, mean), 1, 1.0)
         for i, y in enumerate(ys, start=1):
@@ -277,7 +277,7 @@ class TestStep:
         return step_one(book, y, self.config, self.rng, prior_predictive(self.config.prior, y))
 
     def test_first_observation_opens_cluster_one(self):
-        book = ClusterBook()
+        book = ClusterBook(2)
         rng_state = self.rng.bit_generator.state
         rec = self.step(book, np.array([0.4, -0.1]))
         assert (rec.label, rec.k_after, rec.innovation, rec.alpha_used) == (1, 1, True, 0.0)
@@ -297,7 +297,7 @@ class TestStep:
 
     def test_counts_partition_observations(self):
         rng = np.random.default_rng(2)
-        book = ClusterBook()
+        book = ClusterBook(2)
         for i in range(200):
             rec = self.step(book, rng.normal(size=2) * 2)
             assert book.m.sum() == book.n == i + 1
@@ -317,7 +317,7 @@ class TestStep:
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_observation_of_wrong_dimension_rejected(self, k, dim):
-        book = ClusterBook()
+        book = ClusterBook(2)
         for _ in range(k):
             self.step(book, np.array([0.4, -0.1]))
         with pytest.raises(ValueError, match=f"observation has dim {dim}, state has dim 2"):
@@ -336,7 +336,7 @@ class TestStep:
         rng = np.random.default_rng(d)
         for far in (False, True):
             y = scale * rng.normal(size=d) * (1e3 if far else 1.0)
-            book = ClusterBook()
+            book = ClusterBook(d)
             step_one(book, y, config, np.random.default_rng(0), prior_predictive(prior, y))
             want = posterior_update(prior.state, y)
             np.testing.assert_array_equal(book.mu[0], want.mu)
@@ -469,7 +469,7 @@ class TestPairHistories:
         ys = sample_mixture(generate_grid_mixture(4, 0.025), 400, seed=0).rows
         cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025)).resolve(2)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        book = ClusterBook()
+        book = ClusterBook(2)
         cids: list[int] = []
         dist: dict[tuple[int, int], float] = {}
         coact: dict[tuple[int, int], float] = {}
@@ -768,6 +768,29 @@ class TestCachedFactors:
 
 
 class TestBookInvariants:
+    def test_book_is_born_in_its_stack(self):
+        """``ClusterBook(dim)`` is row 0 of a stack of its own from birth,
+        with no clusters and arrays of d = dim that view the stack's."""
+        book = ClusterBook(3)
+        assert (book.stack.dim, book.k, book.n, book.row) == (3, 0, 0, 0)
+        assert book.stack.books == [book]
+        assert book.mu.shape == (0, 3) and book.sigma.shape == (0, 3, 3)
+        assert book.mu.base is book.stack.arrays["mu"]
+        book.add(NiwPosterior(np.ones(3), 1.0, 2.0, np.eye(3)), 1, 1.0)
+        assert np.shares_memory(book.mu, book.stack.arrays["mu"])
+
+    def test_deepcopy_shares_no_memory(self):
+        rng = np.random.default_rng(0)
+        book = make_book(random_posts(rng, 3, 2), [1, 2, 3], [1.0, 2.0, 3.0], n=6)
+        book.window.append(np.array([0.5, 0.25, 0.25]))
+        twin = copy.deepcopy(book)
+        assert twin.stack is not book.stack and twin.window is not book.window
+        assert not any(np.shares_memory(a, b) for a in twin.stack.arrays.values()
+                       for b in book.stack.arrays.values())
+        for name in ("mu", "sigma", "c", "delta", "m", "w", "cid", "prec", "logdet", "log_norm",
+                     "coef", "expo", "dist", "coact"):
+            np.testing.assert_array_equal(getattr(twin, name), getattr(book, name))
+
     # Overlapping clusters under the broad default prior: about half of
     # the examples merge at least once.
     @settings(max_examples=60, deadline=None)
@@ -804,7 +827,7 @@ class TestBookInvariants:
         # prune and merge, not only after a step's maintenance
         cfg = cfg.resolve(2)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        book = ClusterBook()
+        book = ClusterBook(2)
         for i, y in enumerate(ys, start=1):
             step_one(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             check(i, book)
@@ -860,7 +883,7 @@ class TestCacheAcrossScales:
         exactly symmetric, and the cached precision, logdet and constant
         equal a fresh factorisation."""
         ys, _, cfg = self.stream(d, centers, picks, seed, exponent, matched)
-        book, rng = ClusterBook(), np.random.Generator(np.random.PCG64(cfg.seed))
+        book, rng = ClusterBook(d), np.random.Generator(np.random.PCG64(cfg.seed))
         for i, y in enumerate(ys, start=1):
             step_one(book, y, cfg, rng, prior_predictive(cfg.prior, y))
             assert_cache_fresh(book)
@@ -1397,7 +1420,7 @@ class TestBatchedUpdate:
 
         rng = np.random.default_rng(d)
         books = [make_book(random_posts(rng, 3, d), [2, 3, 4], [1.0] * 3, n=9) for _ in range(6)]
-        stack = BookStack(books, d, 4)
+        stack = BookStack(books, 4)
         refactorised = 0
         for _ in range(5):
             twins = [copy.deepcopy(book) for book in books]
@@ -1445,7 +1468,7 @@ class TestBatchedUpdate:
         for twin, y in zip(twins, ys):
             twin.absorb(0, y)
             twin.m[0] += 1
-        stack = BookStack(books, 2, 4)
+        stack = BookStack(books, 4)
         monkeypatch.setattr(engine_mod, "student_t_factors", counted)
         records = step(stack, ys, [config] * 3, [-1e6] * 3, [0.0] * 3)
         assert [record.label for record in records[:2]] == [1, 1]
@@ -1616,13 +1639,13 @@ class TestLockstepBits:
         and zero past it; returns the stack."""
         prior = PriorConfig.default(d)
         alone = [copy.deepcopy(book) for book in books]
-        stack = BookStack(books, d, max(book.k for book in books) + 1)
+        stack = BookStack(books, max(book.k for book in books) + 1)
         for _ in range(steps):
             ys = rng.normal(size=(len(books), d)) * 3
             weights = [math.log(rng.uniform(0.1, 5.0)) + prior_predictive(prior, y) for y in ys]
             q = responsibilities(stack, ys, weights)
             for r, (book, y, weight) in enumerate(zip(alone, ys, weights)):
-                own = responsibilities(book.stack or BookStack([book], d, 2), y[None], [weight])
+                own = responsibilities(book.stack, y[None], [weight])
                 k = book.k
                 assert np.array_equal(q[r, :k + 1], own.reshape(-1)[:k + 1]), r
                 assert not q[r, k + 1:].any()
@@ -1639,7 +1662,7 @@ class TestLockstepBits:
         rng = np.random.default_rng(0)
         for top in (19, 14, 22, 40):
             books = [make_book(random_posts(rng, k, 2), list(rng.integers(1, 40, size=k)),
-                               [1.0] * k, n=40 * k + 1) for k in range(top + 1)]
+                               [1.0] * k, n=40 * k + 1, d=2) for k in range(top + 1)]
             stack = self.assert_rows_scored_alone(books, 2, rng, steps=20)
             assert 0 < len(resummed(stack)) < len(stack.short[0]), top
 
@@ -1648,7 +1671,7 @@ class TestLockstepBits:
         row of a wider stack is summed over its own k + 1 terms."""
         rng = np.random.default_rng(5)
         books = [make_book(random_posts(rng, k, 1), list(rng.integers(1, 40, size=k)),
-                           [1.0] * k, n=40 * k + 1) for k in (0, 3, 9, 64, 120, 127, 129, 140)]
+                           [1.0] * k, n=40 * k + 1, d=1) for k in (0, 3, 9, 64, 120, 127, 129, 140)]
         stack = self.assert_rows_scored_alone(books, 1, rng, steps=5)
         assert resummed(stack) == stack.short[0].tolist() == list(range(7))
 
@@ -1674,7 +1697,7 @@ class TestLockstepBits:
         rng = np.random.default_rng(6)
         for _ in range(25):
             ks = rng.integers(0, 60, size=12).tolist()
-            stack = BookStack([k_cluster_book(k, n=k) for k in ks], 1, max(ks) + 1)
+            stack = BookStack([k_cluster_book(k, n=k) for k in ks], max(ks) + 1)
             row = max(ks) + 1
             want = [r for r, k in enumerate(ks) if k + 1 < row and (k + 1) // 8 != row // 8]
             assert resummed(stack) == want
@@ -1688,7 +1711,7 @@ class TestLockstepBits:
         would sum pairwise; each book's fold adds step after step, for one
         book alone and for several in one stack."""
         rng = np.random.default_rng(books)
-        stack = BookStack([k_cluster_book(1, n=0) for _ in range(books)], 1, 2)
+        stack = BookStack([k_cluster_book(1, n=0) for _ in range(books)], 2)
         want = np.array([book.w[0] for book in stack.books])
         steps = [rng.random((books, 1)) for _ in range(60)]
         for q in steps:
@@ -1718,7 +1741,7 @@ class TestLockstepBits:
         rng = np.random.default_rng(2)
         config = EngineConfig(lam=lam, seed=0, prior=PriorConfig.default(2)).resolve(2)
         books = [make_book(random_posts(rng, k, 2), [n // k] * k, [1.0] * k, n=n) for k in (3, 5)]
-        stack = BookStack(books, 2, 8)
+        stack = BookStack(books, 8)
         ys = rng.normal(size=(2, 2))
         records = step(stack, ys, [config] * 2, [prior_predictive(config.prior, y) for y in ys],
                        [0.5, 0.5])
@@ -1743,7 +1766,7 @@ class TestLockstepBits:
         rng = np.random.default_rng(3)
         config = EngineConfig(fixed_alpha=alpha, seed=0, prior=PriorConfig.default(2)).resolve(2)
         stack = BookStack([make_book(random_posts(rng, 2, 2), [3, 4], [1.0, 1.0], n=7)
-                           for _ in range(2)], 2, 4)
+                           for _ in range(2)], 4)
         ys = rng.normal(size=(2, 2))
         scores = [prior_predictive(config.prior, y) for y in ys]
         monkeypatch.setattr(engine_mod, "responsibilities", spied)
@@ -1763,7 +1786,7 @@ class TestLockstepBits:
             ys = np.array([book.mu[0] for book in books]) + rng.normal(size=(3, 2))
             before = [(book.c[0], book.delta[0], book.mu[0].copy(), book.prec[0].copy(),
                        book.logdet[0]) for book in books]
-            stack = BookStack(books, 2, 4)
+            stack = BookStack(books, 4)
             records = step(stack, ys, [config] * 3,
                            [prior_predictive(config.prior, y) - 50.0 for y in ys], [0.5] * 3)
             for book, y, record, (c, delta, mu, prec, logdet) in zip(books, ys, records, before):

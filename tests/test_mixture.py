@@ -147,7 +147,7 @@ def random_book(d: int, k: int, seed: int):
         a = g.normal(size=(d, d))
         posts.append(NiwPosterior(3.0 * g.normal(size=d), g.uniform(1.0, 50.0),
                                   d / 2.0 + g.uniform(1.0, 20.0), a @ a.T / d + 4.0 * np.eye(d)))
-    book = ClusterBook(n=100)
+    book = ClusterBook(d, n=100)
     for post, m in zip(posts, g.integers(1, 30, size=k).tolist()):
         book.add(post, m, float(m))
     return book, posts
