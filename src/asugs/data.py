@@ -12,9 +12,11 @@ and reads it.  Step records, one per observation, take two lean paths
 that cost little more than their floats' ``repr`` and ``json.loads``: a
 line is formatted from a template built from the step declaration, and a
 line whose values have the types the writer gives is read without the
-per-key readers.  Neither changes a byte or a refusal: a record the
-template cannot write as JSON does, or a line the lean reader does not
-take, goes through the declaration, which stays their oracle.
+per-key readers.  Both go through the trace's step columns
+(``StepColumns``) a chunk of steps at a time.  Neither changes a byte or
+a refusal: a record the template cannot write as JSON does, or a line
+the lean reader does not take, goes through the declaration, which
+stays their oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from asugs.engine import (
     ClusterBook,
     EngineConfig,
     RunTrace,
+    StepColumns,
     StepRecord,
 )
 from asugs.mixture import GaussianMixture
@@ -275,14 +278,12 @@ def _float_text(value: float) -> str:
     return _finite(float.__repr__(value))  # not %r: a numpy float64 prints as np.float64(...)
 
 
-# The JSON text _dumps writes for each type a step record's value may have;
-# for another type, a q of other than floats, or a nan or inf, a KeyError,
-# TypeError or ValueError.
+# The JSON text _dumps writes for each type a value of a record from
+# ``StepColumns.as_lists`` has (q is a list); for another type, a q of other
+# than floats, or a nan or inf, a KeyError, TypeError or ValueError.
 _TEXT = {
-    float: _float_text, np.float64: _float_text, int: int.__repr__,
-    **dict.fromkeys({np.dtype(c).type for c in np.typecodes["AllInteger"]}, "%d".__mod__),
-    bool: {True: "true", False: "false"}.__getitem__, np.bool_: lambda v: "true" if v else "false",
-    np.ndarray: lambda q: "[" + _finite(",".join(map(float.__repr__, q.tolist()))) + "]",
+    float: _float_text, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+    list: lambda q: "[" + _finite(",".join(map(float.__repr__, q))) + "]",
 }
 # _STEP.line's bytes with a %s for each value, in _dumps' sorted key order
 _STEP_TEMPLATE = "{" + ",".join(f'"kind":"{_STEP.name}"' if key == "kind" else f'"{key}":%s'
@@ -293,7 +294,8 @@ _STEP_SORTED = operator.attrgetter(*(attr for _, attr, _ in sorted(_STEP.fields)
 def _step_line(record: StepRecord) -> str:
     """``_STEP.line`` of a step record, formatted from the template: the
     floats' repr is its cost.  A value the template cannot write as JSON
-    does goes through ``_STEP.line``."""
+    does goes through ``_STEP.line``.  ``write_trace`` gives it records
+    whose q is a list, from one ``tolist`` per chunk of the step columns."""
     try:
         return _STEP_TEMPLATE % tuple([_TEXT[type(v)](v) for v in _STEP_SORTED(record)])
     except (KeyError, TypeError, ValueError):
@@ -314,23 +316,24 @@ def write_trace(path, trace: RunTrace) -> None:
     book = trace.final_book
     with open(path, "w") as fh:
         fh.write(_dumps({"kind": _CONFIG.name, **config_record(trace.config)}) + "\n")
-        fh.writelines(map(_step_line, trace.records))
+        fh.writelines(map(_step_line, trace.records.as_lists()))
         fh.writelines(_CHECKPOINT.line(_CHECKPOINT.values(cp)) for cp in trace.checkpoints)
         fh.writelines(map(_CLUSTER.line, zip(*_CLUSTER.values(book))))
         fh.write(_FINAL.line(_FINAL.values(book)))
 
 
-def _check_chain(records, index, label, q, alpha_used, k_after, innovation) -> None:
-    """A step's values, as ``_STEP`` names them, against the step records
+def _check_chain(steps: StepColumns, index, label, q, alpha_used, k_after, innovation) -> None:
+    """A step's values, as ``_STEP`` names them, against the step columns
     read before it: i is the previous step's i + 1, starting at 1; q scores the
     previous step's k clusters (0 before step 1) and a new one, and is a
     responsibility vector (no entry below 0, summing to 1 within 1e-9); the
     label is one of its entries and is the new one exactly at an innovation;
     the step leaves between 1 and len(q) clusters; and alpha is finite and
     nonnegative.  It reads q with builtins, as a list or an array."""
-    if index != len(records) + 1:
-        raise ValueError(f"i must be {len(records) + 1}, got {index}")
-    k, width = records[-1].k_after if records else 0, len(q)
+    count = len(steps.k_after)
+    if index != count + 1:
+        raise ValueError(f"i must be {count + 1}, got {index}")
+    k, width = steps.k_after[-1] if count else 0, len(q)
     if width != k + 1:
         raise ValueError(f"q must have the previous step's k + 1 = {k + 1} entries, got {width}")
     if min(q) < 0 or not abs(sum(q) - 1) <= 1e-9:  # a NaN or an infinity fails the sum
@@ -350,20 +353,21 @@ _STEP_KEYS = {"kind", *_STEP.keys}
 _STEP_ITEMS = operator.itemgetter(*_STEP.keys)  # in declaration order, _check_chain's
 
 
-def _lean_step(rec: dict, records: list[StepRecord]) -> StepRecord | None:
+def _lean_step(rec: dict, steps: StepColumns) -> StepRecord | None:
     """The next record of a step line whose JSON values have the types the
-    writer gives (q a list of floats) and which passes ``_check_chain``;
-    else None, and ``_STEP.read`` reads it and words the refusal."""
+    writer gives (q a list of floats, kept as such for the columns' pending
+    chunk) and which passes ``_check_chain``; else None, and ``_STEP.read``
+    reads it and words the refusal."""
     values = i, label, q, alpha, k, innovation = _STEP_ITEMS(rec)
     if not (type(i) is type(label) is type(k) is int and type(alpha) in (int, float)
             and type(innovation) is bool and type(q) is list
             and all(map(isinstance, q, repeat(float)))):
         return None
     try:
-        _check_chain(records, *values)
+        _check_chain(steps, *values)
     except ValueError:
         return None
-    return StepRecord(i, label, np.array(q), alpha, k, innovation)
+    return StepRecord(*values)
 
 
 def read_trace(path) -> RunTrace:
@@ -380,9 +384,10 @@ def read_trace(path) -> RunTrace:
     (after a step) the last step's k.  A step line that passes
     ``_lean_step``'s checks, the same but for its message, is read on that
     lean path; any other goes through the declaration, which names its
-    fault."""
+    fault.  Either way the step goes into the trace's ``StepColumns``, in
+    chunks of the config's ``maintenance_period``."""
     lineno, config, final = 0, None, None
-    records, checkpoints = [], []
+    steps, checkpoints = None, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -393,9 +398,9 @@ def read_trace(path) -> RunTrace:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
             if (type(rec) is dict and rec.keys() == _STEP_KEYS and rec["kind"] == _STEP.name
                     and config is not None and final is None):
-                step = _lean_step(rec, records)
+                step = _lean_step(rec, steps)
                 if step is not None:
-                    records.append(step)
+                    steps.append(step)
                     continue
             if not isinstance(rec, dict):
                 raise DataError(f"{path}: row {lineno}: expected a JSON object")
@@ -413,9 +418,10 @@ def read_trace(path) -> RunTrace:
                 if kind is _CONFIG:
                     config = EngineConfig(**v).resolve(v["prior"].dim)
                     book = ClusterBook(config.prior.dim)
+                    steps = StepColumns(config.maintenance_period)
                 elif kind is _STEP:
-                    _check_chain(records, **v)
-                    records.append(StepRecord(**v))
+                    _check_chain(steps, **v)
+                    steps.append(StepRecord(**v))
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))
                 elif kind is _CLUSTER:
@@ -431,12 +437,12 @@ def read_trace(path) -> RunTrace:
     if final is None:
         raise DataError(f"{path}: no final record after row {lineno}")
     ends = [("k", book.k, f"the trace has {book.k} cluster records"),
-            ("n", len(records), f"the trace has {len(records)} step records")]
-    if records:
-        ends.append(("k", records[-1].k_after, f"the last step has k = {records[-1].k_after}"))
+            ("n", len(steps), f"the trace has {len(steps)} step records")]
+    if steps:
+        ends.append(("k", steps.k_after[-1], f"the last step has k = {steps.k_after[-1]}"))
     for key, want, found in ends:
         if final[key] != want:
             raise DataError(f"{path}: row {final_row}: final record has {key} = {final[key]}, "
                             f"but {found}")
     book.n = final["n"]
-    return RunTrace(config=config, records=records, final_book=book, checkpoints=checkpoints)
+    return RunTrace(config=config, records=steps, final_book=book, checkpoints=checkpoints)

@@ -12,7 +12,9 @@ A run's whole state is one ``ClusterBook``: the live clusters in birth
 order, the observation count n (from which, with k, the adaptive
 concentration follows) and two K x K arrays of pairwise responsibility
 histories indexed by position in that order.  A single run is strictly
-sequential, and independent runs may execute concurrently.
+sequential, and independent runs may execute concurrently.  A run's step
+records are kept as columns (``StepColumns``): a few numbers per step and
+its q, not an object per step.
 ``run_many`` steps independent runs in lockstep: their books are the
 rows of one ``BookStack``, so that a step scores, normalises and updates
 all of them with one numpy call each, and ``run`` is ``run_many`` of one
@@ -25,10 +27,13 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Callable
+import operator
+from array import array
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 
@@ -436,7 +441,8 @@ class StepRecord:
 
     label is 1-based over the clusters live at selection time; the
     innovation slot is k+1.  alpha_used is 0.0 on the very first step,
-    where no selection takes place.
+    where no selection takes place.  A trace holds no records: it builds
+    them on access from its ``StepColumns``.
     """
 
     index: int
@@ -445,6 +451,103 @@ class StepRecord:
     alpha_used: float
     k_after: int
     innovation: bool
+
+
+class StepColumns(Sequence):
+    """A run's step records as columns.  ``label`` and ``k_after`` are int64,
+    ``alpha`` float64 and ``innovation`` bool (one byte), each an
+    ``array.array``; step i's index is i + 1.  The steps' q lie end to end
+    in float64 chunks: step i's q is floats ``offsets[i]:offsets[i + 1]``
+    of that run.  ``append`` keeps a step's q as it is given (a view, in
+    ``run_many``) until the count of steps is a multiple of ``period``, or
+    ``flush`` is called: then one ``np.concatenate`` makes the pending q a
+    chunk.  Chunks are never joined, so no step's q is held twice.
+
+    As a sequence, the columns are ``StepRecord``s built on access, each q a
+    view of its chunk: an int index (negative too) gives one record and a
+    slice a list of them.  A read flushes first.  ``copy`` shares the
+    chunks and copies the rest."""
+
+    SCALARS = {"label": "q", "k_after": "q", "alpha": "d", "innovation": "B", "offsets": "q"}
+
+    def __init__(self, period: int):
+        self.period = period
+        for name, typecode in self.SCALARS.items():
+            setattr(self, name, array(typecode))
+        self.offsets.append(0)
+        self.chunks: list[np.ndarray] = []
+        self.firsts: list[int] = []  # the first step of each chunk
+        self.pending: list = []  # the q of the steps after the last chunk
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def append(self, record: StepRecord) -> None:
+        """Add the next step; its record's index is not read."""
+        self.label.append(record.label)
+        self.k_after.append(record.k_after)
+        self.alpha.append(record.alpha_used)
+        self.innovation.append(bool(record.innovation))
+        self.offsets.append(self.offsets[-1] + len(record.q))
+        self.pending.append(record.q)
+        if len(self.label) % self.period == 0:
+            self.flush()
+
+    def flush(self) -> None:
+        """Make the pending q one chunk."""
+        if self.pending:
+            self.firsts.append(len(self) - len(self.pending))
+            self.chunks.append(np.concatenate(self.pending, dtype=float))
+            self.pending = []
+
+    def copy(self) -> "StepColumns":
+        """Columns of their own, after a flush, sharing its chunks."""
+        self.flush()
+        twin = StepColumns(self.period)
+        for name in self.SCALARS:
+            setattr(twin, name, getattr(self, name)[:])
+        twin.chunks, twin.firsts = list(self.chunks), list(self.firsts)
+        return twin
+
+    def _spans(self):
+        """(first, stop, q) of each chunk, q holding steps first:stop."""
+        self.flush()
+        return zip(self.firsts, [*self.firsts[1:], len(self)], self.chunks)
+
+    def _cut(self, base: int, first: int, stop: int, q) -> list:
+        """Steps first:stop's q, cut from q, the floats from step base on."""
+        offset = self.offsets[base]
+        return [q[lo - offset:hi - offset] for lo, hi in pairwise(self.offsets[first:stop + 1])]
+
+    def _records(self, lists: bool):
+        """The records in step order, a chunk at a time; with ``lists``, each
+        q is a list of floats, from one ``tolist`` of its chunk."""
+        for first, stop, q in self._spans():
+            yield from map(StepRecord, range(first + 1, stop + 1), self.label[first:stop],
+                           self._cut(first, first, stop, q.tolist() if lists else q),
+                           self.alpha[first:stop], self.k_after[first:stop],
+                           map(bool, self.innovation[first:stop]))
+
+    def __iter__(self):
+        return self._records(False)
+
+    def as_lists(self):
+        """The records in step order, each q a list of floats: at most one
+        chunk's floats are Python objects at a time."""
+        return self._records(True)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"step {i} out of range for {n} steps")
+        i %= n
+        self.flush()
+        c = bisect_right(self.firsts, i) - 1
+        (q,) = self._cut(self.firsts[c], i, i + 1, self.chunks[c])
+        return StepRecord(i + 1, self.label[i], q, self.alpha[i], self.k_after[i],
+                          bool(self.innovation[i]))
 
 
 def _sum_groups(rows: np.ndarray, n: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -695,12 +798,24 @@ class Checkpoint:
 @dataclass
 class RunTrace:
     """Everything a finished run persists: config echo, per-step records,
-    the final cluster book and optional diagnostics checkpoints."""
+    the final cluster book and optional diagnostics checkpoints.
+
+    ``records`` is a read-only sequence of ``StepRecord`` over columns
+    (``StepColumns``), flushed here; a list of records given in its place
+    is converted, in chunks of the config's ``maintenance_period``."""
 
     config: EngineConfig
-    records: list[StepRecord]
+    records: StepColumns
     final_book: ClusterBook = field(repr=False, compare=False)
     checkpoints: list[Checkpoint] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.records, StepColumns):
+            columns = StepColumns(self.config.maintenance_period)
+            for record in self.records:
+                columns.append(record)
+            self.records = columns
+        self.records.flush()
 
     @property
     def n(self) -> int:
@@ -711,7 +826,7 @@ class RunTrace:
         return self.final_book.k
 
     def k_series(self) -> np.ndarray:
-        return np.array([r.k_after for r in self.records], dtype=int)
+        return np.array(self.records.k_after, dtype=int)
 
 
 def as_stream(stream) -> np.ndarray:
@@ -738,17 +853,18 @@ def as_stream(stream) -> np.ndarray:
 @dataclass
 class _Run:
     """One stream's run inside ``run_many``.  The runs of a family hold one
-    ``book``, one ``records`` list and one ``rng`` until ``split``."""
+    ``book``, one ``records`` and one ``rng`` until ``split``."""
 
     index: int
     stream: np.ndarray
     config: EngineConfig
     on_step: Callable[[int, ClusterBook], None] | None
     book: ClusterBook = field(init=False)
-    records: list[StepRecord] = field(default_factory=list)
+    records: StepColumns = field(init=False)
 
     def __post_init__(self):
         self.n = len(self.stream)
+        self.records = StepColumns(self.config.maintenance_period)
         self.rng = np.random.Generator(np.random.PCG64(self.config.seed))
         self.maintained = self.config.prune_eps > 0.0 or self.config.merge_eps > 0.0
 
@@ -778,10 +894,9 @@ class _Run:
 
     def split(self) -> None:
         """Take copies of the book, the records and the generator, which the
-        rest of the family keeps."""
+        rest of the family keeps; the records share their q chunks."""
         self.book, self.rng = copy.deepcopy(self.book), copy.deepcopy(self.rng)
-        self.records = [StepRecord(r.index, r.label, r.q, r.alpha_used, r.k_after, r.innovation)
-                        for r in self.records]
+        self.records = self.records.copy()
 
     def maintain(self, shared: bool) -> None:
         """Prune, then merge.  A run that shares its book splits first if
@@ -792,7 +907,7 @@ class _Run:
             self.split()
         prune(self.book, config.prune_eps)
         merge(self.book, config.merge_eps)
-        self.records[-1].k_after = self.book.k
+        self.records.k_after[-1] = self.book.k
 
     def finish(self, shared: bool) -> "RunTrace":
         """The run's trace, after the end-of-stream maintenance, with a book
@@ -857,12 +972,12 @@ def run_many(
     rows) with equal seed, lam, selection, fixed_alpha and prior, whose
     configs then differ at most in prune_eps and merge_eps: until a prune
     or merge acts, they take the same steps.  A family steps one book, with
-    one list of records and one generator; each of its runs calls its own
+    one set of step columns and one generator; each of its runs calls its own
     ``on_step`` with that book.  At each maintenance tick, a run whose
     prune or merge would change the book splits off with copies of all
     three, in a row of its own, and the others share on.  At the end of the
     stream every run takes a book and records of its own (twins' records
-    share their q arrays).  Runs given one rows object under one prior
+    share their q chunks).  Runs given one rows object under one prior
     share each window's prior scores.  A run's trace is bit for bit its
     trace alone.
 
@@ -909,7 +1024,7 @@ def run_many(
             records = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j].tolist())
             for family, record in zip(families, records):
                 if not isinstance(record, Exception):
-                    family[0].records.append(record)  # the family's runs share the list
+                    family[0].records.append(record)  # the family's runs share the columns
                     if not busy:
                         continue
                 for run in family:

@@ -629,6 +629,23 @@ class TestStepLines:
         record = StepRecord(index, label, np.array(q), alpha, k, innovation)
         assert data_mod._step_line(record) == data_mod._STEP.line(data_mod._STEP.values(record))
 
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.lists(EDGE_FLOATS, min_size=1, max_size=20), st.one_of(EDGE_FLOATS, st.integers(0, 9)),
+        st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1), st.booleans()),
+        min_size=1, max_size=7))
+    def test_column_lines_are_declared_lines(self, steps, tmp_path_factory):
+        """write_trace's step lines, formatted from the step columns a chunk
+        (here two steps) at a time, are ``_STEP.line`` of each record the
+        columns give, nan and infinity included."""
+        records = [StepRecord(i, label, np.array(q), alpha, k, innovation)
+                   for i, (q, alpha, label, k, innovation) in enumerate(steps, start=1)]
+        trace = RunTrace(EngineConfig(maintenance_period=2), records, ClusterBook(1, n=len(steps)))
+        path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
+        write_trace(path, trace)
+        lines = path.read_text().splitlines(keepends=True)[1:1 + len(steps)]
+        assert lines == [data_mod._STEP.line(data_mod._STEP.values(r)) for r in trace.records]
+
     @settings(max_examples=60, deadline=None)
     @given(selection=st.sampled_from(["sample", "argmax"]),
            style=st.sampled_from(["canonical", "default-separators", "shuffled-keys"]),

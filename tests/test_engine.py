@@ -7,7 +7,10 @@ arithmetic.
 """
 
 import copy
+import gc
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +26,10 @@ from asugs.engine import (
     EngineConfig,
     REFRESH_MAX_T,
     REFRESH_MEMO,
+    RunTrace,
+    StepColumns,
     StepError,
+    StepRecord,
     _refresh_tail,
     _sum_groups,
     _sum_in_order,
@@ -1044,6 +1050,66 @@ class TestReadBook:
         book.coact[:] = float(book.n)
         assert merge(book, 0.05)
 
+def freed_per_step(trace) -> float:
+    """The tracemalloc bytes that dropping the trace's records frees, per
+    step; the records must have been made while tracemalloc traced."""
+    n = len(trace.records)
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    trace.records = None
+    gc.collect()
+    return (held - tracemalloc.get_traced_memory()[0]) / n
+
+
+class TestStepColumns:
+    """A run's step records are held as columns, a chunk of q per
+    maintenance window, at about the size of their numbers."""
+
+    def grid_trace(self, tmp_path):
+        rows = sample_mixture(generate_grid_mixture(4), 3000, seed=1).rows
+        trace = run(rows, EngineConfig(seed=1, prior=PriorConfig.from_scale(2, 0.025, 64)))
+        write_trace(tmp_path / "trace.jsonl", trace)
+        return trace, read_trace(tmp_path / "trace.jsonl")
+
+    def test_retained_history_is_columns(self, tmp_path):
+        """8 B per q float (k is about 16 on the grid) and 33 B of scalars
+        per step: a record object per step held about 380 B."""
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            traces = self.grid_trace(tmp_path)
+            for trace in traces:
+                assert len(trace.records) == 3000
+                assert freed_per_step(trace) <= 200
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_chunks_are_maintenance_windows(self, tmp_path):
+        for trace in self.grid_trace(tmp_path):
+            steps = trace.records
+            assert steps.firsts == list(range(0, 3000, 50)) and not steps.pending
+            assert [len(q) for q in steps.chunks] == [
+                steps.offsets[min(f + 50, 3000)] - steps.offsets[f] for f in steps.firsts]
+
+    def test_list_of_records_is_converted(self):
+        records = [StepRecord(1, 1, np.array([1.0]), 0.0, 1, True),
+                   StepRecord(2, 2, np.array([0.25, 0.75]), 0.5, 2, True),
+                   StepRecord(3, 1, np.array([0.5, 0.25, 0.25]), 0.75, 2, False)]
+        trace = RunTrace(EngineConfig(maintenance_period=2), records, ClusterBook(1, n=3))
+        assert isinstance(trace.records, StepColumns) and trace.records.firsts == [0, 2]
+        assert trace.k_series().tolist() == [1, 2, 2]
+        for got, want in zip(trace.records[::-1], records[::-1]):
+            assert (got.index, got.label, got.q.tolist(), got.alpha_used, got.k_after,
+                    got.innovation) == (want.index, want.label, want.q.tolist(),
+                                        want.alpha_used, want.k_after, want.innovation)
+        assert trace.records[-3].q.base is trace.records.chunks[0]
+        with pytest.raises(IndexError):
+            trace.records[3]
+        with pytest.raises(IndexError):
+            trace.records[-4]
+
+
 class TestEngineConfig:
     def test_selection_defaults(self):
         assert EngineConfig().resolve(2).selection == "sample"
@@ -1362,12 +1428,19 @@ class TestTwins:
 
     @pytest.mark.parametrize("trial", [1, 2], ids=["split", "never-split"])
     def test_each_run_owns_its_book_and_records(self, trial):
+        """Each run has a book and scalar step columns of its own (records are
+        built on access, so they have no lasting id); twins may share the
+        q chunks, which no step writes to after they are made."""
         results = run_many(*trial_twins(1000, trial))
         books = [result.final_book for result in results]
         assert len({id(book) for book in books}) == len(books)
         assert all(book.stack.books == [book] for book in books)
-        records = [{id(record) for record in result.records} for result in results]
-        assert len(set.union(*records)) == sum(map(len, records))
+        assert all(len(result.records) == result.n == 500 for result in results)
+        for a, b in itertools.combinations([result.records for result in results], 2):
+            for name in StepColumns.SCALARS:
+                x, y = getattr(a, name), getattr(b, name)
+                assert not np.shares_memory(np.frombuffer(x, x.typecode),
+                                            np.frombuffer(y, y.typecode)), name
 
     @pytest.mark.parametrize("change", [
         dict(seed=7), dict(lam=0.31), dict(selection="argmax"), dict(fixed_alpha=2.0),

@@ -12,11 +12,15 @@ at a drawn step.  The runs are drawn as members of 1 or 2 kinds, each a
 stream with a seed, lam, fixed_alpha and selection, so that runs which
 share a rows object and those four, and so form a family, are common.
 
-Two equivalences are stated here:
+Three equivalences are stated here:
 
 - each result of the group is what ``run`` of that stream alone gives: the
   same ``write_trace`` bytes, or an exception of the same type and message;
-- each trace comes back byte for byte through ``read_trace(write_trace(t))``.
+- each trace comes back byte for byte through ``read_trace(write_trace(t))``,
+  and the records it reads are its records, q bit for bit;
+- each trace's step columns are its records: a trace made from the list of
+  them writes the same bytes, ``k_series`` is their k, and an index or a
+  slice of the columns is that of the list.
 """
 
 import tempfile
@@ -26,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asugs.data import read_trace, write_trace
-from asugs.engine import EngineConfig, run, run_many
+from asugs.engine import EngineConfig, RunTrace, run, run_many
 from asugs.niw import PriorConfig
 
 
@@ -128,16 +132,45 @@ def alone(rows, config, on_step):
         return exc
 
 
+def fields(records) -> list[tuple]:
+    """Each record's values, q and alpha as their bits."""
+    return [(r.index, r.label, r.q.dtype.str, r.q.tobytes(), r.alpha_used.hex(), r.k_after,
+             r.innovation) for r in records]
+
+
+SLICES = [slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2),
+          slice(None, None, -1), slice(-2, 1, -1), slice(5, 2), slice(100, None)]
+
+
+def assert_columns_are_records(trace, path):
+    """The trace's step columns against ``list(trace.records)``."""
+    records = list(trace.records)
+    write_trace(path, RunTrace(trace.config, records, trace.final_book))
+    with open(path, "rb") as fh:
+        from_list = fh.read()
+    write_trace(path, trace)
+    with open(path, "rb") as fh:
+        assert fh.read() == from_list, "a trace of its records as a list writes other bytes"
+    assert trace.k_series().tolist() == [r.k_after for r in records]
+    n = len(records)
+    assert fields(trace.records[i] for i in range(-n, n)) == fields(records + records)
+    for part in SLICES:
+        assert fields(trace.records[part]) == fields(records[part]), part
+
+
 def result_bytes(result, tmp, name):
     """A trace's ``write_trace`` bytes, which must come back byte for byte
-    through ``read_trace``, or an exception's type and message."""
+    through ``read_trace``, its records read back as they are, or an
+    exception's type and message."""
     if isinstance(result, Exception):
         return type(result), str(result)
     path = f"{tmp}/{name}.jsonl"
-    write_trace(path, result)
+    assert_columns_are_records(result, path)
     with open(path, "rb") as fh:
         written = fh.read()
-    write_trace(path, read_trace(path))
+    back = read_trace(path)
+    assert fields(back.records) == fields(result.records), f"{name}: records read back differ"
+    write_trace(path, back)
     with open(path, "rb") as fh:
         assert fh.read() == written, f"{name}: read_trace(write_trace(t)) differs from t"
     return written
