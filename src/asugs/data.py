@@ -10,13 +10,13 @@ lossless and byte-identical for identical runs.
 Each record kind is declared once (``_Kind``), and its declaration writes
 and reads it.  Step records, one per observation, take two lean paths
 that cost little more than their floats' ``repr`` and ``json.loads``: a
-line is formatted from a template built from the step declaration, and a
+step's values, as the trace's step columns (``StepColumns``) give them a
+chunk at a time, are formatted into a template of the step line, and a
 line whose values have the types the writer gives is read without the
-per-key readers.  Both go through the trace's step columns
-(``StepColumns``) a chunk of steps at a time.  Neither changes a byte or
-a refusal: a record the template cannot write as JSON does, or a line
-the lean reader does not take, goes through the declaration, which
-stays their oracle.
+per-key readers and its values appended to the columns.  No record
+object is made on either path.  Neither changes a byte or a refusal: a
+value the template cannot write as JSON does, or a line the lean reader
+does not take, goes through the declaration, which stays their oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from asugs.engine import (
     EngineConfig,
     RunTrace,
     StepColumns,
-    StepRecord,
 )
 from asugs.mixture import GaussianMixture
 from asugs.niw import NiwPosterior, PriorConfig, check_state
@@ -266,40 +265,23 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=lambda v: v.tolist())
 
 
-def _finite(text: str) -> str:
-    """Text of floats' repr, which JSON writes alike unless it holds nan or
-    inf (JSON's NaN and Infinity): no finite float's repr holds an n."""
-    if "n" in text:
-        raise ValueError(text)
-    return text
+# _STEP.line's bytes, in _dumps' sorted key order, for the values of the step
+# columns' types: alpha a float, i, k and label ints, innovation a bool and q
+# a list of floats
+_STEP_TEMPLATE = '{"alpha":%s,"i":%d,"innovation":%s,"k":%d,"kind":"step","label":%d,"q":[%s]}\n'
 
 
-def _float_text(value: float) -> str:
-    return _finite(float.__repr__(value))  # not %r: a numpy float64 prints as np.float64(...)
-
-
-# The JSON text _dumps writes for each type a value of a record from
-# ``StepColumns.as_lists`` has (q is a list); for another type, a q of other
-# than floats, or a nan or inf, a KeyError, TypeError or ValueError.
-_TEXT = {
-    float: _float_text, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-    list: lambda q: "[" + _finite(",".join(map(float.__repr__, q))) + "]",
-}
-# _STEP.line's bytes with a %s for each value, in _dumps' sorted key order
-_STEP_TEMPLATE = "{" + ",".join(f'"kind":"{_STEP.name}"' if key == "kind" else f'"{key}":%s'
-                                for key in sorted(["kind", *_STEP.keys])) + "}\n"
-_STEP_SORTED = operator.attrgetter(*(attr for _, attr, _ in sorted(_STEP.fields)))
-
-
-def _step_line(record: StepRecord) -> str:
-    """``_STEP.line`` of a step record, formatted from the template: the
-    floats' repr is its cost.  A value the template cannot write as JSON
-    does goes through ``_STEP.line``.  ``write_trace`` gives it records
-    whose q is a list, from one ``tolist`` per chunk of the step columns."""
-    try:
-        return _STEP_TEMPLATE % tuple([_TEXT[type(v)](v) for v in _STEP_SORTED(record)])
-    except (KeyError, TypeError, ValueError):
-        return _STEP.line(_STEP.values(record))
+def _step_line(values: tuple) -> str:
+    """``_STEP.line`` of a step's values as ``StepColumns.values(lists=True)``
+    gives them, formatted from the template: the floats' repr is its cost.
+    JSON writes a float as its repr unless it is nan or inf (NaN and
+    Infinity), and no finite float's repr holds an n: a step with such a
+    value goes through ``_STEP.line``."""
+    i, label, q, alpha, k, innovation = values
+    alpha_text, q_text = float.__repr__(alpha), ",".join(map(float.__repr__, q))
+    if "n" in alpha_text or "n" in q_text:
+        return _STEP.line(values)
+    return _STEP_TEMPLATE % (alpha_text, i, "true" if innovation else "false", k, label, q_text)
 
 
 def config_record(config: EngineConfig) -> dict:
@@ -316,7 +298,7 @@ def write_trace(path, trace: RunTrace) -> None:
     book = trace.final_book
     with open(path, "w") as fh:
         fh.write(_dumps({"kind": _CONFIG.name, **config_record(trace.config)}) + "\n")
-        fh.writelines(map(_step_line, trace.records.as_lists()))
+        fh.writelines(map(_step_line, trace.records.values(lists=True)))
         fh.writelines(_CHECKPOINT.line(_CHECKPOINT.values(cp)) for cp in trace.checkpoints)
         fh.writelines(map(_CLUSTER.line, zip(*_CLUSTER.values(book))))
         fh.write(_FINAL.line(_FINAL.values(book)))
@@ -353,11 +335,11 @@ _STEP_KEYS = {"kind", *_STEP.keys}
 _STEP_ITEMS = operator.itemgetter(*_STEP.keys)  # in declaration order, _check_chain's
 
 
-def _lean_step(rec: dict, steps: StepColumns) -> StepRecord | None:
-    """The next record of a step line whose JSON values have the types the
-    writer gives (q a list of floats, kept as such for the columns' pending
-    chunk) and which passes ``_check_chain``; else None, and ``_STEP.read``
-    reads it and words the refusal."""
+def _lean_step(rec: dict, steps: StepColumns) -> tuple | None:
+    """The values, in ``_STEP``'s order, of a step line whose JSON values
+    have the types the writer gives (q a list of floats, kept as such for
+    the columns' pending chunk) and which passes ``_check_chain``; else
+    None, and ``_STEP.read`` reads it and words the refusal."""
     values = i, label, q, alpha, k, innovation = _STEP_ITEMS(rec)
     if not (type(i) is type(label) is type(k) is int and type(alpha) in (int, float)
             and type(innovation) is bool and type(q) is list
@@ -367,7 +349,7 @@ def _lean_step(rec: dict, steps: StepColumns) -> StepRecord | None:
         _check_chain(steps, *values)
     except ValueError:
         return None
-    return StepRecord(*values)
+    return values
 
 
 def read_trace(path) -> RunTrace:
@@ -398,9 +380,9 @@ def read_trace(path) -> RunTrace:
                 raise DataError(f"{path}: row {lineno}: {exc}") from exc
             if (type(rec) is dict and rec.keys() == _STEP_KEYS and rec["kind"] == _STEP.name
                     and config is not None and final is None):
-                step = _lean_step(rec, steps)
-                if step is not None:
-                    steps.append(step)
+                values = _lean_step(rec, steps)
+                if values is not None:
+                    steps.append(*values[1:])  # the index is the columns' own
                     continue
             if not isinstance(rec, dict):
                 raise DataError(f"{path}: row {lineno}: expected a JSON object")
@@ -421,7 +403,7 @@ def read_trace(path) -> RunTrace:
                     steps = StepColumns(config.maintenance_period)
                 elif kind is _STEP:
                     _check_chain(steps, **v)
-                    steps.append(StepRecord(**v))
+                    steps.append(*list(v.values())[1:])
                 elif kind is _CHECKPOINT:
                     checkpoints.append(Checkpoint(**v))
                 elif kind is _CLUSTER:

@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, pairwise, repeat
+from itertools import chain, pairwise, repeat, starmap
 
 import numpy as np
 
@@ -441,8 +441,9 @@ class StepRecord:
 
     label is 1-based over the clusters live at selection time; the
     innovation slot is k+1.  alpha_used is 0.0 on the very first step,
-    where no selection takes place.  A trace holds no records: it builds
-    them on access from its ``StepColumns``.
+    where no selection takes place.  Nothing makes records on the way from
+    a step to a trace file and back: they are the view that a trace's
+    ``StepColumns`` builds on access.
     """
 
     index: int
@@ -454,7 +455,7 @@ class StepRecord:
 
 
 class StepColumns(Sequence):
-    """A run's step records as columns.  ``label`` and ``k_after`` are int64,
+    """A run's steps as columns.  ``label`` and ``k_after`` are int64,
     ``alpha`` float64 and ``innovation`` bool (one byte), each an
     ``array.array``; step i's index is i + 1.  The steps' q lie end to end
     in float64 chunks: step i's q is floats ``offsets[i]:offsets[i + 1]``
@@ -463,10 +464,12 @@ class StepColumns(Sequence):
     ``flush`` is called: then one ``np.concatenate`` makes the pending q a
     chunk.  Chunks are never joined, so no step's q is held twice.
 
-    As a sequence, the columns are ``StepRecord``s built on access, each q a
-    view of its chunk: an int index (negative too) gives one record and a
-    slice a list of them.  A read flushes first.  ``copy`` shares the
-    chunks and copies the rest."""
+    Values go in and come out: ``append`` takes a step's values and
+    ``values`` gives them back a chunk at a time.  As a sequence, the
+    columns are ``StepRecord`` views built on access, each q a view of its
+    chunk: an int index (negative too) gives one record and a slice a list
+    of them.  A read flushes first.  ``copy`` shares the chunks and copies
+    the rest."""
 
     SCALARS = {"label": "q", "k_after": "q", "alpha": "d", "innovation": "B", "offsets": "q"}
 
@@ -482,14 +485,15 @@ class StepColumns(Sequence):
     def __len__(self) -> int:
         return len(self.label)
 
-    def append(self, record: StepRecord) -> None:
-        """Add the next step; its record's index is not read."""
-        self.label.append(record.label)
-        self.k_after.append(record.k_after)
-        self.alpha.append(record.alpha_used)
-        self.innovation.append(bool(record.innovation))
-        self.offsets.append(self.offsets[-1] + len(record.q))
-        self.pending.append(record.q)
+    def append(self, label: int, q, alpha: float, k_after: int, innovation: bool) -> None:
+        """Add the next step's values, in the order of a step line's keys
+        after its index."""
+        self.label.append(label)
+        self.k_after.append(k_after)
+        self.alpha.append(alpha)
+        self.innovation.append(innovation)
+        self.offsets.append(self.offsets[-1] + len(q))
+        self.pending.append(q)
         if len(self.label) % self.period == 0:
             self.flush()
 
@@ -509,32 +513,25 @@ class StepColumns(Sequence):
         twin.chunks, twin.firsts = list(self.chunks), list(self.firsts)
         return twin
 
-    def _spans(self):
-        """(first, stop, q) of each chunk, q holding steps first:stop."""
-        self.flush()
-        return zip(self.firsts, [*self.firsts[1:], len(self)], self.chunks)
-
     def _cut(self, base: int, first: int, stop: int, q) -> list:
         """Steps first:stop's q, cut from q, the floats from step base on."""
         offset = self.offsets[base]
         return [q[lo - offset:hi - offset] for lo, hi in pairwise(self.offsets[first:stop + 1])]
 
-    def _records(self, lists: bool):
-        """The records in step order, a chunk at a time; with ``lists``, each
-        q is a list of floats, from one ``tolist`` of its chunk."""
-        for first, stop, q in self._spans():
-            yield from map(StepRecord, range(first + 1, stop + 1), self.label[first:stop],
+    def values(self, lists: bool = False):
+        """Each step's (index, label, q, alpha, k_after, innovation) in step
+        order, a chunk at a time, each q a view of its chunk; with
+        ``lists``, a list of floats from one ``tolist`` of its chunk, so that
+        at most one chunk's floats are Python objects at a time."""
+        self.flush()
+        for first, stop, q in zip(self.firsts, [*self.firsts[1:], len(self)], self.chunks):
+            yield from zip(range(first + 1, stop + 1), self.label[first:stop],
                            self._cut(first, first, stop, q.tolist() if lists else q),
                            self.alpha[first:stop], self.k_after[first:stop],
                            map(bool, self.innovation[first:stop]))
 
     def __iter__(self):
-        return self._records(False)
-
-    def as_lists(self):
-        """The records in step order, each q a list of floats: at most one
-        chunk's floats are Python objects at a time."""
-        return self._records(True)
+        return starmap(StepRecord, self.values())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -623,11 +620,11 @@ def _labels(q: np.ndarray, ks: list[int], configs: list[EngineConfig], uniforms)
 
 def step(
     stack: BookStack, ys: np.ndarray, configs: list[EngineConfig], log_new: list[float],
-    uniforms: list[float],
-) -> list["StepRecord | Exception"]:
+    uniforms: list[float], columns: list[StepColumns],
+) -> list[Exception | None]:
     """Process one observation for every book of the stack, updating the
-    books in place, and return each book's ``StepRecord``, or the exception
-    its update raised.
+    books in place and appending book r's step to ``columns[r]``, and
+    return for each book the exception its update raised, or None.
 
     ``ys[r]`` is book r's observation and must be finite: ``run_many``
     checks every stream before its first step, so the step does not check
@@ -640,7 +637,8 @@ def step(
     A stack of one book updates it with ``ClusterBook.absorb``, in its own
     shapes.  A stack of several does its births first, as a birth may
     re-store the stack, and then updates all of its books with one
-    ``BookStack.absorb``.  The records come last."""
+    ``BookStack.absorb``.  The appends come last; a book whose update
+    raised appends nothing."""
     books, d, ks = stack.books, stack.dim, stack.ks.tolist()
     if getattr(ys, "shape", None) != (len(books), d):  # the rows ``run_many`` passes are shaped
         ys = np.array([_observation(y, d) for y in ys]).reshape(len(books), d)
@@ -673,19 +671,15 @@ def step(
             except Exception as exc:
                 errors[r] = exc
         stack.absorb(labels, ys, errors)
-    out: list[StepRecord | Exception] = []
-    for book, k, alpha, label, qr, error in zip(books, ks, alphas, labels, rows, errors):
-        if error is not None:
-            out.append(error)
-            continue
-        innovation = label > k
-        book.n += 1
-        book.window.append(qr[:k + innovation])  # an unused innovation slot's mass is dropped
-        # index, label, q, alpha_used, k_after, innovation: by position, as a
-        # call by keyword costs the record about twice as much
-        out.append(StepRecord(book.n, label, qr if k + 1 == len(qr) else qr[:k + 1],
-                              float(alpha), k + innovation, innovation))
-    return out
+    for book, k, alpha, label, qr, error, steps in zip(books, ks, alphas, labels, rows, errors,
+                                                       columns):
+        if error is None:
+            innovation = label > k
+            book.n += 1
+            book.window.append(qr[:k + innovation])  # an unused innovation slot's mass is dropped
+            steps.append(label, qr if k + 1 == len(qr) else qr[:k + 1], alpha, k + innovation,
+                         innovation)
+    return errors
 
 
 def prune_mask(book: ClusterBook, eps_r: float) -> np.ndarray | None:
@@ -800,9 +794,8 @@ class RunTrace:
     """Everything a finished run persists: config echo, per-step records,
     the final cluster book and optional diagnostics checkpoints.
 
-    ``records`` is a read-only sequence of ``StepRecord`` over columns
-    (``StepColumns``), flushed here; a list of records given in its place
-    is converted, in chunks of the config's ``maintenance_period``."""
+    ``records`` is the run's ``StepColumns``, flushed here: a read-only
+    sequence of ``StepRecord`` views."""
 
     config: EngineConfig
     records: StepColumns
@@ -810,11 +803,6 @@ class RunTrace:
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.records, StepColumns):
-            columns = StepColumns(self.config.maintenance_period)
-            for record in self.records:
-                columns.append(record)
-            self.records = columns
         self.records.flush()
 
     @property
@@ -911,14 +899,41 @@ class _Run:
 
     def finish(self, shared: bool) -> "RunTrace":
         """The run's trace, after the end-of-stream maintenance, with a book
-        and records of its own."""
+        and records of its own.  A state can outrun double precision (an
+        ill-conditioned stream, or a prior far from the data's scale) while
+        the rank-one refresh goes on, and end in a trace that ``read_trace``
+        would refuse.  So a run whose q is not finite at some step raises
+        ``StepError`` at the first such step, and a final book with a sigma
+        that does not factorise raises it at the last step, naming the first
+        such cluster's cid."""
         if shared:
             self.split()
         if self.maintained and self.n % self.config.maintenance_period != 0:
             self.maintain(False)
+        steps, sigma = self.records, self.book.sigma
+        steps.flush()
+        for first, q in zip(steps.firsts, steps.chunks):
+            finite = np.isfinite(q)
+            if not finite.all():
+                cause = ValueError("q is not finite")
+                at = steps.offsets[first] + int(finite.argmin())  # its first non-finite float
+                raise StepError(bisect_right(steps.offsets, at), cause) from cause
+        if not _factorises(sigma):
+            cid = self.book.cid[next(h for h in range(len(sigma)) if not _factorises(sigma[h]))]
+            cause = np.linalg.LinAlgError(f"sigma of cluster cid {cid} is not positive definite")
+            raise StepError(self.n, cause) from cause
         if len(self.book.stack.books) > 1:  # leave a shared stack
             BookStack([self.book], self.book.k + 1)
         return RunTrace(config=self.config, records=self.records, final_book=self.book)
+
+
+def _factorises(sigma: np.ndarray) -> bool:
+    """Whether each d x d matrix of sigma has a finite Cholesky factor, by
+    one batched factorisation: numpy's raises nothing on a NaN."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(sigma)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _prior_key(prior: PriorConfig) -> tuple:
@@ -1018,19 +1033,19 @@ def run_many(
         windows = [family[0].open_window(start, width, scores) for family in families]
         rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
         lead_configs = [family[0].config for family in families]
+        lead_columns = [family[0].records for family in families]  # shared by the family
         for j, i in enumerate(range(start + 1, start + width + 1)):
             due, left = i % period == 0, False
-            busy = due or watched or i in ends  # else a run only keeps its record
-            records = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j].tolist())
-            for family, record in zip(families, records):
-                if not isinstance(record, Exception):
-                    family[0].records.append(record)  # the family's runs share the columns
-                    if not busy:
-                        continue
+            busy = due or watched or i in ends  # else a run only keeps its step
+            errors = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j].tolist(),
+                          lead_columns)
+            for family, error in zip(families, errors):
+                if error is None and not busy:
+                    continue
                 for run in family:
                     try:
-                        if isinstance(record, Exception):
-                            raise StepError(i, record) from record
+                        if error is not None:
+                            raise StepError(i, error) from error
                         if due:  # every window folds at the tick, maintained or not
                             run.book.fold()
                             if run.maintained:
@@ -1048,6 +1063,7 @@ def run_many(
                     return results
                 families = groups
                 lead_configs = [family[0].config for family in families]
+                lead_columns = [family[0].records for family in families]
                 books = [family[0].book for family in families]
                 if list(map(id, books)) != list(map(id, stack.books)):
                     stack.store(books, stack.cap)

@@ -28,7 +28,7 @@ from asugs.data import (
     write_truth,
 )
 from asugs.diagnostics import run_with_diagnostics
-from asugs.engine import Checkpoint, ClusterBook, EngineConfig, RunTrace, StepRecord, run
+from asugs.engine import Checkpoint, ClusterBook, EngineConfig, RunTrace, StepColumns, run
 from asugs.niw import NiwPosterior, PriorConfig, log_predictive_density
 
 
@@ -73,10 +73,12 @@ def format_trace() -> RunTrace:
     book = ClusterBook(2, n=2)
     book.add(NiwPosterior(np.array([0.5, -0.25]), 2.5, 3.5,
                           np.array([[1.0, 0.25], [0.25, 2.0]])), 2, 1.75)
+    records = StepColumns(50)
+    records.append(1, np.array([1.0]), 0.0, 1, True)
+    records.append(1, np.array([0.75, 0.25]), 0.5, 1, False)
     return RunTrace(
         config=EngineConfig(lam=1, fixed_alpha=0.5, prior=prior).resolve(2),
-        records=[StepRecord(1, 1, np.array([1.0]), 0.0, 1, True),
-                 StepRecord(2, 1, np.array([0.75, 0.25]), 0.5, 1, False)],
+        records=records,
         final_book=book,
         checkpoints=[Checkpoint(n=2, k=1, alpha=0.5, likelihood_ratio=math.inf,
                                 kl_estimate=0.125)],
@@ -557,8 +559,6 @@ class TestTracePersistence:
 EDGE_FLOATS = st.one_of(
     st.floats(), st.floats(9e-5, 1.1e-4), st.floats(9e15, 1.1e16),
     st.sampled_from([-0.0, 5e-324, 1e-4, 1e16, math.nan, math.inf, -math.inf]))
-INTS = st.one_of(st.integers(), st.integers(-2**31, 2**31 - 1).flatmap(
-    lambda v: st.sampled_from([np.int64(v), np.int32(v), np.intp(v)])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -621,13 +621,13 @@ class TestStepLines:
     ``_STEP.read`` stay the oracles of both."""
 
     @settings(max_examples=300, deadline=None)
-    @given(q=st.lists(EDGE_FLOATS, min_size=1, max_size=70),
-           alpha=st.one_of(EDGE_FLOATS, st.integers(), EDGE_FLOATS.map(np.float64)),
-           index=INTS, label=INTS, k=INTS,
-           innovation=st.one_of(st.booleans(), st.booleans().map(np.bool_)))
+    @given(q=st.lists(EDGE_FLOATS, min_size=1, max_size=70), alpha=EDGE_FLOATS,
+           index=st.integers(), label=st.integers(), k=st.integers(), innovation=st.booleans())
     def test_template_line_is_declared_line(self, q, alpha, index, label, k, innovation):
-        record = StepRecord(index, label, np.array(q), alpha, k, innovation)
-        assert data_mod._step_line(record) == data_mod._STEP.line(data_mod._STEP.values(record))
+        """A step's values of the step columns' types, nan and infinity
+        included."""
+        values = (index, label, q, alpha, k, innovation)
+        assert data_mod._step_line(values) == data_mod._STEP.line(values)
 
     @settings(max_examples=100, deadline=None)
     @given(steps=st.lists(st.tuples(
@@ -638,9 +638,10 @@ class TestStepLines:
         """write_trace's step lines, formatted from the step columns a chunk
         (here two steps) at a time, are ``_STEP.line`` of each record the
         columns give, nan and infinity included."""
-        records = [StepRecord(i, label, np.array(q), alpha, k, innovation)
-                   for i, (q, alpha, label, k, innovation) in enumerate(steps, start=1)]
-        trace = RunTrace(EngineConfig(maintenance_period=2), records, ClusterBook(1, n=len(steps)))
+        columns = StepColumns(2)
+        for q, alpha, label, k, innovation in steps:
+            columns.append(label, np.array(q), alpha, k, innovation)
+        trace = RunTrace(EngineConfig(maintenance_period=2), columns, ClusterBook(1, n=len(steps)))
         path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
         write_trace(path, trace)
         lines = path.read_text().splitlines(keepends=True)[1:1 + len(steps)]

@@ -37,8 +37,8 @@ from asugs.engine import (
     ConfigError,
     EngineConfig,
     RunTrace,
+    StepColumns,
     StepError,
-    StepRecord,
     responsibilities,
     run,
 )
@@ -469,11 +469,9 @@ class TestGaussianLimitDeviation:
 
 
 def synthetic_trace(k_series):
-    records = [
-        StepRecord(index=i + 1, label=1, q=np.array([1.0]), alpha_used=1.0,
-                   k_after=int(k), innovation=False)
-        for i, k in enumerate(k_series)
-    ]
+    records = StepColumns(EngineConfig().maintenance_period)
+    for k in k_series:
+        records.append(1, np.array([1.0]), 1.0, int(k), False)
     return RunTrace(config=EngineConfig(), records=records, final_book=ClusterBook(1, n=len(records)))
 
 

@@ -65,13 +65,22 @@ def score_one(book, y, alpha, log_new):
     return q[:book.k + 1]  # a stack of one book scores in its own shapes
 
 
+def step_records(stack, ys, configs, log_new, uniforms):
+    """``step`` of every book of the stack into step columns of its own, and
+    for each book its step as a ``StepRecord`` (index 1), or the exception
+    its update raised."""
+    columns = [StepColumns(1) for _ in stack.books]
+    errors = step(stack, ys, configs, log_new, uniforms, columns)
+    return [steps[0] if error is None else error for steps, error in zip(columns, errors)]
+
+
 def step_one(book, y, config, rng, log_new):
     """``step`` of one book, alone in its stack, drawing its uniform from rng
     as ``run`` does (from the second observation on, in sample mode); raises
     what the step returns in place of a record."""
     stack = book.stack
     u = rng.random() if config.selection == "sample" and book.k else 0.0
-    (record,) = step(stack, [y], [config], [log_new], [u])
+    (record,) = step_records(stack, [y], [config], [log_new], [u])
     if isinstance(record, Exception):
         raise record
     return record
@@ -1092,11 +1101,27 @@ class TestStepColumns:
             assert [len(q) for q in steps.chunks] == [
                 steps.offsets[min(f + 50, 3000)] - steps.offsets[f] for f in steps.firsts]
 
-    def test_list_of_records_is_converted(self):
+    def test_no_record_is_built_from_step_to_file_and_back(self, tmp_path, monkeypatch):
+        """``run``, ``write_trace`` and ``read_trace`` move a step's values
+        into the columns and back out without a ``StepRecord``: the records
+        are only the view that indexing and iteration build."""
+        built, init = [], StepRecord.__init__
+        monkeypatch.setattr(StepRecord, "__init__",
+                            lambda record, *values: built.append(values) or init(record, *values))
+        trace, back = self.grid_trace(tmp_path)
+        assert len(back.records) == 3000 and not built
+        assert [record.index for record in (back.records[-1], *trace.records[:2])] == [3000, 1, 2]
+        assert len(built) == 3
+
+    def test_appended_values_read_as_records(self):
         records = [StepRecord(1, 1, np.array([1.0]), 0.0, 1, True),
                    StepRecord(2, 2, np.array([0.25, 0.75]), 0.5, 2, True),
                    StepRecord(3, 1, np.array([0.5, 0.25, 0.25]), 0.75, 2, False)]
-        trace = RunTrace(EngineConfig(maintenance_period=2), records, ClusterBook(1, n=3))
+        columns = StepColumns(2)
+        for record in records:
+            columns.append(record.label, record.q, record.alpha_used, record.k_after,
+                           record.innovation)
+        trace = RunTrace(EngineConfig(maintenance_period=2), columns, ClusterBook(1, n=3))
         assert isinstance(trace.records, StepColumns) and trace.records.firsts == [0, 2]
         assert trace.k_series().tolist() == [1, 2, 2]
         for got, want in zip(trace.records[::-1], records[::-1]):
@@ -1543,7 +1568,7 @@ class TestBatchedUpdate:
             twin.m[0] += 1
         stack = BookStack(books, 4)
         monkeypatch.setattr(engine_mod, "student_t_factors", counted)
-        records = step(stack, ys, [config] * 3, [-1e6] * 3, [0.0] * 3)
+        records = step_records(stack, ys, [config] * 3, [-1e6] * 3, [0.0] * 3)
         assert [record.label for record in records[:2]] == [1, 1]
         assert isinstance(records[2], np.linalg.LinAlgError)
         assert [book.n for book in books[:2]] == [2, 2]
@@ -1816,8 +1841,8 @@ class TestLockstepBits:
         books = [make_book(random_posts(rng, k, 2), [n // k] * k, [1.0] * k, n=n) for k in (3, 5)]
         stack = BookStack(books, 8)
         ys = rng.normal(size=(2, 2))
-        records = step(stack, ys, [config] * 2, [prior_predictive(config.prior, y) for y in ys],
-                       [0.5, 0.5])
+        records = step_records(stack, ys, [config] * 2,
+                               [prior_predictive(config.prior, y) for y in ys], [0.5, 0.5])
         for record, k in zip(records, (3, 5)):
             assert record.alpha_used == k / (lam + math.log(n))
         assert any(k / (lam + math.log(n)) != k / (lam + float(np.log(np.float64(n))))
@@ -1843,7 +1868,7 @@ class TestLockstepBits:
         ys = rng.normal(size=(2, 2))
         scores = [prior_predictive(config.prior, y) for y in ys]
         monkeypatch.setattr(engine_mod, "responsibilities", spied)
-        step(stack, ys, [config] * 2, scores, [0.5, 0.5])
+        step_records(stack, ys, [config] * 2, scores, [0.5, 0.5])
         assert seen == [[math.log(alpha) + score for score in scores]]
 
     def test_refresh_uses_math_log_and_log1p(self):
@@ -1860,8 +1885,9 @@ class TestLockstepBits:
             before = [(book.c[0], book.delta[0], book.mu[0].copy(), book.prec[0].copy(),
                        book.logdet[0]) for book in books]
             stack = BookStack(books, 4)
-            records = step(stack, ys, [config] * 3,
-                           [prior_predictive(config.prior, y) - 50.0 for y in ys], [0.5] * 3)
+            records = step_records(stack, ys, [config] * 3,
+                                   [prior_predictive(config.prior, y) - 50.0 for y in ys],
+                                   [0.5] * 3)
             for book, y, record, (c, delta, mu, prec, logdet) in zip(books, ys, records, before):
                 assert record.label == 1
                 a = 2.0 * delta / (1.0 + 2.0 * delta)

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asugs.data import read_trace, write_trace
-from asugs.engine import EngineConfig, RunTrace, run, run_many
+from asugs.engine import EngineConfig, RunTrace, StepColumns, run, run_many
 from asugs.niw import PriorConfig
 
 
@@ -143,14 +143,18 @@ SLICES = [slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(N
 
 
 def assert_columns_are_records(trace, path):
-    """The trace's step columns against ``list(trace.records)``."""
+    """The trace's step columns against ``list(trace.records)``, and against
+    columns those records are appended to anew."""
     records = list(trace.records)
-    write_trace(path, RunTrace(trace.config, records, trace.final_book))
+    columns = StepColumns(trace.config.maintenance_period)
+    for r in records:
+        columns.append(r.label, r.q, r.alpha_used, r.k_after, r.innovation)
+    write_trace(path, RunTrace(trace.config, columns, trace.final_book))
     with open(path, "rb") as fh:
         from_list = fh.read()
     write_trace(path, trace)
     with open(path, "rb") as fh:
-        assert fh.read() == from_list, "a trace of its records as a list writes other bytes"
+        assert fh.read() == from_list, "a trace of its records appended anew writes other bytes"
     assert trace.k_series().tolist() == [r.k_after for r in records]
     n = len(records)
     assert fields(trace.records[i] for i in range(-n, n)) == fields(records + records)

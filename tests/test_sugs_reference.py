@@ -258,12 +258,12 @@ def test_adaptive_sampled_matches_reference(seed):
     assert trace.k_series().tolist() == expected_ks
 
 
-def assert_variant_matches_reference(variant, seed, n, var):
+def assert_variant_matches_reference(variant, seed, n, var, c0=0.01):
     """The engine's run of a ``bench`` variant on n rows of the 4x4 grid
-    under ``from_scale(2, var)`` against ``ref_run``: the same labels and
-    the same k after every step.  A mismatch is reported with its step."""
+    under ``from_scale(2, var, c0=c0)`` against ``ref_run``: the same labels
+    and the same k after every step.  A mismatch is reported with its step."""
     data = sample_mixture(generate_grid_mixture(4, 0.025, 1.0), n, seed=seed)
-    base = EngineConfig(seed=seed, prior=PriorConfig.from_scale(2, var))
+    base = EngineConfig(seed=seed, prior=PriorConfig.from_scale(2, var, c0=c0))
     cfg = variant_config(base, variant).resolve(2)
     trace = run(data.rows, cfg)
     if cfg.fixed_alpha is None:
@@ -271,7 +271,7 @@ def assert_variant_matches_reference(variant, seed, n, var):
     else:
         alpha, select = (lambda k, n_seen: cfg.fixed_alpha), argmax
     expected, expected_ks = ref_run(
-        [tuple(row) for row in data.rows], alpha, select, mu0=(0.0, 0.0), c0=0.01,
+        [tuple(row) for row in data.rows], alpha, select, mu0=(0.0, 0.0), c0=c0,
         delta0=32.0, s0_diag=var, prune_eps=cfg.prune_eps, merge_eps=cfg.merge_eps,
         period=cfg.maintenance_period)
     got = [r.label for r in trace.records]
@@ -303,3 +303,31 @@ def test_maintained_variant_matches_reference_under_a_tight_prior(variant, seed)
     (here it removes nothing)."""
     ks = assert_variant_matches_reference(variant, seed, 2010, 0.005)
     assert max(ks) > ks[-1]
+
+
+def test_merge_under_a_prior_with_c0_far_from_zero_matches_reference(monkeypatch):
+    """A merge's survivor takes the c-weighted mean of the two states.  At
+    ``from_scale``'s default c0 = 0.01, c is the count m within 1%; at
+    c0 = 1 it is m + 1 per cluster.  ASUGS-PM on seed 4 merges a pair at
+    step 50 here, and a survivor weighted by m would take other labels
+    from step 67 on."""
+    import asugs.engine as engine_mod
+
+    merged, real_merge = [], engine_mod.merge
+
+    def merge(book, eps_d):
+        events = real_merge(book, eps_d)
+        merged.extend(events)
+        return events
+
+    monkeypatch.setattr(engine_mod, "merge", merge)
+    assert_variant_matches_reference("ASUGS-PM", 4, 250, 0.1, c0=1.0)
+    assert merged
+
+
+def test_end_of_stream_maintenance_matches_reference():
+    """93 rows end between two ticks, and ASUGS-PM on seed 1 prunes or
+    merges at the end of the stream: k falls from 19 to 16 at the last
+    step, which can only have added a cluster before its maintenance."""
+    ks = assert_variant_matches_reference("ASUGS-PM", 1, 93, 0.025)
+    assert ks[-1] < ks[-2]
