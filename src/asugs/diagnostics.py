@@ -208,12 +208,10 @@ def l2_distance_to_truth(
         _at_least_two(n_mc=n_mc)
         return _l2_from_draws(book, *_truth_draws(truth, n_mc, seed))
     _at_least_two(grid_points=grid_points)
-    max_sd = math.sqrt(max(np.linalg.eigvalsh(cov).max() for cov in truth.covariances))
     # the grid must cover the fitted clusters too, or their mass is
     # invisible to the quadrature
-    mus = np.vstack([truth.means, book.mu])
-    axes = _grid_axes(mus.min(axis=0) - pad_stds * max_sd, mus.max(axis=0) + pad_stds * max_sd,
-                      grid_points)
+    mus, pad = np.vstack([truth.means, book.mu]), pad_stds * truth.max_sd
+    axes = _grid_axes(mus.min(axis=0) - pad, mus.max(axis=0) + pad, grid_points)
     fitted = zip(book.m / book.total_count, book.mu, book.prec, book.log_norm, book.coef,
                  book.expo)
     diff = _grid_gap(axes, fitted, truth)
@@ -327,8 +325,8 @@ def gaussian_limit_deviation(
     target = GaussianMixture(weights=np.ones(1), means=mean, covariances=cov)
     if target.dim != post.dim:
         raise ValueError(f"target has dim {target.dim}, state has dim {post.dim}")
-    mean, sd = target.means[0], math.sqrt(np.linalg.eigvalsh(target.covariances[0]).max())
-    axes = _grid_axes(mean - pad_stds * sd, mean + pad_stds * sd, n_grid)
+    mean, pad = target.means[0], pad_stds * target.max_sd
+    axes = _grid_axes(mean - pad, mean + pad, n_grid)
     prec, _, log_norm, coef, expo = post.factors
     gap = _grid_gap(axes, [(1.0, post.mu, prec, log_norm, coef, expo)], target)
     return float(np.max(np.abs(gap, out=gap)))

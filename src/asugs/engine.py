@@ -28,12 +28,13 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import struct
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, pairwise, repeat, starmap
+from itertools import pairwise, repeat, starmap
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from asugs.niw import (
     student_t_factors,
     student_t_log_density,
     student_t_shape,
+    update_weights,
 )
 
 
@@ -74,6 +76,7 @@ _BLANK = {"m": 1, "log_norm": -math.inf}  # a slot without a cluster scores -inf
 _SCORED = ("mu", "prec", "m", "log_norm", "coef", "expo")
 REFRESH_MAX_T = 100.0  # largest t that ``absorb`` refreshes in closed form
 REFRESH_MEMO = 1024  # (d, c, delta) keys whose refresh tail ``_refresh_tail`` keeps
+_TAIL = struct.Struct("7d")  # a tail, packed: a tuple of its floats holds about 3x the bytes
 
 
 @dataclass(eq=False)
@@ -103,7 +106,8 @@ class ClusterBook:
     The arrays are views of row ``row`` of a ``BookStack`` from birth:
     ``ClusterBook(dim, n)`` is a book of d = dim without clusters, after n
     observations, in a stack of its own with room for two clusters;
-    ``run_many`` keeps the books of all its runs in one stack.  ``w``,
+    ``run_many`` keeps the books of all its runs in one stack, in which each
+    family's book is born.  ``w``,
     ``dist`` and ``coact`` are folded on read: a step appends the
     responsibilities q of the book's clusters to ``window``, and ``fold``
     adds the window's terms in step order, so every read sees the sums of
@@ -176,20 +180,21 @@ class ClusterBook:
         lemma logdet' = d log a + logdet + log1p(t).  The subtraction loses
         about (1+t) ulps, so if t is not finite, negative (P is no longer
         positive definite) or above REFRESH_MAX_T, ``factorise`` runs instead.
-        The rest of the refresh depends on (d, c, delta) alone
+        a, b, s and the rest of the refresh depend on (d, c, delta) alone
         (``_refresh_tail``).  ``BookStack.absorb`` is the same update of one
         cluster of each of its books."""
         c, delta = self.c.item(h), self.delta.item(h)
-        r, a, b = conjugate_update(self.mu[h], c, delta, self.sigma[h], y)
+        a, b, s, d_log_a, coef, expo, constant = _TAIL.unpack(_refresh_tail(self.dim, c, delta))
+        r = conjugate_update(self.mu[h], c, self.sigma[h], y, a, b)
         self.c[h], self.delta[h] = c + 1.0, delta + 0.5
         prec = self.prec[h]  # a view: refreshed in place
         p_r = prec @ r
-        t = b / a * float(r @ p_r)
+        t = s * float(r @ p_r)
         if not 0.0 <= t <= REFRESH_MAX_T:
             return self.factorise(h)
-        prec -= ((b / a / (1.0 + t)) * p_r)[:, None] * p_r
+        prec -= ((s / (1.0 + t)) * p_r)[:, None] * p_r
         prec /= a
-        d_log_a, self.coef[h], self.expo[h], constant = _refresh_tail(len(r), c, delta)
+        self.coef[h], self.expo[h] = coef, expo
         self.logdet[h] = logdet = d_log_a + self.logdet.item(h) + math.log1p(t)
         self.log_norm[h] = constant - 0.5 * logdet
 
@@ -270,9 +275,11 @@ class BookStack:
             self.arrays[name] = np.full(shape, _BLANK.get(name, 0), dtype)
         self.books, self.cap = list(books), cap
         self.ks = np.zeros(len(books), dtype=np.int64)
-        # slot h of row r is entry r * cap + h: ``absorb`` gathers with one take
+        # slot h of row r is entry r * cap + h: ``absorb`` gathers with one take,
+        # at label_base[r] + label for a 1-based label
         self.flat = {name: self.arrays[name].reshape(len(books) * cap, *tails.get(name, ()))
                      for name in _CLUSTER_FIELDS}
+        self.label_base = np.arange(len(books)) * cap - 1
         for r, book in enumerate(books):
             k = book.k if hasattr(book, "stack") else 0  # a book being made has no arrays
             if k:
@@ -300,41 +307,44 @@ class BookStack:
             self.scored_views = tuple(v[0] for v in views) if len(self.books) == 1 else views
         return self.scored_views
 
-    def absorb(self, labels: list[int], ys: np.ndarray, errors: list) -> None:
+    def absorb(self, labels, ys: np.ndarray, errors: list) -> None:
         """``ClusterBook.absorb`` of cluster ``labels[r] - 1`` of book r by
         ``ys[r]``, with its count m + 1, for every book r whose ``errors[r]``
         is None: one numpy call per operation over the run axis, bit for bit
         the update of each book alone.  The chosen slots are gathered from
-        the flat views with one take each, updated and scattered back.
-        ``conjugate_update`` works on them with the run axis last, where its
-        scalars broadcast.  Of the tail, one C-level ``map`` reads each
-        book's ``_refresh_tail`` and one takes each ``math.log1p(t)``; the
-        sums are numpy's, which add as ``math`` does.  A book whose t is out
-        of range refactorises; if that raises, the exception goes to
-        ``errors[r]``."""
-        rows = np.flatnonzero([error is None for error in errors])
-        if not len(rows):
-            return
-        hs = np.array(labels)[rows] - 1
-        at, flat = rows * self.cap + hs, self.flat
+        the flat views with one take each, at ``label_base + labels`` (the
+        live rows are picked only when a book has failed), updated and
+        scattered back.
+        ``conjugate_update`` works on them with the run axis last, where a
+        and b broadcast.  Of the tail, one C-level ``map`` reads each book's
+        packed ``_refresh_tail``, which one ``np.frombuffer`` of their join
+        unpacks, and one takes each ``math.log1p(t)``; the sums are numpy's,
+        which add as ``math`` does.  One ``min`` and one ``max``
+        check the range of t; a book whose t is out of range refactorises,
+        and if that raises, the exception goes to ``errors[r]``."""
+        at, flat = self.label_base + labels, self.flat
+        if any(errors):  # an exception is true, None false
+            live = [error is None for error in errors]
+            at, ys = at[live], ys[live]
+            if not len(at):
+                return
         mu, sigma, c, delta, prec, logdet = (
             flat[name].take(at, axis=0) for name in ("mu", "sigma", "c", "delta", "prec", "logdet"))
-        tails = np.fromiter(chain.from_iterable(map(  # 0.6x the time of np.array of the tuples
-            _refresh_tail, repeat(self.dim), c.tolist(), delta.tolist())), float, 4 * len(rows))
+        tails = np.frombuffer(b"".join(map(_refresh_tail, repeat(self.dim), c.tolist(),
+                                           delta.tolist())))
+        a, b, s, d_log_a, coef, expo, constant = tails.reshape(-1, 7).T
         # .T also transposes each sigma, which the update leaves as it is: entry
         # (i, j) gets a sigma_ij + b (r_i r_j), and IEEE products commute
-        r, a, b = conjugate_update(mu.T, c, delta, sigma.T, ys[rows].T)
-        r = np.ascontiguousarray(r.T)
+        r = np.ascontiguousarray(conjugate_update(mu.T, c, sigma.T, ys.T, a, b).T)
         p_r = prec @ r[:, :, None]
-        s = b / a
         t = s * (r[:, None, :] @ p_r)[:, 0, 0]
-        refactor = np.flatnonzero(~((0.0 <= t) & (t <= REFRESH_MAX_T)))  # NaN included
-        if len(refactor):
+        refactor = []
+        if not (t.min() >= 0.0 and t.max() <= REFRESH_MAX_T):  # a NaN fails both
+            refactor = np.flatnonzero(~((0.0 <= t) & (t <= REFRESH_MAX_T))).tolist()
             t[refactor] = 0.0  # keeps the refresh finite where factorise overwrites it
         p_r = p_r[:, :, 0]
         prec -= ((s / (1.0 + t))[:, None] * p_r)[:, :, None] * p_r[:, None, :]
         prec /= a[:, None, None]
-        d_log_a, coef, expo, constant = tails.reshape(-1, 4).T
         logdet = d_log_a + logdet + np.fromiter(map(math.log1p, t.tolist()), float, len(t))
         for name, values in (("mu", mu), ("sigma", sigma), ("prec", prec), ("c", c + 1.0),
                              ("delta", delta + 0.5), ("logdet", logdet),
@@ -342,25 +352,29 @@ class BookStack:
                              ("expo", expo)):
             flat[name][at] = values
         flat["m"][at] += 1
-        for i in refactor.tolist():
+        for i in refactor:
+            row, h = divmod(int(at[i]), self.cap)
             try:
-                self.books[rows[i]].factorise(hs[i])
+                self.books[row].factorise(h)
             except Exception as exc:
-                errors[rows[i]] = exc
+                errors[row] = exc
 
 
 @lru_cache(maxsize=REFRESH_MEMO)
-def _refresh_tail(d: int, c: float, delta: float) -> tuple[float, float, float, float]:
-    """What the refresh of a cluster at (c, delta) by one observation takes
-    from (d, c, delta) alone: d log a of the determinant lemma (a of
-    ``conjugate_update``), and the updated (c + 1, delta + 1/2)'s Student-t
-    shape ``coef``, ``expo`` and ``student_t_constant``.  Scalar, in
-    ``math``, whose log differs from numpy's in the last bit; memoised, as
-    runs of one stream length share their counts, but bounded, as a merge
-    moves (c, delta) off the grid of counts."""
-    a = 2.0 * delta / (1.0 + 2.0 * delta)
+def _refresh_tail(d: int, c: float, delta: float) -> bytes:
+    """What the update of a cluster at (c, delta) by one observation takes
+    from (d, c, delta) alone, packed as ``_TAIL``'s seven doubles:
+    ``update_weights``' a and b, s = b / a and d log a of the refresh, and
+    the updated (c + 1, delta + 1/2)'s Student-t shape ``coef``, ``expo``
+    and ``student_t_constant``.  Scalar: + - * / round as numpy's
+    elementwise operations do, and ``math``'s log differs from numpy's in
+    the last bit.  Memoised, as runs of one stream length share their
+    counts, but bounded, as a merge moves (c, delta) off the grid of
+    counts."""
+    a, b = update_weights(c, delta)
     coef, expo = student_t_shape(c + 1.0, delta + 0.5)
-    return d * math.log(a), coef, expo, student_t_constant(coef, delta + 0.5, d)
+    return _TAIL.pack(a, b, b / a, d * math.log(a), coef, expo,
+                      student_t_constant(coef, delta + 0.5, d))
 
 
 def _sum_in_order(total: np.ndarray, terms: np.ndarray) -> None:
@@ -602,25 +616,38 @@ def responsibilities(stack: BookStack, ys: np.ndarray, log_new) -> np.ndarray:
     return q
 
 
-def _labels(q: np.ndarray, ks: list[int], configs: list[EngineConfig], uniforms) -> list[int]:
+class _Rows(list):
+    """The configs of a stack's rows, with ``greedy``, the rows that select
+    by argmax, as the index array that a lockstep step's ``_labels`` reads."""
+
+    def __init__(self, configs):
+        super().__init__(configs)
+        self.greedy = np.flatnonzero([config.selection == "argmax" for config in self])
+
+
+def _labels(q: np.ndarray, ks: np.ndarray, configs: list[EngineConfig],
+            uniforms) -> list[int] | np.ndarray:
     """Each book's 1-based label from its row of q: the first maximum for
     argmax selection, else the number of cumsum entries at or below its
     uniform (``searchsorted(u, side="right")``), at most k + 1 as the cumsum
     may fall short of 1 by an ulp.  A book's first observation (k = 0) gets
-    label 1 either way, as its q is [1.0]."""
+    label 1 either way, as its q is [1.0].  Several books' labels are an
+    array, and argmax is taken only over the rows of ``_Rows.greedy``."""
     if q.ndim == 1:  # one book
         if configs[0].selection == "argmax":
             return [int(q.argmax()) + 1]  # ties resolve to the lowest index
         drawn = int(np.add.accumulate(q).searchsorted(uniforms[0], side="right"))
-        return [min(drawn, ks[0]) + 1]
-    drawn = (np.add.accumulate(q, axis=1) <= np.array(uniforms)[:, None]).sum(axis=1)
-    sampled = np.array([config.selection == "sample" for config in configs])
-    return (np.minimum(np.where(sampled, drawn, q.argmax(axis=1)), ks) + 1).tolist()
+        return [min(drawn, len(q) - 1) + 1]  # q holds the book's k + 1 entries
+    labels = (np.add.accumulate(q, axis=1) <= np.asarray(uniforms)[:, None]).sum(axis=1)
+    greedy = (configs if isinstance(configs, _Rows) else _Rows(configs)).greedy
+    if len(greedy):
+        labels[greedy] = q[greedy].argmax(axis=1)
+    return np.minimum(labels, ks) + 1
 
 
 def step(
     stack: BookStack, ys: np.ndarray, configs: list[EngineConfig], log_new: list[float],
-    uniforms: list[float], columns: list[StepColumns],
+    uniforms, columns: list[StepColumns],
 ) -> list[Exception | None]:
     """Process one observation for every book of the stack, updating the
     books in place and appending book r's step to ``columns[r]``, and
@@ -632,7 +659,10 @@ def step(
     which ``run_many`` scores for a window of rows at once.  A sampled
     label is read at ``uniforms[r]``; the first observation of a book opens
     cluster 1 and reads none.  Rows that are not an R x d array are
-    converted and checked.
+    converted and checked.  ``uniforms`` is a sequence or an array;
+    ``configs`` may be ``_Rows``, which ``run_many`` builds once per
+    regrouping.  Each book's alpha is its config's ``EngineConfig.alpha``
+    and its new cluster's weight ``math.log(alpha)`` + ``log_new[r]``.
 
     A stack of one book updates it with ``ClusterBook.absorb``, in its own
     shapes.  A stack of several does its births first, as a birth may
@@ -652,7 +682,7 @@ def step(
         alphas.append(alpha)
         weights.append(weight)
     q = responsibilities(stack, ys, weights)
-    labels = _labels(q, ks, configs, uniforms)
+    labels = _labels(q, stack.ks, configs, uniforms)
     errors: list[Exception | None] = [None] * len(books)
     if q.ndim == 1:  # one book, in its own shapes: its q is its row
         (book,), (k,), (label,), rows = books, ks, labels, (q,)
@@ -665,12 +695,13 @@ def step(
             errors[0] = exc
     else:
         rows = q
-        for r in np.flatnonzero(np.array(labels) > stack.ks).tolist():
+        for r in np.flatnonzero(labels > stack.ks).tolist():
             try:
                 books[r].add(configs[r].prior.state, 0, 0.0)
             except Exception as exc:
                 errors[r] = exc
         stack.absorb(labels, ys, errors)
+        labels = labels.tolist()
     for book, k, alpha, label, qr, error, steps in zip(books, ks, alphas, labels, rows, errors,
                                                        columns):
         if error is None:
@@ -940,21 +971,30 @@ def _prior_key(prior: PriorConfig) -> tuple:
     return prior.mu0.tobytes(), prior.c0, prior.delta0, prior.sigma0.tobytes()
 
 
-def _families(runs: list[_Run], streams: list) -> list[list[_Run]]:
+def _families(runs: list[_Run], streams: list) -> tuple[list[list[_Run]], BookStack]:
     """The runs grouped into families, which step alike: same rows object,
-    seed, lam, selection, fixed_alpha and prior.  A family's first run gets
-    a new book, and the others share it, its records and its generator."""
+    seed, lam, selection, fixed_alpha and prior, and the stack they step in.
+    A family's first run gets a new book, born as that family's row of the
+    stack, and the others share it, its records and its generator."""
     families: dict[tuple, list[_Run]] = {}
     for run in runs:
         config = run.config
         key = (id(streams[run.index]), config.seed, config.lam, config.selection,
                config.fixed_alpha, *_prior_key(config.prior))
         families.setdefault(key, []).append(run)
-    for lead, *rest in families.values():
-        lead.book = ClusterBook(lead.stream.shape[1])
+    # blank books with ClusterBook's defaults, made without the stack of their
+    # own that ``ClusterBook(d)`` makes: each is born as its row of one stack.
+    # Set in ``__init__``'s order, the attributes keep the instances' shared
+    # layout (a ``vars()`` update made each attribute read about 25% slower)
+    books = [ClusterBook.__new__(ClusterBook) for _ in families]
+    for book in books:
+        book.dim, book.n, book.next_cid, book.row, book.window = runs[0].stream.shape[1], 0, 1, 0, []
+    stack = BookStack(books, 2)
+    for (lead, *rest), book in zip(families.values(), books):
+        lead.book = book
         for run in rest:
             run.book, run.records, run.rng = lead.book, lead.records, lead.rng
-    return list(families.values())
+    return list(families.values()), stack
 
 
 def _regroup(families: list[list[_Run]], results: list) -> tuple[list[list[_Run]], list[int]]:
@@ -1002,6 +1042,10 @@ def run_many(
     have one dimension d and their configs one ``maintenance_period``, as
     the rows step in windows of that period; else ``ConfigError`` names the
     field.  ``on_step``, if given, holds one callback or None per stream.
+
+    The steps run under one ``np.errstate(all="ignore")``: a state that
+    outruns double precision (a NaN q from an indefinite cached precision)
+    ends in the ``StepError`` of ``_Run.finish``, not in a warning.
     """
     callbacks = [None] * len(streams) if on_step is None else list(on_step)
     if not len(streams) == len(configs) == len(callbacks):
@@ -1025,50 +1069,50 @@ def run_many(
         return results
     period, ends = runs[0].config.maintenance_period, {run.n for run in runs}
     watched, n_max = any(run.on_step is not None for run in runs), max(ends)
-    families = _families(runs, streams)
-    stack = BookStack([family[0].book for family in families], 2)
-    for start in range(0, n_max, period):
-        width = min(period, n_max - start)
-        scores: dict = {}
-        windows = [family[0].open_window(start, width, scores) for family in families]
-        rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
-        lead_configs = [family[0].config for family in families]
-        lead_columns = [family[0].records for family in families]  # shared by the family
-        for j, i in enumerate(range(start + 1, start + width + 1)):
-            due, left = i % period == 0, False
-            busy = due or watched or i in ends  # else a run only keeps its step
-            errors = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j].tolist(),
-                          lead_columns)
-            for family, error in zip(families, errors):
-                if error is None and not busy:
-                    continue
-                for run in family:
-                    try:
-                        if error is not None:
-                            raise StepError(i, error) from error
-                        if due:  # every window folds at the tick, maintained or not
-                            run.book.fold()
-                            if run.maintained:
-                                run.maintain(run.shares(family, results))
-                        if run.on_step is not None:
-                            run.on_step(i, run.book)
-                        if i == run.n:
-                            results[run.index] = run.finish(run.shares(family, results))
-                            left = True
-                    except Exception as exc:
-                        results[run.index], left = exc, True
-            if left or due:  # runs that ended, failed or copied their book change the rows
-                groups, origin = _regroup(families, results)
-                if not groups:
-                    return results
-                families = groups
-                lead_configs = [family[0].config for family in families]
-                lead_columns = [family[0].records for family in families]
-                books = [family[0].book for family in families]
-                if list(map(id, books)) != list(map(id, stack.books)):
-                    stack.store(books, stack.cap)
-                    rows, log_new, uniforms = (rows[:, origin], log_new[:, origin],
-                                               uniforms[:, origin])
+    families, stack = _families(runs, streams)
+    lead_configs = _Rows(family[0].config for family in families)
+    lead_columns = [family[0].records for family in families]  # shared by the family
+    with np.errstate(all="ignore"):  # a state beyond double precision ends in StepError
+        for start in range(0, n_max, period):
+            width = min(period, n_max - start)
+            scores: dict = {}
+            windows = [family[0].open_window(start, width, scores) for family in families]
+            rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
+            for j, i in enumerate(range(start + 1, start + width + 1)):
+                due, left = i % period == 0, False
+                busy = due or watched or i in ends  # else a run only keeps its step
+                errors = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j],
+                              lead_columns)
+                for family, error in zip(families, errors):
+                    if error is None and not busy:
+                        continue
+                    for run in family:
+                        try:
+                            if error is not None:
+                                raise StepError(i, error) from error
+                            if due:  # every window folds at the tick, maintained or not
+                                run.book.fold()
+                                if run.maintained:
+                                    run.maintain(run.shares(family, results))
+                            if run.on_step is not None:
+                                run.on_step(i, run.book)
+                            if i == run.n:
+                                results[run.index] = run.finish(run.shares(family, results))
+                                left = True
+                        except Exception as exc:
+                            results[run.index], left = exc, True
+                if left or due:  # runs that ended, failed or copied their book change the rows
+                    groups, origin = _regroup(families, results)
+                    if not groups:
+                        return results
+                    families = groups
+                    lead_configs = _Rows(family[0].config for family in families)
+                    lead_columns = [family[0].records for family in families]
+                    books = [family[0].book for family in families]
+                    if list(map(id, books)) != list(map(id, stack.books)):
+                        stack.store(books, stack.cap)
+                        rows, log_new, uniforms = (rows[:, origin], log_new[:, origin],
+                                                   uniforms[:, origin])
     return results
 
 
@@ -1094,7 +1138,8 @@ def run(
     maintenance: it sees the state the next observation will be scored
     against.  It must not modify that state.  As non-finite rows are
     rejected up front, ``on_step`` never sees a stream that will fail on
-    one.
+    one.  Like every step, it runs under ``np.errstate(all="ignore")``
+    (``run_many``), so numpy emits no floating-point warning there.
     """
     (result,) = run_many([stream], [config], [on_step])
     if isinstance(result, Exception):

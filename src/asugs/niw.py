@@ -177,8 +177,11 @@ def student_t_factors(c: float, delta: float, sigma: np.ndarray
     """The factors of ``log_predictive_density`` that depend on the state
     alone, from one Cholesky factorisation: sigma^-1, log det sigma, the
     constant and the shape ``coef``, ``expo`` (``student_t_shape``).  Raises
-    ``numpy.linalg.LinAlgError`` if sigma is not positive definite."""
+    ``numpy.linalg.LinAlgError`` if sigma is not positive definite or its
+    factor is not finite (a NaN in sigma)."""
     L = cholesky(sigma)
+    if not np.isfinite(L).all():  # numpy's Cholesky raises nothing on a NaN
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     inv_l = np.linalg.inv(L)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     coef, expo = student_t_shape(c, delta)
@@ -244,21 +247,27 @@ def prior_predictive(prior: PriorConfig, y: np.ndarray) -> float | np.ndarray:
     return log_predictive_density(prior.state, y)
 
 
-def conjugate_update(mu: np.ndarray, c: float, delta: float, sigma: np.ndarray, y: np.ndarray):
+def update_weights(c, delta):
+    """The a and b of sigma' = a sigma + b r r^T by which ``conjugate_update``
+    absorbs an observation into a state of (c, delta); elementwise on arrays."""
+    return 2.0 * delta / (1.0 + 2.0 * delta), (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
+
+
+def conjugate_update(mu: np.ndarray, c: float, sigma: np.ndarray, y: np.ndarray, a: float,
+                     b: float) -> np.ndarray:
     """Absorb y into (mu, c, delta, sigma): ``mu`` and ``sigma`` in place, c + 1
-    and delta + 1/2 left to the caller.  Returns r = y - mu (pre-update mu) and
-    the a, b of sigma' = a sigma + b r r^T, a convex combination of positive
-    definite sigma and a semidefinite term.  An exactly symmetric sigma stays
-    so: entry (i, j) gets a sigma_ij + b (r_i r_j), and IEEE products commute."""
+    and delta + 1/2 left to the caller, with a and b of ``update_weights``.
+    Returns r = y - mu (pre-update mu), for sigma' = a sigma + b r r^T, a
+    convex combination of positive definite sigma and a semidefinite term.
+    An exactly symmetric sigma stays so: entry (i, j) gets a sigma_ij + b
+    (r_i r_j), and IEEE products commute."""
     r = y - mu
-    a = 2.0 * delta / (1.0 + 2.0 * delta)
-    b = (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
     mu *= c  # mu' = (y + c mu) / (1 + c), in place
     mu += y
     mu /= 1.0 + c
     sigma *= a
     sigma += b * (r[:, None] * r)
-    return r, a, b
+    return r
 
 
 def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
@@ -266,5 +275,5 @@ def posterior_update(post: NiwPosterior, y: np.ndarray) -> NiwPosterior:
     (``conjugate_update`` on a copy)."""
     y = _observation(y, post.dim)
     mu, sigma = post.mu.copy(), post.sigma.copy()
-    conjugate_update(mu, post.c, post.delta, sigma, y)
+    conjugate_update(mu, post.c, sigma, y, *update_weights(post.c, post.delta))
     return NiwPosterior(mu=mu, c=post.c + 1.0, delta=post.delta + 0.5, sigma=sigma)

@@ -18,6 +18,7 @@ written, or a ``StepError``.
 import hashlib
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -131,12 +132,14 @@ def test_a_run_reads_back_or_raises_step_error(kind, d, n, scale_exp, offset, sc
     """A run on a degenerate stream, under the default prior or a
     ``from_scale`` prior at the stream's scale, either raises ``StepError``
     or returns a trace that ``read_trace`` reads back to the bytes it was
-    written as."""
+    written as, and lets no ``RuntimeWarning`` escape either way."""
     scale = 10.0**scale_exp
     prior = PriorConfig.from_scale(d, scale**2) if scaled_prior else None
     try:
-        trace = run(degenerate_rows(kind, d, n, scale, offset, seed),
-                    EngineConfig(seed=seed, prior=prior))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = run(degenerate_rows(kind, d, n, scale, offset, seed),
+                        EngineConfig(seed=seed, prior=prior))
     except StepError:
         return
     with tempfile.TemporaryDirectory() as tmp:

@@ -518,6 +518,22 @@ class TestRunWithDiagnostics:
             assert cp.kl_stderr is not None and cp.kl_stderr > 0
             assert cp.alpha > 0
 
+    def test_truth_spread_is_computed_once_per_mixture(self, monkeypatch):
+        """Each L2 checkpoint pads its grid by the truth's largest standard
+        deviation, which the mixture computes once: a diagnosed run of a
+        mixture whose ``max_sd`` was read takes no eigenvalues, and
+        ``max_sd`` is the largest over the components of the square root of
+        the largest eigenvalue."""
+        mix = generate_grid_mixture(2, 0.025, 1.0)
+        assert mix.max_sd == max(math.sqrt(np.linalg.eigvalsh(cov).max())
+                                 for cov in mix.covariances)
+        calls, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+        data = sample_mixture(mix, 300, seed=0)
+        cfg = EngineConfig(seed=0, prior=PriorConfig.from_scale(2, 0.025))
+        trace = run_with_diagnostics(data.rows, cfg, truth=mix, checkpoint_every=50)
+        assert len(trace.checkpoints) == 6 and calls == []
+
     def test_l2_decreases_on_converging_run(self):
         """Majority of checkpoints improve on the first one."""
         mix = generate_grid_mixture(4, 0.025, 1.0)

@@ -30,6 +30,7 @@ from asugs.engine import (
     StepColumns,
     StepError,
     StepRecord,
+    _TAIL,
     _refresh_tail,
     _sum_groups,
     _sum_in_order,
@@ -697,9 +698,9 @@ class TestCachedFactors:
 
         real, calls = engine_mod.conjugate_update, []
 
-        def indefinite_at_third_call(mu, c, delta, sigma, y):
+        def indefinite_at_third_call(mu, c, sigma, y, a, b):
             calls.append(y)
-            out = real(mu, c, delta, sigma, y)
+            out = real(mu, c, sigma, y, a, b)
             if len(calls) == 3:
                 sigma *= -1.0
             return out
@@ -734,6 +735,14 @@ class TestCachedFactors:
         prec, logdet, log_norm, _, _ = real(book.c[0], book.delta[0], book.sigma[0])
         np.testing.assert_array_equal(book.prec[0], prec)
         assert (book.logdet[0], book.log_norm[0]) == (logdet, log_norm)
+
+    def test_factorise_of_a_nan_sigma_raises(self):
+        """numpy's Cholesky factor of a sigma holding a NaN is NaN, without an
+        error; ``factorise`` raises ``LinAlgError`` as for an indefinite one."""
+        book = make_book([NiwPosterior(np.zeros(2), 2.0, 3.0, np.eye(2))], [1], [1.0], n=1)
+        book.sigma[0] = [[1.0, 0.1], [0.1, np.nan]]
+        with pytest.raises(np.linalg.LinAlgError):
+            book.factorise(0)
 
     def test_births_copy_the_prior_factors(self, monkeypatch):
         """A new cluster copies the prior's state with its factors, and every
@@ -793,6 +802,33 @@ class TestBookInvariants:
         assert book.mu.base is book.stack.arrays["mu"]
         book.add(NiwPosterior(np.ones(3), 1.0, 2.0, np.eye(3)), 1, 1.0)
         assert np.shares_memory(book.mu, book.stack.arrays["mu"])
+
+    def test_family_books_are_born_in_the_lockstep_stack(self, monkeypatch):
+        """``run_many`` allocates its cluster arrays once before the first
+        step: each family's book is born as its row of the stack it steps
+        in, for three families as for the one of ``run``."""
+        import asugs.engine as engine_mod
+
+        stores, steps = [], []
+        real_store, real_step = BookStack.store, engine_mod.step
+
+        def counted_store(stack, books, cap):
+            if not steps:
+                stores.append(len(books))
+            return real_store(stack, books, cap)
+
+        def counted_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(BookStack, "store", counted_store)
+        monkeypatch.setattr(engine_mod, "step", counted_step)
+        streams, configs = lockstep_group(2, seed=17, sizes=[60] * 3)
+        run_many(streams, configs)
+        assert stores == [3]
+        stores.clear(), steps.clear()
+        run(streams[0], configs[0])
+        assert stores == [1]
 
     def test_deepcopy_shares_no_memory(self):
         rng = np.random.default_rng(0)
@@ -1133,6 +1169,30 @@ class TestStepColumns:
             trace.records[3]
         with pytest.raises(IndexError):
             trace.records[-4]
+
+
+    def test_a_read_flushes_the_pending_steps(self):
+        """A step's q waits until the count of steps is a multiple of the
+        period or a read: a read makes the pending q a chunk, and the next
+        chunk ends at the next multiple of the period."""
+        steps = [(1, [1.0], 0.0, 1, True), (2, [0.25, 0.75], 0.5, 2, True),
+                 (1, [0.5, 0.25, 0.25], 0.75, 2, False), (3, [0.2, 0.3, 0.5], 0.7, 3, True),
+                 (2, [0.1, 0.6, 0.1, 0.2], 0.8, 3, False), (1, [0.7, 0.1, 0.1, 0.1], 0.8, 3, False)]
+        columns = StepColumns(3)
+        for count, (label, q, alpha, k_after, innovation) in enumerate(steps[:4], start=1):
+            columns.append(label, np.array(q), alpha, k_after, innovation)
+            assert (len(columns), columns.k_after[-1]) == (count, k_after)
+        assert (columns.firsts, len(columns.pending)) == ([0], 1)
+        last = columns[-1]  # a read flushes
+        assert (last.index, last.label, last.q.tolist(), last.alpha_used, last.k_after,
+                last.innovation) == (4, *steps[3])
+        assert not columns.pending and columns.firsts == [0, 3]
+        for label, q, alpha, k_after, innovation in steps[4:]:
+            columns.append(label, np.array(q), alpha, k_after, innovation)
+        assert columns.firsts == [0, 3, 4] and not columns.pending  # 6 steps: a chunk
+        assert columns.offsets.tolist() == [0, 1, 3, 6, 9, 13, 17]
+        assert [(r.index, r.label, r.q.tolist(), r.alpha_used, r.k_after, r.innovation)
+                for r in columns] == [(i, *values) for i, values in enumerate(steps, start=1)]
 
 
 class TestEngineConfig:
@@ -1623,13 +1683,18 @@ class TestRefreshTail:
         """At (c, delta) off the grid of counts, as a merge leaves them (sums
         of two clusters' states), the tail is d log a, ``student_t_shape``
         and, less logdet / 2, ``student_t_log_norm`` of the updated state;
-        ``ClusterBook.absorb`` of such a cluster leaves these values."""
+        ``ClusterBook.absorb`` of such a cluster leaves these values.  Its a
+        and b are those of the update sigma' = a sigma + b r r^T, and s is
+        b / a."""
         rng = np.random.default_rng(d)
         c0, delta0 = 0.01, d / 2.0 + 2.0
         for _ in range(25):
             m = rng.integers(1, 300, size=2)
             c, delta = float((c0 + m).sum()), float((delta0 + m / 2.0).sum())
-            d_log_a, coef, expo, constant = _refresh_tail(d, c, delta)
+            a, b, s, d_log_a, coef, expo, constant = _TAIL.unpack(_refresh_tail(d, c, delta))
+            assert a == 2.0 * delta / (1.0 + 2.0 * delta)
+            assert b == (1.0 / (1.0 + 2.0 * delta)) * (c / (1.0 + c))
+            assert s == b / a
             assert d_log_a == d * math.log(2.0 * delta / (1.0 + 2.0 * delta))
             assert (coef, expo) == student_t_shape(c + 1.0, delta + 0.5)
             for logdet in rng.normal(size=4) * 10.0 ** rng.integers(-3, 4):
@@ -1870,6 +1935,37 @@ class TestLockstepBits:
         monkeypatch.setattr(engine_mod, "responsibilities", spied)
         step_records(stack, ys, [config] * 2, scores, [0.5, 0.5])
         assert seen == [[math.log(alpha) + score for score in scores]]
+
+    def test_mixed_rows_form_alpha_as_each_config_does(self, monkeypatch):
+        """One step of a stack whose rows mix adaptive and fixed alpha, two
+        lam and books of unequal n, one of them at its first observation:
+        each book's alpha is ``EngineConfig.alpha`` of its book and its new
+        cluster's weight is ``math.log(alpha)`` plus its prior score, bit for
+        bit (0 and 0 for the book without clusters)."""
+        import asugs.engine as engine_mod
+
+        seen, real = [], engine_mod.responsibilities
+
+        def spied(stack, ys, log_new):
+            seen.append(list(log_new))
+            return real(stack, ys, log_new)
+
+        rng = np.random.default_rng(8)
+        prior = PriorConfig.default(2)
+        rows = [(0.3, None, 3, 9170), (1.7, None, 5, 9170), (0.3, 0.40771306437289007, 2, 41),
+                (1.7, 2.5, 4, 7), (0.3, None, 1, 1), (1.7, None, 6, 500), (0.3, None, 0, 0)]
+        configs = [EngineConfig(lam=lam, fixed_alpha=fixed, seed=0, prior=prior).resolve(2)
+                   for lam, fixed, _, _ in rows]
+        books = [make_book(random_posts(rng, k, 2), [1] * k, [1.0] * k, n=n, d=2)
+                 for _, _, k, n in rows]
+        want = [config.alpha(book) if book.k else 0.0 for config, book in zip(configs, books)]
+        ys = rng.normal(size=(len(books), 2))
+        scores = [prior_predictive(prior, y) for y in ys]
+        monkeypatch.setattr(engine_mod, "responsibilities", spied)
+        records = step_records(BookStack(books, 8), ys, configs, scores, [0.5] * len(books))
+        assert [record.alpha_used for record in records] == want
+        assert seen == [[math.log(alpha) + score if alpha else 0.0
+                         for alpha, score in zip(want, scores)]]
 
     def test_refresh_uses_math_log_and_log1p(self):
         """After a lockstep step, each chosen cluster's logdet is

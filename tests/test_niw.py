@@ -20,6 +20,7 @@ from asugs.niw import (
     log_predictive_density,
     posterior_update,
     prior_predictive,
+    student_t_factors,
     student_t_shape,
 )
 
@@ -183,6 +184,12 @@ class TestLogPredictiveDensity:
                             sigma=np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
             log_predictive_density(post, np.zeros(2))
+
+    def test_nan_sigma_raises(self):
+        """numpy's Cholesky factor of a sigma holding a NaN is NaN, without an
+        error; the factors raise ``LinAlgError`` as for an indefinite sigma."""
+        with pytest.raises(np.linalg.LinAlgError):
+            student_t_factors(2.0, 3.0, np.array([[1.0, 0.1], [0.1, np.nan]]))
 
     def test_dimension_mismatch(self):
         post = NiwPosterior(mu=np.zeros(2), c=1.0, delta=2.0, sigma=np.eye(2))
