@@ -32,7 +32,7 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import lru_cache
 from itertools import pairwise, repeat, starmap
 
@@ -106,8 +106,9 @@ class ClusterBook:
     The arrays are views of row ``row`` of a ``BookStack`` from birth:
     ``ClusterBook(dim, n)`` is a book of d = dim without clusters, after n
     observations, in a stack of its own with room for two clusters;
-    ``run_many`` keeps the books of all its runs in one stack, in which each
-    family's book is born.  ``w``,
+    ``ClusterBook(dim, own_stack=False)`` is one without arrays until a
+    ``BookStack`` stores it.  ``run_many`` keeps the books of all its runs
+    in one stack, in which each family's book is born.  ``w``,
     ``dist`` and ``coact`` are folded on read: a step appends the
     responsibilities q of the book's clusters to ``window``, and ``fold``
     adds the window's terms in step order, so every read sees the sums of
@@ -121,9 +122,11 @@ class ClusterBook:
     stack: "BookStack" = field(init=False, repr=False)
     row: int = field(default=0, init=False, repr=False)
     window: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    own_stack: InitVar[bool] = True
 
-    def __post_init__(self):
-        BookStack([self], 2)
+    def __post_init__(self, own_stack: bool):
+        if own_stack:
+            BookStack([self], 2)
 
     @property
     def w(self) -> np.ndarray:
@@ -319,9 +322,8 @@ class BookStack:
         and b broadcast.  Of the tail, one C-level ``map`` reads each book's
         packed ``_refresh_tail``, which one ``np.frombuffer`` of their join
         unpacks, and one takes each ``math.log1p(t)``; the sums are numpy's,
-        which add as ``math`` does.  One ``min`` and one ``max``
-        check the range of t; a book whose t is out of range refactorises,
-        and if that raises, the exception goes to ``errors[r]``."""
+        which add as ``math`` does.  A book whose t is out of range
+        refactorises; if that raises, the exception goes to ``errors[r]``."""
         at, flat = self.label_base + labels, self.flat
         if any(errors):  # an exception is true, None false
             live = [error is None for error in errors]
@@ -338,9 +340,8 @@ class BookStack:
         r = np.ascontiguousarray(conjugate_update(mu.T, c, sigma.T, ys.T, a, b).T)
         p_r = prec @ r[:, :, None]
         t = s * (r[:, None, :] @ p_r)[:, 0, 0]
-        refactor = []
-        if not (t.min() >= 0.0 and t.max() <= REFRESH_MAX_T):  # a NaN fails both
-            refactor = np.flatnonzero(~((0.0 <= t) & (t <= REFRESH_MAX_T))).tolist()
+        refactor = np.flatnonzero(~((0.0 <= t) & (t <= REFRESH_MAX_T)))  # NaN included
+        if len(refactor):
             t[refactor] = 0.0  # keeps the refresh finite where factorise overwrites it
         p_r = p_r[:, :, 0]
         prec -= ((s / (1.0 + t))[:, None] * p_r)[:, :, None] * p_r[:, None, :]
@@ -352,7 +353,7 @@ class BookStack:
                              ("expo", expo)):
             flat[name][at] = values
         flat["m"][at] += 1
-        for i in refactor:
+        for i in refactor.tolist():
             row, h = divmod(int(at[i]), self.cap)
             try:
                 self.books[row].factorise(h)
@@ -625,8 +626,7 @@ class _Rows(list):
         self.greedy = np.flatnonzero([config.selection == "argmax" for config in self])
 
 
-def _labels(q: np.ndarray, ks: np.ndarray, configs: list[EngineConfig],
-            uniforms) -> list[int] | np.ndarray:
+def _labels(q: np.ndarray, ks: np.ndarray, configs: _Rows, uniforms) -> list[int] | np.ndarray:
     """Each book's 1-based label from its row of q: the first maximum for
     argmax selection, else the number of cumsum entries at or below its
     uniform (``searchsorted(u, side="right")``), at most k + 1 as the cumsum
@@ -639,14 +639,13 @@ def _labels(q: np.ndarray, ks: np.ndarray, configs: list[EngineConfig],
         drawn = int(np.add.accumulate(q).searchsorted(uniforms[0], side="right"))
         return [min(drawn, len(q) - 1) + 1]  # q holds the book's k + 1 entries
     labels = (np.add.accumulate(q, axis=1) <= np.asarray(uniforms)[:, None]).sum(axis=1)
-    greedy = (configs if isinstance(configs, _Rows) else _Rows(configs)).greedy
-    if len(greedy):
+    if len(greedy := configs.greedy):
         labels[greedy] = q[greedy].argmax(axis=1)
     return np.minimum(labels, ks) + 1
 
 
 def step(
-    stack: BookStack, ys: np.ndarray, configs: list[EngineConfig], log_new: list[float],
+    stack: BookStack, ys: np.ndarray, configs: _Rows, log_new: list[float],
     uniforms, columns: list[StepColumns],
 ) -> list[Exception | None]:
     """Process one observation for every book of the stack, updating the
@@ -660,7 +659,7 @@ def step(
     label is read at ``uniforms[r]``; the first observation of a book opens
     cluster 1 and reads none.  Rows that are not an R x d array are
     converted and checked.  ``uniforms`` is a sequence or an array;
-    ``configs`` may be ``_Rows``, which ``run_many`` builds once per
+    ``configs`` is the rows' ``_Rows``, which ``run_many`` builds once per
     regrouping.  Each book's alpha is its config's ``EngineConfig.alpha``
     and its new cluster's weight ``math.log(alpha)`` + ``log_new[r]``.
 
@@ -982,13 +981,7 @@ def _families(runs: list[_Run], streams: list) -> tuple[list[list[_Run]], BookSt
         key = (id(streams[run.index]), config.seed, config.lam, config.selection,
                config.fixed_alpha, *_prior_key(config.prior))
         families.setdefault(key, []).append(run)
-    # blank books with ClusterBook's defaults, made without the stack of their
-    # own that ``ClusterBook(d)`` makes: each is born as its row of one stack.
-    # Set in ``__init__``'s order, the attributes keep the instances' shared
-    # layout (a ``vars()`` update made each attribute read about 25% slower)
-    books = [ClusterBook.__new__(ClusterBook) for _ in families]
-    for book in books:
-        book.dim, book.n, book.next_cid, book.row, book.window = runs[0].stream.shape[1], 0, 1, 0, []
+    books = [ClusterBook(runs[0].stream.shape[1], own_stack=False) for _ in families]
     stack = BookStack(books, 2)
     for (lead, *rest), book in zip(families.values(), books):
         lead.book = book

@@ -30,6 +30,7 @@ from asugs.engine import (
     StepColumns,
     StepError,
     StepRecord,
+    _Rows,
     _TAIL,
     _refresh_tail,
     _sum_groups,
@@ -71,7 +72,7 @@ def step_records(stack, ys, configs, log_new, uniforms):
     for each book its step as a ``StepRecord`` (index 1), or the exception
     its update raised."""
     columns = [StepColumns(1) for _ in stack.books]
-    errors = step(stack, ys, configs, log_new, uniforms, columns)
+    errors = step(stack, ys, _Rows(configs), log_new, uniforms, columns)
     return [steps[0] if error is None else error for steps, error in zip(columns, errors)]
 
 
