@@ -4,6 +4,7 @@ number of components, plus diagnostics and a benchmark harness."""
 from asugs.engine import (
     ClusterBook,
     EngineConfig,
+    Run,
     RunTrace,
     StepRecord,
     run,
@@ -25,6 +26,7 @@ __all__ = [
     "GaussianMixture",
     "NiwPosterior",
     "PriorConfig",
+    "Run",
     "RunTrace",
     "StepRecord",
     "log_gamma_ratio",

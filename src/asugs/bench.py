@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from asugs.data import HELDOUT_SEED_OFFSET, Dataset, heldout_loglik, sample_mixture
-from asugs.engine import EngineConfig, run, run_many  # run is unused here but stays
+from asugs.engine import EngineConfig, _is_int, run, run_many  # run is unused here but stays
 # an attribute of this module: perfbench/tracer.py wraps it here
 from asugs.mixture import GaussianMixture
 
@@ -178,12 +178,16 @@ def compare_variants(
     its own train and held-out data once, for all four variants.  With a
     fixed ``train`` dataset, each trial streams a seed-shuffled ordering
     of the same rows.  Failed trials are recorded with their error and
-    do not stop the run.
+    do not stop the run.  ``trials``, ``workers`` and, without a ``train``
+    set, ``n_train`` and ``n_test`` must be integers of at least 1, not
+    bools; else ``ValueError`` names the first that is not.
     """
     if train is None and truth is None:
         raise ValueError("either a training dataset or a truth mixture is required")
-    if trials < 1 or workers < 1:
-        raise ValueError(f"trials and workers must be at least 1, got {trials} and {workers}")
+    for name, value in [("trials", trials), ("workers", workers)] + (
+            [("n_train", n_train), ("n_test", n_test)] if train is None else []):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     context = _Context(
         base_config, None if train is None else train.rows, None if test is None else test.rows,
         truth, n_train, n_test, geometric_checkpoints(n_train if train is None else train.n),

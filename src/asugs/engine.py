@@ -8,19 +8,21 @@ maintenance removes clusters whose running posterior weight has become
 negligible and fuses clusters whose responsibility histories track each
 other.
 
-A run's whole state is one ``ClusterBook``: the live clusters in birth
+A run's cluster state is one ``ClusterBook``: the live clusters in birth
 order, the observation count n (from which, with k, the adaptive
 concentration follows) and two K x K arrays of pairwise responsibility
 histories indexed by position in that order.  A single run is strictly
 sequential, and independent runs may execute concurrently.  A run's step
 records are kept as columns (``StepColumns``): a few numbers per step and
 its q, not an object per step.
-``run_many`` steps independent runs in lockstep: their books are the
-rows of one ``BookStack``, so that a step scores, normalises and updates
-all of them with one numpy call each, and ``run`` is ``run_many`` of one
-stream.  Runs that would take the same steps (one rows object, one seed,
-one scoring config) share one book and one row until their maintenance
-differs.
+A ``Run`` handle owns a run's whole state (its book, its columns and its
+generator) and is fed the stream in chunks.  One driver, ``_drive``, steps
+runs in lockstep: their books are the rows of one ``BookStack``, so that a
+step scores, normalises and updates all of them with one numpy call each.
+``run`` is one handle fed the whole stream, and ``run_many`` feeds many
+handles in one driver call.  Runs that would take the same steps (one rows
+object, one seed, one scoring config) share one book and one row until
+their maintenance differs.
 """
 
 from __future__ import annotations
@@ -107,13 +109,13 @@ class ClusterBook:
     ``ClusterBook(dim, n)`` is a book of d = dim without clusters, after n
     observations, in a stack of its own with room for two clusters;
     ``ClusterBook(dim, own_stack=False)`` is one without arrays until a
-    ``BookStack`` stores it.  ``run_many`` keeps the books of all its runs
-    in one stack, in which each family's book is born.  ``w``,
-    ``dist`` and ``coact`` are folded on read: a step appends the
-    responsibilities q of the book's clusters to ``window``, and ``fold``
-    adds the window's terms in step order, so every read sees the sums of
-    adding once per step, bit for bit.  ``add`` and ``keep`` fold first, so
-    a window holds rows of one k.
+    ``BookStack`` stores it.  A ``Run``'s book is of the second kind: the
+    driver keeps the books of all the runs it steps in one stack, in which
+    each is born.  ``w``, ``dist`` and ``coact`` are folded on read: a step
+    appends the responsibilities q of the book's clusters to ``window``,
+    and ``fold`` adds the window's terms in step order, so every read sees
+    the sums of adding once per step, bit for bit.  ``add`` and ``keep``
+    fold first, so a window holds rows of one k.
     """
 
     dim: int
@@ -475,9 +477,9 @@ class StepColumns(Sequence):
     ``array.array``; step i's index is i + 1.  The steps' q lie end to end
     in float64 chunks: step i's q is floats ``offsets[i]:offsets[i + 1]``
     of that run.  ``append`` keeps a step's q as it is given (a view, in
-    ``run_many``) until the count of steps is a multiple of ``period``, or
-    ``flush`` is called: then one ``np.concatenate`` makes the pending q a
-    chunk.  Chunks are never joined, so no step's q is held twice.
+    the lockstep driver) until the count of steps is a multiple of
+    ``period``, or ``flush`` is called: then one ``np.concatenate`` makes
+    the pending q a chunk.  Chunks are never joined, so no step's q is held twice.
 
     Values go in and come out: ``append`` takes a step's values and
     ``values`` gives them back a chunk at a time.  As a sequence, the
@@ -652,16 +654,17 @@ def step(
     books in place and appending book r's step to ``columns[r]``, and
     return for each book the exception its update raised, or None.
 
-    ``ys[r]`` is book r's observation and must be finite: ``run_many``
-    checks every stream before its first step, so the step does not check
-    again.  ``log_new[r]`` is ``prior_predictive(configs[r].prior, ys[r])``,
-    which ``run_many`` scores for a window of rows at once.  A sampled
-    label is read at ``uniforms[r]``; the first observation of a book opens
-    cluster 1 and reads none.  Rows that are not an R x d array are
-    converted and checked.  ``uniforms`` is a sequence or an array;
-    ``configs`` is the rows' ``_Rows``, which ``run_many`` builds once per
-    regrouping.  Each book's alpha is its config's ``EngineConfig.alpha``
-    and its new cluster's weight ``math.log(alpha)`` + ``log_new[r]``.
+    ``ys[r]`` is book r's observation and must be finite: ``as_stream``
+    checks every row of a stream or chunk before its first step, so the step
+    does not check again.  ``log_new[r]`` is ``prior_predictive(configs[r].prior, ys[r])``,
+    which the driver (``_drive``) scores for a window of rows at once.  A
+    sampled label is read at ``uniforms[r]``; the first observation of a
+    book opens cluster 1 and reads none.  Rows that are not an R x d array
+    are converted and checked.  ``uniforms`` is a sequence or an array;
+    ``configs`` is the rows' ``_Rows``, which the driver builds once per
+    window or regrouping.  Each book's alpha is its config's
+    ``EngineConfig.alpha`` and its new cluster's weight ``math.log(alpha)``
+    + ``log_new[r]``.
 
     A stack of one book updates it with ``ClusterBook.absorb``, in its own
     shapes.  A stack of several does its births first, as a birth may
@@ -669,7 +672,7 @@ def step(
     ``BookStack.absorb``.  The appends come last; a book whose update
     raised appends nothing."""
     books, d, ks = stack.books, stack.dim, stack.ks.tolist()
-    if getattr(ys, "shape", None) != (len(books), d):  # the rows ``run_many`` passes are shaped
+    if getattr(ys, "shape", None) != (len(books), d):  # the driver's rows are shaped
         ys = np.array([_observation(y, d) for y in ys]).reshape(len(books), d)
     alphas, weights = [], []
     for book, k, config, log_density in zip(books, ks, configs, log_new):
@@ -847,13 +850,14 @@ class RunTrace:
         return np.array(self.records.k_after, dtype=int)
 
 
-def as_stream(stream) -> np.ndarray:
+def as_stream(stream, fed: int = 0) -> np.ndarray:
     """The observations as an n x d float array, n >= 1 and d >= 1.
 
     A 1-D array is one observation.  A stream without rows, without
     coordinates or with more than two axes raises ``ValueError``.  A row
-    with a non-finite value raises the ``StepError`` its step would: the
-    first such row i gives ``StepError(i, ValueError(...))``.
+    with a non-finite value raises the ``StepError`` its step would: after
+    ``fed`` rows, the first such row i gives ``StepError(fed + i,
+    ValueError(...))``.
     """
     given = np.asarray(stream, dtype=float)
     stream = np.atleast_2d(given)
@@ -864,83 +868,67 @@ def as_stream(stream) -> np.ndarray:
     finite = np.isfinite(stream).all(axis=1)
     if not finite.all():
         cause = ValueError("observation contains a non-finite value")
-        raise StepError(int(finite.argmin()) + 1, cause) from cause
+        raise StepError(fed + int(finite.argmin()) + 1, cause) from cause
     return stream
 
 
-@dataclass
-class _Run:
-    """One stream's run inside ``run_many``.  The runs of a family hold one
-    ``book``, one ``records`` and one ``rng`` until ``split``."""
+class Run:
+    """One stream's run, fed in chunks: ``feed(rows)`` steps the rows after
+    those fed before, and ``close()`` ends the stream and returns the
+    ``RunTrace``.  However a stream is cut into chunks, the trace is that of
+    ``run`` of the whole stream, byte for byte: a window of rows is cut
+    where a chunk ends as where a tick falls, its prior scores are the
+    single rows' scores, and PCG64's ``random(a)`` then ``random(b)`` gives
+    the bits of ``random(a + b)``.
 
-    index: int
-    stream: np.ndarray
-    config: EngineConfig
-    on_step: Callable[[int, ClusterBook], None] | None
-    book: ClusterBook = field(init=False)
-    records: StepColumns = field(init=False)
+    The run owns a ``ClusterBook`` of d = ``d`` (born in the first stack it
+    steps in; its n is the run's place in the maintenance period), its
+    ``StepColumns`` and its PCG64 generator.  The config is resolved here.
+    A chunk that ``as_stream`` refuses (empty too), with a non-finite row
+    (``StepError`` at that row's step) or with rows of another d
+    (``ValueError``) raises before any step and leaves the run as it was.
+    A failing step or ``on_step`` raises from ``feed``, and every later
+    ``feed`` or ``close`` raises it again.  After ``close``, both raise
+    ``ValueError``; ``close`` of a run never fed raises the empty stream's
+    ``ValueError``.  ``on_step`` is ``run``'s.
+    """
 
-    def __post_init__(self):
-        self.n = len(self.stream)
+    def __init__(self, config: EngineConfig, d: int,
+                 on_step: Callable[[int, ClusterBook], None] | None = None):
+        self.config, self.on_step = config.resolve(d), on_step
+        self.book = ClusterBook(d, own_stack=False)
         self.records = StepColumns(self.config.maintenance_period)
         self.rng = np.random.Generator(np.random.PCG64(self.config.seed))
         self.maintained = self.config.prune_eps > 0.0 or self.config.merge_eps > 0.0
+        self.error: Exception | None = None  # what every later feed or close raises
+        self.failed_at = None  # its traceback as it was caught: a raise would add frames
 
-    def open_window(self, start: int, width: int,
-                    scores: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows start:start + width, the last repeated past the stream's
-        end, with their prior scores and uniforms, one per row.  ``scores``
-        holds the window's prior scores by (rows object, prior), so runs
-        that share both score them once."""
-        rows = self.stream[start:start + width]
-        log_new, uniforms = np.zeros(width), np.zeros(width)
-        key = (id(self.stream), *_prior_key(self.config.prior))
-        if key not in scores:
-            scores[key] = prior_predictive(self.config.prior, rows)
-        log_new[:len(rows)] = scores[key]
-        first = int(start == 0)  # step 1 selects nothing
-        if self.config.selection == "sample" and len(rows) > first:
-            uniforms[first:len(rows)] = self.rng.random(len(rows) - first)
-        pad = rows[-1:].repeat(width - len(rows), axis=0)
-        return np.concatenate([rows, pad]) if len(pad) else rows, log_new, uniforms
+    def feed(self, rows) -> None:
+        """Step the rows, an n x d array or one row, after those fed before."""
+        if self.error is None:
+            rows = as_stream(rows, self.book.n)
+            if rows.shape[1] != self.book.dim:
+                raise ValueError(f"rows have d = {rows.shape[1]}, the run has d = {self.book.dim}")
+            _drive({self: rows})
+        if self.error is not None:
+            raise self.error.with_traceback(self.failed_at)
 
-    def shares(self, family: list["_Run"], results: list) -> bool:
-        """Whether another live run of the family holds this run's book."""
-        return len(family) > 1 and any(
-            other is not self and other.book is self.book and results[other.index] is None
-            for other in family)
-
-    def split(self) -> None:
-        """Take copies of the book, the records and the generator, which the
-        rest of the family keeps; the records share their q chunks."""
-        self.book, self.rng = copy.deepcopy(self.book), copy.deepcopy(self.rng)
-        self.records = self.records.copy()
-
-    def maintain(self, shared: bool) -> None:
-        """Prune, then merge.  A run that shares its book splits first if
-        either would change it."""
-        book, config = self.book, self.config
-        if shared and (prune_mask(book, config.prune_eps) is not None
-                       or merge_pairs(book, config.merge_eps)):
-            self.split()
-        prune(self.book, config.prune_eps)
-        merge(self.book, config.merge_eps)
-        self.records.k_after[-1] = self.book.k
-
-    def finish(self, shared: bool) -> "RunTrace":
-        """The run's trace, after the end-of-stream maintenance, with a book
-        and records of its own.  A state can outrun double precision (an
-        ill-conditioned stream, or a prior far from the data's scale) while
-        the rank-one refresh goes on, and end in a trace that ``read_trace``
-        would refuse.  So a run whose q is not finite at some step raises
-        ``StepError`` at the first such step, and a final book with a sigma
-        that does not factorise raises it at the last step, naming the first
-        such cluster's cid."""
-        if shared:
-            self.split()
-        if self.maintained and self.n % self.config.maintenance_period != 0:
-            self.maintain(False)
-        steps, sigma = self.records, self.book.sigma
+    def close(self) -> RunTrace:
+        """The run's trace, after the end-of-stream maintenance.  A state can
+        outrun double precision (an ill-conditioned stream, or a prior far
+        from the data's scale) while the rank-one refresh goes on, and end in
+        a trace that ``read_trace`` would refuse.  So a run whose q is not
+        finite at some step raises ``StepError`` at the first such step, and
+        a final book with a sigma that does not factorise raises it at the
+        last step, naming the first such cluster's cid."""
+        if self.error is not None:
+            raise self.error.with_traceback(self.failed_at)
+        book, steps = self.book, self.records
+        if not book.n:
+            raise ValueError("stream must contain at least one observation")
+        self.error, self.failed_at = ValueError("the run is closed"), None
+        if self.maintained and book.n % self.config.maintenance_period != 0:
+            self._maintain(False)
         steps.flush()
         for first, q in zip(steps.firsts, steps.chunks):
             finite = np.isfinite(q)
@@ -948,13 +936,54 @@ class _Run:
                 cause = ValueError("q is not finite")
                 at = steps.offsets[first] + int(finite.argmin())  # its first non-finite float
                 raise StepError(bisect_right(steps.offsets, at), cause) from cause
-        if not _factorises(sigma):
-            cid = self.book.cid[next(h for h in range(len(sigma)) if not _factorises(sigma[h]))]
+        if not _factorises(book.sigma):
+            cid = book.cid[next(h for h in range(book.k) if not _factorises(book.sigma[h]))]
             cause = np.linalg.LinAlgError(f"sigma of cluster cid {cid} is not positive definite")
-            raise StepError(self.n, cause) from cause
-        if len(self.book.stack.books) > 1:  # leave a shared stack
-            BookStack([self.book], self.book.k + 1)
-        return RunTrace(config=self.config, records=self.records, final_book=self.book)
+            raise StepError(book.n, cause) from cause
+        return RunTrace(config=self.config, records=steps, final_book=book)
+
+    def _shares(self, group: list["Run"]) -> bool:
+        """Whether another live run of the group holds this run's book."""
+        return any(other is not self and other.book is self.book and other.error is None
+                   for other in group)
+
+    def _split(self) -> None:
+        """Take copies of the book, the records and the generator, which the
+        rest of the group keeps; the records share their q chunks."""
+        self.book, self.rng = copy.deepcopy(self.book), copy.deepcopy(self.rng)
+        self.records = self.records.copy()
+
+    def _maintain(self, shared: bool) -> None:
+        """Prune, then merge.  A run that shares its book splits first if
+        either would change it."""
+        book, config = self.book, self.config
+        if shared and (prune_mask(book, config.prune_eps) is not None
+                       or merge_pairs(book, config.merge_eps)):
+            self._split()
+        prune(self.book, config.prune_eps)
+        merge(self.book, config.merge_eps)
+        self.records.k_after[-1] = self.book.k
+
+    def _after(self, i: int, error: Exception | None, group: list["Run"], ended: bool) -> None:
+        """What follows step i: a failed step's ``StepError``, the tick's
+        fold and maintenance, ``on_step``, and at the end of the rows a book,
+        records and generator of the run's own, off the shared stack.  An
+        exception becomes the run's ``error``."""
+        try:
+            if error is not None:
+                raise StepError(i, error) from error
+            if i % self.config.maintenance_period == 0:  # every window folds at the tick
+                self.book.fold()
+                if self.maintained:
+                    self._maintain(self._shares(group))
+            if self.on_step is not None:
+                self.on_step(i, self.book)
+            if ended and self._shares(group):
+                self._split()
+            elif ended and len(self.book.stack.books) > 1:
+                BookStack([self.book], self.book.k + 1)
+        except Exception as exc:
+            self.error, self.failed_at = exc, exc.__traceback__
 
 
 def _factorises(sigma: np.ndarray) -> bool:
@@ -970,38 +999,74 @@ def _prior_key(prior: PriorConfig) -> tuple:
     return prior.mu0.tobytes(), prior.c0, prior.delta0, prior.sigma0.tobytes()
 
 
-def _families(runs: list[_Run], streams: list) -> tuple[list[list[_Run]], BookStack]:
-    """The runs grouped into families, which step alike: same rows object,
-    seed, lam, selection, fixed_alpha and prior, and the stack they step in.
-    A family's first run gets a new book, born as that family's row of the
-    stack, and the others share it, its records and its generator."""
-    families: dict[tuple, list[_Run]] = {}
+def _by_book(runs) -> list[list[Run]]:
+    """The runs grouped by the book they hold, in order of first holding."""
+    groups: dict[int, list[Run]] = {}
     for run in runs:
-        config = run.config
-        key = (id(streams[run.index]), config.seed, config.lam, config.selection,
-               config.fixed_alpha, *_prior_key(config.prior))
-        families.setdefault(key, []).append(run)
-    books = [ClusterBook(runs[0].stream.shape[1], own_stack=False) for _ in families]
-    stack = BookStack(books, 2)
-    for (lead, *rest), book in zip(families.values(), books):
-        lead.book = book
-        for run in rest:
-            run.book, run.records, run.rng = lead.book, lead.records, lead.rng
-    return list(families.values()), stack
+        groups.setdefault(id(run.book), []).append(run)
+    return list(groups.values())
 
 
-def _regroup(families: list[list[_Run]], results: list) -> tuple[list[list[_Run]], list[int]]:
-    """The live runs of each family grouped by the book they hold, and for
-    each group the position of the family it came from."""
-    groups, origin = [], []
-    for f, family in enumerate(families):
-        books: dict[int, list[_Run]] = {}
-        for run in family:
-            if results[run.index] is None:
-                books.setdefault(id(run.book), []).append(run)
-        groups += books.values()
-        origin += [f] * len(books)
-    return groups, origin
+def _drive(feeds: dict[Run, np.ndarray]) -> None:
+    """Step each run through its rows, all in lockstep from the n that their
+    books share: the books are fresh, or there is one.
+
+    The runs that hold one book form a group, which steps as one row of a
+    ``BookStack`` with the first run's config, records and generator; its
+    runs are given one rows object.  Fresh books are born in the stack, and
+    the stack is re-stored only when its list of books changes.  The rows go
+    in windows cut at the maintenance period's ticks and where a run's rows
+    end: before a window's first step, one batched ``prior_predictive`` call
+    scores its rows for each (rows object, prior), and each sampling group
+    draws its uniforms (the first step of a run reads none).  After a step
+    each run goes through ``Run._after``.  A run that fails leaves the
+    lockstep, and the rest of its window's rows, their uniforms drawn, go on
+    without it; a run whose rows end leaves at the window's end.  The steps
+    run under one ``np.errstate(all="ignore")``: a state that outruns double
+    precision ends in the ``StepError`` of ``Run.close``, not in a warning.
+    """
+    groups = _by_book(feeds)
+    n = stop = first = groups[0][0].book.n
+    period = groups[0][0].config.maintenance_period
+    ends = {run: first + len(rows) for run, rows in feeds.items()}
+    stack = getattr(groups[0][0].book, "stack", None) or BookStack(
+        [group[0].book for group in groups], 2)
+    watched = any(run.on_step is not None for run in feeds)
+    with np.errstate(all="ignore"):
+        while groups:
+            leads = [group[0] for group in groups]
+            if n == stop:  # open the next window
+                stop, scores = min(n - n % period + period, *map(ends.get, leads)), {}
+                rows = [feeds[lead][n - first:stop - first] for lead in leads]
+                log_new, uniforms = np.zeros((2, stop - n, len(leads)))
+                drawn = max(n, 1)  # a run's first step reads no uniform
+                for r, (lead, part) in enumerate(zip(leads, rows)):
+                    key = (id(feeds[lead]), *_prior_key(lead.config.prior))
+                    if key not in scores:
+                        scores[key] = prior_predictive(lead.config.prior, part)
+                    log_new[:, r] = scores[key]
+                    if lead.config.selection == "sample" and stop > drawn:
+                        uniforms[drawn - n:, r] = lead.rng.random(stop - drawn)
+                rows = np.stack(rows, axis=1)
+            books = [lead.book for lead in leads]
+            if books != stack.books:
+                stack.store(books, stack.cap)
+            configs = _Rows(lead.config for lead in leads)
+            columns = [lead.records for lead in leads]
+            for j, i in enumerate(range(n + 1, stop + 1)):
+                errors = step(stack, rows[j], configs, log_new[j].tolist(), uniforms[j], columns)
+                if i == stop or watched or any(errors):
+                    for group, error in zip(groups, errors):
+                        for run in group:
+                            run._after(i, error, group, i == ends[run])
+                    if any(run.error for group in groups for run in group):
+                        break
+            n = i
+            groups = _by_book(run for group in groups for run in group
+                              if run.error is None and ends[run] > n)
+            if n < stop:  # a run failed: the window's other rows go on without it
+                at = [books.index(group[0].book) for group in groups]
+                rows, log_new, uniforms = (part[j + 1:, at] for part in (rows, log_new, uniforms))
 
 
 def run_many(
@@ -1013,21 +1078,22 @@ def run_many(
     the ``RunTrace`` that ``run(streams[r], configs[r], on_step[r])`` returns
     or the exception it raises.
 
-    The books are the rows of one ``BookStack``, and each ``step`` scores,
-    normalises, selects and updates all of them at once, while each book is
-    pruned and merged on its own.  Runs that step alike share a row.  A
-    family is the runs given the same rows object (one object, not equal
-    rows) with equal seed, lam, selection, fixed_alpha and prior, whose
-    configs then differ at most in prune_eps and merge_eps: until a prune
-    or merge acts, they take the same steps.  A family steps one book, with
-    one set of step columns and one generator; each of its runs calls its own
-    ``on_step`` with that book.  At each maintenance tick, a run whose
-    prune or merge would change the book splits off with copies of all
-    three, in a row of its own, and the others share on.  At the end of the
-    stream every run takes a book and records of its own (twins' records
-    share their q chunks).  Runs given one rows object under one prior
-    share each window's prior scores.  A run's trace is bit for bit its
-    trace alone.
+    Each stream is one ``Run``; one ``_drive`` call steps them all, and each
+    is then closed.  The books are the rows of one ``BookStack``, and each
+    ``step`` scores, normalises, selects and updates all of them at once,
+    while each book is pruned and merged on its own.  Runs that step alike
+    share a row.  A family is the runs given the same rows object (one
+    object, not equal rows) with equal seed, lam, selection, fixed_alpha
+    and prior, whose configs then differ at most in prune_eps and
+    merge_eps: until a prune or merge acts, they take the same steps.  A
+    family's runs hold one book, one set of step columns and one generator;
+    each calls its own ``on_step`` with that book.  At each maintenance
+    tick, a run whose prune or merge would change the book splits off with
+    copies of all three, in a row of its own, and the others share on.  At
+    the end of the stream every run takes a book and records of its own
+    (twins' records share their q chunks).  Runs given one rows object
+    under one prior share each window's prior scores.  A run's trace is bit
+    for bit its trace alone.
 
     A run whose stream or config is rejected, or whose step, maintenance or
     ``on_step`` raises, gets that exception and leaves the lockstep; the
@@ -1035,77 +1101,35 @@ def run_many(
     have one dimension d and their configs one ``maintenance_period``, as
     the rows step in windows of that period; else ``ConfigError`` names the
     field.  ``on_step``, if given, holds one callback or None per stream.
-
-    The steps run under one ``np.errstate(all="ignore")``: a state that
-    outruns double precision (a NaN q from an indefinite cached precision)
-    ends in the ``StepError`` of ``_Run.finish``, not in a warning.
     """
     callbacks = [None] * len(streams) if on_step is None else list(on_step)
     if not len(streams) == len(configs) == len(callbacks):
         raise ValueError("run_many needs one config (and one on_step) per stream")
     results: list[RunTrace | Exception | None] = [None] * len(streams)
-    runs = []
+    runs, feeds, families = {}, {}, {}
     for index, (stream, config, callback) in enumerate(zip(streams, configs, callbacks)):
         try:
-            stream = as_stream(stream)
-            config = config.resolve(stream.shape[1])
+            rows = as_stream(stream)
+            run = Run(config, rows.shape[1], callback)
         except (ValueError, StepError) as exc:  # ConfigError is a ValueError
             results[index] = exc
-        else:
-            runs.append(_Run(index, stream, config, callback))
-    for name, value in (("d", lambda run: run.stream.shape[1]),
-                        ("maintenance_period", lambda run: run.config.maintenance_period)):
-        values = sorted({value(run) for run in runs})
+            continue
+        config = run.config
+        lead = families.setdefault((id(stream), config.seed, config.lam, config.selection,
+                                    config.fixed_alpha, *_prior_key(config.prior)), run)
+        run.book, run.records, run.rng = lead.book, lead.records, lead.rng
+        runs[index], feeds[run] = run, rows
+    for name, values in (("d", {run.book.dim for run in feeds}),
+                         ("maintenance_period", {run.config.maintenance_period for run in feeds})):
         if len(values) > 1:
-            raise ConfigError(f"{name} must be the same for every run, got {values}")
-    if not runs:
-        return results
-    period, ends = runs[0].config.maintenance_period, {run.n for run in runs}
-    watched, n_max = any(run.on_step is not None for run in runs), max(ends)
-    families, stack = _families(runs, streams)
-    lead_configs = _Rows(family[0].config for family in families)
-    lead_columns = [family[0].records for family in families]  # shared by the family
-    with np.errstate(all="ignore"):  # a state beyond double precision ends in StepError
-        for start in range(0, n_max, period):
-            width = min(period, n_max - start)
-            scores: dict = {}
-            windows = [family[0].open_window(start, width, scores) for family in families]
-            rows, log_new, uniforms = (np.stack(parts, axis=1) for parts in zip(*windows))
-            for j, i in enumerate(range(start + 1, start + width + 1)):
-                due, left = i % period == 0, False
-                busy = due or watched or i in ends  # else a run only keeps its step
-                errors = step(stack, rows[j], lead_configs, log_new[j].tolist(), uniforms[j],
-                              lead_columns)
-                for family, error in zip(families, errors):
-                    if error is None and not busy:
-                        continue
-                    for run in family:
-                        try:
-                            if error is not None:
-                                raise StepError(i, error) from error
-                            if due:  # every window folds at the tick, maintained or not
-                                run.book.fold()
-                                if run.maintained:
-                                    run.maintain(run.shares(family, results))
-                            if run.on_step is not None:
-                                run.on_step(i, run.book)
-                            if i == run.n:
-                                results[run.index] = run.finish(run.shares(family, results))
-                                left = True
-                        except Exception as exc:
-                            results[run.index], left = exc, True
-                if left or due:  # runs that ended, failed or copied their book change the rows
-                    groups, origin = _regroup(families, results)
-                    if not groups:
-                        return results
-                    families = groups
-                    lead_configs = _Rows(family[0].config for family in families)
-                    lead_columns = [family[0].records for family in families]
-                    books = [family[0].book for family in families]
-                    if list(map(id, books)) != list(map(id, stack.books)):
-                        stack.store(books, stack.cap)
-                        rows, log_new, uniforms = (rows[:, origin], log_new[:, origin],
-                                                   uniforms[:, origin])
+            raise ConfigError(f"{name} must be the same for every run, got {sorted(values)}")
+    if feeds:
+        _drive(feeds)
+    for index, run in runs.items():
+        try:
+            results[index] = run.close()
+        except Exception as exc:
+            results[index] = exc
     return results
 
 
@@ -1114,8 +1138,8 @@ def run(
     config: EngineConfig,
     on_step: Callable[[int, ClusterBook], None] | None = None,
 ) -> RunTrace:
-    """Drive the full loop over a stream of observations: ``run_many`` of
-    this one stream.
+    """Drive the full loop over a stream of observations: one ``Run``, fed
+    the whole stream and closed.
 
     Maintenance (prune, then merge) runs every ``maintenance_period``
     steps and once more at stream end if the last step was not already a
@@ -1132,9 +1156,9 @@ def run(
     against.  It must not modify that state.  As non-finite rows are
     rejected up front, ``on_step`` never sees a stream that will fail on
     one.  Like every step, it runs under ``np.errstate(all="ignore")``
-    (``run_many``), so numpy emits no floating-point warning there.
+    (``_drive``), so numpy emits no floating-point warning there.
     """
-    (result,) = run_many([stream], [config], [on_step])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    stream = as_stream(stream)
+    handle = Run(config, stream.shape[1], on_step)
+    handle.feed(stream)
+    return handle.close()

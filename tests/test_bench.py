@@ -117,6 +117,22 @@ class TestCompareVariants:
         with pytest.raises(ValueError, match="at least 1"):
             compare_variants(EngineConfig(), trials=trials, truth=truth, workers=workers)
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.5), ("workers", 1.5), ("trials", True), ("workers", np.True_),
+        ("n_train", 0), ("n_test", 0), ("n_train", 2.5), ("n_test", True)])
+    def test_sizes_checked_up_front(self, name, value):
+        """A size that is a bool, not an integer or below 1 raises a
+        ``ValueError`` naming it before any trial runs; ``n_train`` and
+        ``n_test`` are checked only without a ``train`` set, which they do
+        not size."""
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+            compare_variants(EngineConfig(), **{"trials": 2, "truth": truth, name: value})
+        if name.startswith("n_"):
+            train = Dataset(sample_mixture(truth, 12, seed=0).rows)
+            report = compare_variants(EngineConfig(), trials=1, train=train, **{name: value})
+            assert all(row.error is None for row in report.rows)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_solo_runs(self, workers):
         """Rows of trials fitted in lockstep against each trial fitted by

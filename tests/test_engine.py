@@ -10,6 +10,7 @@ import copy
 import gc
 import itertools
 import math
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from asugs.engine import (
     EngineConfig,
     REFRESH_MAX_T,
     REFRESH_MEMO,
+    Run,
     RunTrace,
     StepColumns,
     StepError,
@@ -634,7 +636,9 @@ class TestWindows:
     @pytest.mark.parametrize("rows, period", [(400, 50), (401, 50), (400, 7), (3, 50)])
     def test_one_prior_score_per_window(self, monkeypatch, rows, period):
         """An N-row run calls ``prior_predictive`` ceil(N / period) times, each
-        on a window of rows, which cover every row once: never on one row."""
+        on a window of rows, which cover every row once: never on one row.
+        Fed to a ``Run`` in chunks, the rows are scored once each too, in one
+        call per window cut at the ticks and the chunks' edges."""
         import asugs.engine as engine_mod
 
         shapes = []
@@ -644,11 +648,22 @@ class TestWindows:
             return prior_predictive(prior, ys)
 
         ys = sample_mixture(generate_grid_mixture(3, 0.025), rows, seed=2).rows
+        config = EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.025),
+                              maintenance_period=period)
         monkeypatch.setattr(engine_mod, "prior_predictive", counted)
-        run(ys, EngineConfig(seed=2, prior=PriorConfig.from_scale(2, 0.025),
-                             maintenance_period=period))
+        run(ys, config)
         assert len(shapes) == math.ceil(rows / period)
         assert all(len(shape) == 2 for shape in shapes)  # no single-row call
+        assert sum(shape[0] for shape in shapes) == rows
+        shapes.clear()
+        cuts = sorted({1, rows // 3, rows // 2 + 1, rows - 1})
+        handle = Run(config, 2)
+        for chunk in np.split(ys, cuts):
+            handle.feed(chunk)
+        handle.close()
+        edges = set(cuts) | set(range(period, rows, period))
+        assert len(shapes) == len(edges) + 1
+        assert all(len(shape) == 2 for shape in shapes)
         assert sum(shape[0] for shape in shapes) == rows
 
 
@@ -1075,6 +1090,135 @@ class TestRun:
         for name in ("mu", "sigma", "c", "delta", "m", "w"):
             assert len(getattr(trace.final_book, name)) == trace.k
         assert trace.final_book.alpha(trace.config.lam) > 0
+
+
+def handle_stream(n=120, seed=21):
+    """A 4x4 grid stream and a sampling config with prune and merge on and
+    a period of 20, so that chunks fall in and at the ends of windows."""
+    rows = sample_mixture(generate_grid_mixture(4, 0.025), n, seed=seed).rows
+    return rows, EngineConfig(seed=seed, prior=PriorConfig.from_scale(2, 0.025),
+                              maintenance_period=20)
+
+
+class TestRunHandle:
+    """``Run`` fed in chunks: the trace of ``run`` on the whole stream, and a
+    defined outcome for each chunk it refuses and each use after an end."""
+
+    @pytest.mark.parametrize("cuts", [[1], [119], [20, 40], [7, 33, 61, 100], list(range(1, 120))],
+                             ids=["first-row", "last-row", "window-ends", "inside", "row-by-row"])
+    def test_chunks_write_the_trace_of_one_run(self, cuts, tmp_path):
+        rows, config = handle_stream()
+        handle = Run(config, 2)
+        for chunk in np.split(rows, cuts):
+            handle.feed(chunk)
+        assert trace_bytes(handle.close(), tmp_path / "a.jsonl") == trace_bytes(
+            run(rows, config), tmp_path / "b.jsonl")
+
+    def test_non_finite_row_raises_at_its_step_before_any(self, tmp_path):
+        """Row 3 of the second chunk is step 53: the chunk raises its
+        ``StepError`` with no step taken, and the run goes on as if the
+        chunk had never been fed."""
+        rows, config = handle_stream()
+        seen = []
+        handle = Run(config, 2, on_step=lambda i, book: seen.append(i))
+        handle.feed(rows[:50])
+        bad = rows[50:70].copy()
+        bad[2, 1] = np.inf
+        state = handle.rng.bit_generator.state
+        with pytest.raises(StepError, match="^step 53 failed") as info:
+            handle.feed(bad)
+        assert info.value.step == 53 and isinstance(info.value.__cause__, ValueError)
+        assert seen == list(range(1, 51)) and handle.book.n == 50
+        assert handle.rng.bit_generator.state == state
+        handle.feed(rows[50:])
+        assert trace_bytes(handle.close(), tmp_path / "a.jsonl") == trace_bytes(
+            run(rows, config), tmp_path / "b.jsonl")
+
+    @pytest.mark.parametrize("fed", [0, 30])
+    def test_rows_of_another_d_raise_before_any_step(self, fed, tmp_path):
+        rows, config = handle_stream()
+        handle = Run(config, 2)
+        if fed:
+            handle.feed(rows[:fed])
+        state = handle.rng.bit_generator.state
+        for other in (np.zeros((5, 3)), np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="the run has d = 2"):
+                handle.feed(other)
+        assert handle.rng.bit_generator.state == state and handle.book.n == fed
+        handle.feed(rows[fed:])
+        assert trace_bytes(handle.close(), tmp_path / "a.jsonl") == trace_bytes(
+            run(rows, config), tmp_path / "b.jsonl")
+
+    def test_failing_on_step_is_raised_again(self):
+        rows, config = handle_stream()
+
+        def fail(i, book):
+            if i == 45:
+                raise RuntimeError("on_step failed at 45")
+
+        handle = Run(config, 2, on_step=fail)
+        handle.feed(rows[:40])
+        with pytest.raises(RuntimeError, match="at 45") as info:
+            handle.feed(rows[40:80])
+        frames = []
+        for again in [lambda: handle.feed(rows[80:]), handle.close] * 3:
+            with pytest.raises(RuntimeError) as later:
+                again()
+            assert later.value is info.value
+            frames.append(len(traceback.extract_tb(later.value.__traceback__)))
+        assert frames[:2] == frames[2:4] == frames[4:]  # a raise again adds no frames
+
+    def test_failing_step_is_raised_again(self):
+        """A cached precision spoilt after step 30 fails step 31 as in
+        ``run``; the later feed and close raise that ``StepError``."""
+        rows, config = handle_stream()
+
+        def spoil(i, book):
+            if i == 30:
+                book.prec[:] = np.nan
+                book.sigma[:] = -book.sigma
+
+        with pytest.raises(StepError) as alone:
+            run(rows, config, on_step=spoil)
+        handle = Run(config, 2, on_step=spoil)
+        with pytest.raises(StepError) as info:
+            handle.feed(rows[:60])
+        assert info.value.step == alone.value.step == 31 and str(info.value) == str(alone.value)
+        for again in (lambda: handle.feed(rows[60:]), handle.close):
+            with pytest.raises(StepError) as later:
+                again()
+            assert later.value is info.value
+
+    def test_closed_run_refuses_feed_and_close(self):
+        rows, config = handle_stream()
+        handle = Run(config, 2)
+        handle.feed(rows)
+        trace = handle.close()
+        assert trace.n == len(rows)
+        for again in (lambda: handle.feed(rows), handle.close):
+            with pytest.raises(ValueError, match="closed"):
+                again()
+        assert trace.n == len(trace.records) == len(rows)
+
+    def test_close_of_a_run_never_fed_is_the_empty_stream(self):
+        rows, config = handle_stream()
+        handle = Run(config, 2)
+        with pytest.raises(ValueError, match="at least one observation"):
+            handle.close()
+        with pytest.raises(ValueError, match="at least one observation"):
+            run(rows[:0], config)
+
+    def test_empty_chunk_is_the_empty_stream(self, tmp_path):
+        """An empty chunk raises the empty stream's ``ValueError`` and leaves
+        the run as it was."""
+        rows, config = handle_stream()
+        handle = Run(config, 2)
+        for lo, hi in ((0, 50), (50, 100), (100, 120)):
+            with pytest.raises(ValueError, match="at least one observation"):
+                handle.feed(rows[lo:lo])
+            handle.feed(rows[lo:hi])
+        assert trace_bytes(handle.close(), tmp_path / "a.jsonl") == trace_bytes(
+            run(rows, config), tmp_path / "b.jsonl")
 
 
 class TestReadBook:

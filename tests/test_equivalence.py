@@ -12,10 +12,14 @@ at a drawn step.  The runs are drawn as members of 1 or 2 kinds, each a
 stream with a seed, lam, fixed_alpha and selection, so that runs which
 share a rows object and those four, and so form a family, are common.
 
-Three equivalences are stated here:
+Four equivalences are stated here:
 
 - each result of the group is what ``run`` of that stream alone gives: the
   same ``write_trace`` bytes, or an exception of the same type and message;
+- each run's stream, cut into chunks and fed through a ``Run`` handle, gives
+  what ``run`` of it gives, and the handle's ``on_step`` sees what ``run``'s
+  sees; the chunk edges fall inside windows, at their ends and at the first
+  and the last row;
 - each trace comes back byte for byte through ``read_trace(write_trace(t))``,
   and the records it reads are its records, q bit for bit;
 - each trace's step columns are its records: a trace made from the list of
@@ -30,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asugs.data import read_trace, write_trace
-from asugs.engine import EngineConfig, RunTrace, StepColumns, run, run_many
+from asugs.engine import EngineConfig, Run, RunTrace, StepColumns, run, run_many
 from asugs.niw import PriorConfig
 
 
@@ -199,3 +203,60 @@ def test_lockstep_equals_each_run_alone(group):
         for r, args in enumerate(zip(streams, configs, callbacks)):
             assert result_bytes(results[r], tmp, f"many{r}") == result_bytes(
                 alone(*args), tmp, f"alone{r}"), f"run {r}"
+
+
+def fed_in_chunks(rows, config, on_step, cuts):
+    """What a ``Run`` fed the rows cut at ``cuts`` and then closed gives: its
+    trace, or the first exception that a feed or the close raises."""
+    try:
+        handle = Run(config, rows.shape[1], on_step)
+        for chunk in np.split(rows, cuts):
+            handle.feed(chunk)
+        return handle.close()
+    except Exception as exc:
+        return exc
+
+
+def written(result, tmp):
+    """A trace's ``write_trace`` bytes, or an exception's type and message:
+    ``result_bytes`` without the round trip, which the lockstep property
+    checks for the same traces."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    write_trace(f"{tmp}/trace.jsonl", result)
+    with open(f"{tmp}/trace.jsonl", "rb") as fh:
+        return fh.read()
+
+
+def watched(callback, calls):
+    """An ``on_step`` that records each call's step and book counts, then
+    calls ``callback``."""
+    def on_step(i, book):
+        calls.append((i, book.n, book.m.tobytes()))
+        if callback is not None:
+            callback(i, book)
+    return on_step
+
+
+@settings(max_examples=20, deadline=None)
+@given(group=groups(), data=st.data())
+def test_any_chunking_equals_one_run(group, data):
+    streams, configs, callbacks = build(group)
+    with tempfile.TemporaryDirectory() as tmp:
+        for r, (rows, config, callback) in enumerate(zip(streams, configs, callbacks)):
+            n, period = len(rows), config.maintenance_period
+            edges = [*range(period, n, period), 1, n - 1]  # window ends, first and last row
+            cuts = [] if n == 1 else sorted(set(data.draw(st.lists(
+                st.integers(1, n - 1) | st.sampled_from(edges), max_size=5))))
+            calls = ([], [])
+            if data.draw(st.booleans()):
+                callback, got_callback = watched(callback, calls[0]), watched(callback, calls[1])
+            else:
+                got_callback = callback
+            want = alone(rows, config, callback)
+            got = fed_in_chunks(rows, config, got_callback, cuts)
+            assert written(got, tmp) == written(want, tmp), f"run {r}, cuts {cuts}"
+            if np.isfinite(rows).all():
+                assert calls[1] == calls[0]
+            else:  # run refuses the stream up front, the handle the chunk of the bad row
+                assert calls[0] == [] and len(calls[1]) < want.step

@@ -28,7 +28,9 @@ of the two rounds' B/A: a constant factor on the call that goes second
 rounds) multiplies one round's ratio and divides the other's, so it
 cancels.  For the call time, the fit time and the wall time, the script
 ends with the median over pairs and the number of pairs in which B took
-less time.
+less time, then each side's median and quartiles over its calls.  Where
+A's quartile spread (Q3 - Q1) exceeds the difference of the two medians,
+the line says "unresolved": the calls cannot tell the trees apart.
 
 A call whose result counts a failed operation stops the script with its
 problems.  The script then says whether every call of A and every call of
@@ -113,7 +115,7 @@ def main() -> None:
         paths["trace"] = str(Path(tmp, "trace.jsonl"))
         for tree in trees:  # untimed: first-call set-up
             call(tree, args.workload, paths)
-        ratios, fit_ratios, wall_ratios = [], [], []
+        values = {what: ([], []) for what in ("", " fit us/obs", " wall s")}
         for r in range(args.rounds):
             times, fits, walls = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
             order = (0, 1) if r % 2 == 0 else (1, 0)
@@ -125,16 +127,15 @@ def main() -> None:
                 fits[side] = 1e6 * out["fit_s"] / out["n_obs"]
                 walls[side] = out["t_end"] - out["t_start"]
                 digests[side].add(json.dumps(out["digest"], sort_keys=True))
-            ratios.append(times[1] / times[0])
-            fit_ratios.append(fits[1] / fits[0])
-            wall_ratios.append(walls[1] / walls[0])
+            for sides, measured in zip(values.values(), (times, fits, walls)):
+                for side in (0, 1):
+                    sides[side].append(measured[side])
             print(f"round {r + 1:3d} ({'AB' if order[0] == 0 else 'BA'}): A {times[0]:.4f} s, "
-                  f"B {times[1]:.4f} s, B/A {ratios[-1]:.4f}; fit A {fits[0]:.3f} us/obs, "
-                  f"B {fits[1]:.3f} us/obs, B/A {fit_ratios[-1]:.4f}; wall A {walls[0]:.4f} s, "
-                  f"B {walls[1]:.4f} s, B/A {wall_ratios[-1]:.4f}")
-    summarise(args.workload, "", ratios)
-    summarise(args.workload, " fit us/obs", fit_ratios)
-    summarise(args.workload, " wall s", wall_ratios)
+                  f"B {times[1]:.4f} s, B/A {times[1] / times[0]:.4f}; fit A {fits[0]:.3f} "
+                  f"us/obs, B {fits[1]:.3f} us/obs, B/A {fits[1] / fits[0]:.4f}; wall A "
+                  f"{walls[0]:.4f} s, B {walls[1]:.4f} s, B/A {walls[1] / walls[0]:.4f}")
+    for what, sides in values.items():
+        summarise(args.workload, what, sides)
     if len(digests[0]) == 1 and digests[0] == digests[1]:
         print(f"{args.workload}: digests equal: {digests[0].pop()}")
         return
@@ -142,15 +143,23 @@ def main() -> None:
     sys.exit(1)
 
 
-def summarise(workload: str, what: str, ratios: list[float]) -> None:
+def summarise(workload: str, what: str, sides: tuple[list[float], list[float]]) -> None:
     """Print each pair's geometric-mean B/A of rounds 2i - 1 and 2i, their
-    median and the number of pairs in which B was lower."""
+    median and the number of pairs in which B was lower; then each side's
+    median and quartiles over its calls, and whether A's quartile spread
+    exceeds the difference of the medians."""
+    ratios = [b / a for a, b in zip(*sides)]
     pairs = [math.sqrt(ab * ba) for ab, ba in zip(ratios[::2], ratios[1::2])]
     for i, pair in enumerate(pairs):
         print(f"pair {i + 1:3d} (rounds {2 * i + 1}, {2 * i + 2}):{what} B/A {pair:.4f}")
     wins = sum(pair < 1.0 for pair in pairs)
     print(f"{workload}:{what} median pair B/A {statistics.median(pairs):.4f}, "
           f"B lower in {wins}/{len(pairs)} pairs")
+    (a1, a, a3), (b1, b, b3) = (statistics.quantiles(side, n=4) for side in sides)
+    verdict = "unresolved" if a3 - a1 > abs(b - a) else "resolved"
+    print(f"{workload}:{what} A median {a:.4f} (Q1 {a1:.4f}, Q3 {a3:.4f}), B median {b:.4f} "
+          f"(Q1 {b1:.4f}, Q3 {b3:.4f}); A's spread {a3 - a1:.4f} against |B - A| "
+          f"{abs(b - a):.4f}: {verdict}")
 
 
 if __name__ == "__main__":
