@@ -133,12 +133,8 @@ def _trial_group(context: _Context, trials: range) -> dict[tuple[str, int], Tria
     out: dict[tuple[str, int], TrialResult] = {}
     fits = []  # (variant, trial, config, rows, test set) of the runs to fit
     for trial in trials:
+        rows, test_ds = _trial_data(context, trial)
         seed = context.base.seed + trial
-        try:
-            rows, test_ds = _trial_data(context, trial)
-        except Exception as exc:
-            out.update({(v, trial): _failed(v, trial, seed, exc) for v in VARIANTS})
-            continue
         fits += [(v, trial, replace(variant_config(context.base, v), seed=seed), rows, test_ds)
                  for v in VARIANTS]
     t0 = time.perf_counter()
@@ -180,7 +176,10 @@ def compare_variants(
     of the same rows.  Failed trials are recorded with their error and
     do not stop the run.  ``trials``, ``workers`` and, without a ``train``
     set, ``n_train`` and ``n_test`` must be integers of at least 1, not
-    bools; else ``ValueError`` names the first that is not.
+    bools; else ``ValueError`` names the first that is not.  A base config
+    that ``EngineConfig.resolve`` refuses at the data's d raises its
+    ``ConfigError``, which names the field, before any trial: so a trial's
+    data draw, under a valid seed and valid sizes, does not fail.
     """
     if train is None and truth is None:
         raise ValueError("either a training dataset or a truth mixture is required")
@@ -188,8 +187,10 @@ def compare_variants(
             [("n_train", n_train), ("n_test", n_test)] if train is None else []):
         if not (_is_int(value) and value >= 1):
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    base = base_config.resolve((truth if train is None else train).dim)
     context = _Context(
-        base_config, None if train is None else train.rows, None if test is None else test.rows,
+        replace(base, seed=int(base.seed)),  # a numpy seed + a trial's index could overflow
+        None if train is None else train.rows, None if test is None else test.rows,
         truth, n_train, n_test, geometric_checkpoints(n_train if train is None else train.n),
     )
     groups = [range(w, trials, workers) for w in range(min(workers, trials))]

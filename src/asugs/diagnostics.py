@@ -8,7 +8,11 @@ concentration design: the harmonic log-product ratio, the iterated-log
 product bound, the Gaussian limit of the predictive density, and a
 least-squares slope with its standard error for trends over n.
 
-All functions are pure; snapshots can be evaluated concurrently.
+The functions of a snapshot (a cluster book, a posterior or a mixture)
+or of plain numbers give values that depend on their arguments alone.
+``run_with_diagnostics`` and ``run_many_with_diagnostics`` are not such
+functions: they run the engine, whose steps change its books, and
+evaluate a snapshot at each of its checkpoints.
 """
 
 from __future__ import annotations

@@ -312,26 +312,21 @@ class BookStack:
             self.scored_views = tuple(v[0] for v in views) if len(self.books) == 1 else views
         return self.scored_views
 
-    def absorb(self, labels, ys: np.ndarray, errors: list) -> None:
-        """``ClusterBook.absorb`` of cluster ``labels[r] - 1`` of book r by
-        ``ys[r]``, with its count m + 1, for every book r whose ``errors[r]``
-        is None: one numpy call per operation over the run axis, bit for bit
-        the update of each book alone.  The chosen slots are gathered from
-        the flat views with one take each, at ``label_base + labels`` (the
-        live rows are picked only when a book has failed), updated and
-        scattered back.
+    def absorb(self, labels, ys: np.ndarray) -> list[Exception | None]:
+        """``ClusterBook.absorb`` of cluster ``labels[r] - 1`` of each book r by
+        ``ys[r]``, with its count m + 1: one numpy call per operation over the
+        run axis, bit for bit the update of each book alone.  The chosen slots
+        are gathered from the flat views with one take each, at ``label_base +
+        labels``, updated and scattered back.
         ``conjugate_update`` works on them with the run axis last, where a
         and b broadcast.  Of the tail, one C-level ``map`` reads each book's
         packed ``_refresh_tail``, which one ``np.frombuffer`` of their join
         unpacks, and one takes each ``math.log1p(t)``; the sums are numpy's,
         which add as ``math`` does.  A book whose t is out of range
-        refactorises; if that raises, the exception goes to ``errors[r]``."""
+        refactorises.  Returns for each book the exception its
+        refactorisation raised, or None."""
         at, flat = self.label_base + labels, self.flat
-        if any(errors):  # an exception is true, None false
-            live = [error is None for error in errors]
-            at, ys = at[live], ys[live]
-            if not len(at):
-                return
+        errors: list[Exception | None] = [None] * len(self.books)
         mu, sigma, c, delta, prec, logdet = (
             flat[name].take(at, axis=0) for name in ("mu", "sigma", "c", "delta", "prec", "logdet"))
         tails = np.frombuffer(b"".join(map(_refresh_tail, repeat(self.dim), c.tolist(),
@@ -361,6 +356,7 @@ class BookStack:
                 self.books[row].factorise(h)
             except Exception as exc:
                 errors[row] = exc
+        return errors
 
 
 @lru_cache(maxsize=REFRESH_MEMO)
@@ -669,8 +665,10 @@ def step(
     A stack of one book updates it with ``ClusterBook.absorb``, in its own
     shapes.  A stack of several does its births first, as a birth may
     re-store the stack, and then updates all of its books with one
-    ``BookStack.absorb``.  The appends come last; a book whose update
-    raised appends nothing."""
+    ``BookStack.absorb``.  A birth copies the prior's state and factors,
+    which were read when its ``PriorConfig`` was made, so what fails is an
+    update's refactorisation (``LinAlgError``), in the book it updates.  The
+    appends come last; a book whose update raised appends nothing."""
     books, d, ks = stack.books, stack.dim, stack.ks.tolist()
     if getattr(ys, "shape", None) != (len(books), d):  # the driver's rows are shaped
         ys = np.array([_observation(y, d) for y in ys]).reshape(len(books), d)
@@ -685,9 +683,9 @@ def step(
         weights.append(weight)
     q = responsibilities(stack, ys, weights)
     labels = _labels(q, stack.ks, configs, uniforms)
-    errors: list[Exception | None] = [None] * len(books)
     if q.ndim == 1:  # one book, in its own shapes: its q is its row
         (book,), (k,), (label,), rows = books, ks, labels, (q,)
+        errors: list[Exception | None] = [None]
         try:
             if label > k:  # a new cluster is the prior absorbing its first observation
                 book.add(configs[0].prior.state, 0, 0.0)
@@ -698,11 +696,8 @@ def step(
     else:
         rows = q
         for r in np.flatnonzero(labels > stack.ks).tolist():
-            try:
-                books[r].add(configs[r].prior.state, 0, 0.0)
-            except Exception as exc:
-                errors[r] = exc
-        stack.absorb(labels, ys, errors)
+            books[r].add(configs[r].prior.state, 0, 0.0)
+        errors = stack.absorb(labels, ys)
         labels = labels.tolist()
     for book, k, alpha, label, qr, error, steps in zip(books, ks, alphas, labels, rows, errors,
                                                        columns):
@@ -875,11 +870,15 @@ def as_stream(stream, fed: int = 0) -> np.ndarray:
 class Run:
     """One stream's run, fed in chunks: ``feed(rows)`` steps the rows after
     those fed before, and ``close()`` ends the stream and returns the
-    ``RunTrace``.  However a stream is cut into chunks, the trace is that of
-    ``run`` of the whole stream, byte for byte: a window of rows is cut
-    where a chunk ends as where a tick falls, its prior scores are the
+    ``RunTrace``.  However a finite stream is cut into chunks, the trace is
+    that of ``run`` of the whole stream, byte for byte: a window of rows is
+    cut where a chunk ends as where a tick falls, its prior scores are the
     single rows' scores, and PCG64's ``random(a)`` then ``random(b)`` gives
-    the bits of ``random(a + b)``.
+    the bits of ``random(a + b)``.  ``run`` refuses a stream whose first
+    non-finite row is at step j with ``StepError(j)`` before any step; a
+    handle fed it in chunks steps the chunks before the one that holds
+    row j, so it raises the first exception that they raise, or else that
+    ``StepError(j)``.
 
     The run owns a ``ClusterBook`` of d = ``d`` (born in the first stack it
     steps in; its n is the run's place in the maintenance period), its

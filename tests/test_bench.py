@@ -1,5 +1,7 @@
 """Tests for the variant-comparison harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from asugs.bench import (
 from dataclasses import replace
 
 from asugs.data import Dataset, generate_grid_mixture, heldout_loglik, sample_mixture
-from asugs.engine import EngineConfig, run
+from asugs.engine import ConfigError, EngineConfig, run
 from asugs.niw import PriorConfig
 
 
@@ -132,6 +134,38 @@ class TestCompareVariants:
             train = Dataset(sample_mixture(truth, 12, seed=0).rows)
             report = compare_variants(EngineConfig(), trials=1, train=train, **{name: value})
             assert all(row.error is None for row in report.rows)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be a nonnegative integer, got -1"),
+        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("lam", -1.0, "lam must be positive and finite, got -1.0"),
+        ("prior", PriorConfig.default(3), "prior has dim 3, data has dim 2"),
+    ])
+    def test_base_config_checked_up_front(self, monkeypatch, field, value, message):
+        """A base config that ``EngineConfig.resolve`` refuses at the data's
+        d raises its ``ConfigError``, naming the field, before any trial:
+        with a truth mixture and with a ``train`` set."""
+        import asugs.bench as bench_mod
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench_mod, "run_many", no_trials)
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        train = Dataset(sample_mixture(truth, 12, seed=0).rows)
+        for data in ({"truth": truth}, {"train": train}):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                compare_variants(EngineConfig(**{field: value}), trials=2, **data)
+
+    def test_numpy_seed_adds_trial_index_exactly(self):
+        """Trial seeds are the base seed plus the index in Python's ints: an
+        int64 base seed at its largest does not wrap around."""
+        truth = generate_grid_mixture(2, 0.05, 1.0)
+        top = np.iinfo(np.int64).max
+        report = compare_variants(EngineConfig(seed=np.int64(top - 1)), trials=2, truth=truth,
+                                  n_train=20, n_test=10)
+        assert [(r.trial, r.seed, r.error) for r in report.rows if r.variant == "SUGS"] == [
+            (0, top - 1, None), (1, top, None)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_solo_runs(self, workers):

@@ -161,6 +161,11 @@ class TestSampleMixture:
         again = sample_mixture(mix, 1, seed=5)
         np.testing.assert_array_equal(one.rows, again.rows)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_draws_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            sample_mixture(generate_grid_mixture(1, 1.0), n, seed=5)
+
 
 class TestHeldoutLoglik:
     def _single_cluster_book(self):
@@ -228,6 +233,16 @@ class TestReadCsv:
         p = tmp_path / "d.csv"
         p.write_text(f"1.0,2.0\n{bad},1.0\n")
         with pytest.raises(DataError, match="row 2"):
+            read_csv(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        """Blank lines, between rows and at the ends, hold no row; a message's
+        row is the line number, blank lines counted."""
+        p = tmp_path / "d.csv"
+        p.write_text("\n1.0,2.0\n\n   \n3.0,4.0\n\n")
+        np.testing.assert_array_equal(read_csv(p).rows, [[1.0, 2.0], [3.0, 4.0]])
+        p.write_text("1.0,2.0\n\n3.0\n")
+        with pytest.raises(DataError, match="row 3 has 1 cells, expected 2"):
             read_csv(p)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -369,6 +384,25 @@ class TestTracePersistence:
         p = tmp_path / "bad.jsonl"
         p.write_text('{"kind":"final","n":1,"k":1}\n')
         with pytest.raises(DataError, match="config"):
+            read_trace(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        """A blank line, between records or at the end, is read as nothing:
+        the trace read back writes the bytes it was written as."""
+        p = tmp_path / "trace.jsonl"
+        write_trace(p, self._run_trace(60))
+        written = p.read_bytes()
+        lines = written.decode().splitlines(keepends=True)
+        p.write_text("".join(lines[:2] + ["\n"] + lines[2:40] + ["  \n"] + lines[40:] + ["\n"]))
+        write_trace(p, read_trace(p))
+        assert p.read_bytes() == written
+
+    def test_line_that_is_not_json_cites_path_and_row(self, tmp_path):
+        p = tmp_path / "trace.jsonl"
+        write_trace(p, self._run_trace(60))
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines[:2] + ["step 3\n"] + lines[2:]))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: row 3: Expecting value"):
             read_trace(p)
 
     def test_unknown_record_kind_cites_line(self, tmp_path):

@@ -161,6 +161,14 @@ class TestInnovationProbability:
         book = make_book([prior.state], [10], n=10)
         assert innovation_probability(book, book.alpha(1e9), prior, np.zeros(1)) < 1e-8
 
+    @pytest.mark.parametrize("alpha, tau", [(1e-305, 0.0), (1e306, 1.0)])
+    def test_extreme_alpha_saturates_exactly(self, alpha, tau):
+        """With a ratio of 1, log(M / alpha) lies beyond +-700 at these
+        alphas, where exp would overflow: tau is exactly 0 or 1."""
+        prior = PriorConfig.default(1)
+        book = make_book([prior.state], [10], n=10)
+        assert innovation_probability(book, alpha, prior, np.array([0.7])) == tau
+
     def test_matches_engine_responsibilities(self):
         """Cross-module identity on random states, tight tolerance."""
         rng = np.random.default_rng(21)
@@ -256,6 +264,10 @@ class TestL2Distance:
         finally:
             tracemalloc.stop()
         assert peak < 1.3e6
+
+    def test_empty_book_rejected(self):
+        with pytest.raises(ValueError, match=r"^L2 distance undefined for an empty book$"):
+            l2_distance_to_truth(ClusterBook(2), generate_grid_mixture(2, 0.05))
 
     def test_matched_fit_is_close(self):
         truth = GaussianMixture(np.array([1.0]), np.array([[0.0]]),
@@ -431,6 +443,11 @@ class TestGaussianLimitDeviation:
             for n_grid in (80, 160):
                 assert gaussian_limit_deviation(post, mean, cov, n_grid=n_grid) == pytest.approx(
                     row_built_deviation(post, mean, cov, n_grid=n_grid), rel=1e-12)
+
+    def test_state_above_two_dims_rejected(self):
+        post = NiwPosterior(np.zeros(3), 1.0, 2.0, np.eye(3))
+        with pytest.raises(ValueError, match=r"^grid evaluation supports d <= 2$"):
+            gaussian_limit_deviation(post, np.zeros(3), np.eye(3))
 
     def test_target_of_another_dim_rejected(self):
         post = NiwPosterior(np.zeros(2), 1.0, 2.0, np.eye(2))

@@ -39,6 +39,7 @@ from asugs.engine import (
     _sum_in_order,
     merge,
     prune,
+    prune_mask,
     responsibilities,
     run,
     run_many,
@@ -398,6 +399,13 @@ class TestPrune:
         book = self._two_cluster_book(9.8, 0.2)
         prune(book, 0.05)
         assert book.dist.shape == book.coact.shape == (1, 1)
+
+    def test_zero_total_weight_prunes_nothing(self):
+        """With every w at 0 no relative weight is defined: ``prune_mask``
+        keeps the book as it is."""
+        book = self._two_cluster_book(0.0, 0.0)
+        assert prune_mask(book, 0.3) is None
+        assert prune(book, 0.3) == [] and book.k == 2
 
 
 class TestMerge:
@@ -1422,6 +1430,16 @@ class TestRunMany:
         streams, configs = lockstep_group(2, seed=len(sizes), sizes=sizes)
         assert_each_alone(streams, configs, run_many(streams, configs), tmp_path)
 
+    @pytest.mark.parametrize("configs, on_step", [(1, None), (3, None), (2, 1), (2, 3)],
+                             ids=["fewer-configs", "more-configs", "fewer-callbacks",
+                                  "more-callbacks"])
+    def test_one_config_and_callback_per_stream(self, configs, on_step):
+        streams = [np.zeros((3, 2))] * 2
+        with pytest.raises(ValueError, match=r"^run_many needs one config \(and one on_step\) "
+                                             r"per stream$"):
+            run_many(streams, [EngineConfig()] * configs,
+                     None if on_step is None else [None] * on_step)
+
     def test_order_does_not_matter(self, tmp_path):
         streams, configs = lockstep_group(2, seed=11, sizes=[90, 160, 75, 200, 120, 60])
         order = np.random.default_rng(3).permutation(len(streams))
@@ -1731,9 +1749,8 @@ class TestBatchedUpdate:
             scales = 10.0 ** rng.choice([-2, 0, 3], size=len(books))
             ys = np.array([book.mu[h - 1] + rng.normal(size=d) * scale
                            for book, h, scale in zip(books, labels, scales)])
-            errors = [None] * len(books)
             monkeypatch.setattr(engine_mod, "student_t_factors", counted)
-            stack.absorb(labels, ys, errors)
+            errors = stack.absorb(labels, ys)
             monkeypatch.undo()
             assert errors == [None] * len(books)
             refactorised += len(calls)
@@ -1799,9 +1816,9 @@ class TestBatchedUpdate:
             singles.append(h)
             return real_single(book, h, y)
 
-        def counted_batch(stack, labels, ys, errors):
+        def counted_batch(stack, labels, ys):
             batches.append(len(labels))
-            return real_batch(stack, labels, ys, errors)
+            return real_batch(stack, labels, ys)
 
         streams, configs = lockstep_group(2, seed=17, sizes=[60] * 3)
         monkeypatch.setattr(ClusterBook, "absorb", counted_single)

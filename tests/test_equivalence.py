@@ -16,10 +16,13 @@ Four equivalences are stated here:
 
 - each result of the group is what ``run`` of that stream alone gives: the
   same ``write_trace`` bytes, or an exception of the same type and message;
-- each run's stream, cut into chunks and fed through a ``Run`` handle, gives
-  what ``run`` of it gives, and the handle's ``on_step`` sees what ``run``'s
-  sees; the chunk edges fall inside windows, at their ends and at the first
-  and the last row;
+- each run's finite stream, cut into chunks and fed through a ``Run``
+  handle, gives what ``run`` of it gives, and the handle's ``on_step`` sees
+  what ``run``'s sees; the chunk edges fall inside windows, at their ends
+  and at the first and the last row.  A stream whose first non-finite row
+  is at step j, which ``run`` refuses with ``StepError(j)`` before any
+  step, gives the first exception raised while feeding the chunks before
+  the one that holds row j, or else that ``StepError(j)``;
 - each trace comes back byte for byte through ``read_trace(write_trace(t))``,
   and the records it reads are its records, q bit for bit;
 - each trace's step columns are its records: a trace made from the list of
@@ -34,7 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asugs.data import read_trace, write_trace
-from asugs.engine import EngineConfig, Run, RunTrace, StepColumns, run, run_many
+from asugs.engine import EngineConfig, Run, RunTrace, StepColumns, StepError, run, run_many
 from asugs.niw import PriorConfig
 
 
@@ -217,6 +220,21 @@ def fed_in_chunks(rows, config, on_step, cuts):
         return exc
 
 
+def fed_before(rows, config, on_step, cuts, refusal):
+    """What a handle fed the rows in chunks gives where ``run`` refuses them
+    with ``refusal``, the ``StepError`` of their first non-finite row j =
+    ``refusal.step``: the first exception that the chunks before the one
+    holding row j raise (here fed to a fresh handle in one chunk), or else
+    ``refusal``."""
+    start = max((cut for cut in cuts if cut < refusal.step), default=0)
+    try:
+        if start:
+            Run(config, rows.shape[1], on_step).feed(rows[:start])
+    except Exception as exc:
+        return exc
+    return refusal
+
+
 def written(result, tmp):
     """A trace's ``write_trace`` bytes, or an exception's type and message:
     ``result_bytes`` without the round trip, which the lockstep property
@@ -254,9 +272,25 @@ def test_any_chunking_equals_one_run(group, data):
             else:
                 got_callback = callback
             want = alone(rows, config, callback)
+            if not np.isfinite(rows).all():  # run refuses it up front: StepError(j)
+                assert calls[0] == []
+                want = fed_before(rows, config, callback, cuts, want)
             got = fed_in_chunks(rows, config, got_callback, cuts)
             assert written(got, tmp) == written(want, tmp), f"run {r}, cuts {cuts}"
-            if np.isfinite(rows).all():
-                assert calls[1] == calls[0]
-            else:  # run refuses the stream up front, the handle the chunk of the bad row
-                assert calls[0] == [] and len(calls[1]) < want.step
+            assert calls[1] == calls[0]
+
+
+def test_a_chunk_before_the_bad_row_fails_first():
+    """Rows [0.5], [nan] with an ``on_step`` that raises at step 1: ``run``
+    refuses the stream at step 2 before any step, and so does a handle fed
+    it in one chunk; fed in two, the first chunk's step 1 raises first, as
+    ``fed_before`` states."""
+    rows = np.array([[0.5], [np.nan]])
+    config = EngineConfig(prune_eps=0.0, merge_eps=0.0, maintenance_period=1)
+    refusal = alone(rows, config, raiser(1))
+    outcomes = [refusal, fed_in_chunks(rows, config, raiser(1), []),
+                fed_in_chunks(rows, config, raiser(1), [1]),
+                fed_before(rows, config, raiser(1), [1], refusal)]
+    assert [(type(exc), str(exc)) for exc in outcomes] == 2 * [
+        (StepError, "step 2 failed: observation contains a non-finite value")] + 2 * [
+        (RuntimeError, "on_step raised at step 1 with k = 1")]

@@ -83,6 +83,12 @@ class TestLogpdf:
         with pytest.raises(LinAlgError):
             GaussianMixture(np.array([0.5, 0.5]), np.zeros((2, 2)), covs)
 
+    def test_asymmetric_covariance_rejected(self):
+        """The second covariance is positive definite but not symmetric."""
+        covs = np.array([np.eye(2), [[2.0, 0.5], [0.0, 2.0]]])
+        with pytest.raises(ValueError, match=r"^covariances must be symmetric$"):
+            GaussianMixture(np.array([0.5, 0.5]), np.zeros((2, 2)), covs)
+
     @pytest.mark.parametrize("field", ["weights", "means", "covariances"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_field_rejected_naming_it(self, field, bad):
